@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ParameterError("m values must be > 1 and non-empty")
         if not self.seeds:
             raise ParameterError("seeds must be non-empty")
+        if self.T_start is not None and self.T_start >= self.T:
+            raise ParameterError(f"T_start={self.T_start} must be < T={self.T}")
 
     @property
     def resolved_t_start(self) -> int:
@@ -123,6 +125,10 @@ def _m_token(m: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(m)))[0]
 
 
+def _m_stem(m: float) -> str:
+    return f"m{m:g}"
+
+
 def _stream(seed: int, m: float, label: int, *extra: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), _m_token(m), label, *extra])
 
@@ -133,8 +139,12 @@ def _stream_int(seed: int, m: float, label: int, *extra: int) -> int:
 
 def _atomic_write(path: Path, writer) -> None:
     tmp = path.with_name(path.name + ".part")
-    writer(tmp)
-    os.replace(tmp, path)
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cell(value) -> str:
@@ -161,7 +171,9 @@ def _write_csv(path: Path, header, rows) -> None:
 def _worker_count(n_jobs: int) -> int:
     env = os.environ.get("ALIGNLAB_THREADS", "").strip()
     if env:
-        workers = max(1, int(env))
+        workers = int(env) if env.isdecimal() else 0
+        if workers < 1:
+            raise ParameterError(f"ALIGNLAB_THREADS must be a positive integer, got {env!r}")
     else:
         workers = os.cpu_count() or 1
     return max(1, min(workers, n_jobs))
@@ -212,6 +224,11 @@ def cmd_simulate(config: ExperimentConfig) -> Path:
     alignment SVG pair, and a summary CSV of two-phase predictions vs the
     measured late phase. Returns the output directory."""
     config.validate()
+    stems = {}
+    for m in config.m_list:
+        other = stems.setdefault(_m_stem(m), m)
+        if other != m:
+            raise ParameterError(f"m values {other!r} and {m!r} would share the output file stem {_m_stem(m)!r}")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(m, seed) for m in config.m_list for seed in config.seeds]
@@ -219,7 +236,7 @@ def cmd_simulate(config: ExperimentConfig) -> Path:
 
     for res in results:
         m, seed, traj = res["m"], res["seed"], res["traj"]
-        stem = f"m{m:g}_seed{seed}"
+        stem = f"{_m_stem(m)}_seed{seed}"
         _atomic_write(out / f"traj_{stem}.csv", lambda tmp, tr=traj: write_trajectory_csv(tmp, tr))
         _atomic_write(
             out / f"alignment_{stem}.svg",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,16 @@ from alignlab import (
     ParameterError,
     Spectrum,
     State,
+    build_spectrum,
     csgd_plan,
     late_phase_statistic,
     projected_step,
+    random_init,
     run_trajectory,
     sample_noise,
     sgd_step,
 )
-from alignlab.dynamics import write_trajectory_csv
+from alignlab.dynamics import _DIVERGENCE_LIMIT, _chunk_rows, write_trajectory_csv
 
 
 class TestSteps:
@@ -166,3 +170,88 @@ class TestRunTrajectory:
             run_trajectory(spec, noise, state, 0.1, 10, 0)
         with pytest.raises(ParameterError):
             run_trajectory(spec, noise, state, 0.1, 10, 1, algo="adam")
+
+
+def reference_trajectory(spec, noise, init, eta, T, record_every, algo, seed):
+    """Step-by-step reference for run_trajectory: one sample_noise draw and one
+    sgd_step/projected_step per step, with the divergence check after every
+    step. Returns (times, thetas, losses, s_d, s_b) arrays."""
+    rng = np.random.default_rng(seed)
+    lam, k = spec.lambdas, spec.k
+    rows = []
+
+    def record(t, c):
+        w = lam**2 * c**2
+        s_d, s_b = float(np.sum(w[:k])), float(np.sum(w[k:]))
+        s = s_d + s_b
+        rows.append((t, s_d / s if s > 0 else 0.0, float(0.5 * np.sum(lam * c**2)), s_d, s_b))
+
+    state = init
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0, state.c)
+        for t in range(1, T + 1):
+            zeta = sample_noise(noise, rng)
+            if algo == "sgd":
+                state = sgd_step(state, spec, zeta, eta)
+            else:
+                state = projected_step(state, spec, zeta, eta, "D" if algo == "dsgd" else "B")
+            peak = float(np.max(np.abs(state.c)))
+            if not np.isfinite(peak) or peak > _DIVERGENCE_LIMIT:
+                raise DivergenceError(t, f"max |c_i| = {peak}")
+            if t % record_every == 0 or t == T:
+                record(t, state.c)
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+class TestChunkedKernel:
+    """run_trajectory draws noise a chunk of steps at a time; its records must
+    equal the step-by-step reference bit for bit."""
+
+    D = 500
+    ROWS = _chunk_rows(D)
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        spec = build_spectrum(self.D, 50, 20.0, (0.5, 1.0), 0.2, seed=11)
+        noise = NoiseProfile(kappa2=np.exp(np.random.default_rng(12).normal(0.0, 1.0, self.D)))
+        return spec, noise, random_init(self.D, 1.0, seed=13)
+
+    @pytest.mark.parametrize("algo", ["sgd", "dsgd", "bsgd"])
+    @pytest.mark.parametrize("T", [1, ROWS - 1, ROWS, ROWS + 1, 4 * ROWS + 1])
+    @pytest.mark.parametrize("record_every", [1, 7, ROWS + 3])
+    def test_bit_equal_to_step_by_step(self, problem, algo, T, record_every):
+        spec, noise, init = problem
+        traj = run_trajectory(spec, noise, init, 0.003, T, record_every, algo=algo, seed=9, record_blocks=True)
+        ref = reference_trajectory(spec, noise, init, 0.003, T, record_every, algo, 9)
+        for name, want in zip(("times", "thetas", "losses", "s_d", "s_b"), ref):
+            assert np.array_equal(getattr(traj, name), want), name
+
+    def test_divergence_between_checks_matches_reference(self, fixa):
+        # 2/lambda_1 < eta: |c_1| doubles each step, passes the limit near step
+        # 500 and overflows near step 1025, all inside one chunk
+        spec, noise, state = fixa
+        assert _chunk_rows(2) > 3000
+        with pytest.raises(DivergenceError) as ref:
+            reference_trajectory(spec, noise, state, 1.5, 3000, 1000, "sgd", 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                run_trajectory(spec, noise, state, 1.5, 3000, 1000, seed=0)
+        assert 0 < err.value.step < 1000
+        assert err.value.step == ref.value.step
+        assert str(err.value) == str(ref.value)
+
+    def test_limit_crossed_and_recrossed_inside_a_chunk(self):
+        # a coordinate starting far past the limit shrinks 10x per step and is
+        # back inside long before the chunk ends; the first step still raises
+        spec = Spectrum(lambdas=np.array([2.0, 1.0]), k=1)
+        noise = NoiseProfile(kappa2=np.array([1.0, 1.0]))
+        state = State(c=np.array([1e200, 1.0]))
+        with pytest.raises(DivergenceError) as ref:
+            reference_trajectory(spec, noise, state, 0.45, 200, 100, "sgd", 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                run_trajectory(spec, noise, state, 0.45, 200, 100, seed=4)
+        assert err.value.step == ref.value.step == 1
+        assert str(err.value) == str(ref.value)

@@ -7,6 +7,7 @@ from alignlab import ParameterError, load_config
 from alignlab.cli import main
 from alignlab.harness import (
     ExperimentConfig,
+    _atomic_write,
     cmd_drift_test,
     cmd_projected_test,
     cmd_report,
@@ -80,6 +81,21 @@ class TestConfig:
         path.write_text("{broken")
         with pytest.raises(ParameterError, match=r":1:"):
             load_config(path)
+
+
+class TestAtomicWrite:
+    def test_failed_writer_leaves_no_part_file(self, tmp_path):
+        target = tmp_path / "table.csv"
+        target.write_text("old\n")
+
+        def writer(tmp):
+            tmp.write_text("half a tab")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            _atomic_write(target, writer)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+        assert target.read_text() == "old\n"
 
 
 class TestSimulate:
@@ -243,3 +259,33 @@ class TestCli:
         ])
         assert code == 0
         assert (out / "drift_verdicts.csv").exists()
+
+    SIM_ARGS = ["simulate", "--d", "24", "--k", "4", "--eta", "0.02", "--steps", "200", "--seed", "42"]
+
+    def _usage_error(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("alignlab: error: ")
+        return err
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_is_usage_error(self, threads, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+        out = tmp_path / "runs"
+        err = self._usage_error([*self.SIM_ARGS, "--m", "8", "--out", str(out)], capsys)
+        assert "ALIGNLAB_THREADS" in err
+        assert not list(out.glob("traj_*"))
+
+    def test_t_start_not_before_last_step_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        err = self._usage_error([*self.SIM_ARGS, "--m", "8", "--t-start", "200", "--out", str(out)], capsys)
+        assert "T_start=200" in err
+        assert not out.exists()
+
+    def test_colliding_m_stems_are_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        argv = [*self.SIM_ARGS, "--m", "100.0001", "--m", "100.0002", "--out", str(out)]
+        err = self._usage_error(argv, capsys)
+        assert "'m100'" in err
+        assert not out.exists()
