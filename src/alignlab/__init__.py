@@ -29,9 +29,6 @@ from .montecarlo import (
     McEstimate,
     ProjectedLossResult,
     drift_sign_test,
-    estimate_conditional_alignment,
-    estimate_f_drift,
-    estimate_next_block_energy,
     late_phase_statistic,
     one_step_estimates,
     phase1_decay_fit,

@@ -1,7 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 when a sign test came back contradicted,
-2 on usage, configuration, or I/O problems.
+Exit codes: 0 on success, 1 when a sign test came back contradicted or a
+simulate job diverged, 2 on usage, configuration, or I/O problems.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def main(argv=None) -> int:
             print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
             return 0
         if args.command == "simulate":
-            cmd_simulate(config)
-            return 0
+            _, diverged = cmd_simulate(config)
+            return 1 if diverged else 0
         if args.command == "sweep-gap":
             cmd_sweep_gap(config)
             return 0

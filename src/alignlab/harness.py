@@ -15,16 +15,24 @@ import math
 import os
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import montecarlo, svgplot, theory
+from . import svgplot, theory
+from ._pool import run_jobs
 from .dynamics import run_trajectory, write_trajectory_csv
-from .errors import AlignlabError, ConstructionError, ParameterError
-from .montecarlo import drift_sign_test, late_phase_statistic, projected_loss_test
+from .errors import AlignlabError, ConstructionError, DivergenceError, ParameterError
+from .montecarlo import (
+    _VERDICT_MIN_N,
+    _check,
+    _drift_result,
+    _projected_estimates,
+    _projected_result,
+    late_phase_statistic,
+    one_step_estimates,
+)
 from .spectrum import NoiseProfile, Spectrum, build_spectrum, isotropic_noise, read_noise_json, read_spectrum_json
 from .state import State, block_stats, random_init, rescale_to_alignment, state_from_json
 
@@ -98,6 +106,44 @@ class ExperimentConfig:
         return doc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(check, length=None):
+    return lambda value: (
+        isinstance(value, (list, tuple))
+        and all(check(v) for v in value)
+        and (length is None or len(value) == length)
+    )
+
+
+_INTEGER = (_is_int, "an integer")
+_NUMBER = (_is_number, "a number")
+# (check, description) of the JSON value each config field accepts
+_FIELD_TYPES = {
+    "d": _INTEGER,
+    "k": _INTEGER,
+    "m_list": (_list_of(_is_number), "a list of numbers"),
+    "eta": _NUMBER,
+    "T": _INTEGER,
+    "sigma2": _NUMBER,
+    "init_scale": _NUMBER,
+    "seeds": (_list_of(_is_int), "a list of integers"),
+    "n_mc": _INTEGER,
+    "record_every": _INTEGER,
+    "T_start": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "output_dir": (lambda v: isinstance(v, str), "a string"),
+    "bulk_range": (_list_of(_is_number, 2), "a list of two numbers"),
+    "top_spread": _NUMBER,
+    "z_crit": _NUMBER,
+}
+
+
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Defaults, then the JSON config file, then explicit overrides."""
     doc = {}
@@ -113,6 +159,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     unknown = set(doc) - known
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        check, expected = _FIELD_TYPES[key]
+        if not check(value):
+            raise ParameterError(f"config field {key!r} must be {expected}, got {value!r}")
     for key in ("m_list", "seeds", "bulk_range"):
         if key in doc:
             doc[key] = tuple(doc[key])
@@ -168,25 +218,6 @@ def _write_csv(path: Path, header, rows) -> None:
     _atomic_write(path, writer)
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("ALIGNLAB_THREADS", "").strip()
-    if env:
-        workers = int(env) if env.isdecimal() else 0
-        if workers < 1:
-            raise ParameterError(f"ALIGNLAB_THREADS must be a positive integer, got {env!r}")
-    else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_jobs))
-
-
-def _run_jobs(fn, jobs: list) -> list:
-    workers = _worker_count(len(jobs))
-    if workers == 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def _problem_for(config: ExperimentConfig, m: float, seed: int) -> tuple[Spectrum, NoiseProfile]:
     spec = build_spectrum(
         config.d, config.k, m, config.bulk_range, config.top_spread,
@@ -198,20 +229,25 @@ def _problem_for(config: ExperimentConfig, m: float, seed: int) -> tuple[Spectru
 def _simulate_one(config: ExperimentConfig, m: float, seed: int) -> dict:
     spec, noise = _problem_for(config, m, seed)
     init = random_init(config.d, config.init_scale, seed=_stream(seed, m, _STREAM_INIT))
-    traj = run_trajectory(
-        spec, noise, init, config.eta, config.T, config.record_every,
-        algo="sgd", seed=_stream(seed, m, _STREAM_TRAJECTORY),
-    )
+    traj, diverged = None, None
+    try:
+        traj = run_trajectory(
+            spec, noise, init, config.eta, config.T, config.record_every,
+            algo="sgd", seed=_stream(seed, m, _STREAM_TRAJECTORY),
+        )
+    except DivergenceError as exc:
+        diverged = exc
     try:
         plan = theory.csgd_plan(spec, noise, init, config.eta)
         t_star, theta_inf = plan.t_star, plan.theta_inf
     except AlignlabError:
         t_star, theta_inf = None, None
-    late_mean, late_std = late_phase_statistic(traj, config.resolved_t_start)
+    late_mean, late_std = (None, None) if diverged else late_phase_statistic(traj, config.resolved_t_start)
     return {
         "m": m,
         "seed": seed,
         "traj": traj,
+        "diverged": diverged,
         "t_star": t_star,
         "theta_inf": theta_inf,
         "late_mean": late_mean,
@@ -219,10 +255,12 @@ def _simulate_one(config: ExperimentConfig, m: float, seed: int) -> dict:
     }
 
 
-def cmd_simulate(config: ExperimentConfig) -> Path:
+def cmd_simulate(config: ExperimentConfig) -> tuple[Path, bool]:
     """One constant-step trajectory per (m, seed): trajectory CSV, a loss/
     alignment SVG pair, and a summary CSV of two-phase predictions vs the
-    measured late phase. Returns the output directory."""
+    measured late phase. A diverged job writes no trajectory files, gets
+    undef late-phase cells and one stderr line; the other jobs are kept.
+    Returns the output directory and whether any job diverged."""
     config.validate()
     stems = {}
     for m in config.m_list:
@@ -232,10 +270,13 @@ def cmd_simulate(config: ExperimentConfig) -> Path:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(m, seed) for m in config.m_list for seed in config.seeds]
-    results = _run_jobs(lambda job: _simulate_one(config, *job), jobs)
+    results = run_jobs(lambda job: _simulate_one(config, *job), jobs)
 
     for res in results:
         m, seed, traj = res["m"], res["seed"], res["traj"]
+        if res["diverged"] is not None:
+            print(f"simulate: job (m={m:g}, seed={seed}) diverged at step {res['diverged'].step}", file=sys.stderr)
+            continue
         stem = f"{_m_stem(m)}_seed{seed}"
         _atomic_write(out / f"traj_{stem}.csv", lambda tmp, tr=traj: write_trajectory_csv(tmp, tr))
         _atomic_write(
@@ -260,7 +301,7 @@ def cmd_simulate(config: ExperimentConfig) -> Path:
             for res in results
         ],
     )
-    return out
+    return out, any(res["diverged"] is not None for res in results)
 
 
 def cmd_sweep_gap(config: ExperimentConfig) -> Path:
@@ -272,7 +313,10 @@ def cmd_sweep_gap(config: ExperimentConfig) -> Path:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(m, seed) for m in config.m_list for seed in config.seeds]
-    results = _run_jobs(lambda job: _simulate_one(config, *job), jobs)
+    results = run_jobs(lambda job: _simulate_one(config, *job), jobs)
+    for res in results:
+        if res["diverged"] is not None:
+            raise res["diverged"]
 
     t_start = config.resolved_t_start
     rows = []
@@ -381,16 +425,17 @@ def cmd_drift_test(
             state = _state_above_theta_star(base, spec, noise)
         else:
             state = rescale_to_alignment(base, spec, value, which="dominant")
-        dq = theory.drift_quadratic(block_stats(state, spec, noise))
+        stats = block_stats(state, spec, noise)
+        dq = theory.drift_quadratic(stats)
         eta_star = dq.eta_star if dq.eta_star is not None and dq.eta_star > 0 else None
         eta_ref = eta_star if eta_star is not None else eta_fallback
-        mc_seed = _stream_int(seed, m, _STREAM_MC, t_idx)
-        for factor in eta_factors:
-            eta = factor * eta_ref
-            res = drift_sign_test(
-                state, spec, noise, eta, config.n_mc, config.z_crit,
-                seed=mc_seed, theta_abs_slack=theta_slack,
-            )
+        etas = [factor * eta_ref for factor in eta_factors]
+        _check(state, spec, noise, config.n_mc, _VERDICT_MIN_N)
+        ests = one_step_estimates(
+            state, spec, noise, etas, config.n_mc, _stream_int(seed, m, _STREAM_MC, t_idx)
+        )
+        for eta in etas:
+            res = _drift_result(stats, spec, noise, eta, ests[eta], config.z_crit, theta_slack)
             for verdict in (res.f_drift, res.theta_drift):
                 rows.append([
                     verdict.quantity, res.theta, eta, res.eta_star,
@@ -428,11 +473,12 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
             print(f"projected-test: state {i} skipped (equal thresholds)", file=sys.stderr)
             continue
         eta = 0.5 * (lo + hi)
-        mc_seed = _stream_int(seed, m, _STREAM_MC, 1000 + i)
-        for block in ("D", "B"):
-            res = projected_loss_test(
-                state, spec, noise, eta, block, config.n_mc, config.z_crit, seed=mc_seed
-            )
+        _check(state, spec, noise, config.n_mc, _VERDICT_MIN_N)
+        ests = _projected_estimates(
+            state, spec, noise, eta, ("D", "B"), config.n_mc, _stream_int(seed, m, _STREAM_MC, 1000 + i)
+        )
+        for block, est in zip(("D", "B"), ests):
+            res = _projected_result(stats, block, eta, est, config.z_crit)
             v = res.verdict
             rows.append([
                 f"loss_change_{block}", res.theta, eta, res.eta_loss,

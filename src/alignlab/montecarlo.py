@@ -3,20 +3,27 @@ of the drift predictions against them.
 
 Sampling schedule: an estimate with sample count n and seed s is split into
 fixed batches of _BATCH draws; batch j uses the stream
-``default_rng(SeedSequence([s, j]))`` and partial sums are combined with
+``default_rng(SeedSequence([s, j]))``. Batches run on the job pool
+(ALIGNLAB_THREADS), each worker reusing one pair of (batch, d) buffers that
+it updates in place. Per-batch results come back in batch order, are
+accumulated in the calling thread, and partial sums are combined with
 ``math.fsum``, which is exactly rounded. Results are therefore bit-identical
-for a given (n, seed) no matter how batches are scheduled or parallelized,
-and two estimates with the same seed share their noise draws (common random
-numbers across step sizes).
+for a given (n, seed) whatever the pool size, and two estimates with the
+same seed share their noise draws (common random numbers across step sizes
+and blocks). The verdict presets draw each seed once: one
+`one_step_estimates` call covers every step size of a drift target, and one
+draw serves both blocks of a projected-loss state.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import run_jobs
 from .dynamics import TrajectoryRecord
 from .errors import InsufficientDataError, ParameterError
 from .spectrum import NoiseProfile, Spectrum
@@ -28,9 +35,6 @@ __all__ = [
     "DriftVerdict",
     "DriftSignResult",
     "ProjectedLossResult",
-    "estimate_conditional_alignment",
-    "estimate_f_drift",
-    "estimate_next_block_energy",
     "one_step_estimates",
     "drift_sign_test",
     "projected_loss_test",
@@ -40,6 +44,8 @@ __all__ = [
 ]
 
 _BATCH = 8192
+# sample floor of the sign tests
+_VERDICT_MIN_N = 1000
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,26 @@ def _check(state: State, spec: Spectrum, noise: NoiseProfile, n: int, n_min: int
         raise ParameterError(f"need at least {n_min} samples, got {n}")
 
 
+def _pooled(n: int, seed: int, kappa: np.ndarray, kernel) -> list:
+    """kernel(zeta, work) on every batch of the (n, seed) schedule, spread over
+    the job pool; results come back in batch order. zeta holds the batch's
+    noise draw already scaled by kappa, and work is scratch of the same
+    (nb, d) shape; each worker thread reuses one pair of buffers."""
+    local = threading.local()
+    shape = (min(n, _BATCH), kappa.size)
+
+    def run(batch):
+        rng, nb = batch
+        if not hasattr(local, "buffers"):
+            local.buffers = (np.empty(shape), np.empty(shape))
+        zeta, work = (buf[:nb] for buf in local.buffers)
+        rng.standard_normal(out=zeta)
+        np.multiply(zeta, kappa, out=zeta)
+        return kernel(zeta, work)
+
+    return run_jobs(run, list(_batches(n, seed)))
+
+
 def one_step_estimates(
     state: State,
     spec: Spectrum,
@@ -158,19 +184,20 @@ def one_step_estimates(
     _check(state, spec, noise, n, 100)
     lam = spec.lambdas
     lam2 = lam**2
-    kappa = np.sqrt(noise.kappa2)
     k = spec.k
     w0 = lam2 * state.c**2
     s_d0 = float(np.sum(w0[:k]))
     s_b0 = float(np.sum(w0[k:]))
+    decayed = [(1.0 - eta * lam) * state.c for eta in etas]
 
-    acc = _Accumulator(4 * len(etas))
-    for rng, nb in _batches(n, seed):
-        zeta = rng.standard_normal((nb, spec.d)) * kappa
-        cols = np.empty((nb, 4 * len(etas)))
+    def kernel(zeta, w):
+        cols = np.empty((zeta.shape[0], 4 * len(etas)))
         for idx, eta in enumerate(etas):
-            c1 = (1.0 - eta * lam) * state.c - eta * zeta
-            w = lam2 * c1**2
+            # w = lam2 * ((1 - eta*lam)*c - eta*zeta)**2, in place
+            np.multiply(zeta, eta, out=w)
+            np.subtract(decayed[idx], w, out=w)
+            np.square(w, out=w)
+            np.multiply(lam2, w, out=w)
             s_d1 = w[:, :k].sum(axis=1)
             s_b1 = w[:, k:].sum(axis=1)
             tot = s_d1 + s_b1
@@ -179,6 +206,10 @@ def one_step_estimates(
             cols[:, 4 * idx + 1] = s_d1
             cols[:, 4 * idx + 2] = s_b1
             cols[:, 4 * idx + 3] = theta1
+        return cols
+
+    acc = _Accumulator(4 * len(etas))
+    for cols in _pooled(n, seed, np.sqrt(noise.kappa2), kernel):
         acc.add(cols)
     ests = acc.estimates()
     out = {}
@@ -190,30 +221,6 @@ def one_step_estimates(
             "theta_next": ests[4 * idx + 3],
         }
     return out
-
-
-def estimate_conditional_alignment(
-    state: State, spec: Spectrum, noise: NoiseProfile, eta: float, n: int, seed: int
-) -> McEstimate:
-    """Mean/stderr of the alignment after one full stochastic step."""
-    return one_step_estimates(state, spec, noise, [eta], n, seed)[float(eta)]["theta_next"]
-
-
-def estimate_f_drift(
-    state: State, spec: Spectrum, noise: NoiseProfile, eta: float, n: int, seed: int
-) -> McEstimate:
-    """Mean/stderr of the comparison functional; its true mean is exactly
-    p*eta^2 + q*eta at any dimension."""
-    return one_step_estimates(state, spec, noise, [eta], n, seed)[float(eta)]["f"]
-
-
-def estimate_next_block_energy(
-    state: State, spec: Spectrum, noise: NoiseProfile, eta: float, block: str, n: int, seed: int
-) -> McEstimate:
-    key = {"D": "sD_next", "B": "sB_next"}.get(block)
-    if key is None:
-        raise ParameterError(f"block must be 'D' or 'B', got {block!r}")
-    return one_step_estimates(state, spec, noise, [eta], n, seed)[float(eta)][key]
 
 
 def _sign_of(value: float, tol: float) -> str:
@@ -245,31 +252,21 @@ def _regime_label(stats: BlockStats, spec: Spectrum, noise: NoiseProfile) -> str
     return "stable"
 
 
-def drift_sign_test(
-    state: State,
+def _drift_result(
+    stats: BlockStats,
     spec: Spectrum,
     noise: NoiseProfile,
     eta: float,
-    n: int,
-    z_crit: float = 3.0,
-    seed: int = 0,
-    theta_abs_slack: float = 0.0,
+    ests: dict,
+    z_crit: float,
+    theta_abs_slack: float,
 ) -> DriftSignResult:
-    """Test the sign of the one-step drift at this state and step size.
-
-    The f-drift test targets the exact finite-d expectation p*eta^2 + q*eta.
-    The theta-drift test targets E[theta_{t+1}] - theta_t, which the regime
-    results describe only asymptotically; `theta_abs_slack` widens its
-    inconclusive band accordingly.
-    """
-    _check(state, spec, noise, n, 1000)
-    stats = block_stats(state, spec, noise)
+    """Verdict pair at step size eta from that eta's one_step_estimates entry."""
     dq = drift_quadratic(stats)
     target = expected_drift(dq, eta)
     tol = 1e-12 * (abs(dq.p) * eta**2 + abs(dq.q) * eta)
     predicted = _sign_of(target, tol)
 
-    ests = one_step_estimates(state, spec, noise, [eta], n, seed)[float(eta)]
     f_est = ests["f"]
     th_est = ests["theta_next"]
     dtheta = McEstimate(mean=th_est.mean - stats.theta, stderr=th_est.stderr, n=th_est.n)
@@ -300,42 +297,69 @@ def drift_sign_test(
     )
 
 
-def projected_loss_test(
+def drift_sign_test(
     state: State,
     spec: Spectrum,
     noise: NoiseProfile,
     eta: float,
-    block: str,
     n: int,
     z_crit: float = 3.0,
     seed: int = 0,
-) -> ProjectedLossResult:
-    """Estimate the expected loss change of a block-projected step and test its
-    sign against the stability threshold; also checks agreement with the
-    closed-form target -eta*s + eta^2 (tau + n_loss)/2."""
-    _check(state, spec, noise, n, 1000)
+    theta_abs_slack: float = 0.0,
+) -> DriftSignResult:
+    """Test the sign of the one-step drift at this state and step size.
+
+    The f-drift test targets the exact finite-d expectation p*eta^2 + q*eta.
+    The theta-drift test targets E[theta_{t+1}] - theta_t, which the regime
+    results describe only asymptotically; `theta_abs_slack` widens its
+    inconclusive band accordingly.
+    """
+    _check(state, spec, noise, n, _VERDICT_MIN_N)
     stats = block_stats(state, spec, noise)
+    ests = one_step_estimates(state, spec, noise, [eta], n, seed)[float(eta)]
+    return _drift_result(stats, spec, noise, eta, ests, z_crit, theta_abs_slack)
+
+
+def _projected_estimates(
+    state: State, spec: Spectrum, noise: NoiseProfile, eta: float, blocks, n: int, seed: int
+) -> list[McEstimate]:
+    """Loss change of the step projected on each of `blocks`, all from the
+    same n noise draws."""
+    lam = spec.lambdas
+    parts = []
+    for block in blocks:
+        sl = slice(None, spec.k) if block == "D" else slice(spec.k, None)
+        parts.append((sl, lam[sl], lam[sl] * state.c[sl]))
+
+    def kernel(zeta, work):
+        nb = zeta.shape[0]
+        out = []
+        for sl, lam_s, grad_s in parts:
+            # g = grad_s + zeta[:, sl] in a contiguous (nb, width) view, laid
+            # out like a fresh array so the matmuls keep their summation order
+            g = work.reshape(-1)[: nb * lam_s.size].reshape(nb, lam_s.size)
+            np.add(grad_s, zeta[:, sl], out=g)
+            lin = g @ grad_s
+            np.square(g, out=g)
+            out.append(-eta * lin + 0.5 * eta**2 * (g @ lam_s))
+        return out
+
+    accs = [_Accumulator(1) for _ in parts]
+    for dls in _pooled(n, seed, np.sqrt(noise.kappa2), kernel):
+        for acc, dl in zip(accs, dls):
+            acc.add(dl[:, None])
+    return [acc.estimates()[0] for acc in accs]
+
+
+def _projected_result(
+    stats: BlockStats, block: str, eta: float, est: McEstimate, z_crit: float
+) -> ProjectedLossResult:
+    """Sign verdict and closed-form check of one block's loss-change estimate."""
     s, tau, _, _, n_loss = stats.block(block)
     target = -eta * s + 0.5 * eta**2 * (tau + n_loss)
     tol = 1e-12 * (eta * s + 0.5 * eta**2 * (tau + n_loss))
     predicted = _sign_of(target, tol)
     eta_loss = loss_threshold(stats, block) if tau + n_loss > 0 else None
-
-    lam = spec.lambdas
-    kappa = np.sqrt(noise.kappa2)
-    sl = slice(None, spec.k) if block == "D" else slice(spec.k, None)
-    lam_s = lam[sl]
-    c_s = state.c[sl]
-    grad_s = lam_s * c_s
-
-    acc = _Accumulator(1)
-    for rng, nb in _batches(n, seed):
-        zeta = rng.standard_normal((nb, spec.d)) * kappa
-        g = grad_s + zeta[:, sl]
-        dl = -eta * (g @ grad_s) + 0.5 * eta**2 * ((g * g) @ lam_s)
-        acc.add(dl[:, None])
-    est = acc.estimates()[0]
-
     verdict = DriftVerdict(
         quantity="loss_change",
         predicted_sign=predicted,
@@ -353,6 +377,26 @@ def projected_loss_test(
         target=target,
         target_ok=target_ok,
     )
+
+
+def projected_loss_test(
+    state: State,
+    spec: Spectrum,
+    noise: NoiseProfile,
+    eta: float,
+    block: str,
+    n: int,
+    z_crit: float = 3.0,
+    seed: int = 0,
+) -> ProjectedLossResult:
+    """Estimate the expected loss change of a block-projected step and test its
+    sign against the stability threshold; also checks agreement with the
+    closed-form target -eta*s + eta^2 (tau + n_loss)/2."""
+    _check(state, spec, noise, n, _VERDICT_MIN_N)
+    stats = block_stats(state, spec, noise)
+    stats.block(block)  # rejects a bad block name before drawing
+    [est] = _projected_estimates(state, spec, noise, eta, [block], n, seed)
+    return _projected_result(stats, block, eta, est, z_crit)
 
 
 def late_phase_statistic(traj: TrajectoryRecord, T_start: int) -> tuple[float, float]:

@@ -312,7 +312,7 @@ def test_c09_full_scale_reproduction(tmp_path):
         sigma2=1.0, init_scale=1.0, seeds=(42,), record_every=10,
         output_dir=str(tmp_path / "sim"),
     )
-    out = cmd_simulate(cfg)
+    out, _ = cmd_simulate(cfg)
     dips_ok = True
     late_means = []
     for m in (5, 20, 50, 200):
@@ -374,7 +374,7 @@ def test_c11_determinism(tmp_path):
         old = os.environ.get("ALIGNLAB_THREADS")
         os.environ["ALIGNLAB_THREADS"] = threads
         try:
-            out = cmd_simulate(cfg)
+            out, _ = cmd_simulate(cfg)
             cfg2 = ExperimentConfig(
                 d=30, k=5, m_list=(6.0,), eta=0.02, T=100, sigma2=1.0,
                 init_scale=1.0, seeds=(42,), n_mc=20_000, record_every=10,

@@ -141,12 +141,13 @@ class TestRunTrajectory:
     def test_one_step_energy_means_match_closed_form(self, fixa):
         # averaging the next block energy over fresh draws from a fixed state
         # reproduces the exact conditional expectation
-        from alignlab import block_stats, estimate_next_block_energy, expected_next_block_energy
+        from alignlab import block_stats, expected_next_block_energy, one_step_estimates
 
         spec, noise, state = fixa
         stats = block_stats(state, spec, noise)
+        ests = one_step_estimates(state, spec, noise, [0.1], 100_000, seed=8)[0.1]
         for block in ("D", "B"):
-            est = estimate_next_block_energy(state, spec, noise, 0.1, block, 100_000, seed=8)
+            est = ests[f"s{block}_next"]
             target = expected_next_block_energy(stats, 0.1, block)
             assert abs(est.mean - target) <= 4.0 * est.stderr
 

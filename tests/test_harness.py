@@ -6,16 +6,24 @@ import pytest
 from alignlab import ParameterError, load_config
 from alignlab.cli import main
 from alignlab.harness import (
+    _STREAM_INIT,
+    _STREAM_MC,
     ExperimentConfig,
     _atomic_write,
+    _cell,
+    _problem_for,
+    _stream,
+    _stream_int,
     cmd_drift_test,
     cmd_projected_test,
     cmd_report,
     cmd_simulate,
     cmd_sweep_gap,
 )
+from alignlab.montecarlo import drift_sign_test, projected_loss_test
 from alignlab.spectrum import write_problem_json
-from alignlab.state import state_to_json
+from alignlab.state import block_stats, random_init, rescale_to_alignment, state_to_json
+from alignlab.theory import g_gap, loss_threshold
 
 
 def tiny_config(tmp_path, **kw):
@@ -101,7 +109,8 @@ class TestAtomicWrite:
 class TestSimulate:
     def test_outputs_and_summary(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        out = cmd_simulate(cfg)
+        out, diverged = cmd_simulate(cfg)
+        assert not diverged
         assert (out / "traj_m8_seed42.csv").exists()
         assert (out / "alignment_m8_seed42.svg").exists()
         assert (out / "loss_m8_seed42.svg").exists()
@@ -116,7 +125,8 @@ class TestSimulate:
     def test_no_nan_cells_and_undef_token(self, tmp_path):
         # eta too large for the assumption caps -> t_star is undefined
         cfg = tiny_config(tmp_path, eta=0.2, m_list=(30.0,), T=100)
-        out = cmd_simulate(cfg)
+        out, diverged = cmd_simulate(cfg)
+        assert not diverged
         body = (out / "summary.csv").read_text()
         assert "nan" not in body.lower()
         assert "undef" in body
@@ -127,7 +137,7 @@ class TestSimulate:
             cfg = tiny_config(tmp_path / sub, m_list=(8.0, 12.0), seeds=(42, 87))
             os.environ["ALIGNLAB_THREADS"] = threads
             try:
-                out = cmd_simulate(cfg)
+                out, _ = cmd_simulate(cfg)
             finally:
                 del os.environ["ALIGNLAB_THREADS"]
             files[sub] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -167,6 +177,28 @@ class TestDriftTestCommand:
         assert len(lines) == 9
         assert "contradicted" not in (out / "drift_verdicts.csv").read_text()
 
+    def test_rows_equal_separate_per_eta_calls(self, tmp_path):
+        # drift-test draws once per target for all step sizes; each row must
+        # equal a drift_sign_test call at that step size with the same seed
+        cfg = tiny_config(tmp_path, n_mc=20_001)
+        out, _ = cmd_drift_test(cfg, theta_targets=("0.3*ggap",), eta_factors=(0.5, 1.0, 2.0))
+        rows = [line.split(",") for line in (out / "drift_verdicts.csv").read_text().splitlines()[1:]]
+        m, seed = cfg.m_list[0], cfg.seeds[0]
+        spec, noise = _problem_for(cfg, m, seed)
+        base = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT))
+        state = rescale_to_alignment(base, spec, 0.3 * g_gap(spec, noise), which="dominant")
+        expected = []
+        for eta in sorted({float(row[2]) for row in rows}):
+            res = drift_sign_test(
+                state, spec, noise, eta, cfg.n_mc, cfg.z_crit, seed=_stream_int(seed, m, _STREAM_MC, 0)
+            )
+            for v in (res.f_drift, res.theta_drift):
+                cells = [v.quantity, res.theta, eta, res.eta_star, v.predicted_sign,
+                         v.estimate.mean, v.estimate.stderr, v.z, v.verdict]
+                expected.append([_cell(c) for c in cells])
+        assert len(rows) == 6
+        assert rows == expected
+
     def test_absolute_target(self, tmp_path):
         cfg = tiny_config(tmp_path, n_mc=5_000)
         out, contradicted = cmd_drift_test(cfg, theta_targets=(0.4,), eta_factors=(0.5,))
@@ -183,6 +215,30 @@ class TestProjectedTestCommand:
         lines = (out / "projected_verdicts.csv").read_text().splitlines()
         assert lines[0] == "test,theta,eta,eta_star,predicted,mean,stderr,z,verdict"
         assert len(lines) == 7  # 3 states x 2 blocks
+
+    def test_rows_equal_separate_per_block_calls(self, tmp_path):
+        # projected-test draws once per state for both blocks; each row must
+        # equal a projected_loss_test call on that block with the same seed
+        cfg = tiny_config(tmp_path, n_mc=20_001)
+        out, _ = cmd_projected_test(cfg, n_states=3)
+        rows = [line.split(",") for line in (out / "projected_verdicts.csv").read_text().splitlines()[1:]]
+        m, seed = cfg.m_list[0], cfg.seeds[0]
+        spec, noise = _problem_for(cfg, m, seed)
+        expected = []
+        for i in range(3):
+            state = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT, i))
+            stats = block_stats(state, spec, noise)
+            eta = 0.5 * sum(loss_threshold(stats, b) for b in ("D", "B"))
+            for block in ("D", "B"):
+                res = projected_loss_test(
+                    state, spec, noise, eta, block, cfg.n_mc, cfg.z_crit,
+                    seed=_stream_int(seed, m, _STREAM_MC, 1000 + i),
+                )
+                v = res.verdict
+                cells = [f"loss_change_{block}", res.theta, eta, res.eta_loss, v.predicted_sign,
+                         v.estimate.mean, v.estimate.stderr, v.z, v.verdict]
+                expected.append([_cell(c) for c in cells])
+        assert rows == expected
 
 
 class TestReport:
@@ -289,3 +345,28 @@ class TestCli:
         err = self._usage_error(argv, capsys)
         assert "'m100'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc, field", [({"d": "500"}, "'d'"), ({"seeds": 42}, "'seeds'")])
+    def test_mistyped_config_field_is_usage_error(self, doc, field, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        err = self._usage_error(["print-config", "--config", str(path)], capsys)
+        assert f"config field {field} must be" in err
+
+    def test_diverged_job_keeps_the_rest_of_the_grid(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        code = main([
+            "simulate", "--d", "24", "--k", "4", "--eta", "0.02", "--steps", "300",
+            "--m", "5", "--m", "300", "--seed", "1", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == ["simulate: job (m=300, seed=1) diverged at step 204"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "alignment_m5_seed1.svg", "loss_m5_seed1.svg", "summary.csv", "traj_m5_seed1.csv",
+        ]
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert lines[0] == "m,seed,t_star,theta_inf,late_mean,late_std"
+        healthy, diverged = (line.split(",") for line in lines[1:])
+        assert healthy[:2] == ["5.0", "1"] and "undef" not in healthy[4:]
+        assert diverged[:2] == ["300.0", "1"] and diverged[4:] == ["undef", "undef"]

@@ -10,9 +10,6 @@ from alignlab import (
     block_stats,
     drift_quadratic,
     drift_sign_test,
-    estimate_conditional_alignment,
-    estimate_f_drift,
-    estimate_next_block_energy,
     expected_drift,
     expected_next_block_energy,
     late_phase_statistic,
@@ -35,41 +32,46 @@ from helpers import random_problem
 NEXT_THETA_FIXA = 0.753720001400620
 
 
+def one_step(state, spec, noise, eta, n, seed):
+    """one_step_estimates at a single step size."""
+    return one_step_estimates(state, spec, noise, [eta], n, seed)[eta]
+
+
 class TestConditionalAlignment:
     def test_noiseless_is_deterministic(self, fixa):
         spec, _, state = fixa
         silent = NoiseProfile(kappa2=np.zeros(2))
-        est = estimate_conditional_alignment(state, spec, silent, 0.1, 500, seed=0)
+        est = one_step(state, spec, silent, 0.1, 500, seed=0)["theta_next"]
         assert est.stderr == 0.0
         expected = block_stats(sgd_step(state, spec, np.zeros(2), 0.1), spec, silent).theta
         assert est.mean == pytest.approx(expected, rel=1e-15)
 
     def test_matches_quadrature_oracle(self, fixa):
         spec, noise, state = fixa
-        est = estimate_conditional_alignment(state, spec, noise, 0.1, 100_000, seed=11)
+        est = one_step(state, spec, noise, 0.1, 100_000, seed=11)["theta_next"]
         assert abs(est.mean - NEXT_THETA_FIXA) <= 4.0 * est.stderr
 
     def test_small_n_rejected(self, fixa):
         spec, noise, state = fixa
         with pytest.raises(ParameterError):
-            estimate_conditional_alignment(state, spec, noise, 0.1, 10, seed=0)
+            one_step(state, spec, noise, 0.1, 10, seed=0)
 
 
 class TestFDrift:
     def test_matches_exact_expectation(self, fixa):
         spec, noise, state = fixa
-        est = estimate_f_drift(state, spec, noise, 0.1, 100_000, seed=12)
+        est = one_step(state, spec, noise, 0.1, 100_000, seed=12)["f"]
         assert abs(est.mean - (-0.68)) <= 4.0 * est.stderr
 
     def test_zero_at_critical_step(self, fixa):
         spec, noise, state = fixa
-        est = estimate_f_drift(state, spec, noise, 2.0 / 3.0, 100_000, seed=13)
+        est = one_step(state, spec, noise, 2.0 / 3.0, 100_000, seed=13)["f"]
         assert abs(est.mean) <= 4.0 * est.stderr
 
     def test_noiseless_small_step_is_negative_constant(self, fixa):
         spec, _, state = fixa
         silent = NoiseProfile(kappa2=np.zeros(2))
-        est = estimate_f_drift(state, spec, silent, 0.01, 500, seed=0)
+        est = one_step(state, spec, silent, 0.01, 500, seed=0)["f"]
         assert est.stderr == 0.0 and est.mean < 0
 
 
@@ -77,36 +79,33 @@ class TestNextBlockEnergy:
     def test_matches_closed_form_both_blocks(self, fixa):
         spec, noise, state = fixa
         stats = block_stats(state, spec, noise)
+        ests = one_step(state, spec, noise, 0.1, 100_000, seed=14)
         for block, target in (("D", 2.6), ("B", 0.82)):
-            est = estimate_next_block_energy(state, spec, noise, 0.1, block, 100_000, seed=14)
+            est = ests[f"s{block}_next"]
             assert expected_next_block_energy(stats, 0.1, block) == pytest.approx(target)
             assert abs(est.mean - target) <= 5.0 * est.stderr
-
-    def test_block_name_validated(self, fixa):
-        spec, noise, state = fixa
-        with pytest.raises(ParameterError):
-            estimate_next_block_energy(state, spec, noise, 0.1, "X", 1000, seed=0)
 
 
 class TestEstimatorMechanics:
     def test_bitwise_deterministic_given_seed(self, fixa):
         spec, noise, state = fixa
-        a = estimate_f_drift(state, spec, noise, 0.1, 30_000, seed=9)
-        b = estimate_f_drift(state, spec, noise, 0.1, 30_000, seed=9)
+        a = one_step(state, spec, noise, 0.1, 30_000, seed=9)["f"]
+        b = one_step(state, spec, noise, 0.1, 30_000, seed=9)["f"]
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
 
     def test_shared_seed_shares_draws_across_etas(self, fixa):
         # common random numbers: the multi-eta call and single-eta calls with
-        # the same seed see identical noise, hence identical estimates
+        # the same seed see identical noise, hence identical means and stderrs
         spec, noise, state = fixa
-        multi = one_step_estimates(state, spec, noise, [0.05, 0.1], 20_000, seed=4)
-        single = estimate_f_drift(state, spec, noise, 0.1, 20_000, seed=4)
-        assert multi[0.1]["f"].mean == single.mean
+        etas = [0.05, 0.1, 0.4]
+        multi = one_step_estimates(state, spec, noise, etas, 20_001, seed=4)
+        for eta in etas:
+            assert multi[eta] == one_step(state, spec, noise, eta, 20_001, seed=4)
 
     def test_stderr_halves_when_n_quadruples(self, fixa):
         spec, noise, state = fixa
-        small = estimate_f_drift(state, spec, noise, 0.1, 25_000, seed=5)
-        big = estimate_f_drift(state, spec, noise, 0.1, 100_000, seed=6)
+        small = one_step(state, spec, noise, 0.1, 25_000, seed=5)["f"]
+        big = one_step(state, spec, noise, 0.1, 100_000, seed=6)["f"]
         assert big.stderr == pytest.approx(small.stderr / 2.0, rel=0.2)
 
     def test_mc_mean_tracks_closed_form_random_problems(self):
@@ -121,6 +120,36 @@ class TestEstimatorMechanics:
             assert abs(est["f"].mean - expected_drift(dq, eta)) <= 5.0 * est["f"].stderr
             assert abs(est["sD_next"].mean - expected_next_block_energy(stats, eta, "D")) <= 5.0 * est["sD_next"].stderr
             assert abs(est["sB_next"].mean - expected_next_block_energy(stats, eta, "B")) <= 5.0 * est["sB_next"].stderr
+
+
+class TestThreadCountInvariance:
+    # 20_001 is not a multiple of the batch size: two full batches and a short one
+    N = 20_001
+
+    def _under_threads(self, monkeypatch, run):
+        results = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+            results.append(run())
+        return results
+
+    def test_one_step_estimates(self, monkeypatch):
+        spec, noise, state = random_problem(np.random.default_rng(24), d=50)
+        etas = [f / spec.lambda_max for f in (0.1, 0.5, 1.5)]
+        a, b, c = self._under_threads(
+            monkeypatch, lambda: one_step_estimates(state, spec, noise, etas, self.N, seed=17)
+        )
+        assert a == b == c
+        assert a[etas[0]]["f"].n == self.N
+
+    @pytest.mark.parametrize("block", ["D", "B"])
+    def test_projected_loss_test(self, monkeypatch, block):
+        spec, noise, state = random_problem(np.random.default_rng(25), d=50)
+        a, b, c = self._under_threads(
+            monkeypatch, lambda: projected_loss_test(state, spec, noise, 0.3, block, self.N, seed=18)
+        )
+        assert a == b == c
+        assert a.verdict.estimate.n == self.N
 
 
 class TestDriftSignTest:
