@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a sign test came back contradicted or a
-simulate job diverged, 2 on usage, configuration, or I/O problems.
+simulate or sweep-gap job diverged, 2 on usage, configuration, or I/O
+problems.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def main(argv=None) -> int:
             _, diverged = cmd_simulate(config)
             return 1 if diverged else 0
         if args.command == "sweep-gap":
-            cmd_sweep_gap(config)
-            return 0
+            _, diverged = cmd_sweep_gap(config)
+            return 1 if diverged else 0
         if args.command == "drift-test":
             kwargs = {}
             if args.theta_targets:

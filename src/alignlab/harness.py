@@ -84,6 +84,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.d < 2 or self.k < 1 or self.T < 1 or self.record_every < 1 or self.n_mc < 1:
             raise ParameterError("counts must be >= 1 (and d >= 2)")
+        if self.k >= self.d:
+            raise ParameterError(f"k={self.k} must be < d={self.d}")
         if not self.eta > 0 or not self.sigma2 > 0 or not self.init_scale > 0:
             raise ParameterError("eta, sigma2 and init_scale must be > 0")
         if not self.m_list or any(m <= 1 for m in self.m_list):
@@ -144,15 +146,19 @@ _FIELD_TYPES = {
 }
 
 
+def _read_json(path):
+    """The parsed JSON file; a syntax error is a ParameterError naming
+    path:line:col."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Defaults, then the JSON config file, then explicit overrides."""
-    doc = {}
-    if path is not None:
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParameterError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    doc = {} if path is None else _read_json(path)
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in fields(ExperimentConfig)}
@@ -255,6 +261,21 @@ def _simulate_one(config: ExperimentConfig, m: float, seed: int) -> dict:
     }
 
 
+def _run_grid(config: ExperimentConfig, command: str) -> tuple[list[dict], bool]:
+    """_simulate_one for every (m, seed), in grid order, spread over the job
+    pool; prints one stderr line per diverged job. Returns the results and
+    whether any job diverged."""
+    jobs = [(m, seed) for m in config.m_list for seed in config.seeds]
+    results = run_jobs(lambda job: _simulate_one(config, *job), jobs)
+    for res in results:
+        if res["diverged"] is not None:
+            print(
+                f"{command}: job (m={res['m']:g}, seed={res['seed']}) diverged at step {res['diverged'].step}",
+                file=sys.stderr,
+            )
+    return results, any(res["diverged"] is not None for res in results)
+
+
 def cmd_simulate(config: ExperimentConfig) -> tuple[Path, bool]:
     """One constant-step trajectory per (m, seed): trajectory CSV, a loss/
     alignment SVG pair, and a summary CSV of two-phase predictions vs the
@@ -269,13 +290,11 @@ def cmd_simulate(config: ExperimentConfig) -> tuple[Path, bool]:
             raise ParameterError(f"m values {other!r} and {m!r} would share the output file stem {_m_stem(m)!r}")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(m, seed) for m in config.m_list for seed in config.seeds]
-    results = run_jobs(lambda job: _simulate_one(config, *job), jobs)
+    results, diverged = _run_grid(config, "simulate")
 
     for res in results:
         m, seed, traj = res["m"], res["seed"], res["traj"]
         if res["diverged"] is not None:
-            print(f"simulate: job (m={m:g}, seed={seed}) diverged at step {res['diverged'].step}", file=sys.stderr)
             continue
         stem = f"{_m_stem(m)}_seed{seed}"
         _atomic_write(out / f"traj_{stem}.csv", lambda tmp, tr=traj: write_trajectory_csv(tmp, tr))
@@ -301,38 +320,40 @@ def cmd_simulate(config: ExperimentConfig) -> tuple[Path, bool]:
             for res in results
         ],
     )
-    return out, any(res["diverged"] is not None for res in results)
+    return out, diverged
 
 
-def cmd_sweep_gap(config: ExperimentConfig) -> Path:
-    """Late-phase alignment mean/std per gap ratio, pooled across seeds, with
-    the predicted late-time alignment and a reported log fit of mean vs m."""
+def cmd_sweep_gap(config: ExperimentConfig) -> tuple[Path, bool]:
+    """Late-phase alignment mean/std per gap ratio, pooled across the seeds
+    whose trajectory finished, with the predicted late-time alignment and a
+    reported log fit of mean vs m. A diverged job gets one stderr line; an m
+    with no finished seed gets undef mean/std cells and is left out of the
+    fit. Returns the output directory and whether any job diverged."""
     config.validate()
     if len(config.m_list) < 2:
         raise ParameterError("sweep needs at least two m values")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(m, seed) for m in config.m_list for seed in config.seeds]
-    results = run_jobs(lambda job: _simulate_one(config, *job), jobs)
-    for res in results:
-        if res["diverged"] is not None:
-            raise res["diverged"]
+    results, diverged = _run_grid(config, "sweep-gap")
 
     t_start = config.resolved_t_start
     rows = []
     for m in config.m_list:
         per_m = [r for r in results if r["m"] == m]
-        pooled = np.concatenate(
-            [r["traj"].thetas[r["traj"].times >= t_start] for r in per_m]
-        )
+        finished = [r["traj"] for r in per_m if r["diverged"] is None]
+        mean = std = None
+        if finished:
+            pooled = np.concatenate([tr.thetas[tr.times >= t_start] for tr in finished])
+            mean, std = float(np.mean(pooled)), float(np.std(pooled))
         predictions = [r["theta_inf"] for r in per_m if r["theta_inf"] is not None]
         prediction = float(np.mean(predictions)) if predictions else None
-        rows.append([m, float(np.mean(pooled)), float(np.std(pooled)), prediction])
+        rows.append([m, mean, std, prediction])
 
     _write_csv(out / "alignment_vs_m.csv", ["m", "mean", "std", "theta_inf_prediction"], rows)
 
-    ms = np.array([r[0] for r in rows], dtype=float)
-    means = np.array([r[1] for r in rows], dtype=float)
+    measured_rows = [r for r in rows if r[1] is not None]
+    ms = np.array([r[0] for r in measured_rows], dtype=float)
+    means = np.array([r[1] for r in measured_rows], dtype=float)
     if np.unique(ms).size >= 2:
         slope, intercept = np.polyfit(np.log(ms), means, 1)
         fit = slope * np.log(ms) + intercept
@@ -342,17 +363,17 @@ def cmd_sweep_gap(config: ExperimentConfig) -> Path:
     else:
         fit_row = [None, None, None]
     _write_csv(out / "alignment_vs_m_logfit.csv", ["slope", "intercept", "r2"], [fit_row])
-    measured = [(ms, means, "measured")]
+    series = [(ms, means, "measured")]
     if all(r[3] is not None for r in rows):
-        measured.append((ms, [r[3] for r in rows], "predicted"))
+        series.append(([r[0] for r in rows], [r[3] for r in rows], "predicted"))
     _atomic_write(
         out / "alignment_vs_m.svg",
         lambda tmp: svgplot.line_plot(
-            tmp, measured, title="late-phase alignment vs gap ratio",
+            tmp, series, title="late-phase alignment vs gap ratio",
             xlabel="m", ylabel="alignment", xlog=True,
         ),
     )
-    return out
+    return out, diverged
 
 
 def _parse_theta_target(token, spec: Spectrum, noise: NoiseProfile) -> tuple[str, float | None]:
@@ -475,9 +496,9 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
         eta = 0.5 * (lo + hi)
         _check(state, spec, noise, config.n_mc, _VERDICT_MIN_N)
         ests = _projected_estimates(
-            state, spec, noise, eta, ("D", "B"), config.n_mc, _stream_int(seed, m, _STREAM_MC, 1000 + i)
+            state, spec, noise, eta, config.n_mc, _stream_int(seed, m, _STREAM_MC, 1000 + i)
         )
-        for block, est in zip(("D", "B"), ests):
+        for block, est in ests.items():
             res = _projected_result(stats, block, eta, est, config.z_crit)
             v = res.verdict
             rows.append([
@@ -491,15 +512,7 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
 
 def cmd_report(spectrum_path, noise_path, state_path, eta: float) -> dict:
     """Full closed-form report for inputs loaded from JSON files."""
-
-    def load(path):
-        with open(path) as fh:
-            try:
-                return json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParameterError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-
-    spec = read_spectrum_json(load(spectrum_path))
-    noise = read_noise_json(load(noise_path))
-    state = state_from_json(load(state_path))
+    spec = read_spectrum_json(_read_json(spectrum_path))
+    noise = read_noise_json(_read_json(noise_path))
+    state = state_from_json(_read_json(state_path))
     return theory.theory_report(spec, noise, state, eta)

@@ -4,15 +4,22 @@ of the drift predictions against them.
 Sampling schedule: an estimate with sample count n and seed s is split into
 fixed batches of _BATCH draws; batch j uses the stream
 ``default_rng(SeedSequence([s, j]))``. Batches run on the job pool
-(ALIGNLAB_THREADS), each worker reusing one pair of (batch, d) buffers that
-it updates in place. Per-batch results come back in batch order, are
-accumulated in the calling thread, and partial sums are combined with
-``math.fsum``, which is exactly rounded. Results are therefore bit-identical
-for a given (n, seed) whatever the pool size, and two estimates with the
-same seed share their noise draws (common random numbers across step sizes
-and blocks). The verdict presets draw each seed once: one
-`one_step_estimates` call covers every step size of a drift target, and one
-draw serves both blocks of a projected-loss state.
+(ALIGNLAB_THREADS), each worker drawing into one reused (batch, d) buffer.
+Per-batch results come back in batch order, are accumulated in the calling
+thread, and partial sums are combined with ``math.fsum``, which is exactly
+rounded. Results are therefore bit-identical for a given (n, seed) whatever
+the pool size, and two estimates with the same seed share their noise draws
+(common random numbers across step sizes and blocks). The verdict presets
+draw each seed once: one `one_step_estimates` call covers every step size of
+a drift target, and one draw serves both blocks of a projected-loss state.
+
+Kernel: every statistic estimated here is quadratic in the noise, so a
+draw z enters only through six block sums: two linear forms and one
+weighted sum of squares per block (`_block_sums`). They take one pass over
+the draw plus one over its square and serve every step size and both
+blocks; what is left per step size is O(batch) work. The sums use numpy's
+own einsum loop rather than BLAS, so their bits do not depend on BLAS's
+thread count either.
 """
 
 from __future__ import annotations
@@ -98,32 +105,30 @@ class ProjectedLossResult:
 
 
 class _Accumulator:
-    """Streaming mean/stderr for several statistics at once; per-column sums
-    are shifted by the first batch's mean to avoid cancellation."""
+    """Streaming mean/stderr for several statistics at once, fed (width, nb)
+    arrays with one row per statistic; per-row sums are shifted by the first
+    batch's mean to avoid cancellation."""
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.pivot = None
-        self._sums = [[] for _ in range(width)]
-        self._sqs = [[] for _ in range(width)]
+        self._sums = []
+        self._sqs = []
         self.n = 0
 
-    def add(self, block: np.ndarray) -> None:
+    def add(self, rows: np.ndarray) -> None:
         if self.pivot is None:
-            self.pivot = block.mean(axis=0)
-        shifted = block - self.pivot
-        for j in range(self.width):
-            col = shifted[:, j]
-            self._sums[j].append(float(np.sum(col)))
-            self._sqs[j].append(float(np.sum(col * col)))
-        self.n += block.shape[0]
+            self.pivot = rows.mean(axis=1, keepdims=True)
+        shifted = rows - self.pivot
+        self._sums.append(shifted.sum(axis=1))
+        self._sqs.append(np.square(shifted, out=shifted).sum(axis=1))
+        self.n += rows.shape[1]
 
     def estimates(self) -> list[McEstimate]:
         out = []
-        for j in range(self.width):
-            s1 = math.fsum(self._sums[j])
-            s2 = math.fsum(self._sqs[j])
-            mean = float(self.pivot[j]) + s1 / self.n
+        for j, pivot in enumerate(self.pivot[:, 0]):
+            s1 = math.fsum(sums[j] for sums in self._sums)
+            s2 = math.fsum(sqs[j] for sqs in self._sqs)
+            mean = float(pivot) + s1 / self.n
             var = max(0.0, (s2 - s1 * s1 / self.n) / (self.n - 1))
             out.append(McEstimate(mean=mean, stderr=math.sqrt(var / self.n), n=self.n))
         return out
@@ -146,24 +151,82 @@ def _check(state: State, spec: Spectrum, noise: NoiseProfile, n: int, n_min: int
         raise ParameterError(f"need at least {n_min} samples, got {n}")
 
 
-def _pooled(n: int, seed: int, kappa: np.ndarray, kernel) -> list:
-    """kernel(zeta, work) on every batch of the (n, seed) schedule, spread over
-    the job pool; results come back in batch order. zeta holds the batch's
-    noise draw already scaled by kappa, and work is scratch of the same
-    (nb, d) shape; each worker thread reuses one pair of buffers."""
+def _estimate(n: int, seed: int, d: int, kernel) -> list[McEstimate]:
+    """Mean and standard error of every row of kernel(z) over the batches of
+    the (n, seed) schedule, which run on the job pool. z is the batch's
+    (nb, d) standard-normal draw, which the kernel may overwrite; each worker
+    thread reuses one buffer. Batch results are accumulated in batch order."""
     local = threading.local()
-    shape = (min(n, _BATCH), kappa.size)
+    shape = (min(n, _BATCH), d)
 
     def run(batch):
         rng, nb = batch
-        if not hasattr(local, "buffers"):
-            local.buffers = (np.empty(shape), np.empty(shape))
-        zeta, work = (buf[:nb] for buf in local.buffers)
-        rng.standard_normal(out=zeta)
-        np.multiply(zeta, kappa, out=zeta)
-        return kernel(zeta, work)
+        if not hasattr(local, "buffer"):
+            local.buffer = np.empty(shape)
+        z = local.buffer[:nb]
+        rng.standard_normal(out=z)
+        return kernel(z)
 
-    return run_jobs(run, list(_batches(n, seed)))
+    acc = _Accumulator()
+    for rows in run_jobs(run, list(_batches(n, seed))):
+        acc.add(rows)
+    return acc.estimates()
+
+
+def _block_sums(z: np.ndarray, k: int, a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(6, nb) block sums per draw: rows (D, B) of sum a z, of sum b z and of
+    sum q z^2; z is squared in place. einsum runs numpy's own loop, not BLAS:
+    a BLAS product's bits depend on BLAS's thread count, and BLAS threads
+    started from every pool worker contend for the same cores."""
+    out = np.empty((6, z.shape[0]))
+    for row, v in ((0, a), (2, b), (4, q)):
+        if row == 4:
+            np.square(z, out=z)
+        np.einsum("ij,j->i", z[:, :k], v[:k], out=out[row])
+        np.einsum("ij,j->i", z[:, k:], v[k:], out=out[row + 1])
+    return out
+
+
+def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: list):
+    """kernel(z) -> (4 * len(etas), nb) per-sample f, sD_next, sB_next and
+    theta_next for each eta, from standard-normal draws z (overwritten).
+
+    With zeta = kappa * z, the next energy of block X is
+    s_X' = sum_X lam^2 ((1 - eta lam) c - eta zeta)^2
+         = m_X(eta) - 2 eta (L1_X - eta L2_X) + eta^2 Q_X,
+    where L1 = sum lam^2 c zeta, L2 = sum lam^3 c zeta and Q = sum lam^2 zeta^2
+    per block do not depend on eta: six block sums per draw serve every step
+    size. The random part of f = s_B s_D' - s_D s_B' is formed from the
+    random parts of s_D' and s_B' directly, so it does not cancel two large
+    products."""
+    lam, k = spec.lambdas, spec.k
+    lam2c = lam**2 * state.c
+    a = np.sqrt(noise.kappa2) * lam2c
+    b = lam * a
+    q = lam**2 * noise.kappa2
+    w0 = lam2c * state.c
+    s_d0 = float(np.sum(w0[:k]))
+    s_b0 = float(np.sum(w0[k:]))
+    # step sizes along axis 0, blocks (D, B) along axis 1, draws along axis 2
+    eta = np.array(etas)[:, None, None]
+    w = lam**2 * ((1.0 - eta[:, 0] * lam) * state.c) ** 2
+    m = np.stack([w[:, :k].sum(axis=1), w[:, k:].sum(axis=1)], axis=1)[:, :, None]
+    f0 = s_b0 * m[:, 0] - s_d0 * m[:, 1]
+
+    def kernel(z):
+        l1, l2, quad = np.split(_block_sums(z, k, a, b, q), 3)
+        rows = np.empty((len(etas), 4, z.shape[0]))
+        r = eta**2 * quad - 2.0 * eta * (l1 - eta * l2)
+        np.add(f0, s_b0 * r[:, 0] - s_d0 * r[:, 1], out=rows[:, 0])
+        # s' >= 0; the clamp only removes rounding below zero
+        s1 = np.maximum(m + r, 0.0, out=rows[:, 1:3])
+        tot = s1[:, 0] + s1[:, 1]
+        theta1 = rows[:, 3]
+        theta1.fill(0.0)
+        np.divide(s1[:, 0], tot, out=theta1, where=tot > 0)
+        return rows.reshape(4 * len(etas), -1)
+
+    return kernel
 
 
 def one_step_estimates(
@@ -182,45 +245,11 @@ def one_step_estimates(
     if not etas or any(e < 0 for e in etas):
         raise ParameterError("etas must be non-empty and non-negative")
     _check(state, spec, noise, n, 100)
-    lam = spec.lambdas
-    lam2 = lam**2
-    k = spec.k
-    w0 = lam2 * state.c**2
-    s_d0 = float(np.sum(w0[:k]))
-    s_b0 = float(np.sum(w0[k:]))
-    decayed = [(1.0 - eta * lam) * state.c for eta in etas]
-
-    def kernel(zeta, w):
-        cols = np.empty((zeta.shape[0], 4 * len(etas)))
-        for idx, eta in enumerate(etas):
-            # w = lam2 * ((1 - eta*lam)*c - eta*zeta)**2, in place
-            np.multiply(zeta, eta, out=w)
-            np.subtract(decayed[idx], w, out=w)
-            np.square(w, out=w)
-            np.multiply(lam2, w, out=w)
-            s_d1 = w[:, :k].sum(axis=1)
-            s_b1 = w[:, k:].sum(axis=1)
-            tot = s_d1 + s_b1
-            theta1 = np.divide(s_d1, tot, out=np.zeros_like(s_d1), where=tot > 0)
-            cols[:, 4 * idx] = s_b0 * s_d1 - s_d0 * s_b1
-            cols[:, 4 * idx + 1] = s_d1
-            cols[:, 4 * idx + 2] = s_b1
-            cols[:, 4 * idx + 3] = theta1
-        return cols
-
-    acc = _Accumulator(4 * len(etas))
-    for cols in _pooled(n, seed, np.sqrt(noise.kappa2), kernel):
-        acc.add(cols)
-    ests = acc.estimates()
-    out = {}
-    for idx, eta in enumerate(etas):
-        out[eta] = {
-            "f": ests[4 * idx],
-            "sD_next": ests[4 * idx + 1],
-            "sB_next": ests[4 * idx + 2],
-            "theta_next": ests[4 * idx + 3],
-        }
-    return out
+    ests = _estimate(n, seed, spec.d, _one_step_kernel(state, spec, noise, etas))
+    return {
+        eta: dict(zip(("f", "sD_next", "sB_next", "theta_next"), ests[4 * idx : 4 * idx + 4]))
+        for idx, eta in enumerate(etas)
+    }
 
 
 def _sign_of(value: float, tol: float) -> str:
@@ -320,35 +349,39 @@ def drift_sign_test(
     return _drift_result(stats, spec, noise, eta, ests, z_crit, theta_abs_slack)
 
 
+def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: float):
+    """kernel(z) -> (2, nb) per-sample loss change of the step projected on
+    the dominant and on the bulk block, from standard-normal draws z
+    (overwritten).
+
+    With g = grad + zeta on block X (grad = lam c, zeta = kappa z), the loss
+    change -eta g.grad + eta^2/2 sum lam g^2 expands to a constant plus
+    -eta zeta.grad + eta^2 sum lam grad zeta + eta^2/2 sum lam zeta^2."""
+    lam, k = spec.lambdas, spec.k
+    grad = lam * state.c
+    a = np.sqrt(noise.kappa2) * grad
+    b = lam * a
+    q = lam * noise.kappa2
+    g2 = grad**2
+    lg2 = lam * g2
+    base = np.array([
+        [-eta * np.sum(g2[:k]) + 0.5 * eta**2 * np.sum(lg2[:k])],
+        [-eta * np.sum(g2[k:]) + 0.5 * eta**2 * np.sum(lg2[k:])],
+    ])
+
+    def kernel(z):
+        l1, l2, quad = np.split(_block_sums(z, k, a, b, q), 3)
+        return base + (eta**2 * (l2 + 0.5 * quad) - eta * l1)
+
+    return kernel
+
+
 def _projected_estimates(
-    state: State, spec: Spectrum, noise: NoiseProfile, eta: float, blocks, n: int, seed: int
-) -> list[McEstimate]:
-    """Loss change of the step projected on each of `blocks`, all from the
-    same n noise draws."""
-    lam = spec.lambdas
-    parts = []
-    for block in blocks:
-        sl = slice(None, spec.k) if block == "D" else slice(spec.k, None)
-        parts.append((sl, lam[sl], lam[sl] * state.c[sl]))
-
-    def kernel(zeta, work):
-        nb = zeta.shape[0]
-        out = []
-        for sl, lam_s, grad_s in parts:
-            # g = grad_s + zeta[:, sl] in a contiguous (nb, width) view, laid
-            # out like a fresh array so the matmuls keep their summation order
-            g = work.reshape(-1)[: nb * lam_s.size].reshape(nb, lam_s.size)
-            np.add(grad_s, zeta[:, sl], out=g)
-            lin = g @ grad_s
-            np.square(g, out=g)
-            out.append(-eta * lin + 0.5 * eta**2 * (g @ lam_s))
-        return out
-
-    accs = [_Accumulator(1) for _ in parts]
-    for dls in _pooled(n, seed, np.sqrt(noise.kappa2), kernel):
-        for acc, dl in zip(accs, dls):
-            acc.add(dl[:, None])
-    return [acc.estimates()[0] for acc in accs]
+    state: State, spec: Spectrum, noise: NoiseProfile, eta: float, n: int, seed: int
+) -> dict:
+    """Loss change of the step projected on each block, {"D": ..., "B": ...},
+    both from the same n noise draws."""
+    return dict(zip(("D", "B"), _estimate(n, seed, spec.d, _projected_kernel(state, spec, noise, eta))))
 
 
 def _projected_result(
@@ -395,7 +428,7 @@ def projected_loss_test(
     _check(state, spec, noise, n, _VERDICT_MIN_N)
     stats = block_stats(state, spec, noise)
     stats.block(block)  # rejects a bad block name before drawing
-    [est] = _projected_estimates(state, spec, noise, eta, [block], n, seed)
+    est = _projected_estimates(state, spec, noise, eta, n, seed)[block]
     return _projected_result(stats, block, eta, est, z_crit)
 
 

@@ -382,8 +382,10 @@ def theory_report(spec: Spectrum, noise: NoiseProfile, state: State, eta: float)
         if stats.s_d > 0 and stats.s_b > 0:
             report["theta_crit"] = crossover(stats).theta_crit
         for block, key in (("D", "eta_loss_d"), ("B", "eta_loss_b")):
-            s, tau, _, _, n = stats.block(block)
-            report[key] = 2.0 * s / (tau + n) if tau + n > 0 else None
+            try:
+                report[key] = loss_threshold(stats, block)
+            except DegenerateBlockError:
+                report[key] = None
         if stats.theta > 0:
             report["eta_star_lower"] = eta_star_lower_bound(stats, spec, noise, state.norm2)
         report["eta_star_upper"] = eta_star_upper_bound(stats, spec)

@@ -50,10 +50,10 @@ SHA256 = {
         "alignment_vs_m_logfit.csv": "7114a45a59e225c164d8ff3551c7479f8d3e2ff308492a6fae369598b5c59a6c",
     },
     "drift": {
-        "drift_verdicts.csv": "d6bb7e6a8bf6fc5e3f1e02ab143e93a745345ada8216a293567e0cabc37eb781",
+        "drift_verdicts.csv": "bf60e0e8e3ed605facebe772c4a1bddb8466670048f4b038f9ebf73f4792df2f",
     },
     "projected": {
-        "projected_verdicts.csv": "9cc4dd5464ca9758ce68b025ccad909a03510b4d09cbe234b3a6543b132e6042",
+        "projected_verdicts.csv": "0afc909031d9b4fa9d76696dc743fbb7afe39abc55489d9388b7feb221128d29",
     },
 }
 

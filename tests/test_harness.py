@@ -147,7 +147,8 @@ class TestSimulate:
 class TestSweepGap:
     def test_sweep_outputs(self, tmp_path):
         cfg = tiny_config(tmp_path, m_list=(5.0, 20.0), T=400)
-        out = cmd_sweep_gap(cfg)
+        out, diverged = cmd_sweep_gap(cfg)
+        assert not diverged
         lines = (out / "alignment_vs_m.csv").read_text().splitlines()
         assert lines[0] == "m,mean,std,theta_inf_prediction"
         assert len(lines) == 3
@@ -157,7 +158,8 @@ class TestSweepGap:
 
     def test_duplicate_m_rows_identical(self, tmp_path):
         cfg = tiny_config(tmp_path, m_list=(8.0, 8.0), T=200)
-        out = cmd_sweep_gap(cfg)
+        out, diverged = cmd_sweep_gap(cfg)
+        assert not diverged
         lines = (out / "alignment_vs_m.csv").read_text().splitlines()
         assert lines[1] == lines[2]
 
@@ -370,3 +372,51 @@ class TestCli:
         healthy, diverged = (line.split(",") for line in lines[1:])
         assert healthy[:2] == ["5.0", "1"] and "undef" not in healthy[4:]
         assert diverged[:2] == ["300.0", "1"] and diverged[4:] == ["undef", "undef"]
+
+    def test_diverged_job_keeps_the_rest_of_the_sweep(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep-gap", "--d", "24", "--k", "4", "--eta", "0.02", "--steps", "300",
+            "--m", "5", "--m", "300", "--seed", "1", "--seed", "2", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [
+            "sweep-gap: job (m=300, seed=1) diverged at step 204",
+            "sweep-gap: job (m=300, seed=2) diverged at step 202",
+        ]
+        lines = (out / "alignment_vs_m.csv").read_text().splitlines()
+        assert lines[0] == "m,mean,std,theta_inf_prediction"
+        healthy, diverged = (line.split(",") for line in lines[1:])
+        assert healthy[0] == "5.0" and "undef" not in healthy[1:3]
+        assert diverged[0] == "300.0" and diverged[1:3] == ["undef", "undef"]
+        # one measured m leaves nothing to fit
+        assert (out / "alignment_vs_m_logfit.csv").read_text().splitlines()[1] == "undef,undef,undef"
+        assert (out / "alignment_vs_m.svg").exists()
+
+    def test_sweep_pools_only_finished_seeds(self, tmp_path, capsys):
+        # at this step size m = 300 is unstable for seed 4's spectrum only, so
+        # its cells pool seed 1 alone and equal a sweep over seed 1 alone
+        grid = ["sweep-gap", "--d", "24", "--k", "4", "--eta", "0.0062", "--steps", "3000", "--m", "5", "--m", "300"]
+        assert main([*grid, "--seed", "1", "--seed", "4", "--out", str(tmp_path / "both")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["sweep-gap: job (m=300, seed=4) diverged at step 1761"]
+        assert main([*grid, "--seed", "1", "--out", str(tmp_path / "one")]) == 0
+        both = (tmp_path / "both" / "alignment_vs_m.csv").read_text().splitlines()
+        one = (tmp_path / "one" / "alignment_vs_m.csv").read_text().splitlines()
+        assert both[2].split(",")[:3] == one[2].split(",")[:3]
+        assert "undef" not in both[2]
+
+    def test_malformed_report_input_names_line_and_column(self, fixa_files, tmp_path, capsys):
+        problem, state_path = fixa_files
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"lambdas": [2.0,\n')
+        argv = ["report", "--spectrum", str(bad), "--noise", str(problem), "--state", str(state_path), "--eta", "0.1"]
+        err = self._usage_error(argv, capsys)
+        assert f"{bad}:2:1: " in err
+
+    @pytest.mark.parametrize("command", ["print-config", "simulate"])
+    def test_k_not_below_d_is_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "runs"
+        err = self._usage_error([command, "--d", "10", "--k", "10", "--m", "8", "--out", str(out)], capsys)
+        assert "k=10 must be < d=10" in err
+        assert not out.exists()

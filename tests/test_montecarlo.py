@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import alignlab
+
 from alignlab import (
     InsufficientDataError,
+    build_spectrum,
     NoiseProfile,
     ParameterError,
     Spectrum,
@@ -23,6 +31,7 @@ from alignlab import (
 )
 from alignlab.dynamics import TrajectoryRecord
 from alignlab.harness import _state_above_theta_star
+from alignlab.montecarlo import _one_step_kernel, _projected_kernel
 
 from helpers import random_problem
 
@@ -122,6 +131,112 @@ class TestEstimatorMechanics:
             assert abs(est["sB_next"].mean - expected_next_block_energy(stats, eta, "B")) <= 5.0 * est["sB_next"].stderr
 
 
+def direct_one_step(state, spec, noise, eta, z):
+    """Per-sample (f, sD_next, sB_next, theta_next) from the (n, d) update
+    written out, and the size of the two products f subtracts."""
+    lam, k = spec.lambdas, spec.k
+    w = lam**2 * ((1.0 - eta * lam) * state.c - eta * np.sqrt(noise.kappa2) * z) ** 2
+    s_d1, s_b1 = w[:, :k].sum(axis=1), w[:, k:].sum(axis=1)
+    w0 = lam**2 * state.c**2
+    s_d0, s_b0 = w0[:k].sum(), w0[k:].sum()
+    return (s_b0 * s_d1 - s_d0 * s_b1, s_d1, s_b1, s_d1 / (s_d1 + s_b1)), s_b0 * s_d1 + s_d0 * s_b1
+
+
+def wide_blocks_problem(seed, d, degenerate=False):
+    """A random triple whose blocks both hold at least two coordinates."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, d - 1))
+    bulk = (0.5, 0.5) if degenerate else (0.5, 1.0)
+    spec = build_spectrum(d, k, float(rng.uniform(2.0, 50.0)), bulk, 0.0 if degenerate else 0.3, seed=seed)
+    noise = NoiseProfile(kappa2=np.exp(rng.normal(0.0, 1.0, d)))
+    state = State(c=rng.normal(0.0, 2.0, d))
+    return spec, noise, state
+
+
+class TestSufficientStatisticsKernel:
+    """The one-step kernel works from six block-wise sums per draw; its
+    per-sample statistics must equal the update written out on (n, d)."""
+
+    @pytest.mark.parametrize("d", [10, 50, 200])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_per_sample_statistics_match_direct_update(self, d, degenerate):
+        # with degenerate blocks every dominant mode has lambda_1, so at
+        # eta = 1/lambda_1 the dominant block's deterministic part and its
+        # linear noise term both cancel
+        spec, noise, state = wide_blocks_problem(d, d, degenerate)
+        dq = drift_quadratic(block_stats(state, spec, noise))
+        etas = [f / spec.lambda_max for f in (0.1, 1.0, 1.9)]
+        if dq.eta_star is not None and dq.eta_star > 0:
+            etas.append(dq.eta_star)
+        z = np.random.default_rng(d).standard_normal((4096, d))
+        rows = _one_step_kernel(state, spec, noise, etas)(z.copy())
+        for idx, eta in enumerate(etas):
+            (f, s_d1, s_b1, theta1), scale = direct_one_step(state, spec, noise, eta, z)
+            assert np.all(np.abs(rows[4 * idx] - f) <= 1e-9 * scale)
+            np.testing.assert_allclose(rows[4 * idx + 1], s_d1, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(rows[4 * idx + 2], s_b1, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(rows[4 * idx + 3], theta1, rtol=1e-9, atol=0)
+
+    def test_single_mode_blocks_within_rounding_of_the_terms(self, fixa):
+        # a one-mode block's next energy is one square (a - b)^2 that the
+        # expansion a^2 - 2ab + b^2 can only resolve to the size of a^2 + b^2
+        spec, noise, state = fixa
+        lam = spec.lambdas
+        z = np.random.default_rng(3).standard_normal((8192, 2))
+        etas = [0.1, 0.5, 2.0 / 3.0, 1.0]
+        rows = _one_step_kernel(state, spec, noise, etas)(z.copy())
+        for idx, eta in enumerate(etas):
+            (f, s_d1, s_b1, _), _ = direct_one_step(state, spec, noise, eta, z)
+            terms = lam**2 * (((1.0 - eta * lam) * state.c) ** 2 + (eta * z) ** 2)
+            s_d0, s_b0 = lam**2 * state.c**2
+            assert np.all(np.abs(rows[4 * idx] - f) <= 1e-12 * (s_b0 * terms[:, 0] + s_d0 * terms[:, 1]))
+            assert np.all(np.abs(rows[4 * idx + 1] - s_d1) <= 1e-12 * terms[:, 0])
+            assert np.all(np.abs(rows[4 * idx + 2] - s_b1) <= 1e-12 * terms[:, 1])
+
+    def test_theta_next_in_unit_interval_at_cancelling_draws(self, fixa):
+        # draws within a few ulps of the root (1 - eta lam) c = eta zeta drive
+        # the expanded energy to rounding level, where it may come out below 0
+        spec, noise, state = fixa
+        nudge = 1.0 + np.arange(-500, 501)[:, None] * 2.0**-52
+        for eta in (0.1, 0.3, 0.7, 0.9, 1.3):
+            root = (1.0 - eta * spec.lambdas) * state.c / eta
+            free = np.random.default_rng(1).standard_normal((1001, 2))
+            for mask in ([1, 0], [0, 1], [1, 1]):
+                z = np.where(mask, root * nudge, free)
+                rows = _one_step_kernel(state, spec, noise, [eta])(z)
+                assert np.all(rows[1:3] >= 0.0)
+                assert np.all((rows[3] >= 0.0) & (rows[3] <= 1.0))
+
+    def test_projected_rows_match_direct_step(self):
+        spec, noise, state = wide_blocks_problem(7, 30)
+        z = np.random.default_rng(8).standard_normal((4096, 30))
+        lam, k = spec.lambdas, spec.k
+        grad = lam * state.c
+        for eta in (0.1 / spec.lambda_max, 1.0 / spec.lambda_max, 3.0 / spec.lambda_max):
+            rows = _projected_kernel(state, spec, noise, eta)(z.copy())
+            g = grad + np.sqrt(noise.kappa2) * z
+            for row, sl in zip(rows, (slice(None, k), slice(k, None))):
+                lin, sq = g[:, sl] @ grad[sl], (g[:, sl] ** 2) @ lam[sl]
+                np.testing.assert_allclose(row, -eta * lin + 0.5 * eta**2 * sq, rtol=0,
+                                           atol=1e-12 * np.max(eta * np.abs(lin) + eta**2 * sq))
+
+    @pytest.mark.parametrize("d", [10, 50])
+    def test_f_variance_matches_gaussian_quadratic_form(self, d):
+        # f - E f = sum a_i zeta_i + sum b_i (zeta_i^2 - kappa_i^2), so
+        # Var f = sum a_i^2 kappa_i^2 + 2 sum b_i^2 kappa_i^4
+        # (Mathai & Provost 1992, Quadratic Forms in Random Variables)
+        spec, noise, state = wide_blocks_problem(100 + d, d)
+        lam, k, n = spec.lambdas, spec.k, 100_000
+        stats = block_stats(state, spec, noise)
+        weight = np.where(np.arange(d) < k, stats.s_b, -stats.s_d)
+        for eta in (0.3 / spec.lambda_max, 1.5 / spec.lambda_max):
+            a = -2.0 * eta * weight * lam**2 * (1.0 - eta * lam) * state.c
+            b = eta**2 * weight * lam**2
+            var = np.sum(a**2 * noise.kappa2) + 2.0 * np.sum(b**2 * noise.kappa2**2)
+            est = one_step(state, spec, noise, eta, n, seed=d)["f"]
+            assert est.stderr**2 * n == pytest.approx(var, rel=0.05)
+
+
 class TestThreadCountInvariance:
     # 20_001 is not a multiple of the batch size: two full batches and a short one
     N = 20_001
@@ -150,6 +265,28 @@ class TestThreadCountInvariance:
         )
         assert a == b == c
         assert a.verdict.estimate.n == self.N
+
+    def test_blas_thread_count(self):
+        # BLAS reads its thread count once, at start-up; a matrix product's
+        # bits at these sizes depend on it, so the kernels must not use one
+        script = (
+            "import numpy as np, sys\n"
+            "sys.path.insert(0, 'tests')\n"
+            "from helpers import random_problem\n"
+            "from alignlab import one_step_estimates, projected_loss_test\n"
+            "spec, noise, state = random_problem(np.random.default_rng(26), d=500)\n"
+            "print(one_step_estimates(state, spec, noise, [0.5 / spec.lambda_max], 20_001, seed=19))\n"
+            "print(projected_loss_test(state, spec, noise, 0.3, 'B', 20_001, seed=19))\n"
+        )
+        src = str(Path(alignlab.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, ALIGNLAB_THREADS="1",
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                                 cwd=Path(__file__).resolve().parent.parent, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestDriftSignTest:
