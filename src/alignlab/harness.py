@@ -26,12 +26,11 @@ from .dynamics import run_trajectory, write_trajectory_csv
 from .errors import AlignlabError, ConstructionError, DivergenceError, ParameterError
 from .montecarlo import (
     _VERDICT_MIN_N,
-    _check,
     _drift_result,
+    _one_step_estimates,
     _projected_estimates,
     _projected_result,
     late_phase_statistic,
-    one_step_estimates,
 )
 from .spectrum import NoiseProfile, Spectrum, build_spectrum, isotropic_noise, read_noise_json, read_spectrum_json
 from .state import State, block_stats, random_init, rescale_to_alignment, state_from_json
@@ -409,6 +408,8 @@ def _state_above_theta_star(base: State, spec: Spectrum, noise: NoiseProfile) ->
         raise ConstructionError("no bulk rescaling reaches the high-alignment regime")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # adjacent floats: neither bound can move again
         if gap(mid) > 0:
             lo = mid
         else:
@@ -438,9 +439,8 @@ def cmd_drift_test(
     theta_slack = 0.005 if config.d >= 200 else 0.0
     eta_fallback = 2.0 * spec.gap1 / (spec.lambda_max**2 - spec.lambda_min**2)
 
-    rows = []
-    contradicted = False
-    for t_idx, token in enumerate(theta_targets):
+    targets = []
+    for token in theta_targets:
         kind, value = _parse_theta_target(token, spec, noise)
         if kind == "high":
             state = _state_above_theta_star(base, spec, noise)
@@ -450,11 +450,16 @@ def cmd_drift_test(
         dq = theory.drift_quadratic(stats)
         eta_star = dq.eta_star if dq.eta_star is not None and dq.eta_star > 0 else None
         eta_ref = eta_star if eta_star is not None else eta_fallback
-        etas = [factor * eta_ref for factor in eta_factors]
-        _check(state, spec, noise, config.n_mc, _VERDICT_MIN_N)
-        ests = one_step_estimates(
-            state, spec, noise, etas, config.n_mc, _stream_int(seed, m, _STREAM_MC, t_idx)
-        )
+        targets.append((state, stats, [factor * eta_ref for factor in eta_factors]))
+    # one draw serves every target and step size
+    all_ests = _one_step_estimates(
+        [(state, etas) for state, _, etas in targets], spec, noise, config.n_mc,
+        _stream_int(seed, m, _STREAM_MC, 0), _VERDICT_MIN_N,
+    )
+
+    rows = []
+    contradicted = False
+    for (_, stats, etas), ests in zip(targets, all_ests):
         for eta in etas:
             res = _drift_result(stats, spec, noise, eta, ests[eta], config.z_crit, theta_slack)
             for verdict in (res.f_drift, res.theta_drift):
@@ -480,8 +485,7 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
     m, seed = config.m_list[0], config.seeds[0]
     spec, noise = _problem_for(config, m, seed)
 
-    rows = []
-    failed = False
+    chosen = []
     for i in range(n_states):
         state = random_init(config.d, config.init_scale, seed=_stream(seed, m, _STREAM_INIT, i))
         stats = block_stats(state, spec, noise)
@@ -493,11 +497,16 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
         if lo == hi:
             print(f"projected-test: state {i} skipped (equal thresholds)", file=sys.stderr)
             continue
-        eta = 0.5 * (lo + hi)
-        _check(state, spec, noise, config.n_mc, _VERDICT_MIN_N)
-        ests = _projected_estimates(
-            state, spec, noise, eta, config.n_mc, _stream_int(seed, m, _STREAM_MC, 1000 + i)
-        )
+        chosen.append((state, stats, 0.5 * (lo + hi)))
+    # one draw serves every state and both blocks
+    all_ests = _projected_estimates(
+        [(state, eta) for state, _, eta in chosen], spec, noise, config.n_mc,
+        _stream_int(seed, m, _STREAM_MC, 1000),
+    )
+
+    rows = []
+    failed = False
+    for (_, stats, eta), ests in zip(chosen, all_ests):
         for block, est in ests.items():
             res = _projected_result(stats, block, eta, est, config.z_crit)
             v = res.verdict

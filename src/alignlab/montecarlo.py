@@ -4,22 +4,27 @@ of the drift predictions against them.
 Sampling schedule: an estimate with sample count n and seed s is split into
 fixed batches of _BATCH draws; batch j uses the stream
 ``default_rng(SeedSequence([s, j]))``. Batches run on the job pool
-(ALIGNLAB_THREADS), each worker drawing into one reused (batch, d) buffer.
-Per-batch results come back in batch order, are accumulated in the calling
-thread, and partial sums are combined with ``math.fsum``, which is exactly
-rounded. Results are therefore bit-identical for a given (n, seed) whatever
-the pool size, and two estimates with the same seed share their noise draws
-(common random numbers across step sizes and blocks). The verdict presets
-draw each seed once: one `one_step_estimates` call covers every step size of
-a drift target, and one draw serves both blocks of a projected-loss state.
+(ALIGNLAB_THREADS). Each worker draws its batch in row blocks of about
+_BLOCK_VALUES normals into one reused buffer that stays in cache; successive
+blocks continue one generator stream, so the draws equal one whole (batch, d)
+draw. Per-batch results come back in batch order, are accumulated in the
+calling thread, and partial sums are combined with ``math.fsum``, which is
+exactly rounded. Results are therefore bit-identical for a given (n, seed)
+whatever the pool size, and two estimates with the same seed share their
+noise draws (common random numbers).
 
 Kernel: every statistic estimated here is quadratic in the noise, so a
-draw z enters only through six block sums: two linear forms and one
-weighted sum of squares per block (`_block_sums`). They take one pass over
-the draw plus one over its square and serve every step size and both
-blocks; what is left per step size is O(batch) work. The sums use numpy's
-own einsum loop rather than BLAS, so their bits do not depend on BLAS's
-thread count either.
+draw z enters a state's statistics only through block sums: two linear forms
+per block that depend on the state, and one weighted sum of squares per block
+that depends only on the spectrum and the noise (`_block_sums`). One estimate
+serves several states on one spectrum and noise profile: each draw is reduced
+to every state's linear forms and the shared sums of squares, and what is
+left per state, step size and block is O(batch) work. The verdict presets
+therefore draw once per preset: `drift-test` for all its targets and step
+sizes, `projected-test` for all its states and both blocks. Their verdicts
+are correlated across states, while each keeps its own marginal law and n.
+The sums use numpy's own einsum loop rather than BLAS, so their bits do not
+depend on BLAS's thread count either.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,6 +57,9 @@ __all__ = [
 ]
 
 _BATCH = 8192
+# normals per row block of a batch's draw: the block stays in cache while
+# every kernel's sums pass over it
+_BLOCK_VALUES = 65536
 # sample floor of the sign tests
 _VERDICT_MIN_N = 1000
 
@@ -151,21 +160,45 @@ def _check(state: State, spec: Spectrum, noise: NoiseProfile, n: int, n_min: int
         raise ParameterError(f"need at least {n_min} samples, got {n}")
 
 
-def _estimate(n: int, seed: int, d: int, kernel) -> list[McEstimate]:
-    """Mean and standard error of every row of kernel(z) over the batches of
-    the (n, seed) schedule, which run on the job pool. z is the batch's
-    (nb, d) standard-normal draw, which the kernel may overwrite; each worker
-    thread reuses one buffer. Batch results are accumulated in batch order."""
+class _Kernel(NamedTuple):
+    """One state's share of a draw z: the linear-form weights a and b, the
+    weights q of the sum of squares, and finish(l1, l2, quad), which turns the
+    (D, B) block sums of a z, b z and q z^2 into (width, nb) per-sample rows."""
+
+    a: np.ndarray
+    b: np.ndarray
+    q: np.ndarray
+    finish: Callable
+
+
+def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstimate]:
+    """Mean and standard error of every row of every kernel, kernel by kernel,
+    over the batches of the (n, seed) schedule, which run on the job pool.
+    The kernels come from one factory on spec and one noise profile, so they
+    share q and every draw. Each worker draws a batch in row blocks of
+    about _BLOCK_VALUES normals into one reused buffer (successive
+    standard_normal(out=) calls on a generator continue one stream), reduces
+    each block to its block sums, and finishes the batch's rows from them.
+    Batch results are accumulated in batch order."""
+    if not kernels:
+        return []
+    k, d, q = spec.k, spec.d, kernels[0].q
+    vectors = [v for kernel in kernels for v in (kernel.a, kernel.b)]
+    block_rows = min(n, _BATCH, max(1, _BLOCK_VALUES // d))
     local = threading.local()
-    shape = (min(n, _BATCH), d)
 
     def run(batch):
         rng, nb = batch
         if not hasattr(local, "buffer"):
-            local.buffer = np.empty(shape)
-        z = local.buffer[:nb]
-        rng.standard_normal(out=z)
-        return kernel(z)
+            local.buffer = np.empty((block_rows, d))
+        sums = np.empty((len(vectors) + 1, 2, nb))
+        for start in range(0, nb, block_rows):
+            z = local.buffer[: min(block_rows, nb - start)]
+            rng.standard_normal(out=z)
+            _block_sums(z, k, vectors, q, sums[:, :, start : start + len(z)])
+        return np.concatenate(
+            [kernel.finish(sums[2 * i], sums[2 * i + 1], sums[-1]) for i, kernel in enumerate(kernels)]
+        )
 
     acc = _Accumulator()
     for rows in run_jobs(run, list(_batches(n, seed))):
@@ -173,37 +206,34 @@ def _estimate(n: int, seed: int, d: int, kernel) -> list[McEstimate]:
     return acc.estimates()
 
 
-def _block_sums(z: np.ndarray, k: int, a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(6, nb) block sums per draw: rows (D, B) of sum a z, of sum b z and of
-    sum q z^2; z is squared in place. einsum runs numpy's own loop, not BLAS:
-    a BLAS product's bits depend on BLAS's thread count, and BLAS threads
-    started from every pool worker contend for the same cores."""
-    out = np.empty((6, z.shape[0]))
-    for row, v in ((0, a), (2, b), (4, q)):
-        if row == 4:
+def _block_sums(z: np.ndarray, k: int, vectors: list, q: np.ndarray, out: np.ndarray) -> None:
+    """Write into out (len(vectors) + 1, 2, nb) the per-draw block sums:
+    out[i] = (D, B) sums of vectors[i] z, then out[-1] = those of q z^2; z is
+    squared in place. einsum runs numpy's own loop, not BLAS: a BLAS
+    product's bits depend on BLAS's thread count, and BLAS threads started
+    from every pool worker contend for the same cores."""
+    for i, v in enumerate([*vectors, q]):
+        if i == len(vectors):
             np.square(z, out=z)
-        np.einsum("ij,j->i", z[:, :k], v[:k], out=out[row])
-        np.einsum("ij,j->i", z[:, k:], v[k:], out=out[row + 1])
-    return out
+        np.einsum("ij,j->i", z[:, :k], v[:k], out=out[i, 0])
+        np.einsum("ij,j->i", z[:, k:], v[k:], out=out[i, 1])
 
 
-def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: list):
-    """kernel(z) -> (4 * len(etas), nb) per-sample f, sD_next, sB_next and
-    theta_next for each eta, from standard-normal draws z (overwritten).
+def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: list) -> _Kernel:
+    """Kernel whose rows are, for each eta, the per-sample f, sD_next,
+    sB_next and theta_next.
 
     With zeta = kappa * z, the next energy of block X is
     s_X' = sum_X lam^2 ((1 - eta lam) c - eta zeta)^2
          = m_X(eta) - 2 eta (L1_X - eta L2_X) + eta^2 Q_X,
     where L1 = sum lam^2 c zeta, L2 = sum lam^3 c zeta and Q = sum lam^2 zeta^2
-    per block do not depend on eta: six block sums per draw serve every step
-    size. The random part of f = s_B s_D' - s_D s_B' is formed from the
-    random parts of s_D' and s_B' directly, so it does not cancel two large
-    products."""
+    per block do not depend on eta, and Q not on the state either: six block
+    sums per draw serve every step size of a state. The random part of
+    f = s_B s_D' - s_D s_B' is formed from the random parts of s_D' and s_B'
+    directly, so it does not cancel two large products."""
     lam, k = spec.lambdas, spec.k
     lam2c = lam**2 * state.c
     a = np.sqrt(noise.kappa2) * lam2c
-    b = lam * a
-    q = lam**2 * noise.kappa2
     w0 = lam2c * state.c
     s_d0 = float(np.sum(w0[:k]))
     s_b0 = float(np.sum(w0[k:]))
@@ -213,9 +243,8 @@ def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: li
     m = np.stack([w[:, :k].sum(axis=1), w[:, k:].sum(axis=1)], axis=1)[:, :, None]
     f0 = s_b0 * m[:, 0] - s_d0 * m[:, 1]
 
-    def kernel(z):
-        l1, l2, quad = np.split(_block_sums(z, k, a, b, q), 3)
-        rows = np.empty((len(etas), 4, z.shape[0]))
+    def finish(l1, l2, quad):
+        rows = np.empty((len(etas), 4, l1.shape[1]))
         r = eta**2 * quad - 2.0 * eta * (l1 - eta * l2)
         np.add(f0, s_b0 * r[:, 0] - s_d0 * r[:, 1], out=rows[:, 0])
         # s' >= 0; the clamp only removes rounding below zero
@@ -226,7 +255,20 @@ def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: li
         np.divide(s1[:, 0], tot, out=theta1, where=tot > 0)
         return rows.reshape(4 * len(etas), -1)
 
-    return kernel
+    return _Kernel(a, lam * a, lam**2 * noise.kappa2, finish)
+
+
+def _one_step_estimates(jobs, spec: Spectrum, noise: NoiseProfile, n: int, seed: int, n_min: int) -> list[dict]:
+    """one_step_estimates for each (state, etas) job, all from the same n
+    draws; one {eta: {...}} dict per job."""
+    jobs = [(state, [float(e) for e in etas]) for state, etas in jobs]
+    for state, etas in jobs:
+        if not etas or any(e < 0 for e in etas):
+            raise ParameterError("etas must be non-empty and non-negative")
+        _check(state, spec, noise, n, n_min)
+    ests = iter(_estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, etas) for state, etas in jobs]))
+    keys = ("f", "sD_next", "sB_next", "theta_next")
+    return [{eta: dict(zip(keys, [next(ests) for _ in keys])) for eta in etas} for _, etas in jobs]
 
 
 def one_step_estimates(
@@ -241,15 +283,7 @@ def one_step_estimates(
     f, the next block energies, and the next alignment, for every eta in
     `etas`. Returns {eta: {"f"|"sD_next"|"sB_next"|"theta_next": McEstimate}}.
     """
-    etas = [float(e) for e in etas]
-    if not etas or any(e < 0 for e in etas):
-        raise ParameterError("etas must be non-empty and non-negative")
-    _check(state, spec, noise, n, 100)
-    ests = _estimate(n, seed, spec.d, _one_step_kernel(state, spec, noise, etas))
-    return {
-        eta: dict(zip(("f", "sD_next", "sB_next", "theta_next"), ests[4 * idx : 4 * idx + 4]))
-        for idx, eta in enumerate(etas)
-    }
+    return _one_step_estimates([(state, etas)], spec, noise, n, seed, 100)[0]
 
 
 def _sign_of(value: float, tol: float) -> str:
@@ -349,10 +383,9 @@ def drift_sign_test(
     return _drift_result(stats, spec, noise, eta, ests, z_crit, theta_abs_slack)
 
 
-def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: float):
-    """kernel(z) -> (2, nb) per-sample loss change of the step projected on
-    the dominant and on the bulk block, from standard-normal draws z
-    (overwritten).
+def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: float) -> _Kernel:
+    """Kernel whose rows are the per-sample loss change of the step projected
+    on the dominant and on the bulk block.
 
     With g = grad + zeta on block X (grad = lam c, zeta = kappa z), the loss
     change -eta g.grad + eta^2/2 sum lam g^2 expands to a constant plus
@@ -360,8 +393,6 @@ def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: fl
     lam, k = spec.lambdas, spec.k
     grad = lam * state.c
     a = np.sqrt(noise.kappa2) * grad
-    b = lam * a
-    q = lam * noise.kappa2
     g2 = grad**2
     lg2 = lam * g2
     base = np.array([
@@ -369,19 +400,19 @@ def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: fl
         [-eta * np.sum(g2[k:]) + 0.5 * eta**2 * np.sum(lg2[k:])],
     ])
 
-    def kernel(z):
-        l1, l2, quad = np.split(_block_sums(z, k, a, b, q), 3)
+    def finish(l1, l2, quad):
         return base + (eta**2 * (l2 + 0.5 * quad) - eta * l1)
 
-    return kernel
+    return _Kernel(a, lam * a, lam * noise.kappa2, finish)
 
 
-def _projected_estimates(
-    state: State, spec: Spectrum, noise: NoiseProfile, eta: float, n: int, seed: int
-) -> dict:
+def _projected_estimates(jobs, spec: Spectrum, noise: NoiseProfile, n: int, seed: int) -> list[dict]:
     """Loss change of the step projected on each block, {"D": ..., "B": ...},
-    both from the same n noise draws."""
-    return dict(zip(("D", "B"), _estimate(n, seed, spec.d, _projected_kernel(state, spec, noise, eta))))
+    for each (state, eta) job, all from the same n draws."""
+    for state, _ in jobs:
+        _check(state, spec, noise, n, _VERDICT_MIN_N)
+    ests = _estimate(n, seed, spec, [_projected_kernel(state, spec, noise, eta) for state, eta in jobs])
+    return [{"D": ests[2 * i], "B": ests[2 * i + 1]} for i in range(len(jobs))]
 
 
 def _projected_result(
@@ -428,7 +459,7 @@ def projected_loss_test(
     _check(state, spec, noise, n, _VERDICT_MIN_N)
     stats = block_stats(state, spec, noise)
     stats.block(block)  # rejects a bad block name before drawing
-    est = _projected_estimates(state, spec, noise, eta, n, seed)[block]
+    est = _projected_estimates([(state, eta)], spec, noise, n, seed)[0][block]
     return _projected_result(stats, block, eta, est, z_crit)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from alignlab import NoiseProfile, build_spectrum, random_init
+from alignlab import NoiseProfile, State, build_spectrum, random_init
 
 DIMS = (10, 50, 200)
 
@@ -39,3 +39,10 @@ def random_problem(rng, d=None, degenerate_blocks=False, isotropic_only=False, d
     scale = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
     state = random_init(d, scale, seed=int(rng.integers(2**63)))
     return spec, noise, state
+
+
+def shared_draw_problem(seed, d, n_states=3):
+    """A random (spectrum, noise) pair and n_states random states on it."""
+    rng = np.random.default_rng(seed)
+    spec, noise, state = random_problem(rng, d=d)
+    return spec, noise, [state] + [State(c=rng.normal(0.0, 1.0, d)) for _ in range(n_states - 1)]

@@ -50,10 +50,10 @@ SHA256 = {
         "alignment_vs_m_logfit.csv": "7114a45a59e225c164d8ff3551c7479f8d3e2ff308492a6fae369598b5c59a6c",
     },
     "drift": {
-        "drift_verdicts.csv": "bf60e0e8e3ed605facebe772c4a1bddb8466670048f4b038f9ebf73f4792df2f",
+        "drift_verdicts.csv": "e5b9becfd2e1ddba6ce801a91d17894dd01a96c7fbae4c562f3ce641a528ac0e",
     },
     "projected": {
-        "projected_verdicts.csv": "0afc909031d9b4fa9d76696dc743fbb7afe39abc55489d9388b7feb221128d29",
+        "projected_verdicts.csv": "c32e052a5b417c5e32b83e5fedf3e76a7355ceef7be2b4501b121b4415e72013",
     },
 }
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from alignlab import ParameterError, load_config
+from alignlab import ParameterError, load_config, theory
 from alignlab.cli import main
 from alignlab.harness import (
     _STREAM_INIT,
@@ -12,6 +12,7 @@ from alignlab.harness import (
     _atomic_write,
     _cell,
     _problem_for,
+    _state_above_theta_star,
     _stream,
     _stream_int,
     cmd_drift_test,
@@ -23,7 +24,7 @@ from alignlab.harness import (
 from alignlab.montecarlo import drift_sign_test, projected_loss_test
 from alignlab.spectrum import write_problem_json
 from alignlab.state import block_stats, random_init, rescale_to_alignment, state_to_json
-from alignlab.theory import g_gap, loss_threshold
+from alignlab.theory import g_gap, loss_threshold, theta_star
 
 
 def tiny_config(tmp_path, **kw):
@@ -201,6 +202,45 @@ class TestDriftTestCommand:
         assert len(rows) == 6
         assert rows == expected
 
+    def test_rows_equal_separate_calls_per_target(self, tmp_path):
+        # drift-test draws once for every target; each target's rows must
+        # equal drift_sign_test calls on that target's state with the shared seed
+        cfg = tiny_config(tmp_path, n_mc=20_001)
+        out, _ = cmd_drift_test(cfg, theta_targets=("0.3*ggap", "0.9*ggap", "high"), eta_factors=(0.5, 2.0))
+        rows = [line.split(",") for line in (out / "drift_verdicts.csv").read_text().splitlines()[1:]]
+        m, seed = cfg.m_list[0], cfg.seeds[0]
+        spec, noise = _problem_for(cfg, m, seed)
+        base = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT))
+        states = [rescale_to_alignment(base, spec, f * g_gap(spec, noise), which="dominant") for f in (0.3, 0.9)]
+        states.append(_state_above_theta_star(base, spec, noise))
+        expected = []
+        for t_idx, state in enumerate(states):
+            for eta in [float(row[2]) for row in rows[4 * t_idx : 4 * t_idx + 4 : 2]]:
+                res = drift_sign_test(
+                    state, spec, noise, eta, cfg.n_mc, cfg.z_crit,
+                    seed=_stream_int(seed, m, _STREAM_MC, 0), theta_abs_slack=0.0,
+                )
+                for v in (res.f_drift, res.theta_drift):
+                    cells = [v.quantity, res.theta, eta, res.eta_star, v.predicted_sign,
+                             v.estimate.mean, v.estimate.stderr, v.z, v.verdict]
+                    expected.append([_cell(c) for c in cells])
+        assert len(rows) == 12
+        assert rows == expected
+
+    def test_high_target_bisection_stops_at_adjacent_floats(self, tmp_path, monkeypatch):
+        # once the bisection interval holds two adjacent floats neither bound
+        # can move, so the search stops there instead of running 200 steps
+        cfg = tiny_config(tmp_path)
+        m, seed = cfg.m_list[0], cfg.seeds[0]
+        spec, noise = _problem_for(cfg, m, seed)
+        base = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT))
+        calls = []
+        monkeypatch.setattr(theory, "theta_star", lambda *a: calls.append(a) or theta_star(*a))
+        state = _state_above_theta_star(base, spec, noise)
+        assert len(calls) < 100
+        stats = block_stats(state, spec, noise)
+        assert stats.theta == pytest.approx(0.5 * (theta_star(stats, spec, noise).theta_star + 1.0), rel=1e-12)
+
     def test_absolute_target(self, tmp_path):
         cfg = tiny_config(tmp_path, n_mc=5_000)
         out, contradicted = cmd_drift_test(cfg, theta_targets=(0.4,), eta_factors=(0.5,))
@@ -219,8 +259,8 @@ class TestProjectedTestCommand:
         assert len(lines) == 7  # 3 states x 2 blocks
 
     def test_rows_equal_separate_per_block_calls(self, tmp_path):
-        # projected-test draws once per state for both blocks; each row must
-        # equal a projected_loss_test call on that block with the same seed
+        # projected-test draws once for every state and both blocks; each row
+        # must equal a projected_loss_test call on that block with the same seed
         cfg = tiny_config(tmp_path, n_mc=20_001)
         out, _ = cmd_projected_test(cfg, n_states=3)
         rows = [line.split(",") for line in (out / "projected_verdicts.csv").read_text().splitlines()[1:]]
@@ -234,7 +274,7 @@ class TestProjectedTestCommand:
             for block in ("D", "B"):
                 res = projected_loss_test(
                     state, spec, noise, eta, block, cfg.n_mc, cfg.z_crit,
-                    seed=_stream_int(seed, m, _STREAM_MC, 1000 + i),
+                    seed=_stream_int(seed, m, _STREAM_MC, 1000),
                 )
                 v = res.verdict
                 cells = [f"loss_change_{block}", res.theta, eta, res.eta_loss, v.predicted_sign,

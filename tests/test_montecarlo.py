@@ -31,9 +31,16 @@ from alignlab import (
 )
 from alignlab.dynamics import TrajectoryRecord
 from alignlab.harness import _state_above_theta_star
-from alignlab.montecarlo import _one_step_kernel, _projected_kernel
+from alignlab.montecarlo import (
+    _block_sums,
+    _estimate,
+    _one_step_estimates,
+    _one_step_kernel,
+    _projected_estimates,
+    _projected_kernel,
+)
 
-from helpers import random_problem
+from helpers import random_problem, shared_draw_problem
 
 # E[theta_{t+1}] for the 2-d fixture at eta=0.1, frozen from two independent
 # quadratures (400-node Gauss-Hermite grid and adaptive integration agree to
@@ -131,6 +138,13 @@ class TestEstimatorMechanics:
             assert abs(est["sB_next"].mean - expected_next_block_energy(stats, eta, "B")) <= 5.0 * est["sB_next"].stderr
 
 
+def kernel_rows(kernel, k, z):
+    """A kernel's per-sample rows from one whole draw z (overwritten)."""
+    sums = np.empty((3, 2, len(z)))
+    _block_sums(z, k, [kernel.a, kernel.b], kernel.q, sums)
+    return kernel.finish(*sums)
+
+
 def direct_one_step(state, spec, noise, eta, z):
     """Per-sample (f, sD_next, sB_next, theta_next) from the (n, d) update
     written out, and the size of the two products f subtracts."""
@@ -169,7 +183,7 @@ class TestSufficientStatisticsKernel:
         if dq.eta_star is not None and dq.eta_star > 0:
             etas.append(dq.eta_star)
         z = np.random.default_rng(d).standard_normal((4096, d))
-        rows = _one_step_kernel(state, spec, noise, etas)(z.copy())
+        rows = kernel_rows(_one_step_kernel(state, spec, noise, etas), spec.k, z.copy())
         for idx, eta in enumerate(etas):
             (f, s_d1, s_b1, theta1), scale = direct_one_step(state, spec, noise, eta, z)
             assert np.all(np.abs(rows[4 * idx] - f) <= 1e-9 * scale)
@@ -184,7 +198,7 @@ class TestSufficientStatisticsKernel:
         lam = spec.lambdas
         z = np.random.default_rng(3).standard_normal((8192, 2))
         etas = [0.1, 0.5, 2.0 / 3.0, 1.0]
-        rows = _one_step_kernel(state, spec, noise, etas)(z.copy())
+        rows = kernel_rows(_one_step_kernel(state, spec, noise, etas), spec.k, z.copy())
         for idx, eta in enumerate(etas):
             (f, s_d1, s_b1, _), _ = direct_one_step(state, spec, noise, eta, z)
             terms = lam**2 * (((1.0 - eta * lam) * state.c) ** 2 + (eta * z) ** 2)
@@ -203,7 +217,7 @@ class TestSufficientStatisticsKernel:
             free = np.random.default_rng(1).standard_normal((1001, 2))
             for mask in ([1, 0], [0, 1], [1, 1]):
                 z = np.where(mask, root * nudge, free)
-                rows = _one_step_kernel(state, spec, noise, [eta])(z)
+                rows = kernel_rows(_one_step_kernel(state, spec, noise, [eta]), spec.k, z)
                 assert np.all(rows[1:3] >= 0.0)
                 assert np.all((rows[3] >= 0.0) & (rows[3] <= 1.0))
 
@@ -213,7 +227,7 @@ class TestSufficientStatisticsKernel:
         lam, k = spec.lambdas, spec.k
         grad = lam * state.c
         for eta in (0.1 / spec.lambda_max, 1.0 / spec.lambda_max, 3.0 / spec.lambda_max):
-            rows = _projected_kernel(state, spec, noise, eta)(z.copy())
+            rows = kernel_rows(_projected_kernel(state, spec, noise, eta), k, z.copy())
             g = grad + np.sqrt(noise.kappa2) * z
             for row, sl in zip(rows, (slice(None, k), slice(k, None))):
                 lin, sq = g[:, sl] @ grad[sl], (g[:, sl] ** 2) @ lam[sl]
@@ -235,6 +249,55 @@ class TestSufficientStatisticsKernel:
             var = np.sum(a**2 * noise.kappa2) + 2.0 * np.sum(b**2 * noise.kappa2**2)
             est = one_step(state, spec, noise, eta, n, seed=d)["f"]
             assert est.stderr**2 * n == pytest.approx(var, rel=0.05)
+
+
+class TestSharedDraw:
+    """All states of one estimate share each draw, which each worker draws in
+    row blocks; every state's per-sample rows must equal those computed from
+    the whole (nb, d) draw of the batch, bit for bit."""
+
+    # 20_001 = two full batches and a short one; at d = 10, 60 and 500 the
+    # last row block of every batch is short as well
+    @pytest.mark.parametrize("d", [2, 10, 60, 500])
+    def test_row_blocks_equal_whole_batch_draw(self, d, monkeypatch):
+        monkeypatch.setenv("ALIGNLAB_THREADS", "1")
+        spec, noise, states = shared_draw_problem(d, d)
+        etas = [f / spec.lambda_max for f in (0.5, 1.5)]
+        families = (
+            [_one_step_kernel(state, spec, noise, etas) for state in states],
+            [_projected_kernel(state, spec, noise, 0.7 / spec.lambda_max) for state in states],
+        )
+        seed, sizes = 28, (8192, 8192, 3617)
+        for family in families:
+            seen = []
+
+            def capture(kernel):
+                def finish(*sums):
+                    seen.append(kernel.finish(*sums))
+                    return seen[-1]
+
+                return kernel._replace(finish=finish)
+
+            ests = _estimate(sum(sizes), seed, spec, [capture(kernel) for kernel in family])
+            assert len(ests) == sum(len(rows) for rows in seen[: len(family)])
+            expected = []
+            for j, nb in enumerate(sizes):
+                z = np.random.default_rng(np.random.SeedSequence([seed, j])).standard_normal((nb, d))
+                expected += [kernel_rows(kernel, spec.k, z.copy()) for kernel in family]
+            assert len(seen) == len(expected)
+            for got, want in zip(seen, expected):
+                assert np.array_equal(got, want)
+
+    def test_each_state_equals_its_own_estimate(self):
+        # sharing a draw changes no state's estimate: each equals the estimate
+        # made for that state alone on the same seed
+        spec, noise, states = shared_draw_problem(29, 40)
+        jobs = [(state, [f / spec.lambda_max for f in (0.2 * (i + 1), 1.9)]) for i, state in enumerate(states)]
+        shared = _one_step_estimates(jobs, spec, noise, 20_001, 30, 100)
+        assert shared == [one_step_estimates(state, spec, noise, etas, 20_001, 30) for state, etas in jobs]
+        jobs = [(state, (0.3 + 0.2 * i) / spec.lambda_max) for i, state in enumerate(states)]
+        shared = _projected_estimates(jobs, spec, noise, 20_001, 31)
+        assert shared == [_projected_estimates([job], spec, noise, 20_001, 31)[0] for job in jobs]
 
 
 class TestThreadCountInvariance:
@@ -265,6 +328,40 @@ class TestThreadCountInvariance:
         )
         assert a == b == c
         assert a.verdict.estimate.n == self.N
+
+    def test_multi_state_estimates(self, monkeypatch):
+        spec, noise, states = shared_draw_problem(32, 50)
+        etas = [f / spec.lambda_max for f in (0.1, 1.5)]
+
+        def run():
+            return (
+                _one_step_estimates([(state, etas) for state in states], spec, noise, self.N, 33, 100),
+                _projected_estimates([(state, 0.3) for state in states], spec, noise, self.N, 34),
+            )
+
+        a, b, c = self._under_threads(monkeypatch, run)
+        assert a == b == c
+        assert len(a[0]) == len(a[1]) == len(states)
+
+    def test_multi_state_blas_thread_count(self):
+        script = (
+            "import numpy as np, sys\n"
+            "sys.path.insert(0, 'tests')\n"
+            "from helpers import shared_draw_problem\n"
+            "from alignlab.montecarlo import _one_step_estimates, _projected_estimates\n"
+            "spec, noise, states = shared_draw_problem(35, 500)\n"
+            "print(_one_step_estimates([(s, [0.5 / spec.lambda_max]) for s in states], spec, noise, 20_001, 36, 100))\n"
+            "print(_projected_estimates([(s, 0.3) for s in states], spec, noise, 20_001, 37))\n"
+        )
+        src = str(Path(alignlab.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, ALIGNLAB_THREADS="2",
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                                 cwd=Path(__file__).resolve().parent.parent, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_blas_thread_count(self):
         # BLAS reads its thread count once, at start-up; a matrix product's
