@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .spectrum import NoiseProfile, Spectrum
-from .state import State
+from .state import State, _check_dims, _theta
 
 __all__ = [
     "ALGORITHMS",
@@ -45,7 +45,8 @@ def _chunk_rows(d: int) -> int:
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """(step, alignment, loss) series sampled every `record_every` steps,
-    with optional per-block energies."""
+    with the block energies s_D and s_B at the same steps (run_trajectory
+    always records them)."""
 
     times: np.ndarray
     thetas: np.ndarray
@@ -63,17 +64,17 @@ class TrajectoryRecord:
         return int(self.times[-1])
 
 
-def _check_dims(state: State, spec: Spectrum, noise_sample: np.ndarray) -> None:
-    if state.d != spec.d:
-        raise ParameterError(f"state dimension {state.d} != spectrum dimension {spec.d}")
-    if noise_sample.shape != (spec.d,):
-        raise ParameterError(f"noise sample shape {noise_sample.shape} != ({spec.d},)")
+def _noise_sample(state: State, spec: Spectrum, noise_sample) -> np.ndarray:
+    _check_dims(state, spec)
+    zeta = np.asarray(noise_sample, dtype=float)
+    if zeta.shape != (spec.d,):
+        raise ParameterError(f"noise sample shape {zeta.shape} != ({spec.d},)")
+    return zeta
 
 
 def sgd_step(state: State, spec: Spectrum, noise_sample, eta: float) -> State:
     """One full update c_i <- (1 - eta*lambda_i) c_i - eta*zeta_i."""
-    zeta = np.asarray(noise_sample, dtype=float)
-    _check_dims(state, spec, zeta)
+    zeta = _noise_sample(state, spec, noise_sample)
     c = (1.0 - eta * spec.lambdas) * state.c - eta * zeta
     return State(c=c, t=state.t + 1)
 
@@ -81,8 +82,7 @@ def sgd_step(state: State, spec: Spectrum, noise_sample, eta: float) -> State:
 def projected_step(state: State, spec: Spectrum, noise_sample, eta: float, block: str) -> State:
     """Update only the coordinates of one block (gradient and noise both
     projected); the other block is untouched."""
-    zeta = np.asarray(noise_sample, dtype=float)
-    _check_dims(state, spec, zeta)
+    zeta = _noise_sample(state, spec, noise_sample)
     if block == "D":
         sl = slice(None, spec.k)
     elif block == "B":
@@ -122,10 +122,9 @@ def run_trajectory(
     record_every: int,
     algo: str = "sgd",
     seed: int = 0,
-    record_blocks: bool = False,
 ) -> TrajectoryRecord:
     """Run T steps of the chosen update with fresh i.i.d. noise, recording
-    (t, theta, loss) at t = 0, every `record_every` steps, and t = T.
+    (t, theta, loss, s_D, s_B) at t = 0, every `record_every` steps, and t = T.
     Deterministic given `seed`.
     """
     if T < 1:
@@ -134,8 +133,7 @@ def run_trajectory(
         raise ParameterError("record_every must be >= 1")
     if algo not in ALGORITHMS:
         raise ParameterError(f"algo must be one of {ALGORITHMS}, got {algo!r}")
-    if init.d != spec.d or noise.d != spec.d:
-        raise ParameterError("dimension mismatch")
+    _check_dims(init, spec, noise)
     if not eta > 0:
         raise ParameterError("eta must be > 0")
 
@@ -156,16 +154,12 @@ def run_trajectory(
 
     def record(t, c):
         c2 = c**2
-        w = lam2 * c2
-        s_d = float(np.sum(w[:k]))
-        s_b = float(np.sum(w[k:]))
-        s = s_d + s_b
+        s_d, s_b = map(float, spec.split_sum(lam2 * c2))
         times.append(t)
-        thetas.append(s_d / s if s > 0 else 0.0)
+        thetas.append(_theta(s_d, s_b))
         losses.append(float(0.5 * np.sum(lam * c2)))
-        if record_blocks:
-            sd_list.append(s_d)
-            sb_list.append(s_b)
+        sd_list.append(s_d)
+        sb_list.append(s_b)
 
     rng = np.random.default_rng(seed)
     c = init.c.copy()
@@ -203,21 +197,15 @@ def run_trajectory(
         times=np.asarray(times, dtype=int),
         thetas=np.asarray(thetas, dtype=float),
         losses=np.asarray(losses, dtype=float),
-        s_d=np.asarray(sd_list, dtype=float) if record_blocks else None,
-        s_b=np.asarray(sb_list, dtype=float) if record_blocks else None,
+        s_d=np.asarray(sd_list, dtype=float),
+        s_b=np.asarray(sb_list, dtype=float),
     )
 
 
 def write_trajectory_csv(path, traj: TrajectoryRecord) -> None:
-    """Header step,theta,loss plus sD,sB when block energies were recorded.
-    Identical inputs produce identical bytes."""
-    with_blocks = traj.s_d is not None
+    """Columns step,theta,loss. Identical inputs produce identical bytes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["step", "theta", "loss"] + (["sD", "sB"] if with_blocks else [])
-        writer.writerow(header)
+        writer.writerow(["step", "theta", "loss"])
         for i in range(len(traj.times)):
-            row = [int(traj.times[i]), repr(float(traj.thetas[i])), repr(float(traj.losses[i]))]
-            if with_blocks:
-                row += [repr(float(traj.s_d[i])), repr(float(traj.s_b[i]))]
-            writer.writerow(row)
+            writer.writerow([int(traj.times[i]), repr(float(traj.thetas[i])), repr(float(traj.losses[i]))])

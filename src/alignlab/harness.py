@@ -89,10 +89,12 @@ class ExperimentConfig:
             raise ParameterError("eta, sigma2 and init_scale must be > 0")
         if not self.m_list or any(m <= 1 for m in self.m_list):
             raise ParameterError("m values must be > 1 and non-empty")
-        if not self.seeds:
-            raise ParameterError("seeds must be non-empty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ParameterError("seeds must be non-empty and >= 0")
         if self.T_start is not None and self.T_start >= self.T:
             raise ParameterError(f"T_start={self.T_start} must be < T={self.T}")
+        if not self.z_crit > 0:
+            raise ParameterError(f"z_crit={self.z_crit} must be > 0")
 
     @property
     def resolved_t_start(self) -> int:
@@ -112,7 +114,9 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float within the float range: no bool, inf, nan or
+    oversized int (the comparison is exact, so that one cannot overflow)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _list_of(check, length=None):
@@ -124,12 +128,12 @@ def _list_of(check, length=None):
 
 
 _INTEGER = (_is_int, "an integer")
-_NUMBER = (_is_number, "a number")
+_NUMBER = (_is_number, "a finite number")
 # (check, description) of the JSON value each config field accepts
 _FIELD_TYPES = {
     "d": _INTEGER,
     "k": _INTEGER,
-    "m_list": (_list_of(_is_number), "a list of numbers"),
+    "m_list": (_list_of(_is_number), "a list of finite numbers"),
     "eta": _NUMBER,
     "T": _INTEGER,
     "sigma2": _NUMBER,
@@ -139,7 +143,7 @@ _FIELD_TYPES = {
     "record_every": _INTEGER,
     "T_start": (lambda v: v is None or _is_int(v), "an integer or null"),
     "output_dir": (lambda v: isinstance(v, str), "a string"),
-    "bulk_range": (_list_of(_is_number, 2), "a list of two numbers"),
+    "bulk_range": (_list_of(_is_number, 2), "a list of two finite numbers"),
     "top_spread": _NUMBER,
     "z_crit": _NUMBER,
 }

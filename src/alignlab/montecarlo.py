@@ -40,7 +40,7 @@ from ._pool import run_jobs
 from .dynamics import TrajectoryRecord
 from .errors import InsufficientDataError, ParameterError
 from .spectrum import NoiseProfile, Spectrum
-from .state import BlockStats, State, block_stats
+from .state import BlockStats, State, _check_dims, block_stats
 from .theory import drift_quadratic, expected_drift, g_gap, loss_threshold, theta_star
 
 __all__ = [
@@ -154,8 +154,7 @@ def _batches(n: int, seed: int):
 
 
 def _check(state: State, spec: Spectrum, noise: NoiseProfile, n: int, n_min: int) -> None:
-    if state.d != spec.d or noise.d != spec.d:
-        raise ParameterError("dimension mismatch")
+    _check_dims(state, spec, noise)
     if n < n_min:
         raise ParameterError(f"need at least {n_min} samples, got {n}")
 
@@ -231,16 +230,14 @@ def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: li
     sums per draw serve every step size of a state. The random part of
     f = s_B s_D' - s_D s_B' is formed from the random parts of s_D' and s_B'
     directly, so it does not cancel two large products."""
-    lam, k = spec.lambdas, spec.k
+    lam = spec.lambdas
     lam2c = lam**2 * state.c
     a = np.sqrt(noise.kappa2) * lam2c
-    w0 = lam2c * state.c
-    s_d0 = float(np.sum(w0[:k]))
-    s_b0 = float(np.sum(w0[k:]))
+    s_d0, s_b0 = map(float, spec.split_sum(lam2c * state.c))
     # step sizes along axis 0, blocks (D, B) along axis 1, draws along axis 2
     eta = np.array(etas)[:, None, None]
     w = lam**2 * ((1.0 - eta[:, 0] * lam) * state.c) ** 2
-    m = np.stack([w[:, :k].sum(axis=1), w[:, k:].sum(axis=1)], axis=1)[:, :, None]
+    m = np.stack(spec.split_sum(w), axis=1)[:, :, None]
     f0 = s_b0 * m[:, 0] - s_d0 * m[:, 1]
 
     def finish(l1, l2, quad):
@@ -390,15 +387,13 @@ def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: fl
     With g = grad + zeta on block X (grad = lam c, zeta = kappa z), the loss
     change -eta g.grad + eta^2/2 sum lam g^2 expands to a constant plus
     -eta zeta.grad + eta^2 sum lam grad zeta + eta^2/2 sum lam zeta^2."""
-    lam, k = spec.lambdas, spec.k
+    lam = spec.lambdas
     grad = lam * state.c
     a = np.sqrt(noise.kappa2) * grad
     g2 = grad**2
-    lg2 = lam * g2
-    base = np.array([
-        [-eta * np.sum(g2[:k]) + 0.5 * eta**2 * np.sum(lg2[:k])],
-        [-eta * np.sum(g2[k:]) + 0.5 * eta**2 * np.sum(lg2[k:])],
-    ])
+    # (D, B) block sums of grad^2 and lam grad^2
+    g2_sum, lg2_sum = np.stack(spec.split_sum(np.stack([g2, lam * g2])), axis=1)
+    base = (-eta * g2_sum + 0.5 * eta**2 * lg2_sum)[:, None]
 
     def finish(l1, l2, quad):
         return base + (eta**2 * (l2 + 0.5 * quad) - eta * l1)

@@ -94,13 +94,18 @@ class Spectrum:
         """Block proportion k / (d - k)."""
         return self.k / (self.d - self.k)
 
+    def split_sum(self, w: np.ndarray):
+        """(dominant, bulk) sums of w over its last axis: w[..., :k] and
+        w[..., k:]. Every block sum of a per-mode weight goes through here."""
+        return w[..., : self.k].sum(axis=-1), w[..., self.k :].sum(axis=-1)
+
     @property
     def psi_dominant(self) -> float:
-        return float(np.sum(self.dominant**2))
+        return float(self.split_sum(self.lambdas**2)[0])
 
     @property
     def psi_bulk(self) -> float:
-        return float(np.sum(self.bulk**2))
+        return float(self.split_sum(self.lambdas**2)[1])
 
     @property
     def lambda_max(self) -> float:
@@ -147,13 +152,6 @@ class NoiseProfile:
     @property
     def trace(self) -> float:
         return float(np.sum(self.kappa2))
-
-    def block_energies(self, spec: Spectrum) -> tuple[float, float]:
-        """(e_D, e_B): lambda^2-weighted noise energy per block."""
-        if spec.d != self.d:
-            raise ParameterError("spectrum and noise dimensions differ")
-        w = spec.lambdas**2 * self.kappa2
-        return float(np.sum(w[: spec.k])), float(np.sum(w[spec.k :]))
 
 
 def build_spectrum(

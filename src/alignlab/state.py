@@ -102,42 +102,37 @@ def _check_dims(state: State, spec: Spectrum, noise: NoiseProfile | None = None)
         raise ParameterError(f"noise dimension {noise.d} != spectrum dimension {spec.d}")
 
 
+def _theta(s_d: float, s_b: float) -> float:
+    """s_d / (s_d + s_b), with theta = 0 for the zero state."""
+    s = s_d + s_b
+    return s_d / s if s > 0 else 0.0
+
+
 def alignment(state: State, spec: Spectrum) -> float:
     """Fraction of the squared gradient norm carried by the dominant block."""
     _check_dims(state, spec)
-    w = (spec.lambdas * state.c) ** 2
-    total = float(np.sum(w))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(w[: spec.k]) / total)
+    return _theta(*map(float, spec.split_sum(spec.lambdas**2 * state.c**2)))
 
 
 def block_stats(state: State, spec: Spectrum, noise: NoiseProfile) -> BlockStats:
     _check_dims(state, spec, noise)
-    k = spec.k
     lam = spec.lambdas
     c2 = state.c**2
-    lam2c2 = lam**2 * c2
-    s_d = float(np.sum(lam2c2[:k]))
-    s_b = float(np.sum(lam2c2[k:]))
-    s = s_d + s_b
-    lam3c2 = lam**3 * c2
-    lam4c2 = lam**4 * c2
-    e = lam**2 * noise.kappa2
-    n = lam * noise.kappa2
+    weights = np.stack([lam**2 * c2, lam**3 * c2, lam**4 * c2, lam**2 * noise.kappa2, lam * noise.kappa2])
+    (s_d, tau_d, u_d, e_d, n_d), (s_b, tau_b, u_b, e_b, n_b) = (x.tolist() for x in spec.split_sum(weights))
     return BlockStats(
         s_d=s_d,
         s_b=s_b,
-        s=s,
-        tau_d=float(np.sum(lam3c2[:k])),
-        tau_b=float(np.sum(lam3c2[k:])),
-        u_d=float(np.sum(lam4c2[:k])),
-        u_b=float(np.sum(lam4c2[k:])),
-        e_d=float(np.sum(e[:k])),
-        e_b=float(np.sum(e[k:])),
-        n_loss_d=float(np.sum(n[:k])),
-        n_loss_b=float(np.sum(n[k:])),
-        theta=(s_d / s) if s > 0 else 0.0,
+        s=s_d + s_b,
+        tau_d=tau_d,
+        tau_b=tau_b,
+        u_d=u_d,
+        u_b=u_b,
+        e_d=e_d,
+        e_b=e_b,
+        n_loss_d=n_d,
+        n_loss_b=n_b,
+        theta=_theta(s_d, s_b),
     )
 
 
@@ -164,9 +159,7 @@ def rescale_to_alignment(state: State, spec: Spectrum, theta: float, which: str 
     _check_dims(state, spec)
     if not 0 < theta < 1:
         raise ConstructionError(f"target alignment {theta} outside (0, 1)")
-    w = (spec.lambdas * state.c) ** 2
-    s_d = float(np.sum(w[: spec.k]))
-    s_b = float(np.sum(w[spec.k :]))
+    s_d, s_b = map(float, spec.split_sum((spec.lambdas * state.c) ** 2))
     if s_d == 0.0 or s_b == 0.0:
         raise ConstructionError("both blocks must be nonzero to rescale to a target alignment")
     c = state.c.copy()

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedNoiseError,
 )
 from .spectrum import NoiseProfile, Spectrum
-from .state import BlockStats, State, block_stats
+from .state import BlockStats, State, _check_dims, block_stats
 
 __all__ = [
     "DriftQuadratic",
@@ -143,6 +143,14 @@ def g_gap(spec: Spectrum, noise: NoiseProfile) -> float:
     return float(1.0 / (1.0 + (noise.s_max / noise.s_min) * (1.0 / spec.rho) * ratio2))
 
 
+def _check_root(a: float, b: float, c: float, root: float) -> None:
+    """Raise unless a*root^2 + b*root + c vanishes to _ROOT_RTOL of its largest term."""
+    scale = max(abs(a * root * root), abs(b * root), abs(c))
+    residual = abs(a * root * root + b * root + c)
+    if residual > _ROOT_RTOL * max(scale, 1e-300):
+        raise AlignlabError(f"quadratic root residual {residual} exceeds tolerance")
+
+
 def _stable_positive_root(a: float, b: float, c: float) -> float:
     """Positive root of a*x^2 + b*x + c with a > 0 > c, avoiding cancellation."""
     disc = b * b - 4.0 * a * c
@@ -151,10 +159,7 @@ def _stable_positive_root(a: float, b: float, c: float) -> float:
         root = (-b + sq) / (2.0 * a)
     else:
         root = (2.0 * c) / (-b - sq)
-    scale = max(abs(a * root * root), abs(b * root), abs(c))
-    residual = abs(a * root * root + b * root + c)
-    if residual > _ROOT_RTOL * max(scale, 1e-300):
-        raise AlignlabError(f"quadratic root residual {residual} exceeds tolerance")
+    _check_root(a, b, c, root)
     return root
 
 
@@ -242,10 +247,7 @@ def crossover(stats: BlockStats) -> CrossoverQuadratic:
     n_b = stats.n_loss_b
     big = alpha + n_b + stats.n_loss_d
     gap = 2.0 * n_b / (big + math.sqrt(big * big - 4.0 * alpha * n_b))
-    scale = max(abs(alpha * gap * gap), abs(big * gap), n_b)
-    residual = abs(alpha * gap * gap - big * gap + n_b)
-    if residual > _ROOT_RTOL * max(scale, 1e-300):
-        raise AlignlabError(f"quadratic root residual {residual} exceeds tolerance")
+    _check_root(alpha, -big, n_b, gap)
     return CrossoverQuadratic(
         alpha=alpha, beta=beta, gamma=gamma, theta_crit=1.0 - gap, theta_crit_gap=gap
     )
@@ -265,8 +267,7 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
     """Two-phase prediction for a constant-step run started at `init`."""
     if not eta > 0:
         raise ParameterError("eta must be > 0")
-    if init.d != spec.d or noise.d != spec.d:
-        raise ParameterError("dimension mismatch")
+    _check_dims(init, spec, noise)
     lam = spec.lambdas
     if eta >= 2.0 / spec.lambda_max:
         raise StepSizeError(f"eta must lie below 2/lambda_1 = {2.0 / spec.lambda_max}")

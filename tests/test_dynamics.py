@@ -113,8 +113,8 @@ class TestRunTrajectory:
 
     def test_block_energy_recording(self, fixa):
         spec, noise, state = fixa
-        traj = run_trajectory(spec, noise, state, 0.1, 20, 5, seed=1, record_blocks=True)
-        assert traj.s_d is not None and len(traj.s_d) == len(traj.times)
+        traj = run_trajectory(spec, noise, state, 0.1, 20, 5, seed=1)
+        assert len(traj.s_d) == len(traj.s_b) == len(traj.times)
         total = traj.s_d + traj.s_b
         assert np.allclose(traj.thetas, traj.s_d / total)
 
@@ -222,7 +222,7 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("record_every", [1, 7, ROWS + 3])
     def test_bit_equal_to_step_by_step(self, problem, algo, T, record_every):
         spec, noise, init = problem
-        traj = run_trajectory(spec, noise, init, 0.003, T, record_every, algo=algo, seed=9, record_blocks=True)
+        traj = run_trajectory(spec, noise, init, 0.003, T, record_every, algo=algo, seed=9)
         ref = reference_trajectory(spec, noise, init, 0.003, T, record_every, algo, 9)
         for name, want in zip(("times", "thetas", "losses", "s_d", "s_b"), ref):
             assert np.array_equal(getattr(traj, name), want), name

@@ -82,8 +82,14 @@ class TestConfig:
             load_config(None, {"m_list": [0.5]})
         with pytest.raises(ParameterError):
             load_config(None, {"seeds": []})
+        with pytest.raises(ParameterError, match="seeds"):
+            load_config(None, {"seeds": [1, -1]})  # SeedSequence takes no negative entropy
         with pytest.raises(ParameterError):
             load_config(None, {"eta": -1.0})
+        # z_crit <= 0 or nan would make every verdict significant
+        for z_crit in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ParameterError, match="z_crit"):
+                load_config(None, {"z_crit": z_crit})
 
     def test_parse_error_has_line_context(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -388,10 +394,20 @@ class TestCli:
         assert "'m100'" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("doc, field", [({"d": "500"}, "'d'"), ({"seeds": 42}, "'seeds'")])
+    @pytest.mark.parametrize("doc, field", [
+        ({"d": "500"}, "'d'"),
+        ({"seeds": 42}, "'seeds'"),
+        # raw JSON text: numbers that are non-finite or outside the float range
+        ('{"top_spread": 1e999}', "'top_spread'"),
+        ('{"bulk_range": [0.5, Infinity]}', "'bulk_range'"),
+        ('{"m_list": [5, -Infinity]}', "'m_list'"),
+        ('{"eta": 1e999}', "'eta'"),
+        ('{"z_crit": NaN}', "'z_crit'"),
+        pytest.param('{"sigma2": 1' + "0" * 400 + "}", "'sigma2'", id="oversized-int-sigma2"),
+    ])
     def test_mistyped_config_field_is_usage_error(self, doc, field, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         err = self._usage_error(["print-config", "--config", str(path)], capsys)
         assert f"config field {field} must be" in err
 

@@ -8,6 +8,7 @@ from alignlab import (
     ParameterError,
     Spectrum,
     State,
+    block_stats,
     build_spectrum,
     check_asymptotic_assumptions,
     isotropic_noise,
@@ -83,6 +84,20 @@ class TestBuildSpectrum:
             Spectrum(lambdas=np.array([2.0, 2.0]), k=1)  # no gap at split
 
 
+class TestSplitSum:
+    def test_rows_sum_like_each_block_alone(self):
+        # one split serves 1-d weights and stacked (rows, d) weights alike, so
+        # each row's block sums must carry the bits of the 1-d slice sums
+        rng = np.random.default_rng(4)
+        for d in (2, 9, 130, 500, 1100):
+            k = int(rng.integers(1, d))
+            spec = build_spectrum(d, k, 5.0, (0.5, 1.0), 0.2, seed=d)
+            w = rng.standard_normal((5, d)) ** 2
+            for row, dom, bulk in zip(w, *spec.split_sum(w)):
+                assert (dom, bulk) == (np.sum(row[:k]), np.sum(row[k:]))
+                assert spec.split_sum(row) == (dom, bulk)
+
+
 class TestNoise:
     def test_isotropic_examples(self):
         n = isotropic_noise(2, 1.0)
@@ -110,8 +125,9 @@ class TestNoise:
     def test_block_energy_bounds(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            spec, noise, _ = random_problem(rng, d=20)
-            e_d, e_b = noise.block_energies(spec)
+            spec, noise, state = random_problem(rng, d=20)
+            stats = block_stats(state, spec, noise)
+            e_d, e_b = stats.e_d, stats.e_b
             tol = 1e-12
             assert noise.s_min * spec.psi_dominant <= e_d * (1 + tol) + tol
             assert e_d <= noise.s_max * spec.psi_dominant * (1 + tol)

@@ -12,6 +12,7 @@ from alignlab import (
     loss,
     random_init,
     rescale_to_alignment,
+    run_trajectory,
 )
 from alignlab.state import state_from_json, state_to_json, write_state_csv
 
@@ -44,6 +45,17 @@ class TestAlignment:
             base = alignment(state, spec)
             for a in (0.5, 3.0, 10.0):
                 assert alignment(State(c=a * state.c), spec) == pytest.approx(base, rel=1e-12)
+
+
+    def test_agrees_with_block_stats_and_trajectory_exactly(self):
+        # alignment, block_stats and the trajectory record form theta from the
+        # same block split and ratio, so the three values are equal, not close
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            spec, noise, state = random_problem(rng)
+            theta = alignment(state, spec)
+            assert block_stats(state, spec, noise).theta == theta
+            assert run_trajectory(spec, noise, state, 1e-3, 1, 1).thetas[0] == theta
 
 
 class TestBlockStats:
