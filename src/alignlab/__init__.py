@@ -5,11 +5,11 @@ Problems live entirely in the Hessian eigenbasis: a `Spectrum` (eigenvalues
 with a dominant/bulk split), a `NoiseProfile` (per-direction gradient noise
 variances), and a `State` (iterate coordinates). `theory` evaluates every
 closed-form threshold and prediction, `dynamics` runs full and block-projected
-stochastic updates, `montecarlo` checks the predictions against sampled
+SGD trajectories, `montecarlo` checks the predictions against sampled
 one-step expectations, and `harness`/`cli` package the experiment presets.
 """
 
-from .dynamics import TrajectoryRecord, projected_step, run_trajectory, sample_noise, sgd_step
+from .dynamics import TrajectoryRecord, run_trajectory
 from .errors import (
     AlignlabError,
     ConstructionError,

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 when a sign test came back contradicted or a
 simulate or sweep-gap job diverged, 2 on usage, configuration, or I/O
-problems.
+problems, and on a problem too large to allocate.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def main(argv=None) -> int:
             _, failed = cmd_projected_test(config, n_states=args.n_states)
             return 1 if failed else 0
         raise AssertionError(f"unhandled command {args.command}")
-    except (AlignlabError, OSError) as exc:
+    except (AlignlabError, OSError, MemoryError) as exc:
         print(f"alignlab: error: {exc}", file=sys.stderr)
         return 2
 

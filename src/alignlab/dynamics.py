@@ -1,12 +1,18 @@
-"""Eigenbasis updates for full and block-projected stochastic steps, plus
-trajectory execution with periodic recording.
+"""Trajectories of full and block-projected SGD in the Hessian eigenbasis.
 
-`run_trajectory` draws its noise in chunks of steps into one reused buffer and
-updates the state in place. One bulk draw yields the same numbers as the same
-count of per-step draws, so every state and record is bit-identical to a
-one-draw-per-step run. The bulk draws release the GIL, so trajectories run on
-the harness thread pool overlap and `simulate`/`sweep-gap` get faster with more
-threads; their output bytes still do not depend on the thread count."""
+With diagonal noise each updated eigen-coordinate is a Gaussian AR(1) process,
+c <- a*c - eta*kappa*z with a = 1 - eta*lambda and z ~ N(0, 1), so R steps
+compose exactly in law into one jump (Gillespie 1996, Phys. Rev. E 54, 2084):
+
+    c <- a^R * c - ((z*kappa)*eta) * sqrt(G_R),   G_R = sum_{j<R} a^(2j).
+
+`run_trajectory` jumps from record to record (R = record_every, one normal per
+coordinate per record) when every updated mode has |a| < 1 and the start state
+lies inside the divergence limit. Otherwise it runs step by step (R = 1, where
+the jump is the SGD step bit for bit), so a diverging run reports the first
+step that leaves the limit. Noise is drawn a chunk of jumps at a time into one
+reused buffer whose spent rows then hold the chunk's records; the bulk draws
+release the GIL, and output bytes do not depend on the thread count."""
 
 from __future__ import annotations
 
@@ -22,9 +28,6 @@ from .state import State, _check_dims, _theta
 __all__ = [
     "ALGORITHMS",
     "TrajectoryRecord",
-    "sgd_step",
-    "projected_step",
-    "sample_noise",
     "run_trajectory",
     "write_trajectory_csv",
 ]
@@ -34,8 +37,9 @@ ALGORITHMS = ("sgd", "dsgd", "bsgd")
 # abort once any coordinate leaves this range; keeps failures loud instead of NaN
 _DIVERGENCE_LIMIT = 1e150
 
-# noise values drawn per chunk; 64 steps at d = 500, and the buffer stays small
-_CHUNK_VALUES = 32_000
+# noise values drawn per chunk: 32 jumps at d = 500. The record scratch array
+# has the same size, so the two stay small.
+_CHUNK_VALUES = 16_000
 
 
 def _chunk_rows(d: int) -> int:
@@ -64,53 +68,17 @@ class TrajectoryRecord:
         return int(self.times[-1])
 
 
-def _noise_sample(state: State, spec: Spectrum, noise_sample) -> np.ndarray:
-    _check_dims(state, spec)
-    zeta = np.asarray(noise_sample, dtype=float)
-    if zeta.shape != (spec.d,):
-        raise ParameterError(f"noise sample shape {zeta.shape} != ({spec.d},)")
-    return zeta
-
-
-def sgd_step(state: State, spec: Spectrum, noise_sample, eta: float) -> State:
-    """One full update c_i <- (1 - eta*lambda_i) c_i - eta*zeta_i."""
-    zeta = _noise_sample(state, spec, noise_sample)
-    c = (1.0 - eta * spec.lambdas) * state.c - eta * zeta
-    return State(c=c, t=state.t + 1)
-
-
-def projected_step(state: State, spec: Spectrum, noise_sample, eta: float, block: str) -> State:
-    """Update only the coordinates of one block (gradient and noise both
-    projected); the other block is untouched."""
-    zeta = _noise_sample(state, spec, noise_sample)
-    if block == "D":
-        sl = slice(None, spec.k)
-    elif block == "B":
-        sl = slice(spec.k, None)
-    else:
-        raise ParameterError(f"block must be 'D' or 'B', got {block!r}")
-    c = state.c.copy()
-    c[sl] = (1.0 - eta * spec.lambdas[sl]) * c[sl] - eta * zeta[sl]
-    return State(c=c, t=state.t + 1)
-
-
-def sample_noise(noise: NoiseProfile, rng: np.random.Generator) -> np.ndarray:
-    """One eigenbasis noise vector with independent N(0, kappa_i^2) entries."""
-    return rng.standard_normal(noise.d) * np.sqrt(noise.kappa2)
-
-
-def _raise_first_divergence(c, steps, t0: int, decay, sl) -> None:
-    """Replay one chunk step by step from its start state `c` (advanced in
-    place) and raise DivergenceError at the first step whose state leaves the
-    limit, with the step index and detail a per-step check would report.
-    Returns if no step does."""
-    cv = c[sl]
-    for t, step in enumerate(steps, t0 + 1):
-        np.multiply(decay, cv, out=cv)
-        np.subtract(cv, step, out=cv)
-        peak = float(np.max(np.abs(c)))
-        if not np.isfinite(peak) or peak > _DIVERGENCE_LIMIT:
-            raise DivergenceError(t, f"max |c_i| = {peak}")
+def _jump_coefficients(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a^n, sqrt(G_n)): decay and noise scale of an n-step jump. G_n is summed
+    term by term: no 0/0 at a = 1 and no cancellation at small eta*lambda,
+    unlike (1 - a^(2n)) / (1 - a^2)."""
+    a2 = a * a
+    g = np.zeros_like(a)
+    term = np.ones_like(a)
+    for _ in range(n):
+        g += term
+        term *= a2
+    return a**n, np.sqrt(g)
 
 
 def run_trajectory(
@@ -125,7 +93,7 @@ def run_trajectory(
 ) -> TrajectoryRecord:
     """Run T steps of the chosen update with fresh i.i.d. noise, recording
     (t, theta, loss, s_D, s_B) at t = 0, every `record_every` steps, and t = T.
-    Deterministic given `seed`.
+    Deterministic given `seed`; jumps between records as the module says.
     """
     if T < 1:
         raise ParameterError("T must be >= 1")
@@ -141,64 +109,92 @@ def run_trajectory(
     lam2 = lam**2
     kappa = np.sqrt(noise.kappa2)
     k = spec.k
-    if algo == "sgd":
-        sl = slice(None)
-    elif algo == "dsgd":
-        sl = slice(None, k)
-    else:
-        sl = slice(k, None)
-    decay = 1.0 - eta * lam[sl]
+    sl = {"sgd": slice(None), "dsgd": slice(None, k), "bsgd": slice(k, None)}[algo]
+    a = 1.0 - eta * lam[sl]
 
-    times, thetas, losses = [], [], []
-    sd_list, sb_list = [], []
-
-    def record(t, c):
-        c2 = c**2
-        s_d, s_b = map(float, spec.split_sum(lam2 * c2))
-        times.append(t)
-        thetas.append(_theta(s_d, s_b))
-        losses.append(float(0.5 * np.sum(lam * c2)))
-        sd_list.append(s_d)
-        sb_list.append(s_b)
-
-    rng = np.random.default_rng(seed)
     c = init.c.copy()
     cv = c[sl]  # view: the update writes through to c
-    buf = np.empty((min(_chunk_rows(spec.d), T), spec.d))
+    peak_start = float(np.max(np.abs(c)))
+    R = min(record_every, T) if np.all(np.abs(a) < 1.0) and peak_start <= _DIVERGENCE_LIMIT else 1
+    n_jumps = -(-T // R)
+    decay, scale = _jump_coefficients(a, R)
+    last = T - (n_jumps - 1) * R
+    decay_last, scale_last = (decay, scale) if last == R else _jump_coefficients(a, last)
+
+    rng = np.random.default_rng(seed)
+    buf = np.empty((min(_chunk_rows(spec.d), n_jumps), spec.d))
+    scratch = np.empty_like(buf)
+    times, s_d, s_b, losses = [0], [], [], []
+
+    def reduce(n):
+        """Append the records of the states held in buf[:n] (squared in place)."""
+        c2 = np.square(buf[:n], out=buf[:n])
+        dom, bulk = spec.split_sum(np.multiply(lam2, c2, out=scratch[:n]))
+        s_d.append(dom)
+        s_b.append(bulk)
+        losses.append(0.5 * np.multiply(lam, c2, out=scratch[:n]).sum(axis=1))
+
+    def draw(rows, j0):
+        """Noise of jumps j0, j0 + 1, ... into rows; returns its active columns."""
+        rng.standard_normal(out=rows)
+        rows *= kappa
+        np.multiply(eta, rows, out=rows)
+        active = rows[:, sl]
+        n_full = min(len(rows), n_jumps - 1 - j0)
+        active[:n_full] *= scale
+        active[n_full:] *= scale_last
+        return active
+
+    def advance(active, j0, check):
+        """Jumps j0, j0 + 1, ... on c, each due state copied to the next spent
+        front row of buf; `check` raises at the first state past the limit."""
+        due = []
+        for j, step in enumerate(active, j0):
+            t = min((j + 1) * R, T)
+            np.multiply(decay if j < n_jumps - 1 else decay_last, cv, out=cv)
+            np.subtract(cv, step, out=cv)
+            if check:
+                peak = float(np.max(np.abs(c)))
+                if not np.isfinite(peak) or peak > _DIVERGENCE_LIMIT:
+                    raise DivergenceError(t, f"max |c_i| = {peak}")
+            if t % record_every == 0 or t == T:
+                buf[len(due)] = c
+                due.append(t)
+        return due
+
     # Overflow is expected on diverging runs and is reported as
     # DivergenceError below, not as a RuntimeWarning.
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0, c)
-        peak_start = float(np.max(np.abs(c)))
-        for t0 in range(0, T, len(buf)):
-            steps = buf[: min(len(buf), T - t0)]
-            rng.standard_normal(out=steps)
-            # eta * (z * kappa): the per-step order, so the bits match
-            steps *= kappa
-            np.multiply(eta, steps, out=steps)
-            c_start = c.copy()
-            active = steps[:, sl]
-            for t, step in enumerate(active, t0 + 1):
-                np.multiply(decay, cv, out=cv)
-                np.subtract(cv, step, out=cv)
-                if t % record_every == 0 or t == T:
-                    record(t, c)
+        buf[0] = c
+        reduce(1)
+        for j0 in range(0, n_jumps, len(buf)):
+            rows = buf[: min(len(buf), n_jumps - j0)]
+            rng_start = rng.bit_generator.state
+            active = draw(rows, j0)
             # Within a chunk a contracting coordinate stays within its start
             # value plus its summed steps and a growing one within its end
             # value plus them, so this sum bounds every intermediate |c_i|
             # (NaN propagates); the half-limit margin absorbs rounding.
+            reach = len(rows) * (abs(float(active.max())) + abs(float(active.min())))
+            c_start = c.copy()
+            due = advance(active, j0, check=False)
             peak_end = float(np.max(np.abs(c)))
-            reach = len(steps) * (abs(float(active.max())) + abs(float(active.min())))
             if not peak_start + peak_end + reach < 0.5 * _DIVERGENCE_LIMIT:
-                _raise_first_divergence(c_start, active, t0, decay, sl)
+                # replay the chunk from its start, checking after every jump
+                rng.bit_generator.state = rng_start
+                c[:] = c_start
+                due = advance(draw(rows, j0), j0, check=True)
+            times += due
+            reduce(len(due))
             peak_start = peak_end
 
+    s_d, s_b = np.concatenate(s_d), np.concatenate(s_b)
     return TrajectoryRecord(
         times=np.asarray(times, dtype=int),
-        thetas=np.asarray(thetas, dtype=float),
-        losses=np.asarray(losses, dtype=float),
-        s_d=np.asarray(sd_list, dtype=float),
-        s_b=np.asarray(sb_list, dtype=float),
+        thetas=np.asarray([_theta(x, y) for x, y in zip(s_d.tolist(), s_b.tolist())], dtype=float),
+        losses=np.concatenate(losses),
+        s_d=s_d,
+        s_b=s_b,
     )
 
 

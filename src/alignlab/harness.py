@@ -110,7 +110,8 @@ class ExperimentConfig:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An int that fits numpy's int64, so no array shape or seed overflows."""
+    return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
 
 
 def _is_number(value) -> bool:
@@ -127,7 +128,7 @@ def _list_of(check, length=None):
     )
 
 
-_INTEGER = (_is_int, "an integer")
+_INTEGER = (_is_int, "an int64 integer")
 _NUMBER = (_is_number, "a finite number")
 # (check, description) of the JSON value each config field accepts
 _FIELD_TYPES = {
@@ -138,10 +139,10 @@ _FIELD_TYPES = {
     "T": _INTEGER,
     "sigma2": _NUMBER,
     "init_scale": _NUMBER,
-    "seeds": (_list_of(_is_int), "a list of integers"),
+    "seeds": (_list_of(_is_int), "a list of int64 integers"),
     "n_mc": _INTEGER,
     "record_every": _INTEGER,
-    "T_start": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "T_start": (lambda v: v is None or _is_int(v), "an int64 integer or null"),
     "output_dir": (lambda v: isinstance(v, str), "a string"),
     "bulk_range": (_list_of(_is_number, 2), "a list of two finite numbers"),
     "top_spread": _NUMBER,

@@ -1,8 +1,10 @@
-"""Shared random-problem generators for the test suite."""
+"""Shared random-problem generators for the test suite, and the
+step-by-step SGD reference that `run_trajectory` is checked against."""
 
 import numpy as np
 
-from alignlab import NoiseProfile, State, build_spectrum, random_init
+from alignlab import NoiseProfile, ParameterError, Spectrum, State, build_spectrum, random_init
+from alignlab.state import _check_dims
 
 DIMS = (10, 50, 200)
 
@@ -46,3 +48,38 @@ def shared_draw_problem(seed, d, n_states=3):
     rng = np.random.default_rng(seed)
     spec, noise, state = random_problem(rng, d=d)
     return spec, noise, [state] + [State(c=rng.normal(0.0, 1.0, d)) for _ in range(n_states - 1)]
+
+
+def _noise_sample(state: State, spec: Spectrum, noise_sample) -> np.ndarray:
+    _check_dims(state, spec)
+    zeta = np.asarray(noise_sample, dtype=float)
+    if zeta.shape != (spec.d,):
+        raise ParameterError(f"noise sample shape {zeta.shape} != ({spec.d},)")
+    return zeta
+
+
+def sgd_step(state: State, spec: Spectrum, noise_sample, eta: float) -> State:
+    """One full update c_i <- (1 - eta*lambda_i) c_i - eta*zeta_i."""
+    zeta = _noise_sample(state, spec, noise_sample)
+    c = (1.0 - eta * spec.lambdas) * state.c - eta * zeta
+    return State(c=c, t=state.t + 1)
+
+
+def projected_step(state: State, spec: Spectrum, noise_sample, eta: float, block: str) -> State:
+    """Update only the coordinates of one block (gradient and noise both
+    projected); the other block is untouched."""
+    zeta = _noise_sample(state, spec, noise_sample)
+    if block == "D":
+        sl = slice(None, spec.k)
+    elif block == "B":
+        sl = slice(spec.k, None)
+    else:
+        raise ParameterError(f"block must be 'D' or 'B', got {block!r}")
+    c = state.c.copy()
+    c[sl] = (1.0 - eta * spec.lambdas[sl]) * c[sl] - eta * zeta[sl]
+    return State(c=c, t=state.t + 1)
+
+
+def sample_noise(noise: NoiseProfile, rng: np.random.Generator) -> np.ndarray:
+    """One eigenbasis noise vector with independent N(0, kappa_i^2) entries."""
+    return rng.standard_normal(noise.d) * np.sqrt(noise.kappa2)

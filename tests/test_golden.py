@@ -30,24 +30,24 @@ PRESETS = {
 
 SHA256 = {
     "simulate": {
-        "alignment_m20_seed1.svg": "cf97df7a2a849e49857568a32b9c6eff182b53ef51107131be694da45a949b3e",
-        "alignment_m20_seed2.svg": "341de7295758294b736a3a76566299da26250216f63354239caf1bf42b48ccbb",
-        "alignment_m8_seed1.svg": "b1c206217d52e2af94e4f2024e0bc546b5e09d656dba6461485db2632eca0098",
-        "alignment_m8_seed2.svg": "e5aed05ca4d23e761f693a5ec46c6a7b63f537674a7eecca49684c9e9ee5cca4",
-        "loss_m20_seed1.svg": "9445b51616798d697e3e4750f0c2a62cb88a62849223ea08c7726fa4e30bf2ef",
-        "loss_m20_seed2.svg": "33ce89aa09da4c725b809a48be67f5402fb311820bd017db2a0bac238eda76c3",
-        "loss_m8_seed1.svg": "6d282da77dc13d8fbb354327401f62e7b2c041ee28922e33a2787097d62b876b",
-        "loss_m8_seed2.svg": "9562d6f02c7265a1b544de247ca1371c41985fbab357ec5218961885bad66ff0",
-        "summary.csv": "307a1bbd93f626817e5d27e3e7f895c69f6ebb75b89a07c48a542267a355c873",
-        "traj_m20_seed1.csv": "1939b1cdf47ba119f946845422acf3acc1ca4c3ab02c4a1c392c56c64915cff0",
-        "traj_m20_seed2.csv": "1a7dff33ef0426f2db7fd806971ad719aa0b548f1604050f3c2e4a4167cb0d91",
-        "traj_m8_seed1.csv": "b9ba6586f30e51868611c374f84c46126a27d2452409d74005cf9f4e9ebc462e",
-        "traj_m8_seed2.csv": "76b9ecb482b9abd3945e25bb857e06727fb9dbcc51827867a07f069c39983d9d",
+        "alignment_m20_seed1.svg": "02b61d90e90275e8ceb16125128121560b7694aeb28ff9d511d3564ffaa44290",
+        "alignment_m20_seed2.svg": "3173f9cdbfbe7fb810069667da14f2ae7aa72828f39ed612095d5f5b1dfac8a0",
+        "alignment_m8_seed1.svg": "81dadf9c609d501210d2db7aec38777e5064e9b7c0756ad0a559e5bee6a77d88",
+        "alignment_m8_seed2.svg": "8d05b81c528a981572a77f687abc38e129d556e4d8aaadea0b47da6b4b4589a6",
+        "loss_m20_seed1.svg": "b182af1c6158e48c01f2acc44c3393aa2f11f6e91292f48612e9022270cb3b32",
+        "loss_m20_seed2.svg": "94a608d6c1bd2627884279297102a4f286d0e55e59d128ddefc574e50b33e8b7",
+        "loss_m8_seed1.svg": "ce644cce7bec7b3650f2927492cbfb221397402f0e85bb433c04567304044062",
+        "loss_m8_seed2.svg": "48511466a6c5fdce5793a792ebb71bbf66327dd14026ecad27d819f52c90b7e9",
+        "summary.csv": "063fd52010dca9f953514570609bfc15ea4728771566b806d61c1900f03df032",
+        "traj_m20_seed1.csv": "e529144aac4f8c0bf21844711a7f2abdce3b8915a01e932a8173e4a31d54c1f0",
+        "traj_m20_seed2.csv": "07a485086a868777ca4718cf369f14b623fb8c2628b7c875cb84e3f90b3f1d9e",
+        "traj_m8_seed1.csv": "a9b026f7536dd747218365f24d8a7de5759a38cb5ad88e33119041d28cfed223",
+        "traj_m8_seed2.csv": "94c789c8ce672d4807eba1c9c253a6fd1635ce103d8fdf0ae8f8c17453f5733e",
     },
     "sweep": {
-        "alignment_vs_m.csv": "6354fc461880086316e960a60ad324df02d5e9d448fae4910de03c3beb2f16f3",
-        "alignment_vs_m.svg": "050a5db96e37f21ffc4926162daeedc9aaf116cbb5caa82b7588cbe350ba2f9c",
-        "alignment_vs_m_logfit.csv": "7114a45a59e225c164d8ff3551c7479f8d3e2ff308492a6fae369598b5c59a6c",
+        "alignment_vs_m.csv": "1b7bdac7c390440149722d37c2e8311b35fc58388ac3687cc21cbc9718dcfc05",
+        "alignment_vs_m.svg": "3fa20eafed16080beffda9abaf5f929cd279ba1a7b850b5c2abaeba3e7fce9ac",
+        "alignment_vs_m_logfit.csv": "55c8f576bd2495ef5a32f65784fab79ebcddf5d2f88ee6f51a2694ac0d690cd0",
     },
     "drift": {
         "drift_verdicts.csv": "e5b9becfd2e1ddba6ce801a91d17894dd01a96c7fbae4c562f3ce641a528ac0e",
@@ -59,7 +59,7 @@ SHA256 = {
 
 
 @pytest.mark.skipif(np.__version__ != NUMPY_VERSION, reason=f"hashes recorded with numpy {NUMPY_VERSION}")
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("preset", list(PRESETS))
 def test_preset_output_bytes(preset, threads, tmp_path, monkeypatch):
     monkeypatch.setenv("ALIGNLAB_THREADS", threads)

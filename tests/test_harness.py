@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -410,6 +411,24 @@ class TestCli:
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         err = self._usage_error(["print-config", "--config", str(path)], capsys)
         assert f"config field {field} must be" in err
+
+    def test_d_outside_int64_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"d": 1000000000000000000000, "k": 4}')
+        for command in ("print-config", "simulate"):
+            err = self._usage_error([command, "--config", str(path), "--out", str(tmp_path / "runs")], capsys)
+            assert "config field 'd' must be" in err
+
+    @pytest.mark.skipif(
+        not Path("/proc/sys/vm/overcommit_memory").is_file()
+        or Path("/proc/sys/vm/overcommit_memory").read_text().strip() == "1",
+        reason="needs a kernel that refuses an 8 TiB allocation up front",
+    )
+    def test_d_too_large_to_allocate_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"d": 1000000000000, "k": 4}')
+        err = self._usage_error(["simulate", "--config", str(path), "--out", str(tmp_path / "runs")], capsys)
+        assert "Unable to allocate" in err
 
     def test_diverged_job_keeps_the_rest_of_the_grid(self, tmp_path, capsys):
         out = tmp_path / "runs"

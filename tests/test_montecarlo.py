@@ -26,7 +26,6 @@ from alignlab import (
     projected_loss_test,
     rescale_to_alignment,
     run_trajectory,
-    sgd_step,
     suggest_phase2_start,
 )
 from alignlab.dynamics import TrajectoryRecord
@@ -40,7 +39,7 @@ from alignlab.montecarlo import (
     _projected_kernel,
 )
 
-from helpers import random_problem, shared_draw_problem
+from helpers import random_problem, sgd_step, shared_draw_problem
 
 # E[theta_{t+1}] for the 2-d fixture at eta=0.1, frozen from two independent
 # quadratures (400-node Gauss-Hermite grid and adaptive integration agree to
