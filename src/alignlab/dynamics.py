@@ -16,14 +16,13 @@ release the GIL, and output bytes do not depend on the thread count."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .spectrum import NoiseProfile, Spectrum
-from .state import State, _check_dims, _theta
+from .state import State, _check_dims
 
 __all__ = [
     "ALGORITHMS",
@@ -189,9 +188,12 @@ def run_trajectory(
             peak_start = peak_end
 
     s_d, s_b = np.concatenate(s_d), np.concatenate(s_b)
+    # theta = s_D / (s_D + s_B), with theta = 0 for the zero state
+    tot = s_d + s_b
+    thetas = np.divide(s_d, tot, out=np.zeros_like(tot), where=tot > 0)
     return TrajectoryRecord(
         times=np.asarray(times, dtype=int),
-        thetas=np.asarray([_theta(x, y) for x, y in zip(s_d.tolist(), s_b.tolist())], dtype=float),
+        thetas=thetas,
         losses=np.concatenate(losses),
         s_d=s_d,
         s_b=s_b,
@@ -199,9 +201,8 @@ def run_trajectory(
 
 
 def write_trajectory_csv(path, traj: TrajectoryRecord) -> None:
-    """Columns step,theta,loss. Identical inputs produce identical bytes."""
+    """Columns step,theta,loss, floats as repr, CRLF line ends (the bytes
+    csv.writer gives). Identical inputs produce identical bytes."""
+    rows = zip(traj.times.tolist(), traj.thetas.tolist(), traj.losses.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "theta", "loss"])
-        for i in range(len(traj.times)):
-            writer.writerow([int(traj.times[i]), repr(float(traj.thetas[i])), repr(float(traj.losses[i]))])
+        fh.write("step,theta,loss\r\n" + "".join(f"{t},{th!r},{lo!r}\r\n" for t, th, lo in rows))

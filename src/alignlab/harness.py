@@ -198,6 +198,10 @@ def _stream_int(seed: int, m: float, label: int, *extra: int) -> int:
 
 
 def _atomic_write(path: Path, writer) -> None:
+    """writer(tmp), then rename tmp to path. The directory is made here, at
+    the first file written into it, so a command that fails before it has
+    anything to write leaves no empty directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".part")
     try:
         writer(tmp)
@@ -293,7 +297,6 @@ def cmd_simulate(config: ExperimentConfig) -> tuple[Path, bool]:
         if other != m:
             raise ParameterError(f"m values {other!r} and {m!r} would share the output file stem {_m_stem(m)!r}")
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     results, diverged = _run_grid(config, "simulate")
 
     for res in results:
@@ -337,7 +340,6 @@ def cmd_sweep_gap(config: ExperimentConfig) -> tuple[Path, bool]:
     if len(config.m_list) < 2:
         raise ParameterError("sweep needs at least two m values")
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     results, diverged = _run_grid(config, "sweep-gap")
 
     t_start = config.resolved_t_start
@@ -436,7 +438,6 @@ def cmd_drift_test(
     if not theta_targets or not eta_factors:
         raise ParameterError("need at least one theta target and one eta factor")
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     m, seed = config.m_list[0], config.seeds[0]
     spec, noise = _problem_for(config, m, seed)
     base = random_init(config.d, config.init_scale, seed=_stream(seed, m, _STREAM_INIT))
@@ -486,7 +487,6 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
     if n_states < 1:
         raise ParameterError("n_states must be >= 1")
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     m, seed = config.m_list[0], config.seeds[0]
     spec, noise = _problem_for(config, m, seed)
 

@@ -1,30 +1,41 @@
 """Monte-Carlo estimates of one-step conditional expectations, and sign tests
 of the drift predictions against them.
 
-Sampling schedule: an estimate with sample count n and seed s is split into
-fixed batches of _BATCH draws; batch j uses the stream
-``default_rng(SeedSequence([s, j]))``. Batches run on the job pool
-(ALIGNLAB_THREADS). Each worker draws its batch in row blocks of about
-_BLOCK_VALUES normals into one reused buffer that stays in cache; successive
-blocks continue one generator stream, so the draws equal one whole (batch, d)
-draw. Per-batch results come back in batch order, are accumulated in the
-calling thread, and partial sums are combined with ``math.fsum``, which is
-exactly rounded. Results are therefore bit-identical for a given (n, seed)
-whatever the pool size, and two estimates with the same seed share their
-noise draws (common random numbers).
+Sampling schedule: an estimate of n samples with seed s draws ceil(n/2)
+noise vectors z and uses each twice, as z and as -z (antithetic pairs,
+Hammersley & Morton 1956). The draws are split into fixed batches of _BATCH
+vectors; batch j uses the stream ``default_rng(SeedSequence([s, j]))``.
+Batches run on the job pool (ALIGNLAB_THREADS). Each worker draws its batch
+in row blocks of about _BLOCK_VALUES normals into one reused buffer that
+stays in cache; successive blocks continue one generator stream, so the
+draws equal one whole (batch, d) draw. Per-batch results come back in batch
+order, are accumulated in the calling thread, and partial sums are combined
+with ``math.fsum``, which is exactly rounded. Results are therefore
+bit-identical for a given (n, seed) whatever the pool size, and two
+estimates with the same seed share their noise draws (common random
+numbers).
 
 Kernel: every statistic estimated here is quadratic in the noise, so a
 draw z enters a state's statistics only through block sums: two linear forms
 per block that depend on the state, and one weighted sum of squares per block
-that depends only on the spectrum and the noise (`_block_sums`). One estimate
-serves several states on one spectrum and noise profile: each draw is reduced
-to every state's linear forms and the shared sums of squares, and what is
-left per state, step size and block is O(batch) work. The verdict presets
-therefore draw once per preset: `drift-test` for all its targets and step
-sizes, `projected-test` for all its states and both blocks. Their verdicts
-are correlated across states, while each keeps its own marginal law and n.
-The sums use numpy's own einsum loop rather than BLAS, so their bits do not
-depend on BLAS's thread count either.
+that depends only on the spectrum and the noise (`_block_sums`). The linear
+forms are odd in z and the sum of squares is even, so the sums of -z are
+those of z with the linear forms negated, and the mirrored sample costs no
+draw. Each pair contributes one sample, the mean of its two rows, so
+`McEstimate.n` counts pairs and its stderr is the pair std / sqrt(pairs).
+Pair means are i.i.d. and unbiased; the part of a statistic that is linear
+in z cancels within a pair; per draw the variance never rises
+(Var((g(z) + g(-z))/2) <= Var g(z)), and per requested sample it rises at
+most 2x, for a statistic even in z.
+
+One estimate serves several states on one spectrum and noise profile: each
+draw is reduced to every state's linear forms and the shared sums of
+squares, and what is left per state, step size and block is O(batch) work.
+The verdict presets therefore draw once per preset: `drift-test` for all its
+targets and step sizes, `projected-test` for all its states and both blocks.
+Their verdicts are correlated across states, while each keeps its own
+marginal law and n. The sums use numpy's own einsum loop rather than BLAS, so
+their bits do not depend on BLAS's thread count either.
 """
 
 from __future__ import annotations
@@ -56,7 +67,8 @@ __all__ = [
     "suggest_phase2_start",
 ]
 
-_BATCH = 8192
+# noise vectors per batch; each serves an antithetic pair of samples
+_BATCH = 4096
 # normals per row block of a batch's draw: the block stays in cache while
 # every kernel's sums pass over it
 _BLOCK_VALUES = 65536
@@ -66,7 +78,9 @@ _VERDICT_MIN_N = 1000
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sample mean with its standard error (sample std / sqrt(n))."""
+    """Sample mean with its standard error (sample std / sqrt(n)). For the
+    Monte-Carlo estimates n counts antithetic pairs, ceil(samples / 2), and
+    each sample of the mean is one pair's mean."""
 
     mean: float
     stderr: float
@@ -172,18 +186,21 @@ class _Kernel(NamedTuple):
 
 def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstimate]:
     """Mean and standard error of every row of every kernel, kernel by kernel,
-    over the batches of the (n, seed) schedule, which run on the job pool.
-    The kernels come from one factory on spec and one noise profile, so they
-    share q and every draw. Each worker draws a batch in row blocks of
-    about _BLOCK_VALUES normals into one reused buffer (successive
-    standard_normal(out=) calls on a generator continue one stream), reduces
-    each block to its block sums, and finishes the batch's rows from them.
-    Batch results are accumulated in batch order."""
+    from ceil(n/2) antithetic pairs over the batches of the schedule, which
+    run on the job pool. The kernels come from one factory on spec and one
+    noise profile, so they share q and every draw. Each worker draws a batch
+    in row blocks of about _BLOCK_VALUES normals into one reused buffer
+    (successive standard_normal(out=) calls on a generator continue one
+    stream) and reduces each block to its block sums. Every kernel then
+    finishes the batch's rows from the sums of z and of -z, which differ only
+    in the sign of the linear forms, and yields the mean of the two. Batch
+    results are accumulated in batch order."""
     if not kernels:
         return []
     k, d, q = spec.k, spec.d, kernels[0].q
     vectors = [v for kernel in kernels for v in (kernel.a, kernel.b)]
-    block_rows = min(n, _BATCH, max(1, _BLOCK_VALUES // d))
+    pairs = -(-n // 2)
+    block_rows = min(pairs, _BATCH, max(1, _BLOCK_VALUES // d))
     local = threading.local()
 
     def run(batch):
@@ -195,12 +212,15 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
             z = local.buffer[: min(block_rows, nb - start)]
             rng.standard_normal(out=z)
             _block_sums(z, k, vectors, q, sums[:, :, start : start + len(z)])
-        return np.concatenate(
-            [kernel.finish(sums[2 * i], sums[2 * i + 1], sums[-1]) for i, kernel in enumerate(kernels)]
-        )
+        quad = sums[-1]
+        rows = []
+        for i, kernel in enumerate(kernels):
+            l1, l2 = sums[2 * i], sums[2 * i + 1]
+            rows.append(0.5 * (kernel.finish(l1, l2, quad) + kernel.finish(-l1, -l2, quad)))
+        return np.concatenate(rows)
 
     acc = _Accumulator()
-    for rows in run_jobs(run, list(_batches(n, seed))):
+    for rows in run_jobs(run, list(_batches(pairs, seed))):
         acc.add(rows)
     return acc.estimates()
 

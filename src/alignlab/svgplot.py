@@ -138,7 +138,8 @@ def line_plot(path, series, title="", xlabel="", ylabel="", xlog=False, ylog=Fal
         if x.size == 0:
             continue
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(_transform(x, xlog), _transform(y, ylog)))
+        xp, yp = px(_transform(x, xlog)).tolist(), py(_transform(y, ylog)).tolist()
+        pts = " ".join(f"{a:.6g},{b:.6g}" for a, b in zip(xp, yp))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         if label:
             ly = _MARGIN_T + 14 + 14 * i

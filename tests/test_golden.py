@@ -23,7 +23,8 @@ PRESETS = {
                  "--seed", "1", "--seed", "2"],
     "sweep": ["sweep-gap", *COMMON, "--eta", "0.02", "--steps", "300", "--m", "8", "--m", "20",
               "--seed", "1", "--seed", "2"],
-    # 20_001 draws: two full Monte-Carlo batches and a short one
+    # 20_001 samples = 10_001 antithetic pairs: two full Monte-Carlo batches
+    # and a short one
     "drift": ["drift-test", *COMMON, "--m", "8", "--seed", "3", "--n-mc", "20001"],
     "projected": ["projected-test", *COMMON, "--m", "8", "--seed", "3", "--n-mc", "20001", "--n-states", "3"],
 }
@@ -50,10 +51,10 @@ SHA256 = {
         "alignment_vs_m_logfit.csv": "55c8f576bd2495ef5a32f65784fab79ebcddf5d2f88ee6f51a2694ac0d690cd0",
     },
     "drift": {
-        "drift_verdicts.csv": "e5b9becfd2e1ddba6ce801a91d17894dd01a96c7fbae4c562f3ce641a528ac0e",
+        "drift_verdicts.csv": "9969fdbaeb6c995b48c0a3efee9dfc36ccf99ec13d00607a822a82b2b849957c",
     },
     "projected": {
-        "projected_verdicts.csv": "c32e052a5b417c5e32b83e5fedf3e76a7355ceef7be2b4501b121b4415e72013",
+        "projected_verdicts.csv": "06323a0538f33acf8a65df26da8e55b1cbd4e318fcd3d3f763bac13425b9f506",
     },
 }
 

@@ -429,6 +429,24 @@ class TestCli:
         path.write_text('{"d": 1000000000000, "k": 4}')
         err = self._usage_error(["simulate", "--config", str(path), "--out", str(tmp_path / "runs")], capsys)
         assert "Unable to allocate" in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-gap", "drift-test", "projected-test"])
+    def test_failed_command_creates_no_output_directory(self, command, tmp_path, capsys):
+        # the bulk range passes config validation and fails when the spectrum
+        # is built, after the command has started its work
+        path = tmp_path / "cfg.json"
+        path.write_text('{"bulk_range": [1.0, 0.5]}')
+        argv = [command, "--config", str(path), "--d", "24", "--k", "4", "--steps", "50", "--m", "5", "--m", "8",
+                "--n-mc", "1000", "--out"]
+        err = self._usage_error([*argv, str(tmp_path / "new" / "runs")], capsys)
+        assert "bulk_range" in err
+        assert not (tmp_path / "new").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine")
+        self._usage_error([*argv, str(kept)], capsys)
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
 
     def test_diverged_job_keeps_the_rest_of_the_grid(self, tmp_path, capsys):
         out = tmp_path / "runs"

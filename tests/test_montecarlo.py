@@ -28,6 +28,7 @@ from alignlab import (
     run_trajectory,
     suggest_phase2_start,
 )
+from alignlab import montecarlo
 from alignlab.dynamics import TrajectoryRecord
 from alignlab.harness import _state_above_theta_star
 from alignlab.montecarlo import (
@@ -233,30 +234,56 @@ class TestSufficientStatisticsKernel:
                 np.testing.assert_allclose(row, -eta * lin + 0.5 * eta**2 * sq, rtol=0,
                                            atol=1e-12 * np.max(eta * np.abs(lin) + eta**2 * sq))
 
-    @pytest.mark.parametrize("d", [10, 50])
-    def test_f_variance_matches_gaussian_quadratic_form(self, d):
-        # f - E f = sum a_i zeta_i + sum b_i (zeta_i^2 - kappa_i^2), so
-        # Var f = sum a_i^2 kappa_i^2 + 2 sum b_i^2 kappa_i^4
-        # (Mathai & Provost 1992, Quadratic Forms in Random Variables)
+    @staticmethod
+    def f_coefficients(d):
+        """A problem, and per step size the coefficients a (linear) and b
+        (quadratic) of f - E f = sum a_i zeta_i + sum b_i (zeta_i^2 - kappa_i^2)."""
         spec, noise, state = wide_blocks_problem(100 + d, d)
-        lam, k, n = spec.lambdas, spec.k, 100_000
+        lam, k = spec.lambdas, spec.k
         stats = block_stats(state, spec, noise)
         weight = np.where(np.arange(d) < k, stats.s_b, -stats.s_d)
+        coeffs = {}
         for eta in (0.3 / spec.lambda_max, 1.5 / spec.lambda_max):
             a = -2.0 * eta * weight * lam**2 * (1.0 - eta * lam) * state.c
-            b = eta**2 * weight * lam**2
-            var = np.sum(a**2 * noise.kappa2) + 2.0 * np.sum(b**2 * noise.kappa2**2)
+            coeffs[eta] = (a, eta**2 * weight * lam**2)
+        return spec, noise, state, coeffs
+
+    @pytest.mark.parametrize("d", [10, 50])
+    def test_f_variance_matches_gaussian_quadratic_form(self, d):
+        # the linear part of f is odd in z and cancels within an antithetic
+        # pair, so a pair mean has Var = 2 sum b_i^2 kappa_i^4
+        # (Mathai & Provost 1992, Quadratic Forms in Random Variables)
+        spec, noise, state, coeffs = self.f_coefficients(d)
+        n = 100_000
+        for eta, (_, b) in coeffs.items():
+            var = 2.0 * np.sum(b**2 * noise.kappa2**2)
             est = one_step(state, spec, noise, eta, n, seed=d)["f"]
-            assert est.stderr**2 * n == pytest.approx(var, rel=0.05)
+            assert est.n == n // 2
+            assert est.stderr**2 * est.n == pytest.approx(var, rel=0.05)
+
+    @pytest.mark.parametrize("d", [10, 50])
+    def test_one_sided_f_variance_matches_gaussian_quadratic_form(self, d):
+        # the kernel's rows on plain draws carry the full law of f, linear
+        # part included: Var f = sum a_i^2 kappa_i^2 + 2 sum b_i^2 kappa_i^4
+        spec, noise, state, coeffs = self.f_coefficients(d)
+        rng = np.random.default_rng(200 + d)
+        for eta, (a, b) in coeffs.items():
+            var = np.sum(a**2 * noise.kappa2) + 2.0 * np.sum(b**2 * noise.kappa2**2)
+            f = np.concatenate([
+                kernel_rows(_one_step_kernel(state, spec, noise, [eta]), spec.k, rng.standard_normal((10_000, d)))[0]
+                for _ in range(10)
+            ])
+            assert np.var(f, ddof=1) == pytest.approx(var, rel=0.05)
 
 
 class TestSharedDraw:
     """All states of one estimate share each draw, which each worker draws in
-    row blocks; every state's per-sample rows must equal those computed from
-    the whole (nb, d) draw of the batch, bit for bit."""
+    row blocks and uses as an antithetic pair z, -z; every state's rows must
+    equal the mean of those computed from the whole (nb, d) draw of the batch
+    and from its negation, bit for bit."""
 
-    # 20_001 = two full batches and a short one; at d = 10, 60 and 500 the
-    # last row block of every batch is short as well
+    # 20_001 samples = 10_001 pairs: two full batches and a short one; at
+    # d = 10, 60 and 500 the last row block of every batch is short as well
     @pytest.mark.parametrize("d", [2, 10, 60, 500])
     def test_row_blocks_equal_whole_batch_draw(self, d, monkeypatch):
         monkeypatch.setenv("ALIGNLAB_THREADS", "1")
@@ -266,26 +293,30 @@ class TestSharedDraw:
             [_one_step_kernel(state, spec, noise, etas) for state in states],
             [_projected_kernel(state, spec, noise, 0.7 / spec.lambda_max) for state in states],
         )
-        seed, sizes = 28, (8192, 8192, 3617)
+        seed, sizes = 28, (4096, 4096, 1809)
+        fed = []
+        add = montecarlo._Accumulator.add
+
+        def capture(acc, rows):
+            fed.append(rows.copy())
+            add(acc, rows)
+
+        monkeypatch.setattr(montecarlo._Accumulator, "add", capture)
         for family in families:
-            seen = []
-
-            def capture(kernel):
-                def finish(*sums):
-                    seen.append(kernel.finish(*sums))
-                    return seen[-1]
-
-                return kernel._replace(finish=finish)
-
-            ests = _estimate(sum(sizes), seed, spec, [capture(kernel) for kernel in family])
-            assert len(ests) == sum(len(rows) for rows in seen[: len(family)])
+            fed.clear()
+            ests = _estimate(20_001, seed, spec, family)
             expected = []
             for j, nb in enumerate(sizes):
                 z = np.random.default_rng(np.random.SeedSequence([seed, j])).standard_normal((nb, d))
-                expected += [kernel_rows(kernel, spec.k, z.copy()) for kernel in family]
-            assert len(seen) == len(expected)
-            for got, want in zip(seen, expected):
+                expected.append(np.concatenate([
+                    0.5 * (kernel_rows(kernel, spec.k, z.copy()) + kernel_rows(kernel, spec.k, -z))
+                    for kernel in family
+                ]))
+            assert len(fed) == len(expected)
+            for got, want in zip(fed, expected):
                 assert np.array_equal(got, want)
+            assert len(ests) == len(expected[0])
+            assert all(est.n == sum(sizes) for est in ests)
 
     def test_each_state_equals_its_own_estimate(self):
         # sharing a draw changes no state's estimate: each equals the estimate
@@ -300,8 +331,9 @@ class TestSharedDraw:
 
 
 class TestThreadCountInvariance:
-    # 20_001 is not a multiple of the batch size: two full batches and a short one
+    # 20_001 samples are 10_001 antithetic pairs: two full batches and a short one
     N = 20_001
+    PAIRS = 10_001
 
     def _under_threads(self, monkeypatch, run):
         results = []
@@ -317,7 +349,7 @@ class TestThreadCountInvariance:
             monkeypatch, lambda: one_step_estimates(state, spec, noise, etas, self.N, seed=17)
         )
         assert a == b == c
-        assert a[etas[0]]["f"].n == self.N
+        assert a[etas[0]]["f"].n == self.PAIRS
 
     @pytest.mark.parametrize("block", ["D", "B"])
     def test_projected_loss_test(self, monkeypatch, block):
@@ -326,7 +358,7 @@ class TestThreadCountInvariance:
             monkeypatch, lambda: projected_loss_test(state, spec, noise, 0.3, block, self.N, seed=18)
         )
         assert a == b == c
-        assert a.verdict.estimate.n == self.N
+        assert a.verdict.estimate.n == self.PAIRS
 
     def test_multi_state_estimates(self, monkeypatch):
         spec, noise, states = shared_draw_problem(32, 50)
