@@ -9,10 +9,11 @@ compose exactly in law into one jump (Gillespie 1996, Phys. Rev. E 54, 2084):
 `run_trajectory` jumps from record to record (R = record_every, one normal per
 coordinate per record) when every updated mode has |a| < 1 and the start state
 lies inside the divergence limit. Otherwise it runs step by step (R = 1, where
-the jump is the SGD step bit for bit), so a diverging run reports the first
-step that leaves the limit. Noise is drawn a chunk of jumps at a time into one
-reused buffer whose spent rows then hold the chunk's records; the bulk draws
-release the GIL, and output bytes do not depend on the thread count."""
+the jump is the SGD step bit for bit). Noise is drawn a chunk of jumps at a
+time into one reused buffer; each jump writes its state over its spent noise
+row, and one pass per chunk checks every state against the divergence limit
+(no replay) before the records are reduced in place. The bulk draws release
+the GIL, and output bytes do not depend on the thread count."""
 
 from __future__ import annotations
 
@@ -113,8 +114,7 @@ def run_trajectory(
 
     c = init.c.copy()
     cv = c[sl]  # view: the update writes through to c
-    peak_start = float(np.max(np.abs(c)))
-    R = min(record_every, T) if np.all(np.abs(a) < 1.0) and peak_start <= _DIVERGENCE_LIMIT else 1
+    R = min(record_every, T) if np.all(np.abs(a) < 1.0) and np.max(np.abs(c)) <= _DIVERGENCE_LIMIT else 1
     n_jumps = -(-T // R)
     decay, scale = _jump_coefficients(a, R)
     last = T - (n_jumps - 1) * R
@@ -144,48 +144,29 @@ def run_trajectory(
         active[n_full:] *= scale_last
         return active
 
-    def advance(active, j0, check):
-        """Jumps j0, j0 + 1, ... on c, each due state copied to the next spent
-        front row of buf; `check` raises at the first state past the limit."""
-        due = []
-        for j, step in enumerate(active, j0):
-            t = min((j + 1) * R, T)
-            np.multiply(decay if j < n_jumps - 1 else decay_last, cv, out=cv)
-            np.subtract(cv, step, out=cv)
-            if check:
-                peak = float(np.max(np.abs(c)))
-                if not np.isfinite(peak) or peak > _DIVERGENCE_LIMIT:
-                    raise DivergenceError(t, f"max |c_i| = {peak}")
-            if t % record_every == 0 or t == T:
-                buf[len(due)] = c
-                due.append(t)
-        return due
-
     # Overflow is expected on diverging runs and is reported as
     # DivergenceError below, not as a RuntimeWarning.
     with np.errstate(over="ignore", invalid="ignore"):
         buf[0] = c
         reduce(1)
         for j0 in range(0, n_jumps, len(buf)):
-            rows = buf[: min(len(buf), n_jumps - j0)]
-            rng_start = rng.bit_generator.state
-            active = draw(rows, j0)
-            # Within a chunk a contracting coordinate stays within its start
-            # value plus its summed steps and a growing one within its end
-            # value plus them, so this sum bounds every intermediate |c_i|
-            # (NaN propagates); the half-limit margin absorbs rounding.
-            reach = len(rows) * (abs(float(active.max())) + abs(float(active.min())))
-            c_start = c.copy()
-            due = advance(active, j0, check=False)
-            peak_end = float(np.max(np.abs(c)))
-            if not peak_start + peak_end + reach < 0.5 * _DIVERGENCE_LIMIT:
-                # replay the chunk from its start, checking after every jump
-                rng.bit_generator.state = rng_start
-                c[:] = c_start
-                due = advance(draw(rows, j0), j0, check=True)
-            times += due
+            n = min(len(buf), n_jumps - j0)
+            # jump j0 + i overwrites its spent noise row buf[i] with the state it reaches
+            for i, step in enumerate(draw(buf[:n], j0)):
+                np.multiply(decay if j0 + i < n_jumps - 1 else decay_last, cv, out=cv)
+                np.subtract(cv, step, out=cv)
+                buf[i] = c
+            t = np.minimum(np.arange(j0 + 1, j0 + n + 1) * R, T)
+            peaks = np.abs(buf[:n], out=scratch[:n]).max(axis=1)
+            bad = np.flatnonzero(~(peaks <= _DIVERGENCE_LIMIT))  # NaN is bad too
+            if len(bad):
+                raise DivergenceError(int(t[bad[0]]), f"max |c_i| = {float(peaks[bad[0]])}")
+            # every jump ends on a record; single steps only every record_every-th
+            due = np.flatnonzero((t % record_every == 0) | (t == T))
+            if len(due) < n:
+                buf[: len(due)] = buf[due]
+            times += t[due].tolist()
             reduce(len(due))
-            peak_start = peak_end
 
     s_d, s_b = np.concatenate(s_d), np.concatenate(s_b)
     # theta = s_D / (s_D + s_B), with theta = 0 for the zero state

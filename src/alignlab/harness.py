@@ -391,9 +391,12 @@ def _parse_theta_target(token, spec: Spectrum, noise: NoiseProfile) -> tuple[str
     text = str(token).strip().lower()
     if text == "high":
         return "high", None
-    if text.endswith("*ggap"):
-        return "absolute", float(text[: -len("*ggap")]) * theory.g_gap(spec, noise)
-    return "absolute", float(text)
+    try:
+        if text.endswith("*ggap"):
+            return "absolute", float(text[: -len("*ggap")]) * theory.g_gap(spec, noise)
+        return "absolute", float(text)
+    except ValueError:
+        raise ParameterError(f"theta target must be a float, 'X*ggap' or 'high', got {token!r}") from None
 
 
 def _state_above_theta_star(base: State, spec: Spectrum, noise: NoiseProfile) -> State:
@@ -437,6 +440,8 @@ def cmd_drift_test(
     config.validate()
     if not theta_targets or not eta_factors:
         raise ParameterError("need at least one theta target and one eta factor")
+    if not all(factor > 0 for factor in eta_factors):
+        raise ParameterError(f"eta factors must be > 0, got {list(eta_factors)}")
     out = Path(config.output_dir)
     m, seed = config.m_list[0], config.seeds[0]
     spec, noise = _problem_for(config, m, seed)

@@ -280,8 +280,8 @@ def _one_step_estimates(jobs, spec: Spectrum, noise: NoiseProfile, n: int, seed:
     draws; one {eta: {...}} dict per job."""
     jobs = [(state, [float(e) for e in etas]) for state, etas in jobs]
     for state, etas in jobs:
-        if not etas or any(e < 0 for e in etas):
-            raise ParameterError("etas must be non-empty and non-negative")
+        if not etas or not all(0 <= e < math.inf for e in etas):
+            raise ParameterError("etas must be non-empty, finite and non-negative")
         _check(state, spec, noise, n, n_min)
     ests = iter(_estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, etas) for state, etas in jobs]))
     keys = ("f", "sD_next", "sB_next", "theta_next")
@@ -394,9 +394,8 @@ def drift_sign_test(
     results describe only asymptotically; `theta_abs_slack` widens its
     inconclusive band accordingly.
     """
-    _check(state, spec, noise, n, _VERDICT_MIN_N)
     stats = block_stats(state, spec, noise)
-    ests = one_step_estimates(state, spec, noise, [eta], n, seed)[float(eta)]
+    ests = _one_step_estimates([(state, [eta])], spec, noise, n, seed, _VERDICT_MIN_N)[0][float(eta)]
     return _drift_result(stats, spec, noise, eta, ests, z_crit, theta_abs_slack)
 
 
@@ -424,7 +423,9 @@ def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: fl
 def _projected_estimates(jobs, spec: Spectrum, noise: NoiseProfile, n: int, seed: int) -> list[dict]:
     """Loss change of the step projected on each block, {"D": ..., "B": ...},
     for each (state, eta) job, all from the same n draws."""
-    for state, _ in jobs:
+    for state, eta in jobs:
+        if not math.isfinite(eta):
+            raise ParameterError(f"eta must be finite, got {eta}")
         _check(state, spec, noise, n, _VERDICT_MIN_N)
     ests = _estimate(n, seed, spec, [_projected_kernel(state, spec, noise, eta) for state, eta in jobs])
     return [{"D": ests[2 * i], "B": ests[2 * i + 1]} for i in range(len(jobs))]
@@ -471,7 +472,6 @@ def projected_loss_test(
     """Estimate the expected loss change of a block-projected step and test its
     sign against the stability threshold; also checks agreement with the
     closed-form target -eta*s + eta^2 (tau + n_loss)/2."""
-    _check(state, spec, noise, n, _VERDICT_MIN_N)
     stats = block_stats(state, spec, noise)
     stats.block(block)  # rejects a bad block name before drawing
     est = _projected_estimates([(state, eta)], spec, noise, n, seed)[0][block]

@@ -286,6 +286,23 @@ class TestChunkedKernel:
         assert err.value.step == ref.value.step == 1
         assert str(err.value) == str(ref.value)
 
+    @pytest.mark.parametrize("seed, step", [(4, 10), (0, 20)])
+    def test_divergence_of_a_jumping_run_matches_reference(self, seed, step):
+        # every mode contracts, so the run jumps 10 steps at a time; the huge
+        # dominant noise carries a record past the limit (for seed 0 the
+        # second one, not the first)
+        spec = Spectrum(lambdas=np.array([2.0, 1.0]), k=1)
+        noise = NoiseProfile(kappa2=np.array([1e302, 1.0]))
+        state = State(c=np.array([1.0, 1.0]))
+        with pytest.raises(DivergenceError) as ref:
+            reference_trajectory(spec, noise, state, 0.45, 200, 10, "sgd", seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                run_trajectory(spec, noise, state, 0.45, 200, 10, seed=seed)
+        assert err.value.step == ref.value.step == step
+        assert str(err.value) == str(ref.value)
+
 
 class TestJumpCoefficients:
     A = np.array([0.999999, 0.5, 0.0, -0.4, -0.95])

@@ -388,6 +388,21 @@ class TestCli:
         assert "T_start=200" in err
         assert not out.exists()
 
+    DRIFT_ARGS = ["drift-test", "--d", "24", "--k", "4", "--m", "8", "--eta", "0.02", "--seed", "42", "--n-mc", "5000"]
+
+    @pytest.mark.parametrize("flags, detail", [
+        (["--theta-target", "bogus"], "theta target must be"),
+        (["--eta-factor", "0"], "eta factors must be > 0"),
+        (["--eta-factor", "-1"], "eta factors must be > 0"),
+        (["--eta-factor", "nan"], "eta factors must be > 0"),
+        (["--eta-factor", "inf"], "finite"),
+    ])
+    def test_bad_drift_input_is_usage_error(self, flags, detail, tmp_path, capsys):
+        out = tmp_path / "drift"
+        err = self._usage_error([*self.DRIFT_ARGS, *flags, "--out", str(out)], capsys)
+        assert detail in err
+        assert not out.exists()
+
     def test_colliding_m_stems_are_usage_error(self, tmp_path, capsys):
         out = tmp_path / "runs"
         argv = [*self.SIM_ARGS, "--m", "100.0001", "--m", "100.0002", "--out", str(out)]

@@ -461,8 +461,22 @@ class TestDriftSignTest:
         with pytest.raises(ParameterError):
             drift_sign_test(state, spec, noise, 0.1, 500, seed=0)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_non_finite_step_rejected(self, fixa, eta):
+        spec, noise, state = fixa
+        with pytest.raises(ParameterError, match="finite"):
+            drift_sign_test(state, spec, noise, eta, 5_000, seed=0)
+        with pytest.raises(ParameterError, match="finite"):
+            one_step_estimates(state, spec, noise, [0.1, eta], 5_000, seed=0)
+
 
 class TestProjectedLossTest:
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_non_finite_step_rejected(self, fixa, eta):
+        spec, noise, state = fixa
+        with pytest.raises(ParameterError, match="finite"):
+            projected_loss_test(state, spec, noise, eta, "D", 5_000, seed=0)
+
     def test_boundary_step_inconclusive(self, fixa):
         spec, noise, state = fixa
         res = projected_loss_test(state, spec, noise, 0.8, "D", 50_000, seed=40)
