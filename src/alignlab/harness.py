@@ -274,7 +274,7 @@ def _run_grid(config: ExperimentConfig, command: str) -> tuple[list[dict], bool]
     pool; prints one stderr line per diverged job. Returns the results and
     whether any job diverged."""
     jobs = [(m, seed) for m in config.m_list for seed in config.seeds]
-    results = run_jobs(lambda job: _simulate_one(config, *job), jobs)
+    results = list(run_jobs(lambda job: _simulate_one(config, *job), jobs))
     for res in results:
         if res["diverged"] is not None:
             print(

@@ -157,16 +157,6 @@ class _Accumulator:
         return out
 
 
-def _batches(n: int, seed: int):
-    start = 0
-    j = 0
-    while start < n:
-        nb = min(_BATCH, n - start)
-        yield np.random.default_rng(np.random.SeedSequence([seed, j])), nb
-        start += nb
-        j += 1
-
-
 def _check(state: State, spec: Spectrum, noise: NoiseProfile, n: int, n_min: int) -> None:
     _check_dims(state, spec, noise)
     if n < n_min:
@@ -203,8 +193,9 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
     block_rows = min(pairs, _BATCH, max(1, _BLOCK_VALUES // d))
     local = threading.local()
 
-    def run(batch):
-        rng, nb = batch
+    def run(j):
+        nb = min(_BATCH, pairs - j * _BATCH)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
         if not hasattr(local, "buffer"):
             local.buffer = np.empty((block_rows, d))
         sums = np.empty((len(vectors) + 1, 2, nb))
@@ -220,7 +211,7 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
         return np.concatenate(rows)
 
     acc = _Accumulator()
-    for rows in run_jobs(run, list(_batches(pairs, seed))):
+    for rows in run_jobs(run, range(-(-pairs // _BATCH))):
         acc.add(rows)
     return acc.estimates()
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,26 @@ class TestSharedDraw:
         jobs = [(state, (0.3 + 0.2 * i) / spec.lambda_max) for i, state in enumerate(states)]
         shared = _projected_estimates(jobs, spec, noise, 20_001, 31)
         assert shared == [_projected_estimates([job], spec, noise, 20_001, 31)[0] for job in jobs]
+
+
+class TestBoundedMemory:
+    """Batches stream through the pool's bounded window and are accumulated
+    as they arrive, so an estimate's memory does not grow with n."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_peak_does_not_grow_with_n(self, threads, monkeypatch):
+        monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+        spec, noise, state = random_problem(np.random.default_rng(31), d=50)
+        etas = [f / spec.lambda_max for f in (0.1, 1.0, 3.0)]
+        peaks = []
+        for n in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                one_step_estimates(state, spec, noise, etas, n, seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestThreadCountInvariance:
