@@ -531,6 +531,8 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
 
 def cmd_report(spectrum_path, noise_path, state_path, eta: float) -> dict:
     """Full closed-form report for inputs loaded from JSON files."""
+    if not 0 < eta < math.inf:
+        raise ParameterError(f"eta must be finite and > 0, got {eta}")
     spec = read_spectrum_json(_read_json(spectrum_path))
     noise = read_noise_json(_read_json(noise_path))
     state = state_from_json(_read_json(state_path))

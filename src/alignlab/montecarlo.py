@@ -8,28 +8,32 @@ vectors; batch j uses the stream ``default_rng(SeedSequence([s, j]))``.
 Batches run on the job pool (ALIGNLAB_THREADS). Each worker draws its batch
 in row blocks of about _BLOCK_VALUES normals into one reused buffer that
 stays in cache; successive blocks continue one generator stream, so the
-draws equal one whole (batch, d) draw. Per-batch results come back in batch
-order, are accumulated in the calling thread, and partial sums are combined
-with ``math.fsum``, which is exactly rounded. Results are therefore
-bit-identical for a given (n, seed) whatever the pool size, and two
-estimates with the same seed share their noise draws (common random
-numbers).
+draws equal one whole (batch, d) draw. Per-batch results stream back in
+batch order, at most 2 x workers batches at a time, are accumulated in the
+calling thread as they arrive, and partial sums are combined with
+``math.fsum``, which is exactly rounded. An estimate's memory is therefore
+O(workers x batch) whatever n is, its results are bit-identical for a given
+(n, seed) whatever the pool size, and two estimates with the same seed share
+their noise draws (common random numbers).
 
 Kernel: every statistic estimated here is quadratic in the noise, so a
-draw z enters a state's statistics only through block sums: two linear forms
-per block that depend on the state, and one weighted sum of squares per block
+draw z enters a state's statistics only through block sums: linear forms per
+block that depend on the state, and one weighted sum of squares per block
 that depends only on the spectrum and the noise (`_block_sums`). The linear
 forms are odd in z and the sum of squares is even, so the sums of -z are
 those of z with the linear forms negated, and the mirrored sample costs no
-draw. Each pair contributes one sample, the mean of its two rows, so
+draw. Each pair contributes one sample, the mean of its two values, so
 `McEstimate.n` counts pairs and its stderr is the pair std / sqrt(pairs).
-Pair means are i.i.d. and unbiased; the part of a statistic that is linear
-in z cancels within a pair; per draw the variance never rises
-(Var((g(z) + g(-z))/2) <= Var g(z)), and per requested sample it rises at
-most 2x, for a statistic even in z.
+Pair means are formed in closed form: a statistic affine in the block sums
+(f, the next block energies, the projected loss change) has as pair mean
+its even part, with the linear forms dropped, and only theta_next, a ratio,
+is evaluated at z and at -z. A projected-loss state therefore reads no
+linear form at all. Pair means are i.i.d. and unbiased; per draw the
+variance never rises (Var((g(z) + g(-z))/2) <= Var g(z)), and per requested
+sample it rises at most 2x, for a statistic even in z.
 
 One estimate serves several states on one spectrum and noise profile: each
-draw is reduced to every state's linear forms and the shared sums of
+draw is reduced to the linear forms its states read and the shared sums of
 squares, and what is left per state, step size and block is O(batch) work.
 The verdict presets therefore draw once per preset: `drift-test` for all its
 targets and step sizes, `projected-test` for all its states and both blocks.
@@ -164,12 +168,14 @@ def _check(state: State, spec: Spectrum, noise: NoiseProfile, n: int, n_min: int
 
 
 class _Kernel(NamedTuple):
-    """One state's share of a draw z: the linear-form weights a and b, the
-    weights q of the sum of squares, and finish(l1, l2, quad), which turns the
-    (D, B) block sums of a z, b z and q z^2 into (width, nb) per-sample rows."""
+    """One state's share of a draw z: the weights of the linear forms it reads
+    (none when every row is affine in the block sums), the weights q of the sum of
+    squares, and finish(lin, quad), which turns the (D, B) block sums of the
+    forms on z, shape (len(forms), 2, nb), and of q z^2, shape (2, nb), into
+    (width, nb) rows of antithetic pair means: the sums of -z are those of z
+    with the linear forms negated."""
 
-    a: np.ndarray
-    b: np.ndarray
+    forms: tuple
     q: np.ndarray
     finish: Callable
 
@@ -182,13 +188,13 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
     in row blocks of about _BLOCK_VALUES normals into one reused buffer
     (successive standard_normal(out=) calls on a generator continue one
     stream) and reduces each block to its block sums. Every kernel then
-    finishes the batch's rows from the sums of z and of -z, which differ only
-    in the sign of the linear forms, and yields the mean of the two. Batch
-    results are accumulated in batch order."""
+    turns the batch's sums into pair means. Batch results stream back in batch
+    order and are accumulated as they arrive, so at most 2 x workers batches
+    are held at once whatever n is."""
     if not kernels:
         return []
     k, d, q = spec.k, spec.d, kernels[0].q
-    vectors = [v for kernel in kernels for v in (kernel.a, kernel.b)]
+    vectors = [v for kernel in kernels for v in kernel.forms]
     pairs = -(-n // 2)
     block_rows = min(pairs, _BATCH, max(1, _BLOCK_VALUES // d))
     local = threading.local()
@@ -203,11 +209,11 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
             z = local.buffer[: min(block_rows, nb - start)]
             rng.standard_normal(out=z)
             _block_sums(z, k, vectors, q, sums[:, :, start : start + len(z)])
-        quad = sums[-1]
-        rows = []
-        for i, kernel in enumerate(kernels):
-            l1, l2 = sums[2 * i], sums[2 * i + 1]
-            rows.append(0.5 * (kernel.finish(l1, l2, quad) + kernel.finish(-l1, -l2, quad)))
+        rows, start = [], 0
+        for kernel in kernels:
+            end = start + len(kernel.forms)
+            rows.append(kernel.finish(sums[start:end], sums[-1]))
+            start = end
         return np.concatenate(rows)
 
     acc = _Accumulator()
@@ -230,17 +236,19 @@ def _block_sums(z: np.ndarray, k: int, vectors: list, q: np.ndarray, out: np.nda
 
 
 def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: list) -> _Kernel:
-    """Kernel whose rows are, for each eta, the per-sample f, sD_next,
+    """Kernel whose rows are, for each eta, the pair means of f, sD_next,
     sB_next and theta_next.
 
     With zeta = kappa * z, the next energy of block X is
     s_X' = sum_X lam^2 ((1 - eta lam) c - eta zeta)^2
-         = m_X(eta) - 2 eta (L1_X - eta L2_X) + eta^2 Q_X,
+         = m_X(eta) + eta^2 Q_X - 2 eta (L1_X - eta L2_X),
     where L1 = sum lam^2 c zeta, L2 = sum lam^3 c zeta and Q = sum lam^2 zeta^2
     per block do not depend on eta, and Q not on the state either: six block
-    sums per draw serve every step size of a state. The random part of
-    f = s_B s_D' - s_D s_B' is formed from the random parts of s_D' and s_B'
-    directly, so it does not cancel two large products."""
+    sums per draw serve every step size of a state. The last term is odd in z,
+    so the pair mean of s_X' is its even part m_X + eta^2 Q_X, and that of
+    f = s_B s_D' - s_D s_B', affine in s', is f0 + eta^2 (s_B Q_D - s_D Q_B),
+    formed from the random parts directly so that it does not cancel two large
+    products. Only theta_next, a ratio, needs s' at z and at -z."""
     lam = spec.lambdas
     lam2c = lam**2 * state.c
     a = np.sqrt(noise.kappa2) * lam2c
@@ -251,19 +259,23 @@ def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: li
     m = np.stack(spec.split_sum(w), axis=1)[:, :, None]
     f0 = s_b0 * m[:, 0] - s_d0 * m[:, 1]
 
-    def finish(l1, l2, quad):
-        rows = np.empty((len(etas), 4, l1.shape[1]))
-        r = eta**2 * quad - 2.0 * eta * (l1 - eta * l2)
-        np.add(f0, s_b0 * r[:, 0] - s_d0 * r[:, 1], out=rows[:, 0])
-        # s' >= 0; the clamp only removes rounding below zero
-        s1 = np.maximum(m + r, 0.0, out=rows[:, 1:3])
-        tot = s1[:, 0] + s1[:, 1]
-        theta1 = rows[:, 3]
-        theta1.fill(0.0)
-        np.divide(s1[:, 0], tot, out=theta1, where=tot > 0)
+    def finish(lin, quad):
+        l1, l2 = lin
+        rows = np.empty((len(etas), 4, quad.shape[1]))
+        even = eta**2 * quad
+        np.add(f0, s_b0 * even[:, 0] - s_d0 * even[:, 1], out=rows[:, 0])
+        np.add(m, even, out=rows[:, 1:3])
+        odd = 2.0 * eta * (l1 - eta * l2)
+        thetas = []
+        for s1 in (rows[:, 1:3] - odd, rows[:, 1:3] + odd):
+            # s' >= 0; the clamp only removes rounding below zero
+            np.maximum(s1, 0.0, out=s1)
+            tot = s1[:, 0] + s1[:, 1]
+            thetas.append(np.divide(s1[:, 0], tot, out=np.zeros_like(tot), where=tot > 0))
+        np.multiply(0.5, thetas[0] + thetas[1], out=rows[:, 3])
         return rows.reshape(4 * len(etas), -1)
 
-    return _Kernel(a, lam * a, lam**2 * noise.kappa2, finish)
+    return _Kernel((a, lam * a), lam**2 * noise.kappa2, finish)
 
 
 def _one_step_estimates(jobs, spec: Spectrum, noise: NoiseProfile, n: int, seed: int, n_min: int) -> list[dict]:
@@ -391,24 +403,25 @@ def drift_sign_test(
 
 
 def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: float) -> _Kernel:
-    """Kernel whose rows are the per-sample loss change of the step projected
-    on the dominant and on the bulk block.
+    """Kernel whose rows are the pair means of the loss change of the step
+    projected on the dominant and on the bulk block.
 
     With g = grad + zeta on block X (grad = lam c, zeta = kappa z), the loss
     change -eta g.grad + eta^2/2 sum lam g^2 expands to a constant plus
-    -eta zeta.grad + eta^2 sum lam grad zeta + eta^2/2 sum lam zeta^2."""
+    -eta zeta.grad + eta^2 sum lam grad zeta + eta^2/2 sum lam zeta^2. The
+    two middle terms are odd in z, so the pair mean is the constant plus
+    eta^2/2 sum lam zeta^2 and the kernel reads no linear form."""
     lam = spec.lambdas
     grad = lam * state.c
-    a = np.sqrt(noise.kappa2) * grad
     g2 = grad**2
     # (D, B) block sums of grad^2 and lam grad^2
     g2_sum, lg2_sum = np.stack(spec.split_sum(np.stack([g2, lam * g2])), axis=1)
     base = (-eta * g2_sum + 0.5 * eta**2 * lg2_sum)[:, None]
 
-    def finish(l1, l2, quad):
-        return base + (eta**2 * (l2 + 0.5 * quad) - eta * l1)
+    def finish(_lin, quad):
+        return base + (0.5 * eta**2) * quad
 
-    return _Kernel(a, lam * a, lam * noise.kappa2, finish)
+    return _Kernel((), lam * noise.kappa2, finish)
 
 
 def _projected_estimates(jobs, spec: Spectrum, noise: NoiseProfile, n: int, seed: int) -> list[dict]:

@@ -1,5 +1,6 @@
-"""Shared random-problem generators for the test suite, and the
-step-by-step SGD reference that `run_trajectory` is checked against."""
+"""Shared random-problem generators for the test suite, the step-by-step SGD
+reference that `run_trajectory` is checked against, and the per-sample
+one-step references that the Monte-Carlo kernels are checked against."""
 
 import numpy as np
 
@@ -83,3 +84,30 @@ def projected_step(state: State, spec: Spectrum, noise_sample, eta: float, block
 def sample_noise(noise: NoiseProfile, rng: np.random.Generator) -> np.ndarray:
     """One eigenbasis noise vector with independent N(0, kappa_i^2) entries."""
     return rng.standard_normal(noise.d) * np.sqrt(noise.kappa2)
+
+
+def direct_one_step(state: State, spec: Spectrum, noise: NoiseProfile, eta: float, z):
+    """Per-sample (f, sD_next, sB_next, theta_next) of one step from each row
+    of the (n, d) draw z, with the update written out, and the size of the
+    two products f subtracts."""
+    lam, k = spec.lambdas, spec.k
+    w = lam**2 * ((1.0 - eta * lam) * state.c - eta * np.sqrt(noise.kappa2) * z) ** 2
+    s_d1, s_b1 = w[:, :k].sum(axis=1), w[:, k:].sum(axis=1)
+    w0 = lam**2 * state.c**2
+    s_d0, s_b0 = w0[:k].sum(), w0[k:].sum()
+    return (s_b0 * s_d1 - s_d0 * s_b1, s_d1, s_b1, s_d1 / (s_d1 + s_b1)), s_b0 * s_d1 + s_d0 * s_b1
+
+
+def direct_projected(state: State, spec: Spectrum, noise: NoiseProfile, eta: float, z):
+    """Per-sample loss change of the step projected on the dominant and on the
+    bulk block, rows (D, B), from each row of the (n, d) draw z with the step
+    written out, and the size of its two terms."""
+    lam, k = spec.lambdas, spec.k
+    grad = lam * state.c
+    g = grad + np.sqrt(noise.kappa2) * z
+    rows, sizes = [], []
+    for sl in (slice(None, k), slice(k, None)):
+        lin, sq = g[:, sl] @ grad[sl], (g[:, sl] ** 2) @ lam[sl]
+        rows.append(-eta * lin + 0.5 * eta**2 * sq)
+        sizes.append(eta * np.abs(lin) + eta**2 * sq)
+    return np.array(rows), np.array(sizes)

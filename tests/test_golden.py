@@ -51,10 +51,10 @@ SHA256 = {
         "alignment_vs_m_logfit.csv": "55c8f576bd2495ef5a32f65784fab79ebcddf5d2f88ee6f51a2694ac0d690cd0",
     },
     "drift": {
-        "drift_verdicts.csv": "9969fdbaeb6c995b48c0a3efee9dfc36ccf99ec13d00607a822a82b2b849957c",
+        "drift_verdicts.csv": "af7f97d0d95c26996fca221bea8279ada42e13ecadeef8f9413cdc18a6a8f21c",
     },
     "projected": {
-        "projected_verdicts.csv": "06323a0538f33acf8a65df26da8e55b1cbd4e318fcd3d3f763bac13425b9f506",
+        "projected_verdicts.csv": "1aca12cc25e888c5e6f2f448ca399a688a72330f00333a41d782038acfcb2cad",
     },
 }
 

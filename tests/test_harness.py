@@ -325,6 +325,19 @@ class TestCli:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("eta", ["inf", "1e400", "nan", "0", "-1"])
+    def test_report_eta_not_finite_and_positive_is_usage_error(self, eta, fixa_files, capsys):
+        problem, state_path = fixa_files
+        code = main([
+            "report", "--spectrum", str(problem), "--noise", str(problem),
+            "--state", str(state_path), "--eta", eta,
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "eta must be finite and > 0" in err
+
     def test_print_config_roundtrip(self, capsys):
         code = main(["print-config", "--d", "64", "--k", "8", "--m", "5", "--m", "9", "--seed", "3"])
         assert code == 0

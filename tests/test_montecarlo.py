@@ -41,7 +41,7 @@ from alignlab.montecarlo import (
     _projected_kernel,
 )
 
-from helpers import random_problem, sgd_step, shared_draw_problem
+from helpers import direct_one_step, direct_projected, random_problem, sgd_step, shared_draw_problem
 
 # E[theta_{t+1}] for the 2-d fixture at eta=0.1, frozen from two independent
 # quadratures (400-node Gauss-Hermite grid and adaptive integration agree to
@@ -140,21 +140,18 @@ class TestEstimatorMechanics:
 
 
 def kernel_rows(kernel, k, z):
-    """A kernel's per-sample rows from one whole draw z (overwritten)."""
-    sums = np.empty((3, 2, len(z)))
-    _block_sums(z, k, [kernel.a, kernel.b], kernel.q, sums)
-    return kernel.finish(*sums)
+    """A kernel's rows of pair means over the pairs (z, -z) of one whole draw
+    z (overwritten)."""
+    sums = np.empty((len(kernel.forms) + 1, 2, len(z)))
+    _block_sums(z, k, list(kernel.forms), kernel.q, sums)
+    return kernel.finish(sums[:-1], sums[-1])
 
 
-def direct_one_step(state, spec, noise, eta, z):
-    """Per-sample (f, sD_next, sB_next, theta_next) from the (n, d) update
-    written out, and the size of the two products f subtracts."""
-    lam, k = spec.lambdas, spec.k
-    w = lam**2 * ((1.0 - eta * lam) * state.c - eta * np.sqrt(noise.kappa2) * z) ** 2
-    s_d1, s_b1 = w[:, :k].sum(axis=1), w[:, k:].sum(axis=1)
-    w0 = lam**2 * state.c**2
-    s_d0, s_b0 = w0[:k].sum(), w0[k:].sum()
-    return (s_b0 * s_d1 - s_d0 * s_b1, s_d1, s_b1, s_d1 / (s_d1 + s_b1)), s_b0 * s_d1 + s_d0 * s_b1
+def direct_pair(reference, state, spec, noise, eta, z):
+    """The mean of a direct reference's per-sample rows at z and at -z, and
+    the mean of their sizes."""
+    (rows_p, size_p), (rows_m, size_m) = (reference(state, spec, noise, eta, x) for x in (z, -z))
+    return [0.5 * (p + m) for p, m in zip(rows_p, rows_m)], 0.5 * (size_p + size_m)
 
 
 def wide_blocks_problem(seed, d, degenerate=False):
@@ -169,8 +166,8 @@ def wide_blocks_problem(seed, d, degenerate=False):
 
 
 class TestSufficientStatisticsKernel:
-    """The one-step kernel works from six block-wise sums per draw; its
-    per-sample statistics must equal the update written out on (n, d)."""
+    """The one-step kernel works from six block-wise sums per draw; its pair
+    means must equal those of the update written out on (n, d)."""
 
     @pytest.mark.parametrize("d", [10, 50, 200])
     @pytest.mark.parametrize("degenerate", [False, True])
@@ -186,7 +183,7 @@ class TestSufficientStatisticsKernel:
         z = np.random.default_rng(d).standard_normal((4096, d))
         rows = kernel_rows(_one_step_kernel(state, spec, noise, etas), spec.k, z.copy())
         for idx, eta in enumerate(etas):
-            (f, s_d1, s_b1, theta1), scale = direct_one_step(state, spec, noise, eta, z)
+            (f, s_d1, s_b1, theta1), scale = direct_pair(direct_one_step, state, spec, noise, eta, z)
             assert np.all(np.abs(rows[4 * idx] - f) <= 1e-9 * scale)
             np.testing.assert_allclose(rows[4 * idx + 1], s_d1, rtol=1e-9, atol=0)
             np.testing.assert_allclose(rows[4 * idx + 2], s_b1, rtol=1e-9, atol=0)
@@ -201,7 +198,7 @@ class TestSufficientStatisticsKernel:
         etas = [0.1, 0.5, 2.0 / 3.0, 1.0]
         rows = kernel_rows(_one_step_kernel(state, spec, noise, etas), spec.k, z.copy())
         for idx, eta in enumerate(etas):
-            (f, s_d1, s_b1, _), _ = direct_one_step(state, spec, noise, eta, z)
+            (f, s_d1, s_b1, _), _ = direct_pair(direct_one_step, state, spec, noise, eta, z)
             terms = lam**2 * (((1.0 - eta * lam) * state.c) ** 2 + (eta * z) ** 2)
             s_d0, s_b0 = lam**2 * state.c**2
             assert np.all(np.abs(rows[4 * idx] - f) <= 1e-12 * (s_b0 * terms[:, 0] + s_d0 * terms[:, 1]))
@@ -225,15 +222,12 @@ class TestSufficientStatisticsKernel:
     def test_projected_rows_match_direct_step(self):
         spec, noise, state = wide_blocks_problem(7, 30)
         z = np.random.default_rng(8).standard_normal((4096, 30))
-        lam, k = spec.lambdas, spec.k
-        grad = lam * state.c
         for eta in (0.1 / spec.lambda_max, 1.0 / spec.lambda_max, 3.0 / spec.lambda_max):
-            rows = kernel_rows(_projected_kernel(state, spec, noise, eta), k, z.copy())
-            g = grad + np.sqrt(noise.kappa2) * z
-            for row, sl in zip(rows, (slice(None, k), slice(k, None))):
-                lin, sq = g[:, sl] @ grad[sl], (g[:, sl] ** 2) @ lam[sl]
-                np.testing.assert_allclose(row, -eta * lin + 0.5 * eta**2 * sq, rtol=0,
-                                           atol=1e-12 * np.max(eta * np.abs(lin) + eta**2 * sq))
+            rows = kernel_rows(_projected_kernel(state, spec, noise, eta), spec.k, z.copy())
+            want = direct_pair(direct_projected, state, spec, noise, eta, z)[0]
+            sizes = np.maximum(*(direct_projected(state, spec, noise, eta, x)[1] for x in (z, -z)))
+            for row, block, size in zip(rows, want, sizes):
+                np.testing.assert_allclose(row, block, rtol=0, atol=1e-12 * np.max(size))
 
     @staticmethod
     def f_coefficients(d):
@@ -264,24 +258,59 @@ class TestSufficientStatisticsKernel:
 
     @pytest.mark.parametrize("d", [10, 50])
     def test_one_sided_f_variance_matches_gaussian_quadratic_form(self, d):
-        # the kernel's rows on plain draws carry the full law of f, linear
-        # part included: Var f = sum a_i^2 kappa_i^2 + 2 sum b_i^2 kappa_i^4
+        # one-sided samples of the written-out update carry the full law of f,
+        # linear part included: Var f = sum a_i^2 kappa_i^2 + 2 sum b_i^2
+        # kappa_i^4, which checks the coefficients the pair variance uses
         spec, noise, state, coeffs = self.f_coefficients(d)
         rng = np.random.default_rng(200 + d)
         for eta, (a, b) in coeffs.items():
             var = np.sum(a**2 * noise.kappa2) + 2.0 * np.sum(b**2 * noise.kappa2**2)
             f = np.concatenate([
-                kernel_rows(_one_step_kernel(state, spec, noise, [eta]), spec.k, rng.standard_normal((10_000, d)))[0]
+                direct_one_step(state, spec, noise, eta, rng.standard_normal((10_000, d)))[0][0]
                 for _ in range(10)
             ])
             assert np.var(f, ddof=1) == pytest.approx(var, rel=0.05)
 
 
+class TestPairMeanKernels:
+    """Each kernel forms its antithetic pair means in closed form, reading a
+    linear form only where a pair mean needs one; on random triples they must
+    equal the mean of the one-sided rows at z and -z of the update written
+    out, to 1e-12 relative (for f and the loss change, which cancel terms,
+    relative to the size of those terms)."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_step_pair_rows_equal_mean_of_one_sided_rows(self, seed):
+        rng = np.random.default_rng(4100 + seed)
+        spec, noise, state = random_problem(rng)
+        etas = [f / spec.lambda_max for f in rng.uniform(0.05, 1.95, 3)]
+        z = rng.standard_normal((512, spec.d))
+        rows = kernel_rows(_one_step_kernel(state, spec, noise, etas), spec.k, z.copy())
+        for idx, eta in enumerate(etas):
+            (f, s_d1, s_b1, theta1), scale = direct_pair(direct_one_step, state, spec, noise, eta, z)
+            assert np.all(np.abs(rows[4 * idx] - f) <= 1e-12 * scale)
+            for got, want in zip(rows[4 * idx + 1 : 4 * idx + 4], (s_d1, s_b1, theta1)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_projected_pair_rows_equal_mean_of_one_sided_rows(self, seed):
+        rng = np.random.default_rng(4200 + seed)
+        spec, noise, state = random_problem(rng)
+        z = rng.standard_normal((512, spec.d))
+        for factor in rng.uniform(0.05, 3.0, 3):
+            eta = factor / spec.lambda_max
+            kernel = _projected_kernel(state, spec, noise, eta)
+            assert kernel.forms == ()
+            rows = kernel_rows(kernel, spec.k, z.copy())
+            want, size = direct_pair(direct_projected, state, spec, noise, eta, z)
+            for got, block, block_size in zip(rows, want, size):
+                assert np.all(np.abs(got - block) <= 1e-12 * block_size)
+
+
 class TestSharedDraw:
     """All states of one estimate share each draw, which each worker draws in
-    row blocks and uses as an antithetic pair z, -z; every state's rows must
-    equal the mean of those computed from the whole (nb, d) draw of the batch
-    and from its negation, bit for bit."""
+    row blocks; every state's pair means must equal those computed from the
+    whole (nb, d) draw of the batch, bit for bit."""
 
     # 20_001 samples = 10_001 pairs: two full batches and a short one; at
     # d = 10, 60 and 500 the last row block of every batch is short as well
@@ -309,10 +338,7 @@ class TestSharedDraw:
             expected = []
             for j, nb in enumerate(sizes):
                 z = np.random.default_rng(np.random.SeedSequence([seed, j])).standard_normal((nb, d))
-                expected.append(np.concatenate([
-                    0.5 * (kernel_rows(kernel, spec.k, z.copy()) + kernel_rows(kernel, spec.k, -z))
-                    for kernel in family
-                ]))
+                expected.append(np.concatenate([kernel_rows(kernel, spec.k, z.copy()) for kernel in family]))
             assert len(fed) == len(expected)
             for got, want in zip(fed, expected):
                 assert np.array_equal(got, want)
