@@ -12,9 +12,11 @@ draws equal one whole (batch, d) draw. Per-batch results stream back in
 batch order, at most 2 x workers batches at a time, are accumulated in the
 calling thread as they arrive, and partial sums are combined with
 ``math.fsum``, which is exactly rounded. An estimate's memory is therefore
-O(workers x batch) whatever n is, its results are bit-identical for a given
-(n, seed) whatever the pool size, and two estimates with the same seed share
-their noise draws (common random numbers).
+O(workers x batch) whatever n is, besides the two partial sums per statistic
+and batch that the exactly rounded total keeps; its results are
+bit-identical for a given (n, seed) whatever the pool size, and two
+estimates with the same seed share their noise draws (common random
+numbers).
 
 Kernel: every statistic estimated here is quadratic in the noise, so a
 draw z enters a state's statistics only through block sums: linear forms per
@@ -169,11 +171,11 @@ def _check(state: State, spec: Spectrum, noise: NoiseProfile, n: int, n_min: int
 
 class _Kernel(NamedTuple):
     """One state's share of a draw z: the weights of the linear forms it reads
-    (none when every row is affine in the block sums), the weights q of the sum of
-    squares, and finish(lin, quad), which turns the (D, B) block sums of the
-    forms on z, shape (len(forms), 2, nb), and of q z^2, shape (2, nb), into
-    (width, nb) rows of antithetic pair means: the sums of -z are those of z
-    with the linear forms negated."""
+    (none when every row is affine in the block sums), the weights q of the
+    sum of squares, and finish(lin, quad), which turns the (D, B) block sums
+    of the forms on z, shape (len(forms), 2, nb), and of q z^2, shape (2, nb),
+    into (width, nb) rows of antithetic pair means: the sums of -z are those
+    of z with the linear forms negated."""
 
     forms: tuple
     q: np.ndarray
