@@ -33,7 +33,6 @@ from .montecarlo import (
     one_step_estimates,
     phase1_decay_fit,
     projected_loss_test,
-    suggest_phase2_start,
 )
 from .spectrum import (
     AssumptionReport,

@@ -4,8 +4,8 @@ Experiment jobs (harness) and Monte-Carlo batches (montecarlo) both fan out
 here. Results stream back in job order, so callers that combine them in that
 order produce the same bytes for any pool size. At most 2 x workers jobs are
 submitted and not yet consumed, so the results held at once are O(workers)
-whatever the number of jobs: a Monte-Carlo estimate holds O(workers x batch)
-draws and rows for any n.
+whatever the number of jobs: a Monte-Carlo batch returns two sums per
+statistic, so an estimate's memory is set by what its workers hold, for any n.
 """
 
 from __future__ import annotations

@@ -461,7 +461,10 @@ def cmd_drift_test(
         dq = theory.drift_quadratic(stats)
         eta_star = dq.eta_star if dq.eta_star is not None and dq.eta_star > 0 else None
         eta_ref = eta_star if eta_star is not None else eta_fallback
-        targets.append((state, stats, [factor * eta_ref for factor in eta_factors]))
+        etas = [factor * eta_ref for factor in eta_factors]
+        for eta in etas:
+            theory.expected_drift(dq, eta)  # rejects a step whose drift overflows, before any draw
+        targets.append((state, stats, etas))
     # one draw serves every target and step size
     all_ests = _one_step_estimates(
         [(state, etas) for state, _, etas in targets], spec, noise, config.n_mc,
@@ -487,7 +490,9 @@ def cmd_drift_test(
 def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Path, bool]:
     """For random states, step with the midpoint of the two per-block loss
     thresholds and check that the block with the smaller threshold increases
-    the loss while the other decreases it. Returns (out_dir, any_failure)."""
+    the loss while the other decreases it. A state with an empty block or
+    equal thresholds is skipped with one stderr line; when every state is
+    skipped the command fails before drawing. Returns (out_dir, any_failure)."""
     config.validate()
     if n_states < 1:
         raise ParameterError("n_states must be >= 1")
@@ -495,19 +500,24 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
     m, seed = config.m_list[0], config.seeds[0]
     spec, noise = _problem_for(config, m, seed)
 
-    chosen = []
+    chosen, skipped = [], []
     for i in range(n_states):
         state = random_init(config.d, config.init_scale, seed=_stream(seed, m, _STREAM_INIT, i))
         stats = block_stats(state, spec, noise)
         if stats.s_d == 0.0 or stats.s_b == 0.0:
-            print(f"projected-test: state {i} skipped (a block carries no energy)", file=sys.stderr)
+            skipped.append((i, "a block carries no energy"))
             continue
         thresholds = {b: theory.loss_threshold(stats, b) for b in ("D", "B")}
         lo, hi = sorted(thresholds.values())
         if lo == hi:
-            print(f"projected-test: state {i} skipped (equal thresholds)", file=sys.stderr)
+            skipped.append((i, "equal thresholds"))
             continue
         chosen.append((state, stats, 0.5 * (lo + hi)))
+    if not chosen:
+        reasons = "; ".join(sorted({reason for _, reason in skipped}))
+        raise ParameterError(f"no state left to test: every state was skipped ({reasons})")
+    for i, reason in skipped:
+        print(f"projected-test: state {i} skipped ({reason})", file=sys.stderr)
     # one draw serves every state and both blocks
     all_ests = _projected_estimates(
         [(state, eta) for state, _, eta in chosen], spec, noise, config.n_mc,

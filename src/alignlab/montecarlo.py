@@ -8,15 +8,20 @@ vectors; batch j uses the stream ``default_rng(SeedSequence([s, j]))``.
 Batches run on the job pool (ALIGNLAB_THREADS). Each worker draws its batch
 in row blocks of about _BLOCK_VALUES normals into one reused buffer that
 stays in cache; successive blocks continue one generator stream, so the
-draws equal one whole (batch, d) draw. Per-batch results stream back in
-batch order, at most 2 x workers batches at a time, are accumulated in the
-calling thread as they arrive, and partial sums are combined with
+draws equal one whole (batch, d) draw. It forms the pair means in chunks of
+_FINISH pairs and reduces each chunk to a sum and a sum of squares per
+statistic, shifted by a pivot: the statistic at zero linear forms and the
+mean sum of squares, which is its exact mean when it is affine in the block
+sums (Chan, Golub & LeVeque 1983, Am. Stat. 37(3): a shift near the mean
+keeps the one-pass variance free of cancellation). The pivot needs no draw,
+so it does not depend on the pool size. Per-batch sums stream back in batch
+order, at most 2 x workers batches at a time, and are combined with
 ``math.fsum``, which is exactly rounded. An estimate's memory is therefore
-O(workers x batch) whatever n is, besides the two partial sums per statistic
-and batch that the exactly rounded total keeps; its results are
-bit-identical for a given (n, seed) whatever the pool size, and two
-estimates with the same seed share their noise draws (common random
-numbers).
+O(workers x (block + chunk x width)), width being the number of statistics,
+whatever n is, besides the two partial sums per statistic and batch that the
+exactly rounded total keeps; its results are bit-identical for a given
+(n, seed) whatever the pool size, and two estimates with the same seed share
+their noise draws (common random numbers).
 
 Kernel: every statistic estimated here is quadratic in the noise, so a
 draw z enters a state's statistics only through block sums: linear forms per
@@ -70,7 +75,6 @@ __all__ = [
     "projected_loss_test",
     "late_phase_statistic",
     "phase1_decay_fit",
-    "suggest_phase2_start",
 ]
 
 # noise vectors per batch; each serves an antithetic pair of samples
@@ -78,6 +82,8 @@ _BATCH = 4096
 # normals per row block of a batch's draw: the block stays in cache while
 # every kernel's sums pass over it
 _BLOCK_VALUES = 65536
+# pairs per call of a kernel's finish: bounds its (width, pairs) temporaries
+_FINISH = 1024
 # sample floor of the sign tests
 _VERDICT_MIN_N = 1000
 
@@ -133,36 +139,6 @@ class ProjectedLossResult:
     target_ok: bool
 
 
-class _Accumulator:
-    """Streaming mean/stderr for several statistics at once, fed (width, nb)
-    arrays with one row per statistic; per-row sums are shifted by the first
-    batch's mean to avoid cancellation."""
-
-    def __init__(self):
-        self.pivot = None
-        self._sums = []
-        self._sqs = []
-        self.n = 0
-
-    def add(self, rows: np.ndarray) -> None:
-        if self.pivot is None:
-            self.pivot = rows.mean(axis=1, keepdims=True)
-        shifted = rows - self.pivot
-        self._sums.append(shifted.sum(axis=1))
-        self._sqs.append(np.square(shifted, out=shifted).sum(axis=1))
-        self.n += rows.shape[1]
-
-    def estimates(self) -> list[McEstimate]:
-        out = []
-        for j, pivot in enumerate(self.pivot[:, 0]):
-            s1 = math.fsum(sums[j] for sums in self._sums)
-            s2 = math.fsum(sqs[j] for sqs in self._sqs)
-            mean = float(pivot) + s1 / self.n
-            var = max(0.0, (s2 - s1 * s1 / self.n) / (self.n - 1))
-            out.append(McEstimate(mean=mean, stderr=math.sqrt(var / self.n), n=self.n))
-        return out
-
-
 def _check(state: State, spec: Spectrum, noise: NoiseProfile, n: int, n_min: int) -> None:
     _check_dims(state, spec, noise)
     if n < n_min:
@@ -182,6 +158,14 @@ class _Kernel(NamedTuple):
     finish: Callable
 
 
+def _pivot(kernel: _Kernel, q_sums: np.ndarray) -> np.ndarray:
+    """The kernel's rows at lin = 0 and quad = E[quad] = q_sums, the (D, B)
+    block sums of q. It needs no draw. For a row affine in the block sums (f,
+    the next block energies, the projected loss change) it is the row's exact
+    mean; for theta_next it is theta_next at the mean noise energy."""
+    return kernel.finish(np.zeros((len(kernel.forms), 2, 1)), q_sums[:, None])[:, 0]
+
+
 def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstimate]:
     """Mean and standard error of every row of every kernel, kernel by kernel,
     from ceil(n/2) antithetic pairs over the batches of the schedule, which
@@ -189,16 +173,24 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
     noise profile, so they share q and every draw. Each worker draws a batch
     in row blocks of about _BLOCK_VALUES normals into one reused buffer
     (successive standard_normal(out=) calls on a generator continue one
-    stream) and reduces each block to its block sums. Every kernel then
-    turns the batch's sums into pair means. Batch results stream back in batch
-    order and are accumulated as they arrive, so at most 2 x workers batches
-    are held at once whatever n is."""
+    stream) and writes each block's sums into a reused block-sum buffer.
+    Every kernel then turns chunks of _FINISH pairs into pair means; finish
+    works pair by pair, so a chunk's rows equal those of the whole batch.
+    The worker shifts them by a data-free pivot (`_pivot`), which keeps the
+    sums of squares free of cancellation, and returns per row the shifted
+    sum and sum of squares. These stream back in batch order and are
+    combined with math.fsum, so a worker holds O(block + chunk x width)
+    values and the calling thread O(batches x width) whatever n is."""
     if not kernels:
         return []
     k, d, q = spec.k, spec.d, kernels[0].q
     vectors = [v for kernel in kernels for v in kernel.forms]
+    pivots = [_pivot(kernel, np.stack(spec.split_sum(q))) for kernel in kernels]
+    # kernel i reads the linear-form sums forms[i]:forms[i + 1]
+    forms = np.cumsum([0] + [len(kernel.forms) for kernel in kernels])
     pairs = -(-n // 2)
-    block_rows = min(pairs, _BATCH, max(1, _BLOCK_VALUES // d))
+    batch_rows = min(pairs, _BATCH)
+    block_rows = min(batch_rows, max(1, _BLOCK_VALUES // d))
     local = threading.local()
 
     def run(j):
@@ -206,22 +198,33 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
         rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
         if not hasattr(local, "buffer"):
             local.buffer = np.empty((block_rows, d))
-        sums = np.empty((len(vectors) + 1, 2, nb))
+            local.sums = np.empty((len(vectors) + 1, 2, batch_rows))
+        sums = local.sums[:, :, :nb]
         for start in range(0, nb, block_rows):
             z = local.buffer[: min(block_rows, nb - start)]
             rng.standard_normal(out=z)
             _block_sums(z, k, vectors, q, sums[:, :, start : start + len(z)])
-        rows, start = [], 0
-        for kernel in kernels:
-            end = start + len(kernel.forms)
-            rows.append(kernel.finish(sums[start:end], sums[-1]))
-            start = end
-        return np.concatenate(rows)
+        moments = []
+        for kernel, centre, first, last in zip(kernels, pivots, forms, forms[1:]):
+            shifted = np.zeros((2, len(centre)))
+            for lo in range(0, nb, _FINISH):
+                chunk = sums[:, :, lo : lo + _FINISH]
+                rows = kernel.finish(chunk[first:last], chunk[-1])
+                rows -= centre[:, None]
+                shifted[0] += rows.sum(axis=1)
+                shifted[1] += np.square(rows, out=rows).sum(axis=1)
+            moments.append(shifted)
+        return np.concatenate(moments, axis=1)
 
-    acc = _Accumulator()
-    for rows in run_jobs(run, range(-(-pairs // _BATCH))):
-        acc.add(rows)
-    return acc.estimates()
+    parts = np.array(list(run_jobs(run, range(-(-pairs // _BATCH)))))
+    out = []
+    for j, centre in enumerate(np.concatenate(pivots)):
+        s1 = math.fsum(parts[:, 0, j])
+        s2 = math.fsum(parts[:, 1, j])
+        mean = float(centre) + s1 / pairs
+        var = max(0.0, (s2 - s1 * s1 / pairs) / (pairs - 1))
+        out.append(McEstimate(mean=mean, stderr=math.sqrt(var / pairs), n=pairs))
+    return out
 
 
 def _block_sums(z: np.ndarray, k: int, vectors: list, q: np.ndarray, out: np.ndarray) -> None:
@@ -400,6 +403,7 @@ def drift_sign_test(
     inconclusive band accordingly.
     """
     stats = block_stats(state, spec, noise)
+    expected_drift(drift_quadratic(stats), eta)  # rejects a step whose drift overflows, before drawing
     ests = _one_step_estimates([(state, [eta])], spec, noise, n, seed, _VERDICT_MIN_N)[0][float(eta)]
     return _drift_result(stats, spec, noise, eta, ests, z_crit, theta_abs_slack)
 
@@ -507,12 +511,3 @@ def phase1_decay_fit(traj: TrajectoryRecord, t_star: int) -> tuple[float, float]
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return float(slope), r2
 
-
-def suggest_phase2_start(traj: TrajectoryRecord) -> int:
-    """Convention, not a contract: smooth the alignment with a moving average
-    and return the recorded step at its minimum, as a late-phase window start."""
-    th = traj.thetas
-    width = max(3, len(th) // 20)
-    kernel = np.ones(width) / width
-    smooth = np.convolve(th, kernel, mode="same")
-    return int(traj.times[int(np.argmin(smooth))])

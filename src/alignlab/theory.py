@@ -132,7 +132,13 @@ def expected_drift(dq: DriftQuadratic, eta: float) -> float:
     """Exact conditional expectation of the comparison functional after one step."""
     if eta < 0:
         raise ParameterError("eta must be >= 0")
-    return dq.p * eta**2 + dq.q * eta
+    try:
+        drift = dq.p * eta**2 + dq.q * eta
+    except OverflowError:
+        drift = math.inf
+    if not math.isfinite(drift):
+        raise ParameterError(f"the closed-form drift at eta={eta!r} is not finite")
+    return drift
 
 
 def g_gap(spec: Spectrum, noise: NoiseProfile) -> float:
@@ -273,7 +279,10 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
         raise StepSizeError(f"eta must lie below 2/lambda_1 = {2.0 / spec.lambda_max}")
     beta = eta * noise.kappa2 / (2.0 * lam - eta * lam**2)
     k = spec.k
-    varrho_d = float(np.sum(init.c[:k] ** 2 - beta[:k]))
+    # a far-out start may square past the float range: varrho_d is then inf
+    with np.errstate(over="ignore"):
+        c2 = init.c[:k] ** 2
+    varrho_d = float(np.sum(c2 - beta[:k]))
     step_cap = min(2.0 / spec.lambda_max, 2.0 * spec.gap1 / (spec.lambda_max**2 - spec.lambda_min**2))
     denom = float(
         spec.lambda_min**2 * lam[k - 1] ** 2
@@ -290,12 +299,12 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
     gap_to_floor = delta - float(np.sum(beta[:k]))
     flags = CsgdFlags(
         step_size_ok=bool(eta < step_cap),
-        init_coords_ok=bool(np.all(init.c[:k] ** 2 > beta[:k])),
+        init_coords_ok=bool(np.all(c2 > beta[:k])),
         init_energy_ok=bool(varrho_d > gap_to_floor),
     )
     t_star = None
-    if flags.all_ok and gap_to_floor > 0:
-        ratio = varrho_d / gap_to_floor
+    ratio = varrho_d / gap_to_floor if flags.all_ok and gap_to_floor > 0 else math.nan
+    if math.isfinite(ratio):
         if ratio <= 1.0:
             t_star = 0
         else:

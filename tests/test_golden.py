@@ -51,10 +51,10 @@ SHA256 = {
         "alignment_vs_m_logfit.csv": "55c8f576bd2495ef5a32f65784fab79ebcddf5d2f88ee6f51a2694ac0d690cd0",
     },
     "drift": {
-        "drift_verdicts.csv": "af7f97d0d95c26996fca221bea8279ada42e13ecadeef8f9413cdc18a6a8f21c",
+        "drift_verdicts.csv": "98ff2a949190825ffa3d8c740cd4c12750a20ae760b7b284d231f8129160a9f0",
     },
     "projected": {
-        "projected_verdicts.csv": "1aca12cc25e888c5e6f2f448ca399a688a72330f00333a41d782038acfcb2cad",
+        "projected_verdicts.csv": "8cd321608027c8a43404e89ddf29ba3b6b93a1af93857b711730470529deda05",
     },
 }
 

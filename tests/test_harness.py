@@ -409,6 +409,7 @@ class TestCli:
         (["--eta-factor", "-1"], "eta factors must be > 0"),
         (["--eta-factor", "nan"], "eta factors must be > 0"),
         (["--eta-factor", "inf"], "finite"),
+        (["--eta-factor", "1e308"], "closed-form drift at eta="),
     ])
     def test_bad_drift_input_is_usage_error(self, flags, detail, tmp_path, capsys):
         out = tmp_path / "drift"
@@ -514,6 +515,32 @@ class TestCli:
         # one measured m leaves nothing to fit
         assert (out / "alignment_vs_m_logfit.csv").read_text().splitlines()[1] == "undef,undef,undef"
         assert (out / "alignment_vs_m.svg").exists()
+
+    def test_overflowing_start_diverges_instead_of_failing_the_grid(self, tmp_path, capsys):
+        # c0^2 overflows: the plan has no t_star and each job diverges at its
+        # first step, one stderr line each, and the summary is still written
+        out = tmp_path / "runs"
+        code = main([*self.SIM_ARGS, "--steps", "100", "--init-scale", "1e200", "--m", "5", "--m", "8",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "simulate: job (m=5, seed=42) diverged at step 1",
+            "simulate: job (m=8, seed=42) diverged at step 1",
+        ]
+        assert [p.name for p in out.iterdir()] == ["summary.csv"]
+        for line in (out / "summary.csv").read_text().splitlines()[1:]:
+            cells = line.split(",")
+            assert cells[2] == "undef" and cells[4:] == ["undef", "undef"]
+
+    def test_projected_test_with_no_state_left_is_usage_error(self, tmp_path, capsys):
+        # at this scale every block energy underflows to 0, so every state is
+        # skipped and there is nothing to test
+        out = tmp_path / "proj"
+        argv = ["projected-test", "--d", "24", "--k", "4", "--m", "8", "--n-mc", "1000", "--n-states", "2",
+                "--init-scale", "1e-200", "--out", str(out)]
+        err = self._usage_error(argv, capsys)
+        assert "no state left to test" in err and "a block carries no energy" in err
+        assert not out.exists()
 
     def test_sweep_pools_only_finished_seeds(self, tmp_path, capsys):
         # at this step size m = 300 is unstable for seed 4's spectrum only, so

@@ -27,7 +27,6 @@ from alignlab import (
     projected_loss_test,
     rescale_to_alignment,
     run_trajectory,
-    suggest_phase2_start,
 )
 from alignlab import montecarlo
 from alignlab.dynamics import TrajectoryRecord
@@ -37,6 +36,7 @@ from alignlab.montecarlo import (
     _estimate,
     _one_step_estimates,
     _one_step_kernel,
+    _pivot,
     _projected_estimates,
     _projected_kernel,
 )
@@ -307,13 +307,46 @@ class TestPairMeanKernels:
                 assert np.all(np.abs(got - block) <= 1e-12 * block_size)
 
 
+class TestPivot:
+    """Each worker shifts its rows by the kernels' rows at lin = 0 and
+    quad = E[quad]; for the rows affine in the block sums that is their
+    closed-form mean, and for theta_next the alignment at the mean next block
+    energies."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pivot_is_the_closed_form_mean(self, seed):
+        rng = np.random.default_rng(4300 + seed)
+        spec, noise, state = random_problem(rng)
+        stats = block_stats(state, spec, noise)
+        dq = drift_quadratic(stats)
+        etas = [f / spec.lambda_max for f in rng.uniform(0.05, 1.95, 3)]
+        kernel = _one_step_kernel(state, spec, noise, etas)
+        pivot = _pivot(kernel, np.stack(spec.split_sum(kernel.q)))
+        for idx, eta in enumerate(etas):
+            f, s_d1, s_b1, theta1 = pivot[4 * idx : 4 * idx + 4]
+            e_d, e_b = (expected_next_block_energy(stats, eta, block) for block in ("D", "B"))
+            assert f == pytest.approx(expected_drift(dq, eta), rel=0, abs=1e-12 * (stats.s_b * e_d + stats.s_d * e_b))
+            assert s_d1 == pytest.approx(e_d, rel=1e-12)
+            assert s_b1 == pytest.approx(e_b, rel=1e-12)
+            assert theta1 == pytest.approx(e_d / (e_d + e_b), rel=1e-12)
+        for eta in etas:
+            kernel = _projected_kernel(state, spec, noise, eta)
+            pivot = _pivot(kernel, np.stack(spec.split_sum(kernel.q)))
+            for got, block in zip(pivot, ("D", "B")):
+                s, tau, _, _, n_loss = stats.block(block)
+                target = -eta * s + 0.5 * eta**2 * (tau + n_loss)
+                assert got == pytest.approx(target, rel=0, abs=1e-12 * (eta * s + 0.5 * eta**2 * (tau + n_loss)))
+
+
 class TestSharedDraw:
     """All states of one estimate share each draw, which each worker draws in
-    row blocks; every state's pair means must equal those computed from the
-    whole (nb, d) draw of the batch, bit for bit."""
+    row blocks and finishes in chunks of pairs; every state's pair means must
+    equal those computed from the whole (nb, d) draw of the batch, bit for
+    bit."""
 
     # 20_001 samples = 10_001 pairs: two full batches and a short one; at
-    # d = 10, 60 and 500 the last row block of every batch is short as well
+    # d = 10, 60 and 500 the last row block of every batch is short as well,
+    # and the short batch ends in a short finish chunk
     @pytest.mark.parametrize("d", [2, 10, 60, 500])
     def test_row_blocks_equal_whole_batch_draw(self, d, monkeypatch):
         monkeypatch.setenv("ALIGNLAB_THREADS", "1")
@@ -324,25 +357,29 @@ class TestSharedDraw:
             [_projected_kernel(state, spec, noise, 0.7 / spec.lambda_max) for state in states],
         )
         seed, sizes = 28, (4096, 4096, 1809)
-        fed = []
-        add = montecarlo._Accumulator.add
 
-        def capture(acc, rows):
-            fed.append(rows.copy())
-            add(acc, rows)
+        def capturing(kernel, fed):
+            def finish(lin, quad):
+                rows = kernel.finish(lin, quad)
+                fed.append(rows.copy())
+                return rows
 
-        monkeypatch.setattr(montecarlo._Accumulator, "add", capture)
+            return kernel._replace(finish=finish)
+
         for family in families:
-            fed.clear()
-            ests = _estimate(20_001, seed, spec, family)
-            expected = []
+            fed = [[] for _ in family]
+            ests = _estimate(20_001, seed, spec, [capturing(kernel, got) for kernel, got in zip(family, fed)])
+            expected = [[] for _ in family]
             for j, nb in enumerate(sizes):
                 z = np.random.default_rng(np.random.SeedSequence([seed, j])).standard_normal((nb, d))
-                expected.append(np.concatenate([kernel_rows(kernel, spec.k, z.copy()) for kernel in family]))
-            assert len(fed) == len(expected)
+                for want, kernel in zip(expected, family):
+                    want.append(kernel_rows(kernel, spec.k, z.copy()))
             for got, want in zip(fed, expected):
-                assert np.array_equal(got, want)
-            assert len(ests) == len(expected[0])
+                # the first call is the data-free pivot; the rest are chunks
+                chunks = got[1:]
+                assert [c.shape[1] for c in chunks] == [1024] * 8 + [1024, 785]
+                assert np.array_equal(np.concatenate(chunks, axis=1), np.concatenate(want, axis=1))
+            assert len(ests) == sum(len(want[0]) for want in expected)
             assert all(est.n == sum(sizes) for est in ests)
 
     def test_each_state_equals_its_own_estimate(self):
@@ -375,6 +412,29 @@ class TestBoundedMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_within_worker_buffers_at_twelve_step_sizes(self, threads, monkeypatch):
+        # a worker holds one row block of the draw, its batch's block sums
+        # (two linear forms and the sum of squares, per block and pair) and
+        # the temporaries of finish on one chunk of _FINISH pairs, a handful
+        # of (width, chunk) arrays (the one-step kernel holds under five at
+        # once: eight are allowed); the calling thread keeps two sums per row
+        # and batch. The rows of a whole batch are never formed.
+        monkeypatch.setenv("ALIGNLAB_THREADS", str(threads))
+        spec, noise, state = random_problem(np.random.default_rng(31), d=50)
+        etas = [f / spec.lambda_max for f in np.linspace(0.1, 3.0, 12)]
+        n = 400_000
+        width = 4 * len(etas)
+        worker = montecarlo._BLOCK_VALUES + 3 * 2 * montecarlo._BATCH + 8 * width * montecarlo._FINISH
+        partial = 2 * width * -(-n // (2 * montecarlo._BATCH))
+        tracemalloc.start()
+        try:
+            one_step_estimates(state, spec, noise, etas, n, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (threads * worker + partial)
 
 
 class TestThreadCountInvariance:
@@ -517,6 +577,13 @@ class TestDriftSignTest:
             one_step_estimates(state, spec, noise, [0.1, eta], 5_000, seed=0)
 
 
+    def test_overflowing_step_rejected_before_drawing(self, fixa, monkeypatch):
+        spec, noise, state = fixa
+        monkeypatch.setattr(montecarlo, "_estimate", None)  # a draw would fail on a call of None
+        with pytest.raises(ParameterError, match="not finite"):
+            drift_sign_test(state, spec, noise, 1e200, 5_000, seed=0)
+
+
 class TestProjectedLossTest:
     @pytest.mark.parametrize("eta", [np.nan, np.inf])
     def test_non_finite_step_rejected(self, fixa, eta):
@@ -596,9 +663,3 @@ class TestTrajectoryStatistics:
         fb = phase1_decay_fit(b, 100)
         assert fa == fb
 
-    def test_phase2_heuristic_finds_dip(self):
-        t = np.arange(0, 200)
-        theta = np.concatenate([np.linspace(0.9, 0.2, 100), np.linspace(0.2, 0.8, 100)])
-        traj = TrajectoryRecord(times=t, thetas=theta, losses=np.ones(200))
-        start = suggest_phase2_start(traj)
-        assert 80 <= start <= 120

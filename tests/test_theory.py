@@ -8,6 +8,7 @@ from alignlab import (
     DegenerateStateError,
     InsufficientDataError,
     NoiseProfile,
+    ParameterError,
     Spectrum,
     State,
     StepSizeError,
@@ -94,6 +95,13 @@ class TestExpectedDrift:
     def test_zero_at_critical_step(self, fixa):
         dq = drift_quadratic(stats_of(fixa))
         assert expected_drift(dq, dq.eta_star) == pytest.approx(0.0, abs=1e-14)
+
+    # at 1e154 eta^2 is finite and p eta^2 overflows; above it eta^2 does
+    @pytest.mark.parametrize("eta", [1e154, 1e200, 1e308])
+    def test_overflowing_drift_rejected(self, fixa, eta):
+        dq = drift_quadratic(stats_of(fixa))
+        with pytest.raises(ParameterError, match="not finite"):
+            expected_drift(dq, eta)
 
 
 class TestGGap:
@@ -356,6 +364,16 @@ class TestCsgdPlan:
         plan = csgd_plan(spec, noise, tiny, 0.1)
         assert not plan.flags.init_energy_ok
         assert plan.t_star is None
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_energy_past_float_range_leaves_t_star_undefined(self, fixa, scale):
+        # c^2 overflows, so varrho_d and the ratio it enters are infinite and
+        # the phase length has no finite value
+        spec, noise, _ = fixa
+        plan = csgd_plan(spec, noise, State(c=np.array([scale, 1.0])), 0.1)
+        assert plan.varrho_d == math.inf
+        assert plan.t_star is None
+        assert plan.theta_inf == pytest.approx(THETA_INF_FIXA, rel=1e-14)
 
     def test_beta_positive_when_stable(self):
         rng = np.random.default_rng(16)
