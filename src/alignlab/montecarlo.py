@@ -185,7 +185,8 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
         return []
     k, d, q = spec.k, spec.d, kernels[0].q
     vectors = [v for kernel in kernels for v in kernel.forms]
-    pivots = [_pivot(kernel, np.stack(spec.split_sum(q))) for kernel in kernels]
+    q_sums = np.stack(spec.split_sum(q))
+    pivots = [_pivot(kernel, q_sums) for kernel in kernels]
     # kernel i reads the linear-form sums forms[i]:forms[i + 1]
     forms = np.cumsum([0] + [len(kernel.forms) for kernel in kernels])
     pairs = -(-n // 2)
