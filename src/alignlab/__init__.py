@@ -31,7 +31,6 @@ from .montecarlo import (
     drift_sign_test,
     late_phase_statistic,
     one_step_estimates,
-    phase1_decay_fit,
     projected_loss_test,
 )
 from .spectrum import (
@@ -59,6 +58,7 @@ from .theory import (
     expected_second_moment,
     g_gap,
     loss_threshold,
+    mode_law,
     second_moment_variance,
     theory_report,
     theta_star,

@@ -69,9 +69,9 @@ class TrajectoryRecord:
 
 
 def _jump_coefficients(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a^n, sqrt(G_n)): decay and noise scale of an n-step jump. G_n is summed
-    term by term: no 0/0 at a = 1 and no cancellation at small eta*lambda,
-    unlike (1 - a^(2n)) / (1 - a^2)."""
+    """(a^n, sqrt(G_n)): decay and noise scale of an n-step jump, restating
+    theory.mode_law on purpose: G_n summed term by term fixes the trajectory
+    bytes, with no 0/0 at a = 1 and no cancellation at small eta*lambda."""
     a2 = a * a
     g = np.zeros_like(a)
     term = np.ones_like(a)

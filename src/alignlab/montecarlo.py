@@ -60,7 +60,7 @@ import numpy as np
 
 from ._pool import run_jobs
 from .dynamics import TrajectoryRecord
-from .errors import InsufficientDataError, ParameterError
+from .errors import ParameterError
 from .spectrum import NoiseProfile, Spectrum
 from .state import BlockStats, State, _check_dims, block_stats
 from .theory import drift_quadratic, expected_drift, g_gap, loss_threshold, theta_star
@@ -74,7 +74,6 @@ __all__ = [
     "drift_sign_test",
     "projected_loss_test",
     "late_phase_statistic",
-    "phase1_decay_fit",
 ]
 
 # noise vectors per batch; each serves an antithetic pair of samples
@@ -166,6 +165,7 @@ def _pivot(kernel: _Kernel, q_sums: np.ndarray) -> np.ndarray:
     return kernel.finish(np.zeros((len(kernel.forms), 2, 1)), q_sums[:, None])[:, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the sums: ParameterError below
 def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstimate]:
     """Mean and standard error of every row of every kernel, kernel by kernel,
     from ceil(n/2) antithetic pairs over the batches of the schedule, which
@@ -194,6 +194,7 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
     block_rows = min(batch_rows, max(1, _BLOCK_VALUES // d))
     local = threading.local()
 
+    @np.errstate(over="ignore", invalid="ignore")  # pool threads start from numpy's defaults
     def run(j):
         nb = min(_BATCH, pairs - j * _BATCH)
         rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
@@ -218,6 +219,8 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
         return np.concatenate(moments, axis=1)
 
     parts = np.array(list(run_jobs(run, range(-(-pairs // _BATCH)))))
+    if not np.all(np.isfinite(parts.sum(axis=0))):
+        raise ParameterError("a Monte-Carlo sum of squares is not finite: the step size or the state is too large")
     out = []
     for j, centre in enumerate(np.concatenate(pivots)):
         s1 = math.fsum(parts[:, 0, j])
@@ -496,19 +499,3 @@ def late_phase_statistic(traj: TrajectoryRecord, T_start: int) -> tuple[float, f
         raise ParameterError(f"T_start={T_start} leaves an empty window (final step {traj.final_time})")
     window = traj.thetas[traj.times >= T_start]
     return float(np.mean(window)), float(np.std(window))
-
-
-def phase1_decay_fit(traj: TrajectoryRecord, t_star: int) -> tuple[float, float]:
-    """Least-squares slope and r^2 of log(theta) vs log(t) over recorded steps
-    in [1, t_star]."""
-    mask = (traj.times >= 1) & (traj.times <= t_star) & (traj.thetas > 0)
-    if int(np.sum(mask)) < 4:
-        raise InsufficientDataError("need at least 4 recorded points in [1, t_star]")
-    x = np.log(traj.times[mask].astype(float))
-    y = np.log(traj.thetas[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return float(slope), r2
-

@@ -2,6 +2,11 @@
 
 All quantities here are exact functions of (lambdas, kappa2, c) at finite
 dimension; nothing in this module samples noise.
+
+Every closed form of a mode c_t reads `mode_law`, the exact Gaussian AR(1) law
+(Gillespie 1996, Phys. Rev. E 54, 2084), whose 1 - a^(2t) = -expm1(2t log|a|)
+does not cancel at small eta lambda; only `dynamics._jump_coefficients`
+restates it, on purpose, for trajectory bytes.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "crossover",
     "crossover_gap_bounds",
     "csgd_plan",
+    "mode_law",
     "expected_second_moment",
     "second_moment_variance",
     "expected_next_block_energy",
@@ -275,14 +281,12 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
         raise ParameterError("eta must be > 0")
     _check_dims(init, spec, noise)
     lam = spec.lambdas
-    if eta >= 2.0 / spec.lambda_max:
-        raise StepSizeError(f"eta must lie below 2/lambda_1 = {2.0 / spec.lambda_max}")
-    beta = eta * noise.kappa2 / (2.0 * lam - eta * lam**2)
+    beta = mode_law(init.c, lam, noise.kappa2, eta, math.inf)[1]
     k = spec.k
     # a far-out start may square past the float range: varrho_d is then inf
     with np.errstate(over="ignore"):
-        c2 = init.c[:k] ** 2
-    varrho_d = float(np.sum(c2 - beta[:k]))
+        c2 = init.c**2
+    varrho_d = float(spec.split_sum(c2 - beta)[0])
     step_cap = min(2.0 / spec.lambda_max, 2.0 * spec.gap1 / (spec.lambda_max**2 - spec.lambda_min**2))
     denom = float(
         spec.lambda_min**2 * lam[k - 1] ** 2
@@ -294,12 +298,12 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
     total = float(np.sum(lam2beta))
     if total == 0.0:
         raise UnsupportedNoiseError("theta_inf undefined for an all-zero noise profile")
-    theta_inf = float(np.sum(lam2beta[:k]) / total)
+    theta_inf = float(spec.split_sum(lam2beta)[0] / total)
 
-    gap_to_floor = delta - float(np.sum(beta[:k]))
+    gap_to_floor = delta - float(spec.split_sum(beta)[0])
     flags = CsgdFlags(
         step_size_ok=bool(eta < step_cap),
-        init_coords_ok=bool(np.all(c2 > beta[:k])),
+        init_coords_ok=bool(np.all(c2[:k] > beta[:k])),
         init_energy_ok=bool(varrho_d > gap_to_floor),
     )
     t_star = None
@@ -323,26 +327,34 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
     )
 
 
+def mode_law(c0, lam, kappa2, eta: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode mean a^t c0 and variance beta (1 - a^(2t)) of c_t, a = 1 - eta lam,
+    vectorised over modes; t = math.inf gives the stationary law (0, beta)."""
+    c0, lam, kappa2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (c0, lam, kappa2)))
+    if not np.all((0 < eta) & (eta < 2.0 / lam)):
+        raise StepSizeError(f"eta must lie in (0, 2/lambda_1) = (0, {2.0 / np.max(lam)})")
+    if not t >= 0:
+        raise ParameterError("t must be >= 0")
+    if t == 0:
+        return c0.copy(), np.zeros_like(c0)
+    beta = eta * kappa2 / (2.0 * lam - eta * lam**2)
+    a = 1.0 - eta * lam
+    # log|a| by log1p where a > 0; a <= 0 is exact (Sterbenz), and -inf at a = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = np.where(a > 0.0, np.log1p(-eta * lam), np.log(np.abs(a)))
+    return np.where(a < 0.0, np.power(a, t), np.exp(t * log_a)) * c0, -beta * np.expm1(2.0 * t * log_a)
+
+
 def expected_second_moment(c0: float, lam: float, kappa2: float, eta: float, t: int) -> float:
-    """Closed-form E[c_t^2] for one mode of the constant-step recursion."""
-    beta = _mode_beta(lam, kappa2, eta, t)
-    return (1.0 - eta * lam) ** (2 * t) * (c0**2 - beta) + beta
+    """Closed-form E[c_t^2] = mu^2 + sigma^2 for one mode, from `mode_law`."""
+    mu, sigma2 = mode_law(c0, lam, kappa2, eta, t)
+    return float(mu**2 + sigma2)
 
 
 def second_moment_variance(c0: float, lam: float, kappa2: float, eta: float, t: int) -> float:
     """Var(c_t^2) = 2 sigma^4 + 4 mu^2 sigma^2 for the Gaussian mode c_t."""
-    beta = _mode_beta(lam, kappa2, eta, t)
-    mu = (1.0 - eta * lam) ** t * c0
-    sigma2 = beta * (1.0 - (1.0 - eta * lam) ** (2 * t))
-    return 2.0 * sigma2**2 + 4.0 * mu**2 * sigma2
-
-
-def _mode_beta(lam: float, kappa2: float, eta: float, t: int) -> float:
-    if not 0 < eta < 2.0 / lam:
-        raise StepSizeError(f"eta must lie in (0, {2.0 / lam})")
-    if t < 0:
-        raise ParameterError("t must be >= 0")
-    return eta * kappa2 / (2.0 * lam - eta * lam**2)
+    mu, sigma2 = mode_law(c0, lam, kappa2, eta, t)
+    return float(2.0 * sigma2**2 + 4.0 * mu**2 * sigma2)
 
 
 def expected_next_block_energy(stats: BlockStats, eta: float, block: str) -> float:

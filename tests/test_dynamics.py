@@ -13,6 +13,7 @@ from alignlab import (
     csgd_plan,
     expected_second_moment,
     late_phase_statistic,
+    mode_law,
     random_init,
     run_trajectory,
 )
@@ -322,6 +323,17 @@ class TestJumpCoefficients:
         assert np.allclose(scale**2, closed, rtol=1e-9, atol=0)
         # a negative a makes a^n alternate in sign
         assert np.all(np.sign(decay[3:]) == (-1) ** n)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 64])
+    def test_agree_with_the_mode_law(self, n):
+        # the kernel's term-by-term G_n is the one second statement of
+        # theory.mode_law, whose variance at eta = kappa2 = 1 is G_n
+        lam = 1.0 - self.A
+        a = 1.0 - lam
+        decay, scale = _jump_coefficients(a, n)
+        assert np.array_equal(decay, a**n)
+        _, g = mode_law(0.0, lam, 1.0, 1.0, n)
+        assert np.all(np.abs(scale**2 - g) <= 4 * n * np.finfo(float).eps * g)
 
 
 def law_problem(d, eta_top):

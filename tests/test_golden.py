@@ -1,7 +1,8 @@
 """Byte-identity gate: sha256 of every file the four presets write at tiny
-sizes. A change that must leave output bytes alone (a refactor, a faster
-kernel) keeps these hashes; a change that means to alter outputs records new
-ones and says why.
+sizes, and of the JSON that `report` prints for a fixed problem and state. A
+change that must leave output bytes alone (a refactor, a faster kernel) keeps
+these hashes; a change that means to alter outputs records new ones and says
+why.
 
 The hashes were recorded with numpy 2.4.6; another numpy release may draw
 or sum differently, so the test is skipped there rather than failing on
@@ -9,11 +10,14 @@ bytes this code does not control.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from alignlab.cli import main
+from alignlab.spectrum import build_spectrum, isotropic_noise, write_problem_json
+from alignlab.state import random_init, state_to_json
 
 NUMPY_VERSION = "2.4.6"
 
@@ -68,3 +72,18 @@ def test_preset_output_bytes(preset, threads, tmp_path, monkeypatch):
     assert main([*PRESETS[preset], "--out", str(out)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == SHA256[preset]
+
+
+# the printed report holds csgd.beta_coeffs, t_star and theta_inf, so this
+# hash pins every closed form of the per-mode law
+REPORT_SHA256 = "65901b40f8960321635e678f30a5c6f56ec422f3effa75b1f3a7280196795504"
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION, reason=f"hashes recorded with numpy {NUMPY_VERSION}")
+def test_report_output_bytes(tmp_path, capsys):
+    problem, state = tmp_path / "problem.json", tmp_path / "state.json"
+    write_problem_json(problem, build_spectrum(24, 4, 8.0, (0.5, 1.0), seed=5), isotropic_noise(24, 1.0))
+    state.write_text(json.dumps(state_to_json(random_init(24, 3.0, seed=6))))
+    argv = ["report", "--spectrum", str(problem), "--noise", str(problem), "--state", str(state), "--eta", "0.02"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPORT_SHA256

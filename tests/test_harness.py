@@ -417,6 +417,17 @@ class TestCli:
         assert detail in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_monte_carlo_sums_are_usage_error(self, threads, tmp_path, monkeypatch, capsys):
+        # the closed-form drift (~1e202) is finite; the sums of squares are not
+        monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+        out = tmp_path / "drift"
+        argv = ["drift-test", "--d", "24", "--k", "4", "--m", "8", "--n-mc", "1000",
+                "--eta-factor", "1e100", "--out", str(out)]
+        err = self._usage_error(argv, capsys)
+        assert "Monte-Carlo sum of squares is not finite" in err
+        assert not out.exists()
+
     def test_colliding_m_stems_are_usage_error(self, tmp_path, capsys):
         out = tmp_path / "runs"
         argv = [*self.SIM_ARGS, "--m", "100.0001", "--m", "100.0002", "--out", str(out)]

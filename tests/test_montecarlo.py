@@ -10,7 +10,6 @@ import pytest
 import alignlab
 
 from alignlab import (
-    InsufficientDataError,
     build_spectrum,
     NoiseProfile,
     ParameterError,
@@ -23,10 +22,8 @@ from alignlab import (
     expected_next_block_energy,
     late_phase_statistic,
     one_step_estimates,
-    phase1_decay_fit,
     projected_loss_test,
     rescale_to_alignment,
-    run_trajectory,
 )
 from alignlab import montecarlo
 from alignlab.dynamics import TrajectoryRecord
@@ -576,6 +573,13 @@ class TestDriftSignTest:
         with pytest.raises(ParameterError, match="finite"):
             one_step_estimates(state, spec, noise, [0.1, eta], 5_000, seed=0)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_sum_of_squares_rejected(self, fixa, threads, monkeypatch):
+        # the drift ~1e200 is finite, but its squared deviations are not
+        monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+        spec, noise, state = fixa
+        with pytest.raises(ParameterError, match="sum of squares is not finite"):
+            one_step_estimates(state, spec, noise, [1e100], 20_001, seed=0)
 
     def test_overflowing_step_rejected_before_drawing(self, fixa, monkeypatch):
         spec, noise, state = fixa
@@ -640,26 +644,3 @@ class TestTrajectoryStatistics:
         traj = TrajectoryRecord(times=np.array([0, 10]), thetas=np.array([0.5, 0.6]), losses=np.ones(2))
         with pytest.raises(ParameterError):
             late_phase_statistic(traj, 10)
-
-    def test_power_law_fit_exact(self):
-        t = np.arange(1, 101)
-        traj = TrajectoryRecord(times=t, thetas=t**-0.5, losses=np.ones(100))
-        slope, r2 = phase1_decay_fit(traj, 100)
-        assert slope == pytest.approx(-0.5, abs=1e-12)
-        assert r2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_fit_needs_points(self):
-        t = np.arange(1, 4)
-        traj = TrajectoryRecord(times=t, thetas=t**-0.5, losses=np.ones(3))
-        with pytest.raises(InsufficientDataError):
-            phase1_decay_fit(traj, 3)
-
-    def test_noiseless_fit_deterministic(self, fixa):
-        spec, _, state = fixa
-        silent = NoiseProfile(kappa2=np.zeros(2))
-        a = run_trajectory(spec, silent, state, 0.1, 100, 1, seed=0)
-        b = run_trajectory(spec, silent, state, 0.1, 100, 1, seed=1)
-        fa = phase1_decay_fit(a, 100)
-        fb = phase1_decay_fit(b, 100)
-        assert fa == fb
-

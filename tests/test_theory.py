@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from alignlab import (
     UndefinedBoundError,
     UnsupportedNoiseError,
     block_stats,
+    build_spectrum,
     crossover,
     crossover_gap_bounds,
     csgd_plan,
@@ -26,6 +28,7 @@ from alignlab import (
     expected_second_moment,
     g_gap,
     loss_threshold,
+    mode_law,
     rescale_to_alignment,
     second_moment_variance,
     theory_report,
@@ -423,6 +426,67 @@ class TestSecondMoments:
         )
         # mu = 0, sigma^2 = 1: pure chi-square with variance 2
         assert second_moment_variance(0.0, 1.0, 1.0, 1.0, 1) == pytest.approx(2.0)
+
+
+def exact_second_moments(c0, lam, kappa2, eta, t):
+    """(E[c_t^2], Var c_t^2) of the mode law in exact rational arithmetic."""
+    c0, lam, kappa2, eta = map(Fraction, (c0, lam, kappa2, eta))
+    a = 1 - eta * lam
+    beta = eta * kappa2 / (2 * lam - eta * lam**2)
+    mu2 = (a**t * c0) ** 2
+    sigma2 = beta * (1 - a ** (2 * t))
+    return mu2 + sigma2, 2 * sigma2**2 + 4 * mu2 * sigma2
+
+
+class TestModeLaw:
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 10, 1000])
+    @pytest.mark.parametrize("x", [1e-12, 1e-9, 1e-6, 1e-3, 0.3, 1.0, 1.3, 1.9])
+    def test_second_moments_free_of_cancellation(self, x, t):
+        # 1 - a^(2t) formed from a rounded a loses digits as eta*lam -> 0
+        for lam in (1.0, 3.0):
+            for c0 in (0.0, 1.0):
+                eta = x / lam
+                moment, variance = exact_second_moments(c0, lam, 0.7, eta, t)
+                got_moment = expected_second_moment(c0, lam, 0.7, eta, t)
+                got_variance = second_moment_variance(c0, lam, 0.7, eta, t)
+                assert abs(Fraction(got_moment) - moment) <= Fraction(1e-14) * moment
+                assert abs(Fraction(got_variance) - variance) <= Fraction(1e-14) * variance
+
+    def test_stationary_law_is_csgd_beta_bit_for_bit(self):
+        spec = build_spectrum(24, 4, 8.0, (0.5, 1.0), seed=5)
+        noise = NoiseProfile(kappa2=np.linspace(0.5, 2.0, 24))
+        state = State(c=np.linspace(-3.0, 3.0, 24))
+        eta, lam = 0.2, spec.lambdas
+        mean, var = mode_law(state.c, lam, noise.kappa2, eta, math.inf)
+        assert np.array_equal(var, eta * noise.kappa2 / (2.0 * lam - eta * lam**2))
+        assert np.array_equal(var, csgd_plan(spec, noise, state, eta).beta_coeffs)
+        assert np.all(mean == 0.0)
+
+    def test_t_zero_is_the_start(self):
+        c0 = np.array([1.5, -2.0, 0.0])
+        mean, var = mode_law(c0, np.array([1.0, 0.5, 1.9]), 1.0, 1.0, 0)
+        assert np.array_equal(mean, c0)
+        assert np.array_equal(var, np.zeros(3))
+
+    @pytest.mark.parametrize("t", [0, 1, 2, math.inf])
+    def test_a_zero_forgets_the_start(self, t):
+        # eta*lam = 1: log|a| = -inf, with no NaN and no RuntimeWarning
+        mean, var = mode_law(2.0, 2.0, 1.0, 0.5, t)
+        assert mean == (2.0 if t == 0 else 0.0)
+        assert var == (0.0 if t == 0 else 0.25)
+
+    def test_negative_a_alternates(self):
+        mean, var = mode_law(1.0, 1.5, 1.0, 1.0, 3)
+        assert mean == -0.125
+        assert var == pytest.approx((1.0 - 0.5**6) / 0.75, rel=1e-15)
+
+    def test_domain(self):
+        lam = np.array([1.0, 2.0])
+        for eta in (0.0, 1.0, -0.1, math.nan):
+            with pytest.raises(StepSizeError):
+                mode_law(1.0, lam, 1.0, eta, 1)
+        with pytest.raises(ParameterError):
+            mode_law(1.0, lam, 1.0, 0.5, -1)
 
 
 class TestNextBlockEnergy:
