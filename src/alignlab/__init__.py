@@ -23,16 +23,7 @@ from .errors import (
     UnsupportedNoiseError,
 )
 from .harness import ExperimentConfig, load_config
-from .montecarlo import (
-    DriftSignResult,
-    DriftVerdict,
-    McEstimate,
-    ProjectedLossResult,
-    drift_sign_test,
-    late_phase_statistic,
-    one_step_estimates,
-    projected_loss_test,
-)
+from .montecarlo import McEstimate, Verdict, drift_verdicts, late_phase_statistic, one_step_estimates, projected_verdicts
 from .spectrum import (
     AssumptionReport,
     NoiseProfile,

@@ -24,14 +24,7 @@ from . import svgplot, theory
 from ._pool import run_jobs
 from .dynamics import run_trajectory, write_trajectory_csv
 from .errors import AlignlabError, ConstructionError, DivergenceError, ParameterError
-from .montecarlo import (
-    _VERDICT_MIN_N,
-    _drift_result,
-    _one_step_estimates,
-    _projected_estimates,
-    _projected_result,
-    late_phase_statistic,
-)
+from .montecarlo import VERDICT_COLUMNS, drift_verdicts, late_phase_statistic, projected_verdicts
 from .spectrum import NoiseProfile, Spectrum, build_spectrum, isotropic_noise, read_noise_json, read_spectrum_json
 from .state import State, block_stats, random_init, rescale_to_alignment, state_from_json
 
@@ -43,13 +36,10 @@ __all__ = [
     "cmd_drift_test",
     "cmd_projected_test",
     "cmd_report",
-    "VERDICT_COLUMNS",
 ]
 
 DEFAULT_M_LIST = (5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0, 400.0, 500.0)
 DEFAULT_SEEDS = (42, 87, 568, 1101, 12138, 70425, 4008001)
-
-VERDICT_COLUMNS = ["test", "theta", "eta", "eta_star", "predicted", "mean", "stderr", "z", "verdict"]
 
 # stream labels for deriving independent generators from (seed, m)
 _STREAM_SPECTRUM, _STREAM_INIT, _STREAM_TRAJECTORY, _STREAM_MC = range(4)
@@ -230,6 +220,12 @@ def _write_csv(path: Path, header, rows) -> None:
                 w.writerow([_cell(v) for v in row])
 
     _atomic_write(path, writer)
+
+
+def _write_verdicts(path: Path, rows) -> bool:
+    """Write a verdict table; returns whether any row failed."""
+    _write_csv(path, VERDICT_COLUMNS, [row.cells() for row in rows])
+    return any(row.failed for row in rows)
 
 
 def _problem_for(config: ExperimentConfig, m: float, seed: int) -> tuple[Spectrum, NoiseProfile]:
@@ -450,41 +446,21 @@ def cmd_drift_test(
     theta_slack = 0.005 if config.d >= 200 else 0.0
     eta_fallback = 2.0 * spec.gap1 / (spec.lambda_max**2 - spec.lambda_min**2)
 
-    targets = []
+    jobs = []
     for token in theta_targets:
         kind, value = _parse_theta_target(token, spec, noise)
         if kind == "high":
             state = _state_above_theta_star(base, spec, noise)
         else:
             state = rescale_to_alignment(base, spec, value, which="dominant")
-        stats = block_stats(state, spec, noise)
-        dq = theory.drift_quadratic(stats)
-        eta_star = dq.eta_star if dq.eta_star is not None and dq.eta_star > 0 else None
-        eta_ref = eta_star if eta_star is not None else eta_fallback
-        etas = [factor * eta_ref for factor in eta_factors]
-        for eta in etas:
-            theory.expected_drift(dq, eta)  # rejects a step whose drift overflows, before any draw
-        targets.append((state, stats, etas))
+        eta_star = theory.drift_quadratic(block_stats(state, spec, noise)).eta_star
+        eta_ref = eta_star if eta_star is not None and eta_star > 0 else eta_fallback
+        jobs.append((state, [factor * eta_ref for factor in eta_factors]))
     # one draw serves every target and step size
-    all_ests = _one_step_estimates(
-        [(state, etas) for state, _, etas in targets], spec, noise, config.n_mc,
-        _stream_int(seed, m, _STREAM_MC, 0), _VERDICT_MIN_N,
+    rows = drift_verdicts(
+        jobs, spec, noise, config.n_mc, _stream_int(seed, m, _STREAM_MC, 0), config.z_crit, theta_slack
     )
-
-    rows = []
-    contradicted = False
-    for (_, stats, etas), ests in zip(targets, all_ests):
-        for eta in etas:
-            res = _drift_result(stats, spec, noise, eta, ests[eta], config.z_crit, theta_slack)
-            for verdict in (res.f_drift, res.theta_drift):
-                rows.append([
-                    verdict.quantity, res.theta, eta, res.eta_star,
-                    verdict.predicted_sign, verdict.estimate.mean,
-                    verdict.estimate.stderr, verdict.z, verdict.verdict,
-                ])
-                contradicted = contradicted or verdict.verdict == "contradicted"
-    _write_csv(out / "drift_verdicts.csv", VERDICT_COLUMNS, rows)
-    return out, contradicted
+    return out, _write_verdicts(out / "drift_verdicts.csv", rows)
 
 
 def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Path, bool]:
@@ -512,31 +488,17 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
         if lo == hi:
             skipped.append((i, "equal thresholds"))
             continue
-        chosen.append((state, stats, 0.5 * (lo + hi)))
+        chosen.append((state, 0.5 * (lo + hi)))
     if not chosen:
         reasons = "; ".join(sorted({reason for _, reason in skipped}))
         raise ParameterError(f"no state left to test: every state was skipped ({reasons})")
     for i, reason in skipped:
         print(f"projected-test: state {i} skipped ({reason})", file=sys.stderr)
     # one draw serves every state and both blocks
-    all_ests = _projected_estimates(
-        [(state, eta) for state, _, eta in chosen], spec, noise, config.n_mc,
-        _stream_int(seed, m, _STREAM_MC, 1000),
+    rows = projected_verdicts(
+        chosen, spec, noise, config.n_mc, _stream_int(seed, m, _STREAM_MC, 1000), config.z_crit
     )
-
-    rows = []
-    failed = False
-    for (_, stats, eta), ests in zip(chosen, all_ests):
-        for block, est in ests.items():
-            res = _projected_result(stats, block, eta, est, config.z_crit)
-            v = res.verdict
-            rows.append([
-                f"loss_change_{block}", res.theta, eta, res.eta_loss,
-                v.predicted_sign, v.estimate.mean, v.estimate.stderr, v.z, v.verdict,
-            ])
-            failed = failed or v.verdict == "contradicted" or not res.target_ok
-    _write_csv(out / "projected_verdicts.csv", VERDICT_COLUMNS, rows)
-    return out, failed
+    return out, _write_verdicts(out / "projected_verdicts.csv", rows)
 
 
 def cmd_report(spectrum_path, noise_path, state_path, eta: float) -> dict:

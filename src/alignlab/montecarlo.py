@@ -62,17 +62,16 @@ from ._pool import run_jobs
 from .dynamics import TrajectoryRecord
 from .errors import ParameterError
 from .spectrum import NoiseProfile, Spectrum
-from .state import BlockStats, State, _check_dims, block_stats
-from .theory import drift_quadratic, expected_drift, g_gap, loss_threshold, theta_star
+from .state import State, _check_dims, block_stats
+from .theory import drift_quadratic, expected_drift, loss_threshold
 
 __all__ = [
     "McEstimate",
-    "DriftVerdict",
-    "DriftSignResult",
-    "ProjectedLossResult",
+    "Verdict",
+    "VERDICT_COLUMNS",
     "one_step_estimates",
-    "drift_sign_test",
-    "projected_loss_test",
+    "drift_verdicts",
+    "projected_verdicts",
     "late_phase_statistic",
 ]
 
@@ -98,44 +97,41 @@ class McEstimate:
     n: int
 
 
+# the verdict tables' header; the threshold column keeps its first name
+VERDICT_COLUMNS = ["test", "theta", "eta", "eta_star", "predicted", "mean", "stderr", "z", "verdict"]
+
+
 @dataclass(frozen=True)
-class DriftVerdict:
-    """Outcome of one sign test: confirmed when the estimate significantly
+class Verdict:
+    """One row of a verdict table: the sign test `test` at alignment theta
+    and step size eta, whose threshold step (eta* for the drift rows, the
+    block's loss threshold for the projected rows) is `threshold`, None when
+    undefined. The verdict is confirmed when the estimate significantly
     carries the predicted sign, inconclusive when not significant, and
-    contradicted when significantly the wrong sign."""
+    contradicted when significantly the wrong sign. target_ok is False when
+    the estimate misses the closed-form mean it is checked against, which
+    only the projected rows are."""
 
-    quantity: str
-    predicted_sign: str
+    test: str
+    theta: float
+    eta: float
+    threshold: float | None
+    predicted: str
     estimate: McEstimate
-    verdict: str
     z: float
-    asymptotic: bool = False
+    verdict: str
+    target_ok: bool = True
 
+    @property
+    def failed(self) -> bool:
+        """A contradicted verdict or a missed closed-form target: the row fails its preset."""
+        return self.verdict == "contradicted" or not self.target_ok
 
-@dataclass(frozen=True)
-class DriftSignResult:
-    """Verdict pair for one (state, eta): the exact finite-d test on the
-    comparison functional and the asymptotic test on the alignment itself."""
-
-    f_drift: DriftVerdict
-    theta_drift: DriftVerdict
-    theta: float
-    eta: float
-    eta_star: float | None
-    regime: str
-
-
-@dataclass(frozen=True)
-class ProjectedLossResult:
-    """Loss-change verdict for one block, with the closed-form target."""
-
-    verdict: DriftVerdict
-    block: str
-    theta: float
-    eta: float
-    eta_loss: float | None
-    target: float
-    target_ok: bool
+    def cells(self) -> list:
+        """The row's values in VERDICT_COLUMNS order."""
+        est = self.estimate
+        return [self.test, self.theta, self.eta, self.threshold, self.predicted,
+                est.mean, est.stderr, self.z, self.verdict]
 
 
 def _check(state: State, spec: Spectrum, noise: NoiseProfile, n: int, n_min: int) -> None:
@@ -165,7 +161,7 @@ def _pivot(kernel: _Kernel, q_sums: np.ndarray) -> np.ndarray:
     return kernel.finish(np.zeros((len(kernel.forms), 2, 1)), q_sums[:, None])[:, 0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the sums: ParameterError below
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the pivots or sums: ParameterError below
 def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstimate]:
     """Mean and standard error of every row of every kernel, kernel by kernel,
     from ceil(n/2) antithetic pairs over the batches of the schedule, which
@@ -177,7 +173,8 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
     Every kernel then turns chunks of _FINISH pairs into pair means; finish
     works pair by pair, so a chunk's rows equal those of the whole batch.
     The worker shifts them by a data-free pivot (`_pivot`), which keeps the
-    sums of squares free of cancellation, and returns per row the shifted
+    sums of squares free of cancellation (a pivot that is not finite stops
+    the estimate before any draw), and returns per row the shifted
     sum and sum of squares. These stream back in batch order and are
     combined with math.fsum, so a worker holds O(block + chunk x width)
     values and the calling thread O(batches x width) whatever n is."""
@@ -187,6 +184,10 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
     vectors = [v for kernel in kernels for v in kernel.forms]
     q_sums = np.stack(spec.split_sum(q))
     pivots = [_pivot(kernel, q_sums) for kernel in kernels]
+    if not np.all(np.isfinite(np.concatenate(pivots))):
+        raise ParameterError(
+            "a Monte-Carlo statistic is not finite at the mean noise: the step size or the state is too large"
+        )
     # kernel i reads the linear-form sums forms[i]:forms[i + 1]
     forms = np.cumsum([0] + [len(kernel.forms) for kernel in kernels])
     pairs = -(-n // 2)
@@ -244,6 +245,7 @@ def _block_sums(z: np.ndarray, k: int, vectors: list, q: np.ndarray, out: np.nda
         np.einsum("ij,j->i", z[:, k:], v[k:], out=out[i, 1])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the pivot: _estimate rejects it
 def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: list) -> _Kernel:
     """Kernel whose rows are, for each eta, the pair means of f, sD_next,
     sB_next and theta_next.
@@ -287,17 +289,14 @@ def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: li
     return _Kernel((a, lam * a), lam**2 * noise.kappa2, finish)
 
 
-def _one_step_estimates(jobs, spec: Spectrum, noise: NoiseProfile, n: int, seed: int, n_min: int) -> list[dict]:
-    """one_step_estimates for each (state, etas) job, all from the same n
-    draws; one {eta: {...}} dict per job."""
-    jobs = [(state, [float(e) for e in etas]) for state, etas in jobs]
+def _one_step_estimates(jobs, spec: Spectrum, noise: NoiseProfile, n: int, seed: int, n_min: int) -> list:
+    """The estimates of f, sD_next, sB_next and theta_next at each step size
+    of each (state, etas) job, in that order, all from the same n draws."""
     for state, etas in jobs:
         if not etas or not all(0 <= e < math.inf for e in etas):
             raise ParameterError("etas must be non-empty, finite and non-negative")
         _check(state, spec, noise, n, n_min)
-    ests = iter(_estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, etas) for state, etas in jobs]))
-    keys = ("f", "sD_next", "sB_next", "theta_next")
-    return [{eta: dict(zip(keys, [next(ests) for _ in keys])) for eta in etas} for _, etas in jobs]
+    return _estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, etas) for state, etas in jobs])
 
 
 def one_step_estimates(
@@ -312,104 +311,61 @@ def one_step_estimates(
     f, the next block energies, and the next alignment, for every eta in
     `etas`. Returns {eta: {"f"|"sD_next"|"sB_next"|"theta_next": McEstimate}}.
     """
-    return _one_step_estimates([(state, etas)], spec, noise, n, seed, 100)[0]
+    etas = [float(e) for e in etas]
+    ests = iter(_one_step_estimates([(state, etas)], spec, noise, n, seed, 100))
+    keys = ("f", "sD_next", "sB_next", "theta_next")
+    return {eta: dict(zip(keys, [next(ests) for _ in keys])) for eta in etas}
 
 
-def _sign_of(value: float, tol: float) -> str:
-    if abs(value) <= tol:
-        return "0"
-    return "+" if value > 0 else "-"
-
-
-def _classify(est: McEstimate, predicted: str, z_crit: float, abs_slack: float) -> str:
-    if abs(est.mean) <= z_crit * est.stderr + abs_slack:
-        return "inconclusive"
-    actual = "+" if est.mean > 0 else "-"
-    return "confirmed" if actual == predicted else "contradicted"
-
-
-def _zscore(est: McEstimate) -> float:
+def _verdict(test, theta, eta, threshold, target, tol, est, z_crit, slack=0.0, target_ok=True) -> Verdict:
+    """The row of a sign test whose closed-form prediction is target, its
+    sign read as 0 within tol; slack widens the inconclusive band."""
+    predicted = "0" if abs(target) <= tol else "+" if target > 0 else "-"
+    if abs(est.mean) <= z_crit * est.stderr + slack:
+        verdict = "inconclusive"
+    else:
+        verdict = "confirmed" if ("+" if est.mean > 0 else "-") == predicted else "contradicted"
     if est.stderr > 0:
-        return est.mean / est.stderr
-    return 0.0 if est.mean == 0 else math.copysign(math.inf, est.mean)
+        z = est.mean / est.stderr
+    else:
+        z = 0.0 if est.mean == 0 else math.copysign(math.inf, est.mean)
+    return Verdict(test, theta, eta, threshold, predicted, est, z, verdict, target_ok)
 
 
-def _regime_label(stats: BlockStats, spec: Spectrum, noise: NoiseProfile) -> str:
-    if noise.s_min <= 0:
-        return "unknown"
-    if stats.theta <= g_gap(spec, noise):
-        return "low"
-    if stats.theta >= theta_star(stats, spec, noise).theta_star:
-        return "high"
-    return "stable"
-
-
-def _drift_result(
-    stats: BlockStats,
+def drift_verdicts(
+    jobs,
     spec: Spectrum,
     noise: NoiseProfile,
-    eta: float,
-    ests: dict,
-    z_crit: float,
-    theta_abs_slack: float,
-) -> DriftSignResult:
-    """Verdict pair at step size eta from that eta's one_step_estimates entry."""
-    dq = drift_quadratic(stats)
-    target = expected_drift(dq, eta)
-    tol = 1e-12 * (abs(dq.p) * eta**2 + abs(dq.q) * eta)
-    predicted = _sign_of(target, tol)
-
-    f_est = ests["f"]
-    th_est = ests["theta_next"]
-    dtheta = McEstimate(mean=th_est.mean - stats.theta, stderr=th_est.stderr, n=th_est.n)
-
-    f_verdict = DriftVerdict(
-        quantity="f_drift",
-        predicted_sign=predicted,
-        estimate=f_est,
-        verdict=_classify(f_est, predicted, z_crit, 0.0),
-        z=_zscore(f_est),
-    )
-    theta_verdict = DriftVerdict(
-        quantity="theta_drift",
-        predicted_sign=predicted,
-        estimate=dtheta,
-        verdict=_classify(dtheta, predicted, z_crit, theta_abs_slack),
-        z=_zscore(dtheta),
-        asymptotic=True,
-    )
-    eta_star = dq.eta_star if dq.eta_star is not None and dq.eta_star > 0 else None
-    return DriftSignResult(
-        f_drift=f_verdict,
-        theta_drift=theta_verdict,
-        theta=stats.theta,
-        eta=eta,
-        eta_star=eta_star,
-        regime=_regime_label(stats, spec, noise),
-    )
-
-
-def drift_sign_test(
-    state: State,
-    spec: Spectrum,
-    noise: NoiseProfile,
-    eta: float,
     n: int,
+    seed: int,
     z_crit: float = 3.0,
-    seed: int = 0,
     theta_abs_slack: float = 0.0,
-) -> DriftSignResult:
-    """Test the sign of the one-step drift at this state and step size.
-
-    The f-drift test targets the exact finite-d expectation p*eta^2 + q*eta.
-    The theta-drift test targets E[theta_{t+1}] - theta_t, which the regime
-    results describe only asymptotically; `theta_abs_slack` widens its
-    inconclusive band accordingly.
-    """
-    stats = block_stats(state, spec, noise)
-    expected_drift(drift_quadratic(stats), eta)  # rejects a step whose drift overflows, before drawing
-    ests = _one_step_estimates([(state, [eta])], spec, noise, n, seed, _VERDICT_MIN_N)[0][float(eta)]
-    return _drift_result(stats, spec, noise, eta, ests, z_crit, theta_abs_slack)
+) -> list[Verdict]:
+    """Sign tests of the one-step drift at each step size of each (state,
+    etas) job, all from one estimate of n samples on seed. Per job and step
+    size, in order: the f_drift row, which tests the exact finite-d
+    expectation p*eta^2 + q*eta, and the theta_drift row, which tests
+    E[theta_{t+1}] - theta_t against the same sign. The regime results
+    describe that drift only asymptotically; `theta_abs_slack` widens its
+    inconclusive band accordingly. A state's rows do not depend on which
+    states share its draw."""
+    jobs = [(state, [float(e) for e in etas]) for state, etas in jobs]
+    checks = []
+    for state, etas in jobs:
+        stats = block_stats(state, spec, noise)
+        dq = drift_quadratic(stats)
+        eta_star = dq.eta_star if dq.eta_star is not None and dq.eta_star > 0 else None
+        for eta in etas:
+            target = expected_drift(dq, eta)  # rejects a step whose drift overflows, before drawing
+            checks.append((stats.theta, eta, eta_star, target, 1e-12 * (abs(dq.p) * eta**2 + abs(dq.q) * eta)))
+    ests = iter(_one_step_estimates(jobs, spec, noise, n, seed, _VERDICT_MIN_N))
+    rows = []
+    for theta, eta, eta_star, target, tol in checks:
+        f, _, _, theta_next = (next(ests) for _ in range(4))
+        dtheta = McEstimate(mean=theta_next.mean - theta, stderr=theta_next.stderr, n=theta_next.n)
+        rows.append(_verdict("f_drift", theta, eta, eta_star, target, tol, f, z_crit))
+        rows.append(_verdict("theta_drift", theta, eta, eta_star, target, tol, dtheta, z_crit, theta_abs_slack))
+    return rows
 
 
 def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: float) -> _Kernel:
@@ -434,62 +390,43 @@ def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: fl
     return _Kernel((), lam * noise.kappa2, finish)
 
 
-def _projected_estimates(jobs, spec: Spectrum, noise: NoiseProfile, n: int, seed: int) -> list[dict]:
-    """Loss change of the step projected on each block, {"D": ..., "B": ...},
-    for each (state, eta) job, all from the same n draws."""
-    for state, eta in jobs:
-        if not math.isfinite(eta):
-            raise ParameterError(f"eta must be finite, got {eta}")
-        _check(state, spec, noise, n, _VERDICT_MIN_N)
-    ests = _estimate(n, seed, spec, [_projected_kernel(state, spec, noise, eta) for state, eta in jobs])
-    return [{"D": ests[2 * i], "B": ests[2 * i + 1]} for i in range(len(jobs))]
-
-
-def _projected_result(
-    stats: BlockStats, block: str, eta: float, est: McEstimate, z_crit: float
-) -> ProjectedLossResult:
-    """Sign verdict and closed-form check of one block's loss-change estimate."""
-    s, tau, _, _, n_loss = stats.block(block)
-    target = -eta * s + 0.5 * eta**2 * (tau + n_loss)
-    tol = 1e-12 * (eta * s + 0.5 * eta**2 * (tau + n_loss))
-    predicted = _sign_of(target, tol)
-    eta_loss = loss_threshold(stats, block) if tau + n_loss > 0 else None
-    verdict = DriftVerdict(
-        quantity="loss_change",
-        predicted_sign=predicted,
-        estimate=est,
-        verdict=_classify(est, predicted, z_crit, 0.0),
-        z=_zscore(est),
-    )
-    target_ok = abs(est.mean - target) <= 4.0 * est.stderr + 1e-12 * (1.0 + abs(target))
-    return ProjectedLossResult(
-        verdict=verdict,
-        block=block,
-        theta=stats.theta,
-        eta=eta,
-        eta_loss=eta_loss,
-        target=target,
-        target_ok=target_ok,
-    )
-
-
-def projected_loss_test(
-    state: State,
+def projected_verdicts(
+    jobs,
     spec: Spectrum,
     noise: NoiseProfile,
-    eta: float,
-    block: str,
     n: int,
+    seed: int,
     z_crit: float = 3.0,
-    seed: int = 0,
-) -> ProjectedLossResult:
-    """Estimate the expected loss change of a block-projected step and test its
-    sign against the stability threshold; also checks agreement with the
-    closed-form target -eta*s + eta^2 (tau + n_loss)/2."""
-    stats = block_stats(state, spec, noise)
-    stats.block(block)  # rejects a bad block name before drawing
-    est = _projected_estimates([(state, eta)], spec, noise, n, seed)[0][block]
-    return _projected_result(stats, block, eta, est, z_crit)
+) -> list[Verdict]:
+    """Sign tests of the expected loss change of the step projected on the
+    dominant and on the bulk block, for each (state, eta) job, all from one
+    estimate of n samples on seed: per job the loss_change_D row, then the
+    loss_change_B row. Each tests the sign of the closed-form change
+    -eta*s + eta^2 (tau + n_loss)/2 of its block, and its target_ok checks
+    the estimate against that change within 4 stderr. A state's rows do not
+    depend on which states share its draw."""
+    jobs = [(state, float(eta)) for state, eta in jobs]
+    checks = []
+    for state, eta in jobs:
+        _check(state, spec, noise, n, _VERDICT_MIN_N)
+        stats = block_stats(state, spec, noise)
+        for block in ("D", "B"):
+            s, tau, _, _, n_loss = stats.block(block)
+            try:
+                step, curve = eta * s, 0.5 * eta**2 * (tau + n_loss)
+            except OverflowError:
+                step = curve = math.inf
+            if not math.isfinite(curve - step):  # rejects an overflowing step before drawing
+                raise ParameterError(f"the closed-form loss change at eta={eta!r} is not finite")
+            threshold = loss_threshold(stats, block) if tau + n_loss > 0 else None
+            target, tol = curve - step, 1e-12 * (step + curve)
+            checks.append((f"loss_change_{block}", stats.theta, eta, threshold, target, tol))
+    ests = _estimate(n, seed, spec, [_projected_kernel(state, spec, noise, eta) for state, eta in jobs])
+    rows = []
+    for (test, theta, eta, threshold, target, tol), est in zip(checks, ests):
+        target_ok = abs(est.mean - target) <= 4.0 * est.stderr + 1e-12 * (1.0 + abs(target))
+        rows.append(_verdict(test, theta, eta, threshold, target, tol, est, z_crit, target_ok=target_ok))
+    return rows
 
 
 def late_phase_statistic(traj: TrajectoryRecord, T_start: int) -> tuple[float, float]:

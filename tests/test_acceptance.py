@@ -38,7 +38,7 @@ from alignlab import (
     isotropic_noise,
     loss_threshold,
     one_step_estimates,
-    projected_loss_test,
+    projected_verdicts,
     random_init,
     rescale_to_alignment,
     run_trajectory,
@@ -235,11 +235,10 @@ def test_c07_projected_loss_reproduction():
         assert lo < hi  # low-alignment ordering
         eta = 0.5 * (lo + hi)
         seed = int(rng.integers(2**31))
-        for block, want in (("D", "+"), ("B", "-")):
-            res = projected_loss_test(state, spec, noise, eta, block, 50_000, z_crit=3.0, seed=seed)
-            v = res.verdict
+        rows = projected_verdicts([(state, eta)], spec, noise, 50_000, seed, z_crit=3.0)
+        for v, want in zip(rows, ("+", "-")):
             min_abs_z = min(min_abs_z, abs(v.z))
-            if v.predicted_sign != want or v.verdict != "confirmed" or not res.target_ok:
+            if v.predicted != want or v.verdict != "confirmed" or not v.target_ok:
                 failures += 1
     report(
         "AC7",

@@ -22,10 +22,15 @@ from alignlab.harness import (
     cmd_simulate,
     cmd_sweep_gap,
 )
-from alignlab.montecarlo import drift_sign_test, projected_loss_test
+from alignlab.montecarlo import drift_verdicts, projected_verdicts
 from alignlab.spectrum import write_problem_json
 from alignlab.state import block_stats, random_init, rescale_to_alignment, state_to_json
 from alignlab.theory import g_gap, loss_threshold, theta_star
+
+
+def csv_rows(rows):
+    """Verdict rows as the cells a verdict table writes."""
+    return [[_cell(c) for c in row.cells()] for row in rows]
 
 
 def tiny_config(tmp_path, **kw):
@@ -188,8 +193,9 @@ class TestDriftTestCommand:
         assert "contradicted" not in (out / "drift_verdicts.csv").read_text()
 
     def test_rows_equal_separate_per_eta_calls(self, tmp_path):
-        # drift-test draws once per target for all step sizes; each row must
-        # equal a drift_sign_test call at that step size with the same seed
+        # drift-test draws once per target for all step sizes; each step
+        # size's rows must equal a drift_verdicts call at that step size alone
+        # with the same seed
         cfg = tiny_config(tmp_path, n_mc=20_001)
         out, _ = cmd_drift_test(cfg, theta_targets=("0.3*ggap",), eta_factors=(0.5, 1.0, 2.0))
         rows = [line.split(",") for line in (out / "drift_verdicts.csv").read_text().splitlines()[1:]]
@@ -197,21 +203,17 @@ class TestDriftTestCommand:
         spec, noise = _problem_for(cfg, m, seed)
         base = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT))
         state = rescale_to_alignment(base, spec, 0.3 * g_gap(spec, noise), which="dominant")
+        mc_seed = _stream_int(seed, m, _STREAM_MC, 0)
         expected = []
-        for eta in sorted({float(row[2]) for row in rows}):
-            res = drift_sign_test(
-                state, spec, noise, eta, cfg.n_mc, cfg.z_crit, seed=_stream_int(seed, m, _STREAM_MC, 0)
-            )
-            for v in (res.f_drift, res.theta_drift):
-                cells = [v.quantity, res.theta, eta, res.eta_star, v.predicted_sign,
-                         v.estimate.mean, v.estimate.stderr, v.z, v.verdict]
-                expected.append([_cell(c) for c in cells])
+        for eta in [float(row[2]) for row in rows[::2]]:
+            expected += csv_rows(drift_verdicts([(state, [eta])], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit))
         assert len(rows) == 6
         assert rows == expected
 
     def test_rows_equal_separate_calls_per_target(self, tmp_path):
         # drift-test draws once for every target; each target's rows must
-        # equal drift_sign_test calls on that target's state with the shared seed
+        # equal a drift_verdicts call on that target's state alone with the
+        # shared seed
         cfg = tiny_config(tmp_path, n_mc=20_001)
         out, _ = cmd_drift_test(cfg, theta_targets=("0.3*ggap", "0.9*ggap", "high"), eta_factors=(0.5, 2.0))
         rows = [line.split(",") for line in (out / "drift_verdicts.csv").read_text().splitlines()[1:]]
@@ -220,17 +222,11 @@ class TestDriftTestCommand:
         base = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT))
         states = [rescale_to_alignment(base, spec, f * g_gap(spec, noise), which="dominant") for f in (0.3, 0.9)]
         states.append(_state_above_theta_star(base, spec, noise))
+        mc_seed = _stream_int(seed, m, _STREAM_MC, 0)
         expected = []
         for t_idx, state in enumerate(states):
-            for eta in [float(row[2]) for row in rows[4 * t_idx : 4 * t_idx + 4 : 2]]:
-                res = drift_sign_test(
-                    state, spec, noise, eta, cfg.n_mc, cfg.z_crit,
-                    seed=_stream_int(seed, m, _STREAM_MC, 0), theta_abs_slack=0.0,
-                )
-                for v in (res.f_drift, res.theta_drift):
-                    cells = [v.quantity, res.theta, eta, res.eta_star, v.predicted_sign,
-                             v.estimate.mean, v.estimate.stderr, v.z, v.verdict]
-                    expected.append([_cell(c) for c in cells])
+            etas = [float(row[2]) for row in rows[4 * t_idx : 4 * t_idx + 4 : 2]]
+            expected += csv_rows(drift_verdicts([(state, etas)], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit))
         assert len(rows) == 12
         assert rows == expected
 
@@ -266,8 +262,9 @@ class TestProjectedTestCommand:
         assert len(lines) == 7  # 3 states x 2 blocks
 
     def test_rows_equal_separate_per_block_calls(self, tmp_path):
-        # projected-test draws once for every state and both blocks; each row
-        # must equal a projected_loss_test call on that block with the same seed
+        # projected-test draws once for every state and both blocks; each
+        # state's rows must equal a projected_verdicts call on that state alone
+        # with the same seed
         cfg = tiny_config(tmp_path, n_mc=20_001)
         out, _ = cmd_projected_test(cfg, n_states=3)
         rows = [line.split(",") for line in (out / "projected_verdicts.csv").read_text().splitlines()[1:]]
@@ -278,15 +275,9 @@ class TestProjectedTestCommand:
             state = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT, i))
             stats = block_stats(state, spec, noise)
             eta = 0.5 * sum(loss_threshold(stats, b) for b in ("D", "B"))
-            for block in ("D", "B"):
-                res = projected_loss_test(
-                    state, spec, noise, eta, block, cfg.n_mc, cfg.z_crit,
-                    seed=_stream_int(seed, m, _STREAM_MC, 1000),
-                )
-                v = res.verdict
-                cells = [f"loss_change_{block}", res.theta, eta, res.eta_loss, v.predicted_sign,
-                         v.estimate.mean, v.estimate.stderr, v.z, v.verdict]
-                expected.append([_cell(c) for c in cells])
+            mc_seed = _stream_int(seed, m, _STREAM_MC, 1000)
+            expected += csv_rows(projected_verdicts([(state, eta)], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit))
+        assert len(rows) == 6
         assert rows == expected
 
 

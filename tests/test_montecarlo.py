@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +18,15 @@ from alignlab import (
     State,
     block_stats,
     drift_quadratic,
-    drift_sign_test,
+    drift_verdicts,
     expected_drift,
     expected_next_block_energy,
     late_phase_statistic,
+    g_gap,
     one_step_estimates,
-    projected_loss_test,
+    projected_verdicts,
     rescale_to_alignment,
+    theta_star,
 )
 from alignlab import montecarlo
 from alignlab.dynamics import TrajectoryRecord
@@ -34,7 +37,6 @@ from alignlab.montecarlo import (
     _one_step_estimates,
     _one_step_kernel,
     _pivot,
-    _projected_estimates,
     _projected_kernel,
 )
 
@@ -385,10 +387,15 @@ class TestSharedDraw:
         spec, noise, states = shared_draw_problem(29, 40)
         jobs = [(state, [f / spec.lambda_max for f in (0.2 * (i + 1), 1.9)]) for i, state in enumerate(states)]
         shared = _one_step_estimates(jobs, spec, noise, 20_001, 30, 100)
-        assert shared == [one_step_estimates(state, spec, noise, etas, 20_001, 30) for state, etas in jobs]
+        assert shared == [
+            est
+            for state, etas in jobs
+            for rows in one_step_estimates(state, spec, noise, etas, 20_001, 30).values()
+            for est in rows.values()
+        ]
         jobs = [(state, (0.3 + 0.2 * i) / spec.lambda_max) for i, state in enumerate(states)]
-        shared = _projected_estimates(jobs, spec, noise, 20_001, 31)
-        assert shared == [_projected_estimates([job], spec, noise, 20_001, 31)[0] for job in jobs]
+        shared = projected_verdicts(jobs, spec, noise, 20_001, 31)
+        assert shared == [row for job in jobs for row in projected_verdicts([job], spec, noise, 20_001, 31)]
 
 
 class TestBoundedMemory:
@@ -459,10 +466,10 @@ class TestThreadCountInvariance:
     def test_projected_loss_test(self, monkeypatch, block):
         spec, noise, state = random_problem(np.random.default_rng(25), d=50)
         a, b, c = self._under_threads(
-            monkeypatch, lambda: projected_loss_test(state, spec, noise, 0.3, block, self.N, seed=18)
+            monkeypatch, lambda: projected_verdicts([(state, 0.3)], spec, noise, self.N, 18)["DB".index(block)]
         )
         assert a == b == c
-        assert a.verdict.estimate.n == self.PAIRS
+        assert a.estimate.n == self.PAIRS
 
     def test_multi_state_estimates(self, monkeypatch):
         spec, noise, states = shared_draw_problem(32, 50)
@@ -471,22 +478,22 @@ class TestThreadCountInvariance:
         def run():
             return (
                 _one_step_estimates([(state, etas) for state in states], spec, noise, self.N, 33, 100),
-                _projected_estimates([(state, 0.3) for state in states], spec, noise, self.N, 34),
+                projected_verdicts([(state, 0.3) for state in states], spec, noise, self.N, 34),
             )
 
         a, b, c = self._under_threads(monkeypatch, run)
         assert a == b == c
-        assert len(a[0]) == len(a[1]) == len(states)
+        assert len(a[0]) == 4 * len(etas) * len(states) and len(a[1]) == 2 * len(states)
 
     def test_multi_state_blas_thread_count(self):
         script = (
             "import numpy as np, sys\n"
             "sys.path.insert(0, 'tests')\n"
             "from helpers import shared_draw_problem\n"
-            "from alignlab.montecarlo import _one_step_estimates, _projected_estimates\n"
+            "from alignlab.montecarlo import _one_step_estimates, projected_verdicts\n"
             "spec, noise, states = shared_draw_problem(35, 500)\n"
             "print(_one_step_estimates([(s, [0.5 / spec.lambda_max]) for s in states], spec, noise, 20_001, 36, 100))\n"
-            "print(_projected_estimates([(s, 0.3) for s in states], spec, noise, 20_001, 37))\n"
+            "print(projected_verdicts([(s, 0.3) for s in states], spec, noise, 20_001, 37))\n"
         )
         src = str(Path(alignlab.__file__).resolve().parent.parent)
         outputs = []
@@ -505,10 +512,10 @@ class TestThreadCountInvariance:
             "import numpy as np, sys\n"
             "sys.path.insert(0, 'tests')\n"
             "from helpers import random_problem\n"
-            "from alignlab import one_step_estimates, projected_loss_test\n"
+            "from alignlab import one_step_estimates, projected_verdicts\n"
             "spec, noise, state = random_problem(np.random.default_rng(26), d=500)\n"
             "print(one_step_estimates(state, spec, noise, [0.5 / spec.lambda_max], 20_001, seed=19))\n"
-            "print(projected_loss_test(state, spec, noise, 0.3, 'B', 20_001, seed=19))\n"
+            "print(projected_verdicts([(state, 0.3)], spec, noise, 20_001, 19))\n"
         )
         src = str(Path(alignlab.__file__).resolve().parent.parent)
         outputs = []
@@ -521,55 +528,62 @@ class TestThreadCountInvariance:
         assert outputs[0] == outputs[1]
 
 
+def drift_rows(state, spec, noise, eta, n, seed):
+    """The f_drift and theta_drift rows of one state at one step size."""
+    return drift_verdicts([(state, [eta])], spec, noise, n, seed)
+
+
 class TestDriftSignTest:
     def test_small_step_confirms_decrease(self, fixa):
         spec, noise, state = fixa
-        res = drift_sign_test(state, spec, noise, 0.1, 50_000, seed=30)
-        assert res.f_drift.predicted_sign == "-"
-        assert res.f_drift.verdict == "confirmed"
-        assert res.eta_star == pytest.approx(2.0 / 3.0)
+        f_row, _ = drift_rows(state, spec, noise, 0.1, 50_000, seed=30)
+        assert f_row.predicted == "-"
+        assert f_row.verdict == "confirmed"
+        assert f_row.threshold == pytest.approx(2.0 / 3.0)
 
     def test_large_step_confirms_increase_below_g_gap(self):
         rng = np.random.default_rng(23)
         spec, noise, state = random_problem(rng, d=50, isotropic_only=True)
-        from alignlab import g_gap
-
         low = rescale_to_alignment(state, spec, 0.5 * g_gap(spec, noise), "dominant")
-        dq = drift_quadratic(block_stats(low, spec, noise))
+        stats = block_stats(low, spec, noise)
+        dq = drift_quadratic(stats)
         assert dq.p > 0
-        res = drift_sign_test(low, spec, noise, 2.0 * dq.eta_star, 50_000, seed=31)
-        assert res.f_drift.predicted_sign == "+"
-        assert res.f_drift.verdict == "confirmed"
-        assert res.regime == "low"
+        assert stats.theta <= g_gap(spec, noise)
+        f_row, _ = drift_rows(low, spec, noise, 2.0 * dq.eta_star, 50_000, seed=31)
+        assert f_row.predicted == "+"
+        assert f_row.verdict == "confirmed"
 
     def test_high_alignment_decreases_for_any_step(self):
         rng = np.random.default_rng(24)
         spec, noise, state = random_problem(rng, d=50, isotropic_only=True)
         high = _state_above_theta_star(state, spec, noise)
-        dq = drift_quadratic(block_stats(high, spec, noise))
-        assert dq.p <= 0
-        for eta in (0.01 / spec.lambda_max, 1.0 / spec.lambda_max, 10.0 / spec.lambda_max):
-            res = drift_sign_test(high, spec, noise, eta, 50_000, seed=32)
-            assert res.f_drift.predicted_sign == "-"
-            assert res.f_drift.verdict in ("confirmed", "inconclusive")
-            assert res.regime == "high"
+        stats = block_stats(high, spec, noise)
+        assert drift_quadratic(stats).p <= 0
+        assert stats.theta >= theta_star(stats, spec, noise).theta_star
+        # one call on one seed: each step size sees the draws a call of its own would
+        etas = [f / spec.lambda_max for f in (0.01, 1.0, 10.0)]
+        f_rows = drift_verdicts([(high, etas)], spec, noise, 50_000, 32)[::2]
+        assert [row.eta for row in f_rows] == etas
+        for row in f_rows:
+            assert row.predicted == "-"
+            assert row.verdict in ("confirmed", "inconclusive")
 
     def test_critical_step_is_inconclusive(self, fixa):
         spec, noise, state = fixa
-        res = drift_sign_test(state, spec, noise, 2.0 / 3.0, 50_000, seed=33)
-        assert res.f_drift.predicted_sign == "0"
-        assert res.f_drift.verdict == "inconclusive"
+        f_row, _ = drift_rows(state, spec, noise, 2.0 / 3.0, 50_000, seed=33)
+        assert f_row.predicted == "0"
+        assert f_row.verdict == "inconclusive"
 
     def test_sample_floor(self, fixa):
         spec, noise, state = fixa
         with pytest.raises(ParameterError):
-            drift_sign_test(state, spec, noise, 0.1, 500, seed=0)
+            drift_rows(state, spec, noise, 0.1, 500, seed=0)
 
     @pytest.mark.parametrize("eta", [np.nan, np.inf])
     def test_non_finite_step_rejected(self, fixa, eta):
         spec, noise, state = fixa
         with pytest.raises(ParameterError, match="finite"):
-            drift_sign_test(state, spec, noise, eta, 5_000, seed=0)
+            drift_rows(state, spec, noise, eta, 5_000, seed=0)
         with pytest.raises(ParameterError, match="finite"):
             one_step_estimates(state, spec, noise, [0.1, eta], 5_000, seed=0)
 
@@ -585,7 +599,19 @@ class TestDriftSignTest:
         spec, noise, state = fixa
         monkeypatch.setattr(montecarlo, "_estimate", None)  # a draw would fail on a call of None
         with pytest.raises(ParameterError, match="not finite"):
-            drift_sign_test(state, spec, noise, 1e200, 5_000, seed=0)
+            drift_rows(state, spec, noise, 1e200, 5_000, seed=0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_kernel_rejected_before_drawing(self, fixa, threads, monkeypatch):
+        # at eta = 1e160 the kernel's deterministic part squares past the
+        # float range; the pivot shows it before the pool draws a batch
+        monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+        monkeypatch.setattr(montecarlo, "run_jobs", None)  # a draw would fail on a call of None
+        spec, noise, state = fixa
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="not finite"):
+                one_step_estimates(state, spec, noise, [1e160], 2001, 0)
 
 
 class TestProjectedLossTest:
@@ -593,40 +619,50 @@ class TestProjectedLossTest:
     def test_non_finite_step_rejected(self, fixa, eta):
         spec, noise, state = fixa
         with pytest.raises(ParameterError, match="finite"):
-            projected_loss_test(state, spec, noise, eta, "D", 5_000, seed=0)
+            projected_verdicts([(state, eta)], spec, noise, 5_000, 0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_step_rejected_before_drawing(self, fixa, threads, monkeypatch):
+        # eta^2 overflows in the closed-form loss change
+        monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+        monkeypatch.setattr(montecarlo, "run_jobs", None)  # a draw would fail on a call of None
+        spec, noise, state = fixa
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="not finite"):
+                projected_verdicts([(state, 1e160)], spec, noise, 2001, 0)
 
     def test_boundary_step_inconclusive(self, fixa):
         spec, noise, state = fixa
-        res = projected_loss_test(state, spec, noise, 0.8, "D", 50_000, seed=40)
-        assert res.target == pytest.approx(0.0, abs=1e-14)
-        assert res.verdict.predicted_sign == "0"
-        assert res.verdict.verdict == "inconclusive"
-        assert res.eta_loss == pytest.approx(0.8)
+        d_row, _ = projected_verdicts([(state, 0.8)], spec, noise, 50_000, 40)
+        assert d_row.predicted == "0"
+        assert d_row.verdict == "inconclusive"
+        assert d_row.threshold == pytest.approx(0.8)
 
     def test_between_thresholds_dominant_up_bulk_down(self, fixa):
         spec, noise, state = fixa
-        up = projected_loss_test(state, spec, noise, 0.9, "D", 100_000, seed=41)
-        assert up.verdict.predicted_sign == "+"
-        assert up.verdict.verdict == "confirmed"
+        up, down = projected_verdicts([(state, 0.9)], spec, noise, 100_000, 41)
+        assert (up.test, down.test) == ("loss_change_D", "loss_change_B")
+        assert up.predicted == "+"
+        assert up.verdict == "confirmed"
         assert up.target_ok
-        down = projected_loss_test(state, spec, noise, 0.9, "B", 100_000, seed=41)
-        assert down.verdict.predicted_sign == "-"
-        assert down.verdict.verdict == "confirmed"
+        assert down.predicted == "-"
+        assert down.verdict == "confirmed"
         assert down.target_ok
 
     def test_tiny_step_decreases(self, fixa):
         spec, noise, state = fixa
-        res = projected_loss_test(state, spec, noise, 0.01, "D", 50_000, seed=42)
-        assert res.verdict.predicted_sign == "-"
-        assert res.verdict.verdict == "confirmed"
+        d_row, _ = projected_verdicts([(state, 0.01)], spec, noise, 50_000, 42)
+        assert d_row.predicted == "-"
+        assert d_row.verdict == "confirmed"
 
     def test_closed_form_target(self, fixa):
         spec, noise, state = fixa
         stats = block_stats(state, spec, noise)
-        res = projected_loss_test(state, spec, noise, 0.3, "D", 50_000, seed=43)
+        d_row, _ = projected_verdicts([(state, 0.3)], spec, noise, 50_000, 43)
         expected = -0.3 * stats.s_d + 0.5 * 0.3**2 * (stats.tau_d + stats.n_loss_d)
-        assert res.target == pytest.approx(expected, rel=1e-14)
-        assert res.target_ok
+        assert abs(d_row.estimate.mean - expected) <= 4.0 * d_row.estimate.stderr
+        assert d_row.target_ok
 
 
 class TestTrajectoryStatistics:
