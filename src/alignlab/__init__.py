@@ -23,7 +23,14 @@ from .errors import (
     UnsupportedNoiseError,
 )
 from .harness import ExperimentConfig, load_config
-from .montecarlo import McEstimate, Verdict, drift_verdicts, late_phase_statistic, one_step_estimates, projected_verdicts
+from .montecarlo import (
+    McEstimate,
+    Verdict,
+    drift_verdicts,
+    late_phase_statistic,
+    one_step_estimates,
+    projected_verdicts,
+)
 from .spectrum import (
     AssumptionReport,
     NoiseProfile,
@@ -45,6 +52,7 @@ from .theory import (
     eta_star_lower_bound,
     eta_star_upper_bound,
     expected_drift,
+    expected_loss_change,
     expected_next_block_energy,
     expected_second_moment,
     g_gap,

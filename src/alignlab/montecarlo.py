@@ -63,7 +63,7 @@ from .dynamics import TrajectoryRecord
 from .errors import ParameterError
 from .spectrum import NoiseProfile, Spectrum
 from .state import State, _check_dims, block_stats
-from .theory import drift_quadratic, expected_drift, loss_threshold
+from .theory import drift_quadratic, expected_drift, expected_loss_change, loss_threshold
 
 __all__ = [
     "McEstimate",
@@ -401,25 +401,20 @@ def projected_verdicts(
     """Sign tests of the expected loss change of the step projected on the
     dominant and on the bulk block, for each (state, eta) job, all from one
     estimate of n samples on seed: per job the loss_change_D row, then the
-    loss_change_B row. Each tests the sign of the closed-form change
-    -eta*s + eta^2 (tau + n_loss)/2 of its block, and its target_ok checks
-    the estimate against that change within 4 stderr. A state's rows do not
-    depend on which states share its draw."""
+    loss_change_B row. Each tests the sign of its block's closed-form
+    theory.expected_loss_change, and its target_ok checks the estimate
+    against that change within 4 stderr. A state's rows do not depend on
+    which states share its draw."""
     jobs = [(state, float(eta)) for state, eta in jobs]
     checks = []
     for state, eta in jobs:
         _check(state, spec, noise, n, _VERDICT_MIN_N)
         stats = block_stats(state, spec, noise)
         for block in ("D", "B"):
+            target = expected_loss_change(stats, block, eta)  # rejects a step whose change overflows, before drawing
             s, tau, _, _, n_loss = stats.block(block)
-            try:
-                step, curve = eta * s, 0.5 * eta**2 * (tau + n_loss)
-            except OverflowError:
-                step = curve = math.inf
-            if not math.isfinite(curve - step):  # rejects an overflowing step before drawing
-                raise ParameterError(f"the closed-form loss change at eta={eta!r} is not finite")
             threshold = loss_threshold(stats, block) if tau + n_loss > 0 else None
-            target, tol = curve - step, 1e-12 * (step + curve)
+            tol = 1e-12 * (eta * s + 0.5 * eta**2 * (tau + n_loss))
             checks.append((f"loss_change_{block}", stats.theta, eta, threshold, target, tol))
     ests = _estimate(n, seed, spec, [_projected_kernel(state, spec, noise, eta) for state, eta in jobs])
     rows = []

@@ -134,17 +134,23 @@ def drift_quadratic(stats: BlockStats) -> DriftQuadratic:
     return DriftQuadratic(p=p, q=q, eta_star=eta_star)
 
 
-def expected_drift(dq: DriftQuadratic, eta: float) -> float:
-    """Exact conditional expectation of the comparison functional after one step."""
+def _quadratic_in_eta(a: float, b: float, eta: float, what: str) -> float:
+    """a eta^2 + b eta for eta >= 0; a step at which it overflows or is not
+    finite is a ParameterError, so callers reject it before any draw."""
     if eta < 0:
         raise ParameterError("eta must be >= 0")
     try:
-        drift = dq.p * eta**2 + dq.q * eta
+        value = a * eta**2 + b * eta
     except OverflowError:
-        drift = math.inf
-    if not math.isfinite(drift):
-        raise ParameterError(f"the closed-form drift at eta={eta!r} is not finite")
-    return drift
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(f"the closed-form {what} at eta={eta!r} is not finite")
+    return value
+
+
+def expected_drift(dq: DriftQuadratic, eta: float) -> float:
+    """Exact conditional expectation of the comparison functional after one step."""
+    return _quadratic_in_eta(dq.p, dq.q, eta, "drift")
 
 
 def g_gap(spec: Spectrum, noise: NoiseProfile) -> float:
@@ -242,6 +248,13 @@ def loss_threshold(stats: BlockStats, block: str) -> float:
     if tau + n_loss == 0.0:
         raise DegenerateBlockError(f"block {block} has neither signal nor noise energy")
     return 2.0 * s / (tau + n_loss)
+
+
+def expected_loss_change(stats: BlockStats, block: str, eta: float) -> float:
+    """Exact conditional expectation of the loss change of one step projected
+    on the block: -eta s + eta^2 (tau + n_loss) / 2, zero at loss_threshold."""
+    s, tau, _, _, n_loss = stats.block(block)
+    return _quadratic_in_eta(0.5 * (tau + n_loss), -s, eta, "loss change")
 
 
 def crossover(stats: BlockStats) -> CrossoverQuadratic:

@@ -12,6 +12,7 @@ import alignlab
 
 from alignlab import (
     build_spectrum,
+    McEstimate,
     NoiseProfile,
     ParameterError,
     Spectrum,
@@ -20,6 +21,7 @@ from alignlab import (
     drift_quadratic,
     drift_verdicts,
     expected_drift,
+    expected_loss_change,
     expected_next_block_energy,
     late_phase_statistic,
     g_gap,
@@ -333,7 +335,7 @@ class TestPivot:
             pivot = _pivot(kernel, np.stack(spec.split_sum(kernel.q)))
             for got, block in zip(pivot, ("D", "B")):
                 s, tau, _, _, n_loss = stats.block(block)
-                target = -eta * s + 0.5 * eta**2 * (tau + n_loss)
+                target = expected_loss_change(stats, block, eta)
                 assert got == pytest.approx(target, rel=0, abs=1e-12 * (eta * s + 0.5 * eta**2 * (tau + n_loss)))
 
 
@@ -634,6 +636,7 @@ class TestProjectedLossTest:
 
     def test_boundary_step_inconclusive(self, fixa):
         spec, noise, state = fixa
+        assert expected_loss_change(block_stats(state, spec, noise), "D", 0.8) == pytest.approx(0.0, abs=1e-14)
         d_row, _ = projected_verdicts([(state, 0.8)], spec, noise, 50_000, 40)
         assert d_row.predicted == "0"
         assert d_row.verdict == "inconclusive"
@@ -661,8 +664,24 @@ class TestProjectedLossTest:
         stats = block_stats(state, spec, noise)
         d_row, _ = projected_verdicts([(state, 0.3)], spec, noise, 50_000, 43)
         expected = -0.3 * stats.s_d + 0.5 * 0.3**2 * (stats.tau_d + stats.n_loss_d)
-        assert abs(d_row.estimate.mean - expected) <= 4.0 * d_row.estimate.stderr
+        assert expected_loss_change(stats, "D", 0.3) == pytest.approx(expected, rel=1e-14)
         assert d_row.target_ok
+
+    @pytest.mark.parametrize("eta", [0.3, 0.8, 0.9])
+    def test_rows_test_the_closed_form_target(self, fixa, eta, monkeypatch):
+        # with an exact, zero-stderr estimate target_ok holds only within
+        # 1e-12 (1 + |target|) of the target the rows test, and predicted is
+        # the sign of the closed form
+        spec, noise, state = fixa
+        stats = block_stats(state, spec, noise)
+        targets = [expected_loss_change(stats, block, eta) for block in ("D", "B")]
+        signs = ["0" if abs(t) <= 1e-12 else "+" if t > 0 else "-" for t in targets]
+        for shift, ok in ((0.0, True), (1e-11, False)):
+            estimates = [McEstimate(mean=t + shift, stderr=0.0, n=25_000) for t in targets]
+            monkeypatch.setattr(montecarlo, "_estimate", lambda n, seed, spec, kernels: estimates)
+            rows = projected_verdicts([(state, eta)], spec, noise, 50_000, 43)
+            assert [row.target_ok for row in rows] == [ok, ok]
+            assert [row.predicted for row in rows] == signs
 
 
 class TestTrajectoryStatistics:

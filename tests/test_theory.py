@@ -24,6 +24,7 @@ from alignlab import (
     eta_star_lower_bound,
     eta_star_upper_bound,
     expected_drift,
+    expected_loss_change,
     expected_next_block_energy,
     expected_second_moment,
     g_gap,
@@ -290,6 +291,29 @@ class TestLossThreshold:
         stats = block_stats(State(c=np.array([0.0, 1.0])), spec, noise)
         with pytest.raises(DegenerateBlockError):
             loss_threshold(stats, "D")
+
+
+class TestExpectedLossChange:
+    def test_fixture_values(self, fixa):
+        stats = stats_of(fixa)
+        # -eta s + eta^2 (tau + n_loss)/2 with (s, tau + n_loss) = (4, 10) on D and (1, 2) on B
+        assert expected_loss_change(stats, "D", 0.3) == pytest.approx(-0.75, rel=1e-14)
+        assert expected_loss_change(stats, "B", 0.3) == pytest.approx(-0.21, rel=1e-14)
+
+    @pytest.mark.parametrize("block", ["D", "B"])
+    def test_zero_at_loss_threshold(self, fixa, block):
+        stats = stats_of(fixa)
+        assert expected_loss_change(stats, block, loss_threshold(stats, block)) == pytest.approx(0.0, abs=1e-14)
+
+    def test_negative_step_rejected(self, fixa):
+        with pytest.raises(ParameterError, match=">= 0"):
+            expected_loss_change(stats_of(fixa), "D", -0.1)
+
+    # at 1e154 eta^2 is finite and the curvature term overflows; above it eta^2 does
+    @pytest.mark.parametrize("eta", [1e154, 1e200, 1e308, math.inf, math.nan])
+    def test_non_finite_change_rejected(self, fixa, eta):
+        with pytest.raises(ParameterError, match="loss change at eta=.* is not finite"):
+            expected_loss_change(stats_of(fixa), "D", eta)
 
 
 class TestCrossover:
