@@ -9,7 +9,7 @@ SGD trajectories, `montecarlo` checks the predictions against sampled
 one-step expectations, and `harness`/`cli` package the experiment presets.
 """
 
-from .dynamics import TrajectoryRecord, run_trajectory
+from .dynamics import TrajectoryRecord, late_phase_statistic, run_trajectory
 from .errors import (
     AlignlabError,
     ConstructionError,
@@ -27,16 +27,13 @@ from .montecarlo import (
     McEstimate,
     Verdict,
     drift_verdicts,
-    late_phase_statistic,
     one_step_estimates,
     projected_verdicts,
 )
 from .spectrum import (
-    AssumptionReport,
     NoiseProfile,
     Spectrum,
     build_spectrum,
-    check_asymptotic_assumptions,
     isotropic_noise,
 )
 from .state import BlockStats, State, alignment, block_stats, loss, random_init, rescale_to_alignment
@@ -58,7 +55,6 @@ from .theory import (
     g_gap,
     loss_threshold,
     mode_law,
-    second_moment_variance,
     theory_report,
     theta_star,
     theta_star_rate_fit,

@@ -10,50 +10,41 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import AlignlabError
-from .harness import cmd_drift_test, cmd_projected_test, cmd_report, cmd_simulate, cmd_sweep_gap, load_config
-
-_CONFIG_FLAGS = {
-    "d": "d",
-    "k": "k",
-    "m": "m_list",
-    "eta": "eta",
-    "steps": "T",
-    "sigma2": "sigma2",
-    "init_scale": "init_scale",
-    "seed": "seeds",
-    "n_mc": "n_mc",
-    "record_every": "record_every",
-    "t_start": "T_start",
-    "out": "output_dir",
-}
+from .harness import (
+    ExperimentConfig,
+    cmd_drift_test,
+    cmd_projected_test,
+    cmd_report,
+    cmd_simulate,
+    cmd_sweep_gap,
+    load_config,
+)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file; flags override its keys")
+    # each dest is the ExperimentConfig field the flag overrides
     parser.add_argument("--d", type=int)
     parser.add_argument("--k", type=int)
-    parser.add_argument("--m", type=float, action="append", help="gap ratio; repeatable")
+    parser.add_argument("--m", dest="m_list", metavar="M", type=float, action="append", help="gap ratio; repeatable")
     parser.add_argument("--eta", type=float)
-    parser.add_argument("--steps", type=int)
+    parser.add_argument("--steps", dest="T", metavar="STEPS", type=int)
     parser.add_argument("--sigma2", type=float)
     parser.add_argument("--init-scale", dest="init_scale", type=float)
-    parser.add_argument("--seed", type=int, action="append", help="seed; repeatable")
+    parser.add_argument("--seed", dest="seeds", metavar="SEED", type=int, action="append", help="seed; repeatable")
     parser.add_argument("--n-mc", dest="n_mc", type=int)
     parser.add_argument("--record-every", dest="record_every", type=int)
-    parser.add_argument("--t-start", dest="t_start", type=int)
-    parser.add_argument("--out", metavar="DIR")
+    parser.add_argument("--t-start", dest="T_start", metavar="T_START", type=int)
+    parser.add_argument("--out", dest="output_dir", metavar="DIR")
     parser.add_argument("--print-config", action="store_true", help="echo the resolved config and exit")
 
 
 def _resolve(args: argparse.Namespace):
-    overrides = {}
-    for flag, key in _CONFIG_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    return load_config(args.config, overrides)
+    values = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    return load_config(args.config, {key: value for key, value in values.items() if value is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,11 +23,12 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .spectrum import NoiseProfile, Spectrum
-from .state import State, _check_dims
+from .state import State, _check_dims, _theta
 
 __all__ = [
     "ALGORITHMS",
     "TrajectoryRecord",
+    "late_phase_statistic",
     "run_trajectory",
     "write_trajectory_csv",
 ]
@@ -49,14 +50,13 @@ def _chunk_rows(d: int) -> int:
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """(step, alignment, loss) series sampled every `record_every` steps,
-    with the block energies s_D and s_B at the same steps (run_trajectory
-    always records them)."""
+    with the block energies s_D and s_B at the same steps."""
 
     times: np.ndarray
     thetas: np.ndarray
     losses: np.ndarray
-    s_d: np.ndarray | None = None
-    s_b: np.ndarray | None = None
+    s_d: np.ndarray
+    s_b: np.ndarray
 
     def __post_init__(self):
         n = len(self.times)
@@ -66,6 +66,15 @@ class TrajectoryRecord:
     @property
     def final_time(self) -> int:
         return int(self.times[-1])
+
+
+def late_phase_statistic(traj: TrajectoryRecord, T_start: int) -> tuple[float, float]:
+    """Mean and standard deviation of the recorded alignment over steps in
+    [T_start, T_end] -- the late-phase alignment estimator."""
+    if T_start >= traj.final_time:
+        raise ParameterError(f"T_start={T_start} leaves an empty window (final step {traj.final_time})")
+    window = traj.thetas[traj.times >= T_start]
+    return float(np.mean(window)), float(np.std(window))
 
 
 def _jump_coefficients(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,12 +178,9 @@ def run_trajectory(
             reduce(len(due))
 
     s_d, s_b = np.concatenate(s_d), np.concatenate(s_b)
-    # theta = s_D / (s_D + s_B), with theta = 0 for the zero state
-    tot = s_d + s_b
-    thetas = np.divide(s_d, tot, out=np.zeros_like(tot), where=tot > 0)
     return TrajectoryRecord(
         times=np.asarray(times, dtype=int),
-        thetas=thetas,
+        thetas=_theta(s_d, s_b),
         losses=np.concatenate(losses),
         s_d=s_d,
         s_b=s_b,

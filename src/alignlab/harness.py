@@ -22,9 +22,9 @@ import numpy as np
 
 from . import svgplot, theory
 from ._pool import run_jobs
-from .dynamics import run_trajectory, write_trajectory_csv
+from .dynamics import late_phase_statistic, run_trajectory, write_trajectory_csv
 from .errors import AlignlabError, ConstructionError, DivergenceError, ParameterError
-from .montecarlo import VERDICT_COLUMNS, drift_verdicts, late_phase_statistic, projected_verdicts
+from .montecarlo import VERDICT_COLUMNS, drift_verdicts, projected_verdicts
 from .spectrum import NoiseProfile, Spectrum, build_spectrum, isotropic_noise, read_noise_json, read_spectrum_json
 from .state import State, block_stats, random_init, rescale_to_alignment, state_from_json
 

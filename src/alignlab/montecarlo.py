@@ -59,10 +59,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._pool import run_jobs
-from .dynamics import TrajectoryRecord
 from .errors import ParameterError
 from .spectrum import NoiseProfile, Spectrum
-from .state import State, _check_dims, block_stats
+from .state import State, _check_dims, _theta, block_stats
 from .theory import drift_quadratic, expected_drift, expected_loss_change, loss_threshold
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "one_step_estimates",
     "drift_verdicts",
     "projected_verdicts",
-    "late_phase_statistic",
 ]
 
 # noise vectors per batch; each serves an antithetic pair of samples
@@ -281,8 +279,7 @@ def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: li
         for s1 in (rows[:, 1:3] - odd, rows[:, 1:3] + odd):
             # s' >= 0; the clamp only removes rounding below zero
             np.maximum(s1, 0.0, out=s1)
-            tot = s1[:, 0] + s1[:, 1]
-            thetas.append(np.divide(s1[:, 0], tot, out=np.zeros_like(tot), where=tot > 0))
+            thetas.append(_theta(s1[:, 0], s1[:, 1]))
         np.multiply(0.5, thetas[0] + thetas[1], out=rows[:, 3])
         return rows.reshape(4 * len(etas), -1)
 
@@ -422,12 +419,3 @@ def projected_verdicts(
         target_ok = abs(est.mean - target) <= 4.0 * est.stderr + 1e-12 * (1.0 + abs(target))
         rows.append(_verdict(test, theta, eta, threshold, target, tol, est, z_crit, target_ok=target_ok))
     return rows
-
-
-def late_phase_statistic(traj: TrajectoryRecord, T_start: int) -> tuple[float, float]:
-    """Mean and standard deviation of the recorded alignment over steps in
-    [T_start, T_end] -- the late-phase alignment estimator."""
-    if T_start >= traj.final_time:
-        raise ParameterError(f"T_start={T_start} leaves an empty window (final step {traj.final_time})")
-    window = traj.thetas[traj.times >= T_start]
-    return float(np.mean(window)), float(np.std(window))

@@ -7,10 +7,7 @@ variances kappa_i^2. No dense matrix is ever materialized.
 
 from __future__ import annotations
 
-import csv
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,20 +16,11 @@ from .errors import ParameterError
 __all__ = [
     "Spectrum",
     "NoiseProfile",
-    "AssumptionCheck",
-    "AssumptionReport",
     "build_spectrum",
     "isotropic_noise",
-    "check_asymptotic_assumptions",
-    "problem_to_json",
-    "problem_from_json",
-    "write_problem_json",
     "read_spectrum_json",
     "read_noise_json",
-    "write_eigenvalues_csv",
 ]
-
-BLOCK_MOMENT_POWERS = (2, 3, 4, 6, 8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,14 +55,6 @@ class Spectrum:
     @property
     def d(self) -> int:
         return self.lambdas.size
-
-    @property
-    def dominant(self) -> np.ndarray:
-        return self.lambdas[: self.k]
-
-    @property
-    def bulk(self) -> np.ndarray:
-        return self.lambdas[self.k :]
 
     @property
     def gap1(self) -> float:
@@ -192,100 +172,6 @@ def isotropic_noise(d: int, sigma2: float) -> NoiseProfile:
     return NoiseProfile(kappa2=np.full(d, float(sigma2)))
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    ok: bool
-    value: float
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Report-only diagnostics for the asymptotic regime conditions."""
-
-    rho: float
-    dominant_moments: dict
-    bulk_moments: dict
-    mean_square_coords: list
-    noise_trace: float
-    checks: list = field(default_factory=list)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "dominant_moments": {str(p): v for p, v in self.dominant_moments.items()},
-            "bulk_moments": {str(p): v for p, v in self.bulk_moments.items()},
-            "mean_square_coords": list(self.mean_square_coords),
-            "noise_trace": self.noise_trace,
-            "checks": [{"name": c.name, "ok": c.ok, "value": c.value} for c in self.checks],
-        }
-
-
-def check_asymptotic_assumptions(spec: Spectrum, noise: NoiseProfile, states) -> AssumptionReport:
-    """Evaluate block proportion, block spectral moments, state boundedness and
-    noise trace, flagging each with pass/warn. Never raises on a violation."""
-    states = list(states)
-    if not states:
-        raise ParameterError("need at least one state")
-    if noise.d != spec.d:
-        raise ParameterError("spectrum and noise dimensions differ")
-    checks = []
-
-    def note(name, value, ok):
-        checks.append(AssumptionCheck(name=name, ok=bool(ok), value=float(value)))
-
-    rho = spec.rho
-    note("rho = k/(d-k) in (0, inf)", rho, 0 < rho < math.inf)
-
-    dom, blk = {}, {}
-    for p in BLOCK_MOMENT_POWERS:
-        dv = float(np.mean(spec.dominant**p))
-        bv = float(np.mean(spec.bulk**p))
-        dom[p] = dv
-        blk[p] = bv
-        note(f"dominant moment p={p} in (0, inf)", dv, 0 < dv < math.inf)
-        note(f"bulk moment p={p} in [0, inf)", bv, 0 <= bv < math.inf)
-
-    msq = []
-    for st in states:
-        c = np.asarray(st.c, dtype=float)
-        if c.size != spec.d:
-            raise ParameterError("state dimension differs from spectrum")
-        v = float(np.mean(c**2))
-        msq.append(v)
-        note(f"state t={st.t}: (1/d) sum c_i^2 finite", v, math.isfinite(v))
-
-    note("Tr(Sigma) in (0, +inf)", noise.trace, 0 < noise.trace < math.inf)
-    return AssumptionReport(
-        rho=rho,
-        dominant_moments=dom,
-        bulk_moments=blk,
-        mean_square_coords=msq,
-        noise_trace=noise.trace,
-        checks=checks,
-    )
-
-
-def problem_to_json(spec: Spectrum, noise: NoiseProfile) -> dict:
-    """Document with keys lambdas, k, kappa2 (plus s_min/s_max when not the defaults)."""
-    if noise.d != spec.d:
-        raise ParameterError("spectrum and noise dimensions differ")
-    doc = {"lambdas": spec.lambdas.tolist(), "k": spec.k, "kappa2": noise.kappa2.tolist()}
-    if noise.s_min != float(np.min(noise.kappa2)):
-        doc["s_min"] = noise.s_min
-    if noise.s_max != float(np.max(noise.kappa2)):
-        doc["s_max"] = noise.s_max
-    return doc
-
-
-def problem_from_json(doc: dict) -> tuple[Spectrum, NoiseProfile]:
-    return read_spectrum_json(doc), read_noise_json(doc)
-
-
 def read_spectrum_json(doc: dict) -> Spectrum:
     try:
         return Spectrum(lambdas=np.asarray(doc["lambdas"], dtype=float), k=int(doc["k"]))
@@ -299,18 +185,3 @@ def read_noise_json(doc: dict) -> NoiseProfile:
     except KeyError as exc:
         raise ParameterError(f"noise document missing key {exc}") from exc
     return NoiseProfile(kappa2=kappa2, s_min=doc.get("s_min"), s_max=doc.get("s_max"))
-
-
-def write_problem_json(path, spec: Spectrum, noise: NoiseProfile) -> None:
-    with open(path, "w") as fh:
-        json.dump(problem_to_json(spec, noise), fh)
-        fh.write("\n")
-
-
-def write_eigenvalues_csv(path, spec: Spectrum) -> None:
-    """Columns index,lambda,block with block in {D, B}."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "lambda", "block"])
-        for i, lam in enumerate(spec.lambdas, start=1):
-            writer.writerow([i, repr(float(lam)), "D" if i <= spec.k else "B"])

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +17,6 @@ __all__ = [
     "loss",
     "random_init",
     "rescale_to_alignment",
-    "write_state_csv",
-    "state_to_json",
     "state_from_json",
 ]
 
@@ -102,16 +98,17 @@ def _check_dims(state: State, spec: Spectrum, noise: NoiseProfile | None = None)
         raise ParameterError(f"noise dimension {noise.d} != spectrum dimension {spec.d}")
 
 
-def _theta(s_d: float, s_b: float) -> float:
-    """s_d / (s_d + s_b), with theta = 0 for the zero state."""
-    s = s_d + s_b
-    return s_d / s if s > 0 else 0.0
+def _theta(s_d, s_b) -> np.ndarray:
+    """s_d / (s_d + s_b) elementwise, with theta = 0 for the zero state.
+    Scalar callers take float() of the 0-d result."""
+    tot = s_d + s_b
+    return np.divide(s_d, tot, out=np.zeros_like(tot), where=tot > 0)
 
 
 def alignment(state: State, spec: Spectrum) -> float:
     """Fraction of the squared gradient norm carried by the dominant block."""
     _check_dims(state, spec)
-    return _theta(*map(float, spec.split_sum(spec.lambdas**2 * state.c**2)))
+    return float(_theta(*spec.split_sum(spec.lambdas**2 * state.c**2)))
 
 
 def block_stats(state: State, spec: Spectrum, noise: NoiseProfile) -> BlockStats:
@@ -132,7 +129,7 @@ def block_stats(state: State, spec: Spectrum, noise: NoiseProfile) -> BlockStats
         e_b=e_b,
         n_loss_d=n_d,
         n_loss_b=n_b,
-        theta=_theta(s_d, s_b),
+        theta=float(_theta(s_d, s_b)),
     )
 
 
@@ -170,19 +167,6 @@ def rescale_to_alignment(state: State, spec: Spectrum, theta: float, which: str 
     else:
         raise ParameterError(f"which must be 'dominant' or 'bulk', got {which!r}")
     return State(c=c, t=state.t)
-
-
-def write_state_csv(path, state: State) -> None:
-    """Columns index,c."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "c"])
-        for i, ci in enumerate(state.c, start=1):
-            writer.writerow([i, repr(float(ci))])
-
-
-def state_to_json(state: State) -> dict:
-    return {"c": state.c.tolist(), "t": state.t}
 
 
 def state_from_json(doc: dict) -> State:

@@ -37,6 +37,7 @@ __all__ = [
     "CsgdPlan",
     "drift_quadratic",
     "expected_drift",
+    "expected_loss_change",
     "g_gap",
     "theta_star",
     "theta_star_rate_fit",
@@ -48,7 +49,6 @@ __all__ = [
     "csgd_plan",
     "mode_law",
     "expected_second_moment",
-    "second_moment_variance",
     "expected_next_block_energy",
     "theory_report",
 ]
@@ -362,12 +362,6 @@ def expected_second_moment(c0: float, lam: float, kappa2: float, eta: float, t: 
     """Closed-form E[c_t^2] = mu^2 + sigma^2 for one mode, from `mode_law`."""
     mu, sigma2 = mode_law(c0, lam, kappa2, eta, t)
     return float(mu**2 + sigma2)
-
-
-def second_moment_variance(c0: float, lam: float, kappa2: float, eta: float, t: int) -> float:
-    """Var(c_t^2) = 2 sigma^4 + 4 mu^2 sigma^2 for the Gaussian mode c_t."""
-    mu, sigma2 = mode_law(c0, lam, kappa2, eta, t)
-    return float(2.0 * sigma2**2 + 4.0 * mu**2 * sigma2)
 
 
 def expected_next_block_energy(stats: BlockStats, eta: float, block: str) -> float:

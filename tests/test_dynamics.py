@@ -9,6 +9,7 @@ from alignlab import (
     ParameterError,
     Spectrum,
     State,
+    TrajectoryRecord,
     build_spectrum,
     csgd_plan,
     expected_second_moment,
@@ -433,3 +434,28 @@ class TestJumpEdges:
         ref = reference_trajectory(spec, noise, state, 0.45, 200, 100, "sgd", 4, step_by_step=True)
         for name, want in zip(("times", "thetas", "losses", "s_d", "s_b"), ref):
             assert np.array_equal(getattr(traj, name), want), name
+
+
+class TestTrajectoryStatistics:
+    def test_constant_series(self):
+        traj = TrajectoryRecord(
+            times=np.arange(0, 110, 10),
+            thetas=np.full(11, 0.7),
+            losses=np.ones(11),
+            s_d=np.full(11, 0.7),
+            s_b=np.full(11, 0.3),
+        )
+        mean, std = late_phase_statistic(traj, 50)
+        assert mean == pytest.approx(0.7, rel=1e-15)
+        assert std <= 1e-15
+
+    def test_window_bounds(self):
+        traj = TrajectoryRecord(
+            times=np.array([0, 10]),
+            thetas=np.array([0.5, 0.6]),
+            losses=np.ones(2),
+            s_d=np.array([0.5, 0.6]),
+            s_b=np.array([0.5, 0.4]),
+        )
+        with pytest.raises(ParameterError):
+            late_phase_statistic(traj, 10)

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from alignlab.cli import main
-from alignlab.spectrum import build_spectrum, isotropic_noise, write_problem_json
-from alignlab.state import random_init, state_to_json
+from alignlab.spectrum import build_spectrum
+from alignlab.state import random_init
 
 NUMPY_VERSION = "2.4.6"
 
@@ -82,8 +82,9 @@ REPORT_SHA256 = "65901b40f8960321635e678f30a5c6f56ec422f3effa75b1f3a728019679550
 @pytest.mark.skipif(np.__version__ != NUMPY_VERSION, reason=f"hashes recorded with numpy {NUMPY_VERSION}")
 def test_report_output_bytes(tmp_path, capsys):
     problem, state = tmp_path / "problem.json", tmp_path / "state.json"
-    write_problem_json(problem, build_spectrum(24, 4, 8.0, (0.5, 1.0), seed=5), isotropic_noise(24, 1.0))
-    state.write_text(json.dumps(state_to_json(random_init(24, 3.0, seed=6))))
+    lambdas = build_spectrum(24, 4, 8.0, (0.5, 1.0), seed=5).lambdas.tolist()
+    problem.write_text(json.dumps({"lambdas": lambdas, "k": 4, "kappa2": [1.0] * 24}))
+    state.write_text(json.dumps({"c": random_init(24, 3.0, seed=6).c.tolist(), "t": 0}))
     argv = ["report", "--spectrum", str(problem), "--noise", str(problem), "--state", str(state), "--eta", "0.02"]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPORT_SHA256

@@ -23,8 +23,7 @@ from alignlab.harness import (
     cmd_sweep_gap,
 )
 from alignlab.montecarlo import drift_verdicts, projected_verdicts
-from alignlab.spectrum import write_problem_json
-from alignlab.state import block_stats, random_init, rescale_to_alignment, state_to_json
+from alignlab.state import block_stats, random_init, rescale_to_alignment
 from alignlab.theory import g_gap, loss_threshold, theta_star
 
 
@@ -52,12 +51,12 @@ def tiny_config(tmp_path, **kw):
 
 
 @pytest.fixture
-def fixa_files(tmp_path, fixa):
-    spec, noise, state = fixa
+def fixa_files(tmp_path):
+    """The conftest fixa problem and state as report input files."""
     problem = tmp_path / "problem.json"
-    write_problem_json(problem, spec, noise)
+    problem.write_text(json.dumps({"lambdas": [2.0, 1.0], "k": 1, "kappa2": [1.0, 1.0]}))
     state_path = tmp_path / "state.json"
-    state_path.write_text(json.dumps(state_to_json(state)))
+    state_path.write_text(json.dumps({"c": [1.0, 1.0], "t": 0}))
     return problem, state_path
 
 

@@ -23,7 +23,6 @@ from alignlab import (
     expected_drift,
     expected_loss_change,
     expected_next_block_energy,
-    late_phase_statistic,
     g_gap,
     one_step_estimates,
     projected_verdicts,
@@ -31,7 +30,6 @@ from alignlab import (
     theta_star,
 )
 from alignlab import montecarlo
-from alignlab.dynamics import TrajectoryRecord
 from alignlab.harness import _state_above_theta_star
 from alignlab.montecarlo import (
     _block_sums,
@@ -682,20 +680,3 @@ class TestProjectedLossTest:
             rows = projected_verdicts([(state, eta)], spec, noise, 50_000, 43)
             assert [row.target_ok for row in rows] == [ok, ok]
             assert [row.predicted for row in rows] == signs
-
-
-class TestTrajectoryStatistics:
-    def test_constant_series(self):
-        traj = TrajectoryRecord(
-            times=np.arange(0, 110, 10),
-            thetas=np.full(11, 0.7),
-            losses=np.ones(11),
-        )
-        mean, std = late_phase_statistic(traj, 50)
-        assert mean == pytest.approx(0.7, rel=1e-15)
-        assert std <= 1e-15
-
-    def test_window_bounds(self):
-        traj = TrajectoryRecord(times=np.array([0, 10]), thetas=np.array([0.5, 0.6]), losses=np.ones(2))
-        with pytest.raises(ParameterError):
-            late_phase_statistic(traj, 10)

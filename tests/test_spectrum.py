@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,18 +5,11 @@ from alignlab import (
     NoiseProfile,
     ParameterError,
     Spectrum,
-    State,
     block_stats,
     build_spectrum,
-    check_asymptotic_assumptions,
     isotropic_noise,
 )
-from alignlab.spectrum import (
-    problem_from_json,
-    problem_to_json,
-    write_eigenvalues_csv,
-    write_problem_json,
-)
+from alignlab.spectrum import read_noise_json
 
 from helpers import random_problem
 
@@ -135,61 +126,7 @@ class TestNoise:
             assert e_b <= noise.s_max * spec.psi_bulk * (1 + tol)
 
 
-class TestAssumptionReport:
-    def test_two_dim_fixture_values(self, fixa):
-        spec, noise, state = fixa
-        report = check_asymptotic_assumptions(spec, noise, [state])
-        assert report.rho == 1.0
-        assert report.dominant_moments[2] == 4.0
-        assert report.bulk_moments[2] == 1.0
-        assert report.mean_square_coords == [1.0]
-        assert report.all_ok
-
-    def test_full_scale_rho(self):
-        spec = build_spectrum(500, 50, 100.0, (0.5, 1.0), 0.5, seed=42)
-        noise = isotropic_noise(500, 1.0)
-        state = State(c=np.ones(500))
-        report = check_asymptotic_assumptions(spec, noise, [state])
-        assert report.rho == pytest.approx(50 / 450)
-
-    def test_zero_noise_warns_on_trace(self, fixa):
-        spec, _, state = fixa
-        silent = NoiseProfile(kappa2=np.zeros(2))
-        report = check_asymptotic_assumptions(spec, silent, [state])
-        flags = {c.name: c.ok for c in report.checks}
-        assert flags["Tr(Sigma) in (0, +inf)"] is False
-        assert not report.all_ok
-
-    def test_empty_states_rejected(self, fixa):
-        spec, noise, _ = fixa
-        with pytest.raises(ParameterError):
-            check_asymptotic_assumptions(spec, noise, [])
-
-
 class TestSerialization:
-    def test_json_round_trip(self, tmp_path, fixa):
-        spec, noise, _ = fixa
-        path = tmp_path / "problem.json"
-        write_problem_json(path, spec, noise)
-        doc = json.loads(path.read_text())
-        assert set(doc) == {"lambdas", "k", "kappa2"}
-        spec2, noise2 = problem_from_json(doc)
-        assert np.array_equal(spec.lambdas, spec2.lambdas)
-        assert spec2.k == spec.k
-        assert np.array_equal(noise.kappa2, noise2.kappa2)
-
     def test_json_keeps_custom_bounds(self):
-        noise = NoiseProfile(kappa2=np.array([1.0, 2.0]), s_min=0.5, s_max=4.0)
-        spec = Spectrum(lambdas=np.array([2.0, 1.0]), k=1)
-        doc = problem_to_json(spec, noise)
-        _, noise2 = problem_from_json(doc)
-        assert noise2.s_min == 0.5 and noise2.s_max == 4.0
-
-    def test_eigenvalue_csv(self, tmp_path):
-        spec = build_spectrum(4, 2, 5.0, (1.0, 1.0), 0.0, seed=0)
-        path = tmp_path / "eigs.csv"
-        write_eigenvalues_csv(path, spec)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "index,lambda,block"
-        assert lines[1] == "1,5.0,D"
-        assert lines[-1] == "4,1.0,B"
+        noise = read_noise_json({"kappa2": [1.0, 2.0], "s_min": 0.5, "s_max": 4.0})
+        assert noise.s_min == 0.5 and noise.s_max == 4.0

@@ -31,7 +31,6 @@ from alignlab import (
     loss_threshold,
     mode_law,
     rescale_to_alignment,
-    second_moment_variance,
     theory_report,
     theta_star,
     theta_star_rate_fit,
@@ -442,24 +441,15 @@ class TestSecondMoments:
         with pytest.raises(StepSizeError):
             expected_second_moment(1.0, 2.0, 1.0, 0.0, 1)
 
-    def test_variance_examples(self):
-        assert second_moment_variance(1.0, 2.0, 1.0, 0.1, 0) == 0.0
-        beta = 0.1 / 3.6
-        assert second_moment_variance(0.0, 2.0, 1.0, 0.1, 10_000) == pytest.approx(
-            2 * beta**2, rel=1e-9
-        )
-        # mu = 0, sigma^2 = 1: pure chi-square with variance 2
-        assert second_moment_variance(0.0, 1.0, 1.0, 1.0, 1) == pytest.approx(2.0)
-
 
 def exact_second_moments(c0, lam, kappa2, eta, t):
-    """(E[c_t^2], Var c_t^2) of the mode law in exact rational arithmetic."""
+    """(sigma^2, E[c_t^2], Var c_t^2) of the mode law in exact rational arithmetic."""
     c0, lam, kappa2, eta = map(Fraction, (c0, lam, kappa2, eta))
     a = 1 - eta * lam
     beta = eta * kappa2 / (2 * lam - eta * lam**2)
     mu2 = (a**t * c0) ** 2
     sigma2 = beta * (1 - a ** (2 * t))
-    return mu2 + sigma2, 2 * sigma2**2 + 4 * mu2 * sigma2
+    return sigma2, mu2 + sigma2, 2 * sigma2**2 + 4 * mu2 * sigma2
 
 
 class TestModeLaw:
@@ -470,10 +460,13 @@ class TestModeLaw:
         for lam in (1.0, 3.0):
             for c0 in (0.0, 1.0):
                 eta = x / lam
-                moment, variance = exact_second_moments(c0, lam, 0.7, eta, t)
-                got_moment = expected_second_moment(c0, lam, 0.7, eta, t)
-                got_variance = second_moment_variance(c0, lam, 0.7, eta, t)
+                sigma2, moment, variance = exact_second_moments(c0, lam, 0.7, eta, t)
+                mu, got_sigma2 = (float(v) for v in mode_law(c0, lam, 0.7, eta, t))
+                got_moment = mu**2 + got_sigma2
+                got_variance = 2.0 * got_sigma2**2 + 4.0 * mu**2 * got_sigma2
+                assert abs(Fraction(got_sigma2) - sigma2) <= Fraction(1e-14) * sigma2
                 assert abs(Fraction(got_moment) - moment) <= Fraction(1e-14) * moment
+                assert expected_second_moment(c0, lam, 0.7, eta, t) == got_moment
                 assert abs(Fraction(got_variance) - variance) <= Fraction(1e-14) * variance
 
     def test_stationary_law_is_csgd_beta_bit_for_bit(self):
