@@ -81,8 +81,8 @@ class ExperimentConfig:
             raise ParameterError("m values must be > 1 and non-empty")
         if not self.seeds or min(self.seeds) < 0:
             raise ParameterError("seeds must be non-empty and >= 0")
-        if self.T_start is not None and self.T_start >= self.T:
-            raise ParameterError(f"T_start={self.T_start} must be < T={self.T}")
+        if self.T_start is not None and not 0 <= self.T_start < self.T:
+            raise ParameterError(f"T_start={self.T_start} must be >= 0 and < T={self.T}")
         if not self.z_crit > 0:
             raise ParameterError(f"z_crit={self.z_crit} must be > 0")
 

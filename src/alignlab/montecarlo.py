@@ -4,7 +4,8 @@ of the drift predictions against them.
 Sampling schedule: an estimate of n samples with seed s draws ceil(n/2)
 noise vectors z and uses each twice, as z and as -z (antithetic pairs,
 Hammersley & Morton 1956). The draws are split into fixed batches of _BATCH
-vectors; batch j uses the stream ``default_rng(SeedSequence([s, j]))``.
+vectors; batch j uses the stream ``Generator(SFC64(SeedSequence([s, j])))``
+(SFC64 draws a normal faster than numpy's default PCG64).
 Batches run on the job pool (ALIGNLAB_THREADS). Each worker draws its batch
 in row blocks of about _BLOCK_VALUES normals into one reused buffer that
 stays in cache; successive blocks continue one generator stream, so the
@@ -196,7 +197,7 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
     @np.errstate(over="ignore", invalid="ignore")  # pool threads start from numpy's defaults
     def run(j):
         nb = min(_BATCH, pairs - j * _BATCH)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, j])))
         if not hasattr(local, "buffer"):
             local.buffer = np.empty((block_rows, d))
             local.sums = np.empty((len(vectors) + 1, 2, batch_rows))

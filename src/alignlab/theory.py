@@ -113,7 +113,8 @@ class CsgdFlags:
 class CsgdPlan:
     """Two-phase prediction for constant-step runs: per-mode stationary second
     moments beta_i, initial surplus varrho_d, threshold delta, predicted length
-    t_star of the decreasing phase, and the late-time alignment theta_inf."""
+    t_star of the decreasing phase (None when undefined or past the float
+    range), and the late-time alignment theta_inf."""
 
     eta: float
     beta_coeffs: np.ndarray
@@ -301,10 +302,12 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
         c2 = init.c**2
     varrho_d = float(spec.split_sum(c2 - beta)[0])
     step_cap = min(2.0 / spec.lambda_max, 2.0 * spec.gap1 / (spec.lambda_max**2 - spec.lambda_min**2))
-    denom = float(
-        spec.lambda_min**2 * lam[k - 1] ** 2
-        * (2.0 * spec.gap1 / eta - (spec.lambda_max**2 - spec.lambda_min**2))
-    )
+    # at a tiny eta the product may pass the float range: delta is then 0
+    with np.errstate(over="ignore"):
+        denom = float(
+            spec.lambda_min**2 * lam[k - 1] ** 2
+            * (2.0 * spec.gap1 / eta - (spec.lambda_max**2 - spec.lambda_min**2))
+        )
     delta = (noise.s_max * spec.psi_dominant * spec.lambda_max**2 / denom) if denom != 0 else math.inf
 
     lam2beta = lam**2 * beta
@@ -325,10 +328,17 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
         if ratio <= 1.0:
             t_star = 0
         else:
-            # decay rate of the slowest-contracting squared factor (1-eta*lam_1)^2;
-            # at eta*lam_1 = 1 the top mode empties in one step
-            contraction2 = (1.0 - eta * spec.lambda_max) ** 2
-            t_star = 0 if contraction2 == 0.0 else int(math.floor(math.log(ratio) / -math.log(contraction2)))
+            # decay rate of the slowest-contracting squared factor (1-eta*lam_1)^2,
+            # its log formed without cancellation as mode_law forms log|a| (at
+            # tiny eta, (1-x)^2 rounds to 1); at x = 1 the top mode empties in one step
+            x = eta * spec.lambda_max
+            if x == 1.0:
+                t_star = 0
+            else:
+                log_contraction2 = 2.0 * (math.log1p(-x) if x < 1.0 else math.log(x - 1.0))
+                steps = math.log(ratio) / -log_contraction2
+                # None past the float range, where the phase outlasts any run
+                t_star = math.floor(steps) if math.isfinite(steps) else None
     return CsgdPlan(
         eta=eta,
         beta_coeffs=beta,

@@ -183,7 +183,7 @@ def reference_trajectory(spec, noise, init, eta, T, record_every, algo, seed, st
     one-step jump is one sgd_step/projected_step; a longer one applies the
     kernel's jump coefficients, which TestJumpCoefficients checks on their
     own. Returns (times, thetas, losses, s_d, s_b) arrays."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.SFC64(seed))
     lam, k = spec.lambdas, spec.k
     sl = {"sgd": slice(None), "dsgd": slice(None, k), "bsgd": slice(k, None)}[algo]
     a = 1.0 - eta * lam[sl]
@@ -288,14 +288,31 @@ class TestChunkedKernel:
         assert err.value.step == ref.value.step == 1
         assert str(err.value) == str(ref.value)
 
-    @pytest.mark.parametrize("seed, step", [(4, 10), (0, 20)])
+    def test_set_up_overflow_is_divergence_not_a_warning(self):
+        # lambda^2 and a^2 overflow before the first step; the run still ends
+        # in DivergenceError at step 1 and warns of nothing
+        spec = Spectrum(lambdas=np.array([1e308, 1.0]), k=1)
+        noise = NoiseProfile(kappa2=np.array([1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                run_trajectory(spec, noise, State(c=np.array([1.0, 1.0])), 0.02, 50, 10, seed=1)
+        assert err.value.step == 1
+
+    @pytest.mark.parametrize("seed, step", [(4, 10), (3, 20)])
     def test_divergence_of_a_jumping_run_matches_reference(self, seed, step):
         # every mode contracts, so the run jumps 10 steps at a time; the huge
-        # dominant noise carries a record past the limit (for seed 0 the
+        # dominant noise carries a record past the limit (for seed 3 the
         # second one, not the first)
         spec = Spectrum(lambdas=np.array([2.0, 1.0]), k=1)
         noise = NoiseProfile(kappa2=np.array([1e302, 1.0]))
         state = State(c=np.array([1.0, 1.0]))
+        if step > 10:
+            # the premise: every record before `step` is finite and inside the
+            # limit (the reference raises DivergenceError past it)
+            times, *records = reference_trajectory(spec, noise, state, 0.45, step - 10, 10, "sgd", seed)
+            assert times[-1] == step - 10
+            assert all(np.all(np.isfinite(r)) for r in records)
         with pytest.raises(DivergenceError) as ref:
             reference_trajectory(spec, noise, state, 0.45, 200, 10, "sgd", seed)
         with warnings.catch_warnings():

@@ -35,30 +35,30 @@ PRESETS = {
 
 SHA256 = {
     "simulate": {
-        "alignment_m20_seed1.svg": "02b61d90e90275e8ceb16125128121560b7694aeb28ff9d511d3564ffaa44290",
-        "alignment_m20_seed2.svg": "3173f9cdbfbe7fb810069667da14f2ae7aa72828f39ed612095d5f5b1dfac8a0",
-        "alignment_m8_seed1.svg": "81dadf9c609d501210d2db7aec38777e5064e9b7c0756ad0a559e5bee6a77d88",
-        "alignment_m8_seed2.svg": "8d05b81c528a981572a77f687abc38e129d556e4d8aaadea0b47da6b4b4589a6",
-        "loss_m20_seed1.svg": "b182af1c6158e48c01f2acc44c3393aa2f11f6e91292f48612e9022270cb3b32",
-        "loss_m20_seed2.svg": "94a608d6c1bd2627884279297102a4f286d0e55e59d128ddefc574e50b33e8b7",
-        "loss_m8_seed1.svg": "ce644cce7bec7b3650f2927492cbfb221397402f0e85bb433c04567304044062",
-        "loss_m8_seed2.svg": "48511466a6c5fdce5793a792ebb71bbf66327dd14026ecad27d819f52c90b7e9",
-        "summary.csv": "063fd52010dca9f953514570609bfc15ea4728771566b806d61c1900f03df032",
-        "traj_m20_seed1.csv": "e529144aac4f8c0bf21844711a7f2abdce3b8915a01e932a8173e4a31d54c1f0",
-        "traj_m20_seed2.csv": "07a485086a868777ca4718cf369f14b623fb8c2628b7c875cb84e3f90b3f1d9e",
-        "traj_m8_seed1.csv": "a9b026f7536dd747218365f24d8a7de5759a38cb5ad88e33119041d28cfed223",
-        "traj_m8_seed2.csv": "94c789c8ce672d4807eba1c9c253a6fd1635ce103d8fdf0ae8f8c17453f5733e",
+        "alignment_m20_seed1.svg": "7f34f9106fc9d7a52f23304d5f2f3c54d46c652ef05673d0ef36efbef6ecfaaa",
+        "alignment_m20_seed2.svg": "22c2b5f65da4178915b980da3e15c50bd8c78eda421d9113123aea0296375d71",
+        "alignment_m8_seed1.svg": "7dd805fee61782e1bdf0f94604719738d176c6ea5f5b99e00e8bd5b163d4f714",
+        "alignment_m8_seed2.svg": "7c9fb10c90fbeb01b19a84857aaa6f7c2ff4dd2a7f76e1fe5a7731688e4acc8b",
+        "loss_m20_seed1.svg": "e69f92d7134e956172616cb345df5d90c8f2c84f88b5c1832977d252e7ea3c4d",
+        "loss_m20_seed2.svg": "1152bbffcfe065ffe5b6d00e23e6b90b4d7d55896873175ec9cfade27dd364fe",
+        "loss_m8_seed1.svg": "090ac23cf02ef16ff7fc7108b2071e09859c13a09f0ab32676c0788812e2728c",
+        "loss_m8_seed2.svg": "056819a9f177153a2fabad4bab67c79c54074aeab4397e9d81c09edfd5bef587",
+        "summary.csv": "572aacfc8f47e55d751f3ffe7826d49ac02e492ac2d37bbf76620ce84dc04aa5",
+        "traj_m20_seed1.csv": "0f44bb8b7f4189591e33457ca1e72101fafcc8a7496c2a353751540f9c20711b",
+        "traj_m20_seed2.csv": "2f3f9eb96d1132c9053900bf34335121cef5ab8f62604d09f0a9bd3d44358f2f",
+        "traj_m8_seed1.csv": "b7f6ce6ce36aa6f038bffe88ad6094a13a21ea6383f67fce53ae4dbbf890c859",
+        "traj_m8_seed2.csv": "4c3401dae637455bea2de7f3670f2e56140e8bba3f12cb88e400db9d75b8c948",
     },
     "sweep": {
-        "alignment_vs_m.csv": "1b7bdac7c390440149722d37c2e8311b35fc58388ac3687cc21cbc9718dcfc05",
-        "alignment_vs_m.svg": "3fa20eafed16080beffda9abaf5f929cd279ba1a7b850b5c2abaeba3e7fce9ac",
-        "alignment_vs_m_logfit.csv": "55c8f576bd2495ef5a32f65784fab79ebcddf5d2f88ee6f51a2694ac0d690cd0",
+        "alignment_vs_m.csv": "452c7a94264f82d433fad0c60a9cd3be871256f579c584b4952fdd6241ce8a96",
+        "alignment_vs_m.svg": "2ce888c1c8d209340b236fd4daec7783bf4ba569c434f8f9275954e991df6c51",
+        "alignment_vs_m_logfit.csv": "5d751fb78b8b439533e3ff7f0dc8b7401c7c70f2c44cac67c00079b1db0639c4",
     },
     "drift": {
-        "drift_verdicts.csv": "98ff2a949190825ffa3d8c740cd4c12750a20ae760b7b284d231f8129160a9f0",
+        "drift_verdicts.csv": "f2a58b3910ac313a8efc7d63f7577ad58cfc43f37f14a3bb58e0243b67604c50",
     },
     "projected": {
-        "projected_verdicts.csv": "8cd321608027c8a43404e89ddf29ba3b6b93a1af93857b711730470529deda05",
+        "projected_verdicts.csv": "32e8ddc5112e1de36ad31e5a22ba930483975ca135eace28d671495ab500b8af",
     },
 }
 

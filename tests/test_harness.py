@@ -391,6 +391,29 @@ class TestCli:
         assert "T_start=200" in err
         assert not out.exists()
 
+    def test_negative_t_start_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        err = self._usage_error([*self.SIM_ARGS, "--m", "8", "--t-start", "-10", "--out", str(out)], capsys)
+        assert "T_start=-10" in err
+        assert not out.exists()
+
+    # 1e-300: (1 - eta lambda_1)^2 rounds to 1 and t_star has 303 digits;
+    # 3e-307: t_star passes the float range; 2e-307: delta's denominator does
+    @pytest.mark.parametrize("eta, defined", [("1e-300", True), ("3e-307", False), ("2e-307", False)])
+    def test_tiny_step_size_runs_cleanly(self, eta, defined, tmp_path, capsys):
+        out = tmp_path / "runs"
+        argv = ["simulate", "--d", "24", "--k", "4", "--eta", eta, "--steps", "50", "--m", "5", "--seed", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        t_star = (out / "summary.csv").read_text().splitlines()[1].split(",")[2]
+        assert t_star.isdigit() if defined else t_star == "undef"
+
+    def test_set_up_overflow_is_one_divergence_line(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        argv = ["simulate", "--d", "24", "--k", "4", "--steps", "50", "--m", "1e308", "--seed", "1"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["simulate: job (m=1e+308, seed=1) diverged at step 1"]
+
     DRIFT_ARGS = ["drift-test", "--d", "24", "--k", "4", "--m", "8", "--eta", "0.02", "--seed", "42", "--n-mc", "5000"]
 
     @pytest.mark.parametrize("flags, detail", [

@@ -401,6 +401,21 @@ class TestCsgdPlan:
         assert plan.t_star is None
         assert plan.theta_inf == pytest.approx(THETA_INF_FIXA, rel=1e-14)
 
+    @pytest.mark.parametrize("eta", [1e-300, 1e-305])
+    def test_tiny_step_t_star_free_of_cancellation(self, fixa, eta):
+        # (1 - 2 eta)^2 rounds to 1, while -log of it is 4 eta to double precision
+        spec, noise, state = fixa
+        plan = csgd_plan(spec, noise, state, eta)
+        assert plan.flags.all_ok
+        ratio = plan.varrho_d / (plan.delta - plan.beta_coeffs[0])
+        assert plan.t_star == math.floor(math.log(ratio) / (4.0 * eta))
+
+    def test_phase_length_past_float_range_is_undefined(self, fixa):
+        # log(ratio) / (4 eta) overflows the float range
+        plan = csgd_plan(*fixa, 3e-307)
+        assert plan.flags.all_ok
+        assert plan.t_star is None
+
     def test_beta_positive_when_stable(self):
         rng = np.random.default_rng(16)
         for _ in range(100):
