@@ -35,11 +35,24 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma2", type=float)
     parser.add_argument("--init-scale", dest="init_scale", type=float)
     parser.add_argument("--seed", dest="seeds", metavar="SEED", type=int, action="append", help="seed; repeatable")
-    parser.add_argument("--n-mc", dest="n_mc", type=int)
+    parser.add_argument(
+        "--n-mc", dest="n_mc", type=int,
+        help="Monte-Carlo samples; a cap for the sign tests, which stop once every verdict is settled",
+    )
     parser.add_argument("--record-every", dest="record_every", type=int)
     parser.add_argument("--t-start", dest="T_start", metavar="T_START", type=int)
     parser.add_argument("--out", dest="output_dir", metavar="DIR")
     parser.add_argument("--print-config", action="store_true", help="echo the resolved config and exit")
+
+
+# how drift-test and projected-test spend --n-mc
+_LOOKS = (
+    "--n-mc caps the Monte-Carlo samples. The verdicts look after 1024, 2048, 4096, ... antithetic pairs "
+    "and at the cap, K looks in all, and test every row at z_K, where 2(1 - Phi(z_K)) = 2(1 - Phi(z_crit))/K. "
+    "The one shared draw stops at the first look where every row is confirmed or contradicted at z_K, or has "
+    "mean +- z_K*stderr inside its slack band; every row reports at that look, and its pairs column says how "
+    "many pairs it rests on."
+)
 
 
 def _resolve(args: argparse.Namespace):
@@ -58,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("projected-test", "loss-change tests for block-projected updates"),
         ("print-config", "echo the fully resolved config"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=_LOOKS if name.endswith("-test") else None)
         _add_config_flags(p)
         if name == "drift-test":
             p.add_argument(

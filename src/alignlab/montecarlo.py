@@ -3,9 +3,12 @@ of the drift predictions against them.
 
 Sampling schedule: an estimate of n samples with seed s draws ceil(n/2)
 noise vectors z and uses each twice, as z and as -z (antithetic pairs,
-Hammersley & Morton 1956). The draws are split into fixed batches of _BATCH
-vectors; batch j uses the stream ``Generator(SFC64(SeedSequence([s, j])))``
-(SFC64 draws a normal faster than numpy's default PCG64).
+Hammersley & Morton 1956). The pairs are split into batches: a batch is as
+long as the pairs before it, clamped to [_FINISH, _BATCH], so batches hold
+1024, 1024, 2048 and then 4096 pairs and their bounds pass through every
+1024 * 2^i below the total. Batch j uses the stream
+``Generator(SFC64(SeedSequence([s, j])))`` (SFC64 draws a normal faster than
+numpy's default PCG64).
 Batches run on the job pool (ALIGNLAB_THREADS). Each worker draws its batch
 in row blocks of about _BLOCK_VALUES normals into one reused buffer that
 stays in cache; successive blocks continue one generator stream, so the
@@ -23,6 +26,20 @@ whatever n is, besides the two partial sums per statistic and batch that the
 exactly rounded total keeps; its results are bit-identical for a given
 (n, seed) whatever the pool size, and two estimates with the same seed share
 their noise draws (common random numbers).
+
+Group-sequential verdicts: for the sign tests n is a cap. They look at the
+estimate at every batch bound 1024 * 2^i and at the cap, K looks fixed by
+the cap alone, and test each row at z_K, where
+2 (1 - Phi(z_K)) = 2 (1 - Phi(z_crit)) / K: Bonferroni over the looks
+(Jennison & Turnbull 2000, Group Sequential Methods with Applications to
+Clinical Trials), so a row's chance of a false sign stays within the
+two-sided level of z_crit. A row is settled when it is decided at z_K, or
+when mean +- z_K stderr lies inside its slack band (a settled inconclusive);
+the draw stops at the first look where every row that shares it is settled,
+and every row reports at that look. Each look's batches run in their own
+pass over the pool, so no batch past the stopping look is drawn, and the
+sums run in batch order, so the stopping look and the bytes do not depend on
+the thread count. The estimates of `one_step_estimates` never stop early.
 
 Kernel: every statistic estimated here is quadratic in the noise, so a
 draw z enters a state's statistics only through block sums: linear forms per
@@ -46,7 +63,9 @@ squares, and what is left per state, step size and block is O(batch) work.
 The verdict presets therefore draw once per preset: `drift-test` for all its
 targets and step sizes, `projected-test` for all its states and both blocks.
 Their verdicts are correlated across states, while each keeps its own
-marginal law and n. The sums use numpy's own einsum loop rather than BLAS, so
+marginal law; a state's rows equal those it would get alone on the same
+seed stopped at the same look, but which look that is depends on every row
+that shares the draw. The sums use numpy's own einsum loop rather than BLAS, so
 their bits do not depend on BLAS's thread count either.
 """
 
@@ -74,12 +93,13 @@ __all__ = [
     "projected_verdicts",
 ]
 
-# noise vectors per batch; each serves an antithetic pair of samples
+# noise vectors per full batch; each serves an antithetic pair of samples
 _BATCH = 4096
 # normals per row block of a batch's draw: the block stays in cache while
 # every kernel's sums pass over it
 _BLOCK_VALUES = 65536
-# pairs per call of a kernel's finish: bounds its (width, pairs) temporaries
+# pairs per call of a kernel's finish: bounds its (width, pairs) temporaries;
+# also the first batch and the first look of an estimate
 _FINISH = 1024
 # sample floor of the sign tests
 _VERDICT_MIN_N = 1000
@@ -97,7 +117,7 @@ class McEstimate:
 
 
 # the verdict tables' header; the threshold column keeps its first name
-VERDICT_COLUMNS = ["test", "theta", "eta", "eta_star", "predicted", "mean", "stderr", "z", "verdict"]
+VERDICT_COLUMNS = ["test", "theta", "eta", "eta_star", "predicted", "mean", "stderr", "pairs", "z", "verdict"]
 
 
 @dataclass(frozen=True)
@@ -107,9 +127,10 @@ class Verdict:
     block's loss threshold for the projected rows) is `threshold`, None when
     undefined. The verdict is confirmed when the estimate significantly
     carries the predicted sign, inconclusive when not significant, and
-    contradicted when significantly the wrong sign. target_ok is False when
-    the estimate misses the closed-form mean it is checked against, which
-    only the projected rows are."""
+    contradicted when significantly the wrong sign. settled is True when the
+    row needs no more draws: it is decided, or its interval lies inside its
+    slack band. target_ok is False when the estimate misses the closed-form
+    mean it is checked against, which only the projected rows are."""
 
     test: str
     theta: float
@@ -120,6 +141,7 @@ class Verdict:
     z: float
     verdict: str
     target_ok: bool = True
+    settled: bool = True
 
     @property
     def failed(self) -> bool:
@@ -130,7 +152,7 @@ class Verdict:
         """The row's values in VERDICT_COLUMNS order."""
         est = self.estimate
         return [self.test, self.theta, self.eta, self.threshold, self.predicted,
-                est.mean, est.stderr, self.z, self.verdict]
+                est.mean, est.stderr, est.n, self.z, self.verdict]
 
 
 def _check(state: State, spec: Spectrum, noise: NoiseProfile, n: int, n_min: int) -> None:
@@ -160,11 +182,57 @@ def _pivot(kernel: _Kernel, q_sums: np.ndarray) -> np.ndarray:
     return kernel.finish(np.zeros((len(kernel.forms), 2, 1)), q_sums[:, None])[:, 0]
 
 
+def _batch_bounds(pairs: int) -> list[int]:
+    """Pair bounds 0 = b_0 < b_1 < ... < b_J = pairs of the batches: batch j
+    covers [b_j, b_{j+1}) and is as long as the pairs before it, clamped to
+    [_FINISH, _BATCH]."""
+    bounds = [0]
+    while bounds[-1] < pairs:
+        bounds.append(min(pairs, bounds[-1] + min(max(bounds[-1], _FINISH), _BATCH)))
+    return bounds
+
+
+def _looks(bounds: list[int]) -> list[int]:
+    """The batch counts at which a sequential estimate looks: every bound that
+    is _FINISH * 2^i, and the cap."""
+    looks = []
+    for j, b in enumerate(bounds[1:], 1):
+        q, r = divmod(b, _FINISH)
+        if b == bounds[-1] or (r == 0 and q & (q - 1) == 0):
+            looks.append(j)
+    return looks
+
+
+def _z_looks(z_crit: float, n: int) -> float:
+    """z_K with 2 (1 - Phi(z_K)) = 2 (1 - Phi(z_crit)) / K for the K looks of
+    an estimate capped at n samples, by bisection on math.erfc. Since the
+    normal's Mills ratio falls, z_K <= sqrt(z_crit^2 + 2 log K), which is
+    taken where the tail underflows."""
+    k = len(_looks(_batch_bounds(-(-n // 2))))
+    if k == 1:
+        return z_crit
+    lo, hi = z_crit, math.sqrt(z_crit * z_crit + 2.0 * math.log(k))
+    level = math.erfc(z_crit / math.sqrt(2.0)) / k
+    if level == 0.0:
+        return hi
+    while lo < hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # adjacent floats
+        if math.erfc(mid / math.sqrt(2.0)) > level:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the pivots or sums: ParameterError below
-def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstimate]:
+def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> list[McEstimate]:
     """Mean and standard error of every row of every kernel, kernel by kernel,
     from ceil(n/2) antithetic pairs over the batches of the schedule, which
-    run on the job pool. The kernels come from one factory on spec and one
+    run on the job pool. With stop, n is a cap: the estimates are formed at
+    each look of the schedule, and returned at the first where stop(estimates)
+    holds, or at the cap. The kernels come from one factory on spec and one
     noise profile, so they share q and every draw. Each worker draws a batch
     in row blocks of about _BLOCK_VALUES normals into one reused buffer
     (successive standard_normal(out=) calls on a generator continue one
@@ -187,16 +255,17 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
         raise ParameterError(
             "a Monte-Carlo statistic is not finite at the mean noise: the step size or the state is too large"
         )
+    centres = np.concatenate(pivots)
     # kernel i reads the linear-form sums forms[i]:forms[i + 1]
     forms = np.cumsum([0] + [len(kernel.forms) for kernel in kernels])
-    pairs = -(-n // 2)
-    batch_rows = min(pairs, _BATCH)
+    bounds = _batch_bounds(-(-n // 2))
+    batch_rows = min(bounds[-1], _BATCH)
     block_rows = min(batch_rows, max(1, _BLOCK_VALUES // d))
     local = threading.local()
 
     @np.errstate(over="ignore", invalid="ignore")  # pool threads start from numpy's defaults
     def run(j):
-        nb = min(_BATCH, pairs - j * _BATCH)
+        nb = bounds[j + 1] - bounds[j]
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, j])))
         if not hasattr(local, "buffer"):
             local.buffer = np.empty((block_rows, d))
@@ -218,11 +287,23 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list) -> list[McEstima
             moments.append(shifted)
         return np.concatenate(moments, axis=1)
 
-    parts = np.array(list(run_jobs(run, range(-(-pairs // _BATCH)))))
+    parts = []
+    for look in _looks(bounds) if stop else [len(bounds) - 1]:
+        # this look's batches only: none past it is started
+        parts += run_jobs(run, range(len(parts), look))
+        out = _combine(np.array(parts), centres, bounds[look])
+        if stop and stop(out):
+            break
+    return out
+
+
+def _combine(parts: np.ndarray, centres: np.ndarray, pairs: int) -> list[McEstimate]:
+    """The estimates from the per-batch shifted sums parts, shape (batches, 2,
+    rows), over pairs pairs, summed in batch order."""
     if not np.all(np.isfinite(parts.sum(axis=0))):
         raise ParameterError("a Monte-Carlo sum of squares is not finite: the step size or the state is too large")
     out = []
-    for j, centre in enumerate(np.concatenate(pivots)):
+    for j, centre in enumerate(centres):
         s1 = math.fsum(parts[:, 0, j])
         s2 = math.fsum(parts[:, 1, j])
         mean = float(centre) + s1 / pairs
@@ -287,14 +368,15 @@ def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: li
     return _Kernel((a, lam * a), lam**2 * noise.kappa2, finish)
 
 
-def _one_step_estimates(jobs, spec: Spectrum, noise: NoiseProfile, n: int, seed: int, n_min: int) -> list:
+def _one_step_estimates(jobs, spec: Spectrum, noise: NoiseProfile, n: int, seed: int, n_min: int, stop=None) -> list:
     """The estimates of f, sD_next, sB_next and theta_next at each step size
-    of each (state, etas) job, in that order, all from the same n draws."""
+    of each (state, etas) job, in that order, all from the same draws: n of
+    them, or with stop, up to n (`_estimate`)."""
     for state, etas in jobs:
         if not etas or not all(0 <= e < math.inf for e in etas):
             raise ParameterError("etas must be non-empty, finite and non-negative")
         _check(state, spec, noise, n, n_min)
-    return _estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, etas) for state, etas in jobs])
+    return _estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, etas) for state, etas in jobs], stop)
 
 
 def one_step_estimates(
@@ -307,7 +389,8 @@ def one_step_estimates(
 ) -> dict:
     """Estimate, from n shared one-step noise draws, the comparison functional
     f, the next block energies, and the next alignment, for every eta in
-    `etas`. Returns {eta: {"f"|"sD_next"|"sB_next"|"theta_next": McEstimate}}.
+    `etas`. Returns {eta: {"f"|"sD_next"|"sB_next"|"theta_next": McEstimate}},
+    each over all ceil(n/2) pairs: these estimates never stop early.
     """
     etas = [float(e) for e in etas]
     ests = iter(_one_step_estimates([(state, etas)], spec, noise, n, seed, 100))
@@ -317,18 +400,21 @@ def one_step_estimates(
 
 def _verdict(test, theta, eta, threshold, target, tol, est, z_crit, slack=0.0, target_ok=True) -> Verdict:
     """The row of a sign test whose closed-form prediction is target, its
-    sign read as 0 within tol; slack widens the inconclusive band."""
+    sign read as 0 within tol; slack widens the inconclusive band. An
+    inconclusive row is settled when mean +- z_crit stderr lies inside
+    [-slack, slack]."""
     predicted = "0" if abs(target) <= tol else "+" if target > 0 else "-"
+    settled = True
     if abs(est.mean) <= z_crit * est.stderr + slack:
         verdict = "inconclusive"
+        settled = abs(est.mean) + z_crit * est.stderr <= slack
     else:
         verdict = "confirmed" if ("+" if est.mean > 0 else "-") == predicted else "contradicted"
     if est.stderr > 0:
         z = est.mean / est.stderr
     else:
         z = 0.0 if est.mean == 0 else math.copysign(math.inf, est.mean)
-    return Verdict(test, theta, eta, threshold, predicted, est, z, verdict, target_ok)
-
+    return Verdict(test, theta, eta, threshold, predicted, est, z, verdict, target_ok, settled)
 
 def drift_verdicts(
     jobs,
@@ -340,13 +426,14 @@ def drift_verdicts(
     theta_abs_slack: float = 0.0,
 ) -> list[Verdict]:
     """Sign tests of the one-step drift at each step size of each (state,
-    etas) job, all from one estimate of n samples on seed. Per job and step
-    size, in order: the f_drift row, which tests the exact finite-d
+    etas) job, all from one estimate on seed of at most n samples, stopped at
+    the first look where every row is settled (module docstring). Per job and
+    step size, in order: the f_drift row, which tests the exact finite-d
     expectation p*eta^2 + q*eta, and the theta_drift row, which tests
     E[theta_{t+1}] - theta_t against the same sign. The regime results
     describe that drift only asymptotically; `theta_abs_slack` widens its
-    inconclusive band accordingly. A state's rows do not depend on which
-    states share its draw."""
+    inconclusive band accordingly. Every row is tested at z_K for the K looks
+    of the cap n."""
     jobs = [(state, [float(e) for e in etas]) for state, etas in jobs]
     checks = []
     for state, etas in jobs:
@@ -356,14 +443,21 @@ def drift_verdicts(
         for eta in etas:
             target = expected_drift(dq, eta)  # rejects a step whose drift overflows, before drawing
             checks.append((stats.theta, eta, eta_star, target, 1e-12 * (abs(dq.p) * eta**2 + abs(dq.q) * eta)))
-    ests = iter(_one_step_estimates(jobs, spec, noise, n, seed, _VERDICT_MIN_N))
-    rows = []
-    for theta, eta, eta_star, target, tol in checks:
-        f, _, _, theta_next = (next(ests) for _ in range(4))
-        dtheta = McEstimate(mean=theta_next.mean - theta, stderr=theta_next.stderr, n=theta_next.n)
-        rows.append(_verdict("f_drift", theta, eta, eta_star, target, tol, f, z_crit))
-        rows.append(_verdict("theta_drift", theta, eta, eta_star, target, tol, dtheta, z_crit, theta_abs_slack))
-    return rows
+    z = _z_looks(z_crit, n)
+
+    def rows(ests):
+        ests, out = iter(ests), []
+        for theta, eta, eta_star, target, tol in checks:
+            f, _, _, theta_next = (next(ests) for _ in range(4))
+            dtheta = McEstimate(mean=theta_next.mean - theta, stderr=theta_next.stderr, n=theta_next.n)
+            out.append(_verdict("f_drift", theta, eta, eta_star, target, tol, f, z))
+            out.append(_verdict("theta_drift", theta, eta, eta_star, target, tol, dtheta, z, theta_abs_slack))
+        return out
+
+    # stop at the first look where every row is settled
+    return rows(_one_step_estimates(
+        jobs, spec, noise, n, seed, _VERDICT_MIN_N, lambda ests: all(row.settled for row in rows(ests))
+    ))
 
 
 def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: float) -> _Kernel:
@@ -398,11 +492,11 @@ def projected_verdicts(
 ) -> list[Verdict]:
     """Sign tests of the expected loss change of the step projected on the
     dominant and on the bulk block, for each (state, eta) job, all from one
-    estimate of n samples on seed: per job the loss_change_D row, then the
-    loss_change_B row. Each tests the sign of its block's closed-form
-    theory.expected_loss_change, and its target_ok checks the estimate
-    against that change within 4 stderr. A state's rows do not depend on
-    which states share its draw."""
+    estimate on seed of at most n samples, stopped as in `drift_verdicts`:
+    per job the loss_change_D row, then the loss_change_B row. Each tests the
+    sign of its block's closed-form theory.expected_loss_change at z_K, and
+    its target_ok checks the estimate at the stopping look against that
+    change within 4 stderr."""
     jobs = [(state, float(eta)) for state, eta in jobs]
     checks = []
     for state, eta in jobs:
@@ -414,9 +508,14 @@ def projected_verdicts(
             threshold = loss_threshold(stats, block) if tau + n_loss > 0 else None
             tol = 1e-12 * (eta * s + 0.5 * eta**2 * (tau + n_loss))
             checks.append((f"loss_change_{block}", stats.theta, eta, threshold, target, tol))
-    ests = _estimate(n, seed, spec, [_projected_kernel(state, spec, noise, eta) for state, eta in jobs])
-    rows = []
-    for (test, theta, eta, threshold, target, tol), est in zip(checks, ests):
-        target_ok = abs(est.mean - target) <= 4.0 * est.stderr + 1e-12 * (1.0 + abs(target))
-        rows.append(_verdict(test, theta, eta, threshold, target, tol, est, z_crit, target_ok=target_ok))
-    return rows
+    kernels = [_projected_kernel(state, spec, noise, eta) for state, eta in jobs]
+    z = _z_looks(z_crit, n)
+
+    def rows(ests):
+        out = []
+        for (test, theta, eta, threshold, target, tol), est in zip(checks, ests):
+            target_ok = abs(est.mean - target) <= 4.0 * est.stderr + 1e-12 * (1.0 + abs(target))
+            out.append(_verdict(test, theta, eta, threshold, target, tol, est, z, target_ok=target_ok))
+        return out
+
+    return rows(_estimate(n, seed, spec, kernels, lambda ests: all(row.settled for row in rows(ests))))

@@ -1,10 +1,11 @@
 """Shared random-problem generators for the test suite, the step-by-step SGD
-reference that `run_trajectory` is checked against, and the per-sample
-one-step references that the Monte-Carlo kernels are checked against."""
+reference that `run_trajectory` is checked against, the per-sample one-step
+references that the Monte-Carlo kernels are checked against, and a hook that
+stops the sign tests at a chosen look."""
 
 import numpy as np
 
-from alignlab import NoiseProfile, ParameterError, Spectrum, State, build_spectrum, random_init
+from alignlab import NoiseProfile, ParameterError, Spectrum, State, build_spectrum, montecarlo, random_init
 from alignlab.state import _check_dims
 
 DIMS = (10, 50, 200)
@@ -111,3 +112,14 @@ def direct_projected(state: State, spec: Spectrum, noise: NoiseProfile, eta: flo
         rows.append(-eta * lin + 0.5 * eta**2 * sq)
         sizes.append(eta * np.abs(lin) + eta**2 * sq)
     return np.array(rows), np.array(sizes)
+
+
+def stop_at_pairs(monkeypatch, pairs):
+    """Make every sign test stop at the look of `pairs` pairs, which must be a
+    look of its cap, whatever its rows read there."""
+    estimate = montecarlo._estimate
+
+    def stopped(n, seed, spec, kernels, stop=None):
+        return estimate(n, seed, spec, kernels, stop and (lambda ests: ests[0].n == pairs))
+
+    monkeypatch.setattr(montecarlo, "_estimate", stopped)

@@ -27,8 +27,8 @@ PRESETS = {
                  "--seed", "1", "--seed", "2"],
     "sweep": ["sweep-gap", *COMMON, "--eta", "0.02", "--steps", "300", "--m", "8", "--m", "20",
               "--seed", "1", "--seed", "2"],
-    # 20_001 samples = 10_001 antithetic pairs: two full Monte-Carlo batches
-    # and a short one
+    # 20_001 samples cap the sign tests at 10_001 antithetic pairs: five
+    # Monte-Carlo batches and five looks; every row settles at the first
     "drift": ["drift-test", *COMMON, "--m", "8", "--seed", "3", "--n-mc", "20001"],
     "projected": ["projected-test", *COMMON, "--m", "8", "--seed", "3", "--n-mc", "20001", "--n-states", "3"],
 }
@@ -55,10 +55,10 @@ SHA256 = {
         "alignment_vs_m_logfit.csv": "5d751fb78b8b439533e3ff7f0dc8b7401c7c70f2c44cac67c00079b1db0639c4",
     },
     "drift": {
-        "drift_verdicts.csv": "f2a58b3910ac313a8efc7d63f7577ad58cfc43f37f14a3bb58e0243b67604c50",
+        "drift_verdicts.csv": "ca7c9bc04f1c0b9b39492bee99747be615313811e203e0e3c462df79afce4fc8",
     },
     "projected": {
-        "projected_verdicts.csv": "32e8ddc5112e1de36ad31e5a22ba930483975ca135eace28d671495ab500b8af",
+        "projected_verdicts.csv": "ab26ee6b12f54759e8270738a81bb5961e7ae2df1bd1507ff5079b6e4b558266",
     },
 }
 

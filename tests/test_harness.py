@@ -26,6 +26,8 @@ from alignlab.montecarlo import drift_verdicts, projected_verdicts
 from alignlab.state import block_stats, random_init, rescale_to_alignment
 from alignlab.theory import g_gap, loss_threshold, theta_star
 
+from helpers import stop_at_pairs
+
 
 def csv_rows(rows):
     """Verdict rows as the cells a verdict table writes."""
@@ -186,15 +188,16 @@ class TestDriftTestCommand:
         out, contradicted = cmd_drift_test(cfg, theta_targets=("0.3*ggap", "high"), eta_factors=(0.5, 2.0))
         assert not contradicted
         lines = (out / "drift_verdicts.csv").read_text().splitlines()
-        assert lines[0] == "test,theta,eta,eta_star,predicted,mean,stderr,z,verdict"
+        assert lines[0] == "test,theta,eta,eta_star,predicted,mean,stderr,pairs,z,verdict"
         # 2 targets x 2 factors x 2 quantities
         assert len(lines) == 9
         assert "contradicted" not in (out / "drift_verdicts.csv").read_text()
 
-    def test_rows_equal_separate_per_eta_calls(self, tmp_path):
+    def test_rows_equal_separate_per_eta_calls(self, tmp_path, monkeypatch):
         # drift-test draws once per target for all step sizes; each step
         # size's rows must equal a drift_verdicts call at that step size alone
-        # with the same seed
+        # with the same seed, stopped at the same look (alone it may settle
+        # sooner, never later); eta* itself keeps the shared draw going
         cfg = tiny_config(tmp_path, n_mc=20_001)
         out, _ = cmd_drift_test(cfg, theta_targets=("0.3*ggap",), eta_factors=(0.5, 1.0, 2.0))
         rows = [line.split(",") for line in (out / "drift_verdicts.csv").read_text().splitlines()[1:]]
@@ -203,16 +206,22 @@ class TestDriftTestCommand:
         base = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT))
         state = rescale_to_alignment(base, spec, 0.3 * g_gap(spec, noise), which="dominant")
         mc_seed = _stream_int(seed, m, _STREAM_MC, 0)
+        pairs = int(rows[0][7])
+        assert pairs > 1024 and {int(row[7]) for row in rows} == {pairs}
+        etas = [float(row[2]) for row in rows[::2]]
+        alone = [drift_verdicts([(state, [eta])], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit) for eta in etas]
+        assert all(row.estimate.n <= pairs for call in alone for row in call)
+        stop_at_pairs(monkeypatch, pairs)
         expected = []
-        for eta in [float(row[2]) for row in rows[::2]]:
+        for eta in etas:
             expected += csv_rows(drift_verdicts([(state, [eta])], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit))
         assert len(rows) == 6
         assert rows == expected
 
-    def test_rows_equal_separate_calls_per_target(self, tmp_path):
+    def test_rows_equal_separate_calls_per_target(self, tmp_path, monkeypatch):
         # drift-test draws once for every target; each target's rows must
         # equal a drift_verdicts call on that target's state alone with the
-        # shared seed
+        # shared seed, stopped at the same look
         cfg = tiny_config(tmp_path, n_mc=20_001)
         out, _ = cmd_drift_test(cfg, theta_targets=("0.3*ggap", "0.9*ggap", "high"), eta_factors=(0.5, 2.0))
         rows = [line.split(",") for line in (out / "drift_verdicts.csv").read_text().splitlines()[1:]]
@@ -222,6 +231,7 @@ class TestDriftTestCommand:
         states = [rescale_to_alignment(base, spec, f * g_gap(spec, noise), which="dominant") for f in (0.3, 0.9)]
         states.append(_state_above_theta_star(base, spec, noise))
         mc_seed = _stream_int(seed, m, _STREAM_MC, 0)
+        stop_at_pairs(monkeypatch, int(rows[0][7]))
         expected = []
         for t_idx, state in enumerate(states):
             etas = [float(row[2]) for row in rows[4 * t_idx : 4 * t_idx + 4 : 2]]
@@ -257,18 +267,19 @@ class TestProjectedTestCommand:
         out, failed = cmd_projected_test(cfg, n_states=3)
         assert not failed
         lines = (out / "projected_verdicts.csv").read_text().splitlines()
-        assert lines[0] == "test,theta,eta,eta_star,predicted,mean,stderr,z,verdict"
+        assert lines[0] == "test,theta,eta,eta_star,predicted,mean,stderr,pairs,z,verdict"
         assert len(lines) == 7  # 3 states x 2 blocks
 
-    def test_rows_equal_separate_per_block_calls(self, tmp_path):
+    def test_rows_equal_separate_per_block_calls(self, tmp_path, monkeypatch):
         # projected-test draws once for every state and both blocks; each
         # state's rows must equal a projected_verdicts call on that state alone
-        # with the same seed
+        # with the same seed, stopped at the same look
         cfg = tiny_config(tmp_path, n_mc=20_001)
         out, _ = cmd_projected_test(cfg, n_states=3)
         rows = [line.split(",") for line in (out / "projected_verdicts.csv").read_text().splitlines()[1:]]
         m, seed = cfg.m_list[0], cfg.seeds[0]
         spec, noise = _problem_for(cfg, m, seed)
+        stop_at_pairs(monkeypatch, int(rows[0][7]))
         expected = []
         for i in range(3):
             state = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT, i))

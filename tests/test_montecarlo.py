@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from alignlab import (
     expected_loss_change,
     expected_next_block_energy,
     g_gap,
+    loss_threshold,
     one_step_estimates,
     projected_verdicts,
     rescale_to_alignment,
@@ -40,7 +42,7 @@ from alignlab.montecarlo import (
     _projected_kernel,
 )
 
-from helpers import direct_one_step, direct_projected, random_problem, sgd_step, shared_draw_problem
+from helpers import direct_one_step, direct_projected, random_problem, sgd_step, shared_draw_problem, stop_at_pairs
 
 # E[theta_{t+1}] for the 2-d fixture at eta=0.1, frozen from two independent
 # quadratures (400-node Gauss-Hermite grid and adaptive integration agree to
@@ -343,9 +345,10 @@ class TestSharedDraw:
     equal those computed from the whole (nb, d) draw of the batch, bit for
     bit."""
 
-    # 20_001 samples = 10_001 pairs: two full batches and a short one; at
-    # d = 10, 60 and 500 the last row block of every batch is short as well,
-    # and the short batch ends in a short finish chunk
+    # 20_001 samples = 10_001 pairs: batches of 1024, 1024, 2048 and 4096
+    # pairs and a short one of 1809; at d = 10, 60 and 500 the last row block
+    # of every batch is short as well, and the short batch ends in a short
+    # finish chunk
     @pytest.mark.parametrize("d", [2, 10, 60, 500])
     def test_row_blocks_equal_whole_batch_draw(self, d, monkeypatch):
         monkeypatch.setenv("ALIGNLAB_THREADS", "1")
@@ -355,7 +358,7 @@ class TestSharedDraw:
             [_one_step_kernel(state, spec, noise, etas) for state in states],
             [_projected_kernel(state, spec, noise, 0.7 / spec.lambda_max) for state in states],
         )
-        seed, sizes = 28, (4096, 4096, 1809)
+        seed, sizes = 28, (1024, 1024, 2048, 4096, 1809)
 
         def capturing(kernel, fed):
             def finish(lin, quad):
@@ -381,9 +384,11 @@ class TestSharedDraw:
             assert len(ests) == sum(len(want[0]) for want in expected)
             assert all(est.n == sum(sizes) for est in ests)
 
-    def test_each_state_equals_its_own_estimate(self):
-        # sharing a draw changes no state's estimate: each equals the estimate
-        # made for that state alone on the same seed
+    def test_each_state_equals_its_own_estimate(self, monkeypatch):
+        # sharing a draw changes no state's estimate at a given number of
+        # pairs: each equals the estimate made for that state alone on the
+        # same seed, and a sign test's rows equal those of the state alone
+        # stopped at the same look
         spec, noise, states = shared_draw_problem(29, 40)
         jobs = [(state, [f / spec.lambda_max for f in (0.2 * (i + 1), 1.9)]) for i, state in enumerate(states)]
         shared = _one_step_estimates(jobs, spec, noise, 20_001, 30, 100)
@@ -393,8 +398,18 @@ class TestSharedDraw:
             for rows in one_step_estimates(state, spec, noise, etas, 20_001, 30).values()
             for est in rows.values()
         ]
+        # the first state steps at its dominant loss threshold: its zero-mean
+        # row keeps the shared draw going past the first look
         jobs = [(state, (0.3 + 0.2 * i) / spec.lambda_max) for i, state in enumerate(states)]
+        jobs[0] = (states[0], loss_threshold(block_stats(states[0], spec, noise), "D"))
         shared = projected_verdicts(jobs, spec, noise, 20_001, 31)
+        pairs = shared[0].estimate.n
+        assert pairs > 1024 and all(row.estimate.n == pairs for row in shared)
+        # a state alone settles no later than with its draw shared
+        alone = [projected_verdicts([job], spec, noise, 20_001, 31) for job in jobs]
+        assert all(row.estimate.n <= pairs for rows in alone for row in rows)
+        assert alone[1][0].estimate.n < pairs
+        stop_at_pairs(monkeypatch, pairs)
         assert shared == [row for job in jobs for row in projected_verdicts([job], spec, noise, 20_001, 31)]
 
 
@@ -431,7 +446,7 @@ class TestBoundedMemory:
         n = 400_000
         width = 4 * len(etas)
         worker = montecarlo._BLOCK_VALUES + 3 * 2 * montecarlo._BATCH + 8 * width * montecarlo._FINISH
-        partial = 2 * width * -(-n // (2 * montecarlo._BATCH))
+        partial = 2 * width * (len(montecarlo._batch_bounds(-(-n // 2))) - 1)
         tracemalloc.start()
         try:
             one_step_estimates(state, spec, noise, etas, n, seed=5)
@@ -442,7 +457,8 @@ class TestBoundedMemory:
 
 
 class TestThreadCountInvariance:
-    # 20_001 samples are 10_001 antithetic pairs: two full batches and a short one
+    # 20_001 samples are 10_001 antithetic pairs: four batches of 1024 to 4096
+    # pairs and a short one
     N = 20_001
     PAIRS = 10_001
 
@@ -464,12 +480,20 @@ class TestThreadCountInvariance:
 
     @pytest.mark.parametrize("block", ["D", "B"])
     def test_projected_loss_test(self, monkeypatch, block):
+        # the sign test at its stopping look, and the fixed-n estimate of the
+        # same kernel over all pairs
         spec, noise, state = random_problem(np.random.default_rng(25), d=50)
+        row = "DB".index(block)
+        kernels = [_projected_kernel(state, spec, noise, 0.3)]
         a, b, c = self._under_threads(
-            monkeypatch, lambda: projected_verdicts([(state, 0.3)], spec, noise, self.N, 18)["DB".index(block)]
+            monkeypatch,
+            lambda: (projected_verdicts([(state, 0.3)], spec, noise, self.N, 18)[row],
+                     _estimate(self.N, 18, spec, kernels)[row]),
         )
         assert a == b == c
-        assert a.estimate.n == self.PAIRS
+        verdict, fixed = a
+        assert fixed.n == self.PAIRS
+        assert verdict.estimate == _estimate(2 * verdict.estimate.n, 18, spec, kernels)[row]
 
     def test_multi_state_estimates(self, monkeypatch):
         spec, noise, states = shared_draw_problem(32, 50)
@@ -526,6 +550,112 @@ class TestThreadCountInvariance:
                                  cwd=Path(__file__).resolve().parent.parent, check=True)
             outputs.append(run.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestGroupSequential:
+    """The sign tests look at every batch bound 1024 * 2^i and at the cap, test
+    each row at the Bonferroni z_K of those K looks, and stop the shared
+    draw at the first look where every row is settled."""
+
+    def test_schedule_and_looks(self):
+        bounds = montecarlo._batch_bounds(50_000)
+        assert bounds[:7] == [0, 1024, 2048, 4096, 8192, 12288, 16384] and bounds[-1] == 50_000
+        assert set(np.diff(bounds[3:-1])) == {montecarlo._BATCH}
+        looks = [bounds[j] for j in montecarlo._looks(bounds)]
+        assert looks == [1024, 2048, 4096, 8192, 16384, 32768, 50_000]
+        assert [montecarlo._batch_bounds(p)[-1] for p in (1, 500, 1024, 1025)] == [1, 500, 1024, 1025]
+        assert montecarlo._looks(montecarlo._batch_bounds(8192)) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("z_crit", [1.5, 3.0, 5.0, 9.0])
+    @pytest.mark.parametrize("n", [2000, 20_001, 100_000, 10**7])
+    def test_z_k_spends_the_level_evenly_over_the_looks(self, z_crit, n):
+        k = len(montecarlo._looks(montecarlo._batch_bounds(-(-n // 2))))
+        z = montecarlo._z_looks(z_crit, n)
+        if k == 1:
+            assert z == z_crit
+        else:
+            level = math.erfc(z_crit / math.sqrt(2.0))
+            assert k * math.erfc(z / math.sqrt(2.0)) == pytest.approx(level, rel=1e-12)
+            # the tail bound it starts from holds
+            assert z_crit < z <= math.sqrt(z_crit**2 + 2.0 * math.log(k))
+
+    def test_z_k_where_the_tail_underflows(self):
+        # erfc(40 / sqrt(2)) underflows; the tail bound is the threshold
+        assert montecarlo._z_looks(40.0, 100_000) == math.sqrt(1600.0 + 2.0 * math.log(7))
+
+    @pytest.mark.parametrize("n", [100, 2047, 2049, 8193, 20_001, 40_000])
+    def test_one_step_estimates_use_every_pair(self, fixa, n):
+        # the fixed-n path never stops early, even where every estimate is
+        # exact after one look
+        spec, noise, state = fixa
+        for silent in (False, True):
+            profile = NoiseProfile(kappa2=np.zeros(2)) if silent else noise
+            out = one_step_estimates(state, spec, profile, [0.1, 2.0 / 3.0], n, seed=3)
+            assert {est.n for row in out.values() for est in row.values()} == {-(-n // 2)}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_no_batch_past_the_stopping_look_is_drawn(self, fixa, threads, monkeypatch):
+        monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+        spec, noise, state = fixa
+        drawn, run_jobs = [], montecarlo.run_jobs
+
+        def recording(fn, jobs):
+            drawn.append(list(jobs))
+            return run_jobs(fn, jobs)
+
+        monkeypatch.setattr(montecarlo, "run_jobs", recording)
+        # fixed n: one pass over every batch
+        one_step_estimates(state, spec, noise, [0.1], 80_000, seed=1)
+        assert drawn == [list(range(len(montecarlo._batch_bounds(40_000)) - 1))]
+        # settled at the sixth look, 32768 pairs (z = 4.08)
+        drawn.clear()
+        rows = projected_verdicts([(state, 0.806)], spec, noise, 80_000, 1)
+        assert {row.estimate.n for row in rows} == {32768}
+        assert drawn == [[0], [1], [2], [3], [4, 5], [6, 7, 8, 9]]
+
+    def test_stopping_look_and_bytes_equal_across_threads(self, fixa, monkeypatch):
+        # the look at 32768 pairs takes four batches, which two and three
+        # threads draw side by side
+        spec, noise, state = fixa
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+            rows = projected_verdicts([(state, 0.806)], spec, noise, 80_000, 1)
+            runs.append((rows, repr([row.cells() for row in rows])))
+        assert runs[0] == runs[1] == runs[2]
+        rows = runs[0][0]
+        assert [row.estimate.n for row in rows] == [32768, 32768]
+        assert [row.verdict for row in rows] == ["confirmed", "confirmed"]
+
+    def test_band_settled_row_stops_at_the_first_look(self, fixa):
+        # the theta row lies inside its slack band and the f row is decided
+        spec, noise, state = fixa
+        f_row, theta_row = drift_verdicts([(state, [0.1])], spec, noise, 100_000, 5, theta_abs_slack=1.0)
+        assert (f_row.verdict, theta_row.verdict) == ("confirmed", "inconclusive")
+        assert f_row.settled and theta_row.settled
+        assert f_row.estimate.n == theta_row.estimate.n == 1024
+
+    def test_zero_mean_row_without_slack_runs_to_the_cap(self, fixa):
+        spec, noise, state = fixa
+        f_row, _ = drift_verdicts([(state, [2.0 / 3.0])], spec, noise, 100_000, 6)
+        assert (f_row.predicted, f_row.verdict, f_row.settled) == ("0", "inconclusive", False)
+        assert f_row.estimate.n == 50_000
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_false_decision_rate_within_the_level(self, fixa, threads, monkeypatch):
+        # error-rate gate: at z_crit = 1.5 over 2000 seeds, the dominant row
+        # at its loss threshold (exact zero mean, predicted "0") may be
+        # decided, always falsely, at most at the two-sided level
+        # 2 (1 - Phi(1.5)) = 0.134 plus 3 binomial standard errors; K = 5
+        # looks up to 16384 pairs, the last of two batches
+        monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+        spec, noise, state = fixa
+        seeds = 2000
+        rows = [projected_verdicts([(state, 0.8)], spec, noise, 32_768, seed, z_crit=1.5)[0] for seed in range(seeds)]
+        assert {row.predicted for row in rows} == {"0"}
+        level = math.erfc(1.5 / math.sqrt(2.0))
+        false = sum(row.verdict != "inconclusive" for row in rows) / seeds
+        assert false <= level + 3.0 * math.sqrt(level * (1.0 - level) / seeds)
 
 
 def drift_rows(state, spec, noise, eta, n, seed):
@@ -676,7 +806,8 @@ class TestProjectedLossTest:
         signs = ["0" if abs(t) <= 1e-12 else "+" if t > 0 else "-" for t in targets]
         for shift, ok in ((0.0, True), (1e-11, False)):
             estimates = [McEstimate(mean=t + shift, stderr=0.0, n=25_000) for t in targets]
-            monkeypatch.setattr(montecarlo, "_estimate", lambda n, seed, spec, kernels: estimates)
+            monkeypatch.setattr(montecarlo, "_estimate", lambda n, seed, spec, kernels, stop=None: estimates)
             rows = projected_verdicts([(state, eta)], spec, noise, 50_000, 43)
             assert [row.target_ok for row in rows] == [ok, ok]
             assert [row.predicted for row in rows] == signs
+            assert [row.estimate.n for row in rows] == [25_000, 25_000]
