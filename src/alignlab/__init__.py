@@ -4,9 +4,10 @@ on ill-conditioned quadratic losses.
 Problems live entirely in the Hessian eigenbasis: a `Spectrum` (eigenvalues
 with a dominant/bulk split), a `NoiseProfile` (per-direction gradient noise
 variances), and a `State` (iterate coordinates). `theory` evaluates every
-closed-form threshold and prediction, `dynamics` runs full and block-projected
-SGD trajectories, `montecarlo` checks the predictions against sampled
-one-step expectations, and `harness`/`cli` package the experiment presets.
+closed-form threshold and prediction, `dynamics` runs SGD trajectories that
+jump by `theory.mode_law`, `montecarlo` checks the predictions (projected
+updates one step at a time, by `projected-test`) against sampled one-step
+expectations, and `harness`/`cli` package the experiment presets.
 """
 
 from .dynamics import TrajectoryRecord, late_phase_statistic, run_trajectory

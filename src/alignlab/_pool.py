@@ -20,7 +20,10 @@ from .errors import ParameterError
 def worker_count(n_jobs: int) -> int:
     env = os.environ.get("ALIGNLAB_THREADS", "").strip()
     if env:
-        workers = int(env) if env.isdecimal() else 0
+        try:
+            workers = int(env) if env.isdecimal() else 0
+        except ValueError:  # more digits than int() converts
+            workers = 0
         if workers < 1:
             raise ParameterError(f"ALIGNLAB_THREADS must be a positive integer, got {env!r}")
     else:

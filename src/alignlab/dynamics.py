@@ -1,21 +1,20 @@
-"""Trajectories of full and block-projected SGD in the Hessian eigenbasis.
+"""SGD trajectories in the Hessian eigenbasis.
 
-With diagonal noise each updated eigen-coordinate is a Gaussian AR(1) process,
-c <- a*c - eta*kappa*z with a = 1 - eta*lambda and z ~ N(0, 1), so R steps
-compose exactly in law into one jump (Gillespie 1996, Phys. Rev. E 54, 2084):
-
-    c <- a^R * c - ((z*kappa)*eta) * sqrt(G_R),   G_R = sum_{j<R} a^(2j).
-
-`run_trajectory` jumps from record to record (R = record_every, one normal per
-coordinate per record) when every updated mode has |a| < 1 and the start state
-lies inside the divergence limit. Otherwise it runs step by step (R = 1, where
-the jump is the SGD step bit for bit). Noise comes from one
+With diagonal noise each eigen-coordinate is a Gaussian AR(1) process,
+c <- a*c - eta*kappa*z with a = 1 - eta*lambda and z ~ N(0, 1), so n steps
+compose exactly in law into one jump (Gillespie 1996, Phys. Rev. E 54, 2084)
+whose decay and noise standard deviation are `theory.mode_law`'s mean at c0 = 1
+and root variance at t = n. `run_trajectory` jumps from record to record when
+every mode has |a| < 1 and eta < 2/lambda (the range of `mode_law`) and the
+start lies inside the divergence limit, else it steps; a one-step jump is the
+SGD step, c <- a*c - (z*kappa)*eta, bit for bit. Projected updates are checked
+one step at a time by `projected-test`. Noise comes from one
 ``Generator(SFC64(seed))`` stream (SFC64 draws a normal faster than numpy's
 default PCG64), a chunk of jumps at a time into one reused buffer; each jump
-writes its state over its spent noise row, and one pass per chunk checks
-every state against the divergence limit (no replay) before the records are
-reduced in place. The bulk draws release the GIL, and output bytes do not
-depend on the thread count."""
+writes its state over its spent noise row, and one pass per chunk checks every
+state against the divergence limit (no replay) before the records are reduced
+in place. The bulk draws release the GIL, and output bytes do not depend on
+the thread count."""
 
 from __future__ import annotations
 
@@ -26,16 +25,14 @@ import numpy as np
 from .errors import DivergenceError, ParameterError
 from .spectrum import NoiseProfile, Spectrum
 from .state import State, _check_dims, _theta
+from .theory import mode_law
 
 __all__ = [
-    "ALGORITHMS",
     "TrajectoryRecord",
     "late_phase_statistic",
     "run_trajectory",
     "write_trajectory_csv",
 ]
-
-ALGORITHMS = ("sgd", "dsgd", "bsgd")
 
 # abort once any coordinate leaves this range; keeps failures loud instead of NaN
 _DIVERGENCE_LIMIT = 1e150
@@ -79,19 +76,6 @@ def late_phase_statistic(traj: TrajectoryRecord, T_start: int) -> tuple[float, f
     return float(np.mean(window)), float(np.std(window))
 
 
-def _jump_coefficients(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a^n, sqrt(G_n)): decay and noise scale of an n-step jump, restating
-    theory.mode_law on purpose: G_n summed term by term fixes the trajectory
-    bytes, with no 0/0 at a = 1 and no cancellation at small eta*lambda."""
-    a2 = a * a
-    g = np.zeros_like(a)
-    term = np.ones_like(a)
-    for _ in range(n):
-        g += term
-        term *= a2
-    return a**n, np.sqrt(g)
-
-
 # Overflow, in the set-up (lambda^2, a^2 at a huge lambda) or in the jumps, is
 # expected on diverging runs and is reported as DivergenceError, not as a
 # RuntimeWarning.
@@ -103,37 +87,41 @@ def run_trajectory(
     eta: float,
     T: int,
     record_every: int,
-    algo: str = "sgd",
     seed: int = 0,
 ) -> TrajectoryRecord:
-    """Run T steps of the chosen update with fresh i.i.d. noise, recording
-    (t, theta, loss, s_D, s_B) at t = 0, every `record_every` steps, and t = T.
+    """Run T SGD steps with fresh i.i.d. noise, recording (t, theta, loss,
+    s_D, s_B) at t = 0, every `record_every` steps, and t = T.
     Deterministic given `seed`; jumps between records as the module says.
     """
     if T < 1:
         raise ParameterError("T must be >= 1")
     if record_every < 1:
         raise ParameterError("record_every must be >= 1")
-    if algo not in ALGORITHMS:
-        raise ParameterError(f"algo must be one of {ALGORITHMS}, got {algo!r}")
     _check_dims(init, spec, noise)
     if not eta > 0:
         raise ParameterError("eta must be > 0")
 
     lam = spec.lambdas
     lam2 = lam**2
-    kappa = np.sqrt(noise.kappa2)
-    k = spec.k
-    sl = {"sgd": slice(None), "dsgd": slice(None, k), "bsgd": slice(k, None)}[algo]
-    a = 1.0 - eta * lam[sl]
+    a = 1.0 - eta * lam
 
     c = init.c.copy()
-    cv = c[sl]  # view: the update writes through to c
-    R = min(record_every, T) if np.all(np.abs(a) < 1.0) and np.max(np.abs(c)) <= _DIVERGENCE_LIMIT else 1
+    # |a| < 1 can hold at eta = fl(2/lambda), outside the range of mode_law
+    jump = np.all(np.abs(a) < 1.0) and np.all(eta < 2.0 / lam) and np.max(np.abs(c)) <= _DIVERGENCE_LIMIT
+    R = min(record_every, T) if jump else 1
     n_jumps = -(-T // R)
-    decay, scale = _jump_coefficients(a, R)
     last = T - (n_jumps - 1) * R
-    decay_last, scale_last = (decay, scale) if last == R else _jump_coefficients(a, last)
+
+    def law(n):
+        """(decay, noise factors) of an n-step jump: the SGD step itself at
+        n = 1, else mode_law's mean at c0 = 1 and its standard deviation."""
+        if n == 1:
+            return a, (np.sqrt(noise.kappa2), eta)
+        mean, var = mode_law(1.0, lam, noise.kappa2, eta, n)
+        return mean, (np.sqrt(var),)
+
+    decay, factors = law(R)
+    decay_last, factors_last = law(last)
 
     rng = np.random.Generator(np.random.SFC64(seed))
     buf = np.empty((min(_chunk_rows(spec.d), n_jumps), spec.d))
@@ -149,15 +137,13 @@ def run_trajectory(
         losses.append(0.5 * np.multiply(lam, c2, out=scratch[:n]).sum(axis=1))
 
     def draw(rows, j0):
-        """Noise of jumps j0, j0 + 1, ... into rows; returns its active columns."""
+        """Noise of jumps j0, j0 + 1, ... into rows."""
         rng.standard_normal(out=rows)
-        rows *= kappa
-        np.multiply(eta, rows, out=rows)
-        active = rows[:, sl]
         n_full = min(len(rows), n_jumps - 1 - j0)
-        active[:n_full] *= scale
-        active[n_full:] *= scale_last
-        return active
+        for part, fs in ((rows[:n_full], factors), (rows[n_full:], factors_last)):
+            for f in fs:
+                part *= f
+        return rows
 
     buf[0] = c
     reduce(1)
@@ -165,8 +151,8 @@ def run_trajectory(
         n = min(len(buf), n_jumps - j0)
         # jump j0 + i overwrites its spent noise row buf[i] with the state it reaches
         for i, step in enumerate(draw(buf[:n], j0)):
-            np.multiply(decay if j0 + i < n_jumps - 1 else decay_last, cv, out=cv)
-            np.subtract(cv, step, out=cv)
+            np.multiply(decay if j0 + i < n_jumps - 1 else decay_last, c, out=c)
+            np.subtract(c, step, out=c)
             buf[i] = c
         t = np.minimum(np.arange(j0 + 1, j0 + n + 1) * R, T)
         peaks = np.abs(buf[:n], out=scratch[:n]).max(axis=1)

@@ -15,7 +15,7 @@ import math
 import os
 import struct
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,8 @@ from ._pool import run_jobs
 from .dynamics import late_phase_statistic, run_trajectory, write_trajectory_csv
 from .errors import AlignlabError, ConstructionError, DivergenceError, ParameterError
 from .montecarlo import VERDICT_COLUMNS, drift_verdicts, projected_verdicts
-from .spectrum import NoiseProfile, Spectrum, build_spectrum, isotropic_noise, read_noise_json, read_spectrum_json
-from .state import State, block_stats, random_init, rescale_to_alignment, state_from_json
+from .spectrum import NoiseProfile, Spectrum, build_spectrum, isotropic_noise
+from .state import State, block_stats, random_init, rescale_to_alignment
 
 __all__ = [
     "ExperimentConfig",
@@ -120,11 +120,12 @@ def _list_of(check, length=None):
 
 _INTEGER = (_is_int, "an int64 integer")
 _NUMBER = (_is_number, "a finite number")
+_NUMBERS = (_list_of(_is_number), "a list of finite numbers")
 # (check, description) of the JSON value each config field accepts
 _FIELD_TYPES = {
     "d": _INTEGER,
     "k": _INTEGER,
-    "m_list": (_list_of(_is_number), "a list of finite numbers"),
+    "m_list": _NUMBERS,
     "eta": _NUMBER,
     "T": _INTEGER,
     "sigma2": _NUMBER,
@@ -138,31 +139,57 @@ _FIELD_TYPES = {
     "top_spread": _NUMBER,
     "z_crit": _NUMBER,
 }
+_OPTIONAL_NUMBER = (lambda v: v is None or _is_number(v), "a finite number or null")
+# the class each `report` input builds, and the same for each of its fields
+_REPORT_INPUTS = {
+    "spectrum": (Spectrum, {"lambdas": _NUMBERS, "k": _INTEGER}),
+    "noise": (NoiseProfile, {"kappa2": _NUMBERS, "s_min": _OPTIONAL_NUMBER, "s_max": _OPTIONAL_NUMBER}),
+    "state": (State, {"c": _NUMBERS, "t": _INTEGER}),
+}
 
 
-def _read_json(path):
-    """The parsed JSON file; a syntax error is a ParameterError naming
+def _check_fields(doc: dict, types: dict, what: str) -> dict:
+    """doc, once every value that types names passes its check."""
+    for key, value in doc.items():
+        if key in types and not types[key][0](value):
+            raise ParameterError(f"{what} field {key!r} must be {types[key][1]}, got {value!r}")
+    return doc
+
+
+def _read_json(path, what: str) -> dict:
+    """The JSON object in the file; a syntax error is a ParameterError naming
     path:line:col."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path}: {what} document must be a JSON object")
+    return doc
+
+
+def _read_input(path, what: str):
+    """The Spectrum, NoiseProfile or State (`what`) that the JSON object in
+    the file describes, once each of its fields passes its check."""
+    cls, types = _REPORT_INPUTS[what]
+    doc = _check_fields(_read_json(path, what), types, f"{path}: {what}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+    if missing:
+        raise ParameterError(f"{path}: {what} document missing keys {missing}")
+    return cls(**{key: doc[key] for key in types if key in doc})
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Defaults, then the JSON config file, then explicit overrides."""
-    doc = {} if path is None else _read_json(path)
+    doc = {} if path is None else _read_json(path, "config")
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(doc) - known
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in doc.items():
-        check, expected = _FIELD_TYPES[key]
-        if not check(value):
-            raise ParameterError(f"config field {key!r} must be {expected}, got {value!r}")
+    _check_fields(doc, _FIELD_TYPES, "config")
     for key in ("m_list", "seeds", "bulk_range"):
         if key in doc:
             doc[key] = tuple(doc[key])
@@ -243,7 +270,7 @@ def _simulate_one(config: ExperimentConfig, m: float, seed: int) -> dict:
     try:
         traj = run_trajectory(
             spec, noise, init, config.eta, config.T, config.record_every,
-            algo="sgd", seed=_stream(seed, m, _STREAM_TRAJECTORY),
+            seed=_stream(seed, m, _STREAM_TRAJECTORY),
         )
     except DivergenceError as exc:
         diverged = exc
@@ -505,7 +532,7 @@ def cmd_report(spectrum_path, noise_path, state_path, eta: float) -> dict:
     """Full closed-form report for inputs loaded from JSON files."""
     if not 0 < eta < math.inf:
         raise ParameterError(f"eta must be finite and > 0, got {eta}")
-    spec = read_spectrum_json(_read_json(spectrum_path))
-    noise = read_noise_json(_read_json(noise_path))
-    state = state_from_json(_read_json(state_path))
+    spec = _read_input(spectrum_path, "spectrum")
+    noise = _read_input(noise_path, "noise")
+    state = _read_input(state_path, "state")
     return theory.theory_report(spec, noise, state, eta)

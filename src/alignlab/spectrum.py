@@ -18,8 +18,6 @@ __all__ = [
     "NoiseProfile",
     "build_spectrum",
     "isotropic_noise",
-    "read_spectrum_json",
-    "read_noise_json",
 ]
 
 
@@ -171,17 +169,3 @@ def isotropic_noise(d: int, sigma2: float) -> NoiseProfile:
         raise ParameterError("sigma2 must be > 0")
     return NoiseProfile(kappa2=np.full(d, float(sigma2)))
 
-
-def read_spectrum_json(doc: dict) -> Spectrum:
-    try:
-        return Spectrum(lambdas=np.asarray(doc["lambdas"], dtype=float), k=int(doc["k"]))
-    except KeyError as exc:
-        raise ParameterError(f"spectrum document missing key {exc}") from exc
-
-
-def read_noise_json(doc: dict) -> NoiseProfile:
-    try:
-        kappa2 = np.asarray(doc["kappa2"], dtype=float)
-    except KeyError as exc:
-        raise ParameterError(f"noise document missing key {exc}") from exc
-    return NoiseProfile(kappa2=kappa2, s_min=doc.get("s_min"), s_max=doc.get("s_max"))

@@ -17,7 +17,6 @@ __all__ = [
     "loss",
     "random_init",
     "rescale_to_alignment",
-    "state_from_json",
 ]
 
 
@@ -168,9 +167,3 @@ def rescale_to_alignment(state: State, spec: Spectrum, theta: float, which: str 
         raise ParameterError(f"which must be 'dominant' or 'bulk', got {which!r}")
     return State(c=c, t=state.t)
 
-
-def state_from_json(doc: dict) -> State:
-    try:
-        return State(c=np.asarray(doc["c"], dtype=float), t=int(doc.get("t", 0)))
-    except KeyError as exc:
-        raise ParameterError(f"state document missing key {exc}") from exc

@@ -5,8 +5,9 @@ dimension; nothing in this module samples noise.
 
 Every closed form of a mode c_t reads `mode_law`, the exact Gaussian AR(1) law
 (Gillespie 1996, Phys. Rev. E 54, 2084), whose 1 - a^(2t) = -expm1(2t log|a|)
-does not cancel at small eta lambda; only `dynamics._jump_coefficients`
-restates it, on purpose, for trajectory bytes.
+does not cancel at small eta lambda; the trajectory jumps of `dynamics` read it
+too. Projected updates are checked one step at a time: `projected-test` tests
+`expected_loss_change`.
 """
 
 from __future__ import annotations

@@ -52,33 +52,13 @@ def shared_draw_problem(seed, d, n_states=3):
     return spec, noise, [state] + [State(c=rng.normal(0.0, 1.0, d)) for _ in range(n_states - 1)]
 
 
-def _noise_sample(state: State, spec: Spectrum, noise_sample) -> np.ndarray:
+def sgd_step(state: State, spec: Spectrum, noise_sample, eta: float) -> State:
+    """One full update c_i <- (1 - eta*lambda_i) c_i - eta*zeta_i."""
     _check_dims(state, spec)
     zeta = np.asarray(noise_sample, dtype=float)
     if zeta.shape != (spec.d,):
         raise ParameterError(f"noise sample shape {zeta.shape} != ({spec.d},)")
-    return zeta
-
-
-def sgd_step(state: State, spec: Spectrum, noise_sample, eta: float) -> State:
-    """One full update c_i <- (1 - eta*lambda_i) c_i - eta*zeta_i."""
-    zeta = _noise_sample(state, spec, noise_sample)
     c = (1.0 - eta * spec.lambdas) * state.c - eta * zeta
-    return State(c=c, t=state.t + 1)
-
-
-def projected_step(state: State, spec: Spectrum, noise_sample, eta: float, block: str) -> State:
-    """Update only the coordinates of one block (gradient and noise both
-    projected); the other block is untouched."""
-    zeta = _noise_sample(state, spec, noise_sample)
-    if block == "D":
-        sl = slice(None, spec.k)
-    elif block == "B":
-        sl = slice(spec.k, None)
-    else:
-        raise ParameterError(f"block must be 'D' or 'B', got {block!r}")
-    c = state.c.copy()
-    c[sl] = (1.0 - eta * spec.lambdas[sl]) * c[sl] - eta * zeta[sl]
     return State(c=c, t=state.t + 1)
 
 

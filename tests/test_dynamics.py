@@ -18,9 +18,9 @@ from alignlab import (
     random_init,
     run_trajectory,
 )
-from alignlab.dynamics import _DIVERGENCE_LIMIT, _chunk_rows, _jump_coefficients, write_trajectory_csv
+from alignlab.dynamics import _DIVERGENCE_LIMIT, _chunk_rows, write_trajectory_csv
 
-from helpers import projected_step, sample_noise, sgd_step
+from helpers import sample_noise, sgd_step
 
 
 class TestSteps:
@@ -42,30 +42,10 @@ class TestSteps:
         out = sgd_step(state, spec, np.array([1.0, 0.0]), 0.5)
         assert out.c[0] == pytest.approx((1 - 0.5 * 2) * 1 - 0.5 * 1)  # -0.5
 
-    def test_projected_updates_touch_one_block(self, fixa):
-        spec, _, state = fixa
-        dom = projected_step(state, spec, np.zeros(2), 0.1, "D")
-        assert np.allclose(dom.c, [0.8, 1.0])
-        blk = projected_step(state, spec, np.zeros(2), 0.1, "B")
-        assert np.allclose(blk.c, [1.0, 0.9])
-
-    def test_projector_decomposition(self):
-        rng = np.random.default_rng(21)
-        spec = Spectrum(lambdas=np.array([5.0, 3.0, 1.0, 0.5]), k=2)
-        for _ in range(25):
-            state = State(c=rng.standard_normal(4))
-            zeta = rng.standard_normal(4)
-            eta = float(rng.uniform(0.01, 0.5))
-            split = projected_step(projected_step(state, spec, zeta, eta, "D"), spec, zeta, eta, "B")
-            full = sgd_step(state, spec, zeta, eta)
-            assert np.array_equal(split.c, full.c)
-
     def test_dimension_mismatch(self, fixa):
         spec, _, state = fixa
         with pytest.raises(ParameterError):
             sgd_step(state, spec, np.zeros(3), 0.1)
-        with pytest.raises(ParameterError):
-            projected_step(State(c=np.ones(3)), spec, np.zeros(2), 0.1, "D")
 
     def test_noiseless_per_coordinate_contraction(self):
         spec = Spectrum(lambdas=np.array([4.0, 2.0, 1.0]), k=1)
@@ -103,12 +83,12 @@ class TestRunTrajectory:
     def test_noiseless_losses_strictly_decreasing(self, fixa):
         spec, _, state = fixa
         silent = NoiseProfile(kappa2=np.zeros(2))
-        traj = run_trajectory(spec, silent, state, 0.1, 200, 10, algo="sgd", seed=0)
+        traj = run_trajectory(spec, silent, state, 0.1, 200, 10, seed=0)
         assert np.all(np.diff(traj.losses) < 0)
 
     def test_recording_grid(self, fixa):
         spec, noise, state = fixa
-        traj = run_trajectory(spec, noise, state, 0.1, 25, 10, algo="sgd", seed=0)
+        traj = run_trajectory(spec, noise, state, 0.1, 25, 10, seed=0)
         assert list(traj.times) == [0, 10, 20, 25]
         assert np.all((traj.thetas >= 0) & (traj.thetas <= 1))
         assert np.all(traj.losses >= 0)
@@ -171,23 +151,20 @@ class TestRunTrajectory:
             run_trajectory(spec, noise, state, 0.1, 0, 10)
         with pytest.raises(ParameterError):
             run_trajectory(spec, noise, state, 0.1, 10, 0)
-        with pytest.raises(ParameterError):
-            run_trajectory(spec, noise, state, 0.1, 10, 1, algo="adam")
 
 
-def reference_trajectory(spec, noise, init, eta, T, record_every, algo, seed, step_by_step=False):
-    """Jump-by-jump reference for run_trajectory: one sample_noise draw per
+def reference_trajectory(spec, noise, init, eta, T, record_every, seed, step_by_step=False):
+    """Jump-by-jump reference for run_trajectory: one normal per coordinate per
     jump and the divergence check after every jump. It jumps R steps by the
-    kernel's rule (R = min(record_every, T) when every updated mode contracts
-    and the start lies inside the limit, else 1; `step_by_step` forces 1). A
-    one-step jump is one sgd_step/projected_step; a longer one applies the
-    kernel's jump coefficients, which TestJumpCoefficients checks on their
-    own. Returns (times, thetas, losses, s_d, s_b) arrays."""
+    kernel's rule (R = min(record_every, T) when every mode contracts with
+    eta < 2/lambda and the start lies inside the limit, else 1; `step_by_step`
+    forces 1). A one-step jump is one sgd_step; a longer one of n steps takes
+    its decay and noise standard deviation from mode_law at t = n. Returns
+    (times, thetas, losses, s_d, s_b) arrays."""
     rng = np.random.Generator(np.random.SFC64(seed))
     lam, k = spec.lambdas, spec.k
-    sl = {"sgd": slice(None), "dsgd": slice(None, k), "bsgd": slice(k, None)}[algo]
-    a = 1.0 - eta * lam[sl]
-    jump = np.all(np.abs(a) < 1.0) and np.max(np.abs(init.c)) <= _DIVERGENCE_LIMIT and not step_by_step
+    jump = np.all(np.abs(1.0 - eta * lam) < 1.0) and np.all(eta < 2.0 / lam)
+    jump = jump and np.max(np.abs(init.c)) <= _DIVERGENCE_LIMIT and not step_by_step
     R = min(record_every, T) if jump else 1
     rows = []
 
@@ -204,16 +181,12 @@ def reference_trajectory(spec, noise, init, eta, T, record_every, algo, seed, st
         while t < T:
             n = min(R, T - t)
             t += n
-            zeta = sample_noise(noise, rng)
+            z = rng.standard_normal(spec.d)
             if n > 1:
-                decay, scale = _jump_coefficients(a, n)
-                c = state.c.copy()
-                c[sl] = decay * c[sl] - (eta * zeta[sl]) * scale
-                state = State(c=c, t=t)
-            elif algo == "sgd":
-                state = sgd_step(state, spec, zeta, eta)
+                decay, var = mode_law(1.0, lam, noise.kappa2, eta, n)
+                state = State(c=decay * state.c - z * np.sqrt(var), t=t)
             else:
-                state = projected_step(state, spec, zeta, eta, "D" if algo == "dsgd" else "B")
+                state = sgd_step(state, spec, z * np.sqrt(noise.kappa2), eta)
             peak = float(np.max(np.abs(state.c)))
             if not np.isfinite(peak) or peak > _DIVERGENCE_LIMIT:
                 raise DivergenceError(t, f"max |c_i| = {peak}")
@@ -237,13 +210,13 @@ class TestChunkedKernel:
         noise = NoiseProfile(kappa2=np.exp(np.random.default_rng(12).normal(0.0, 1.0, self.D)))
         return spec, noise, random_init(self.D, 1.0, seed=13)
 
-    @pytest.mark.parametrize("algo", ["sgd", "dsgd", "bsgd"])
-    @pytest.mark.parametrize("T", [1, ROWS - 1, ROWS, ROWS + 1, 4 * ROWS + 1])
+    # 71 = 10 * 7 + 1 = 2 * (ROWS + 3) + 1: a jumping run that ends on a one-step jump
+    @pytest.mark.parametrize("T", [1, ROWS - 1, ROWS, ROWS + 1, 71, 4 * ROWS + 1])
     @pytest.mark.parametrize("record_every", [1, 7, ROWS + 3])
-    def test_bit_equal_to_step_by_step(self, problem, algo, T, record_every):
+    def test_bit_equal_to_step_by_step(self, problem, T, record_every):
         spec, noise, init = problem
-        traj = run_trajectory(spec, noise, init, 0.003, T, record_every, algo=algo, seed=9)
-        ref = reference_trajectory(spec, noise, init, 0.003, T, record_every, algo, 9)
+        traj = run_trajectory(spec, noise, init, 0.003, T, record_every, seed=9)
+        ref = reference_trajectory(spec, noise, init, 0.003, T, record_every, 9)
         for name, want in zip(("times", "thetas", "losses", "s_d", "s_b"), ref):
             assert np.array_equal(getattr(traj, name), want), name
 
@@ -254,7 +227,7 @@ class TestChunkedKernel:
         spec, noise, init = problem
         eta = 2.05 / spec.lambda_max
         traj = run_trajectory(spec, noise, init, eta, 4 * self.ROWS + 1, record_every, seed=9)
-        ref = reference_trajectory(spec, noise, init, eta, 4 * self.ROWS + 1, record_every, "sgd", 9, step_by_step=True)
+        ref = reference_trajectory(spec, noise, init, eta, 4 * self.ROWS + 1, record_every, 9, step_by_step=True)
         for name, want in zip(("times", "thetas", "losses", "s_d", "s_b"), ref):
             assert np.array_equal(getattr(traj, name), want), name
 
@@ -264,7 +237,7 @@ class TestChunkedKernel:
         spec, noise, state = fixa
         assert _chunk_rows(2) > 3000
         with pytest.raises(DivergenceError) as ref:
-            reference_trajectory(spec, noise, state, 1.5, 3000, 1000, "sgd", 0)
+            reference_trajectory(spec, noise, state, 1.5, 3000, 1000, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as err:
@@ -280,7 +253,7 @@ class TestChunkedKernel:
         noise = NoiseProfile(kappa2=np.array([1.0, 1.0]))
         state = State(c=np.array([1e200, 1.0]))
         with pytest.raises(DivergenceError) as ref:
-            reference_trajectory(spec, noise, state, 0.45, 200, 100, "sgd", 4)
+            reference_trajectory(spec, noise, state, 0.45, 200, 100, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as err:
@@ -310,48 +283,17 @@ class TestChunkedKernel:
         if step > 10:
             # the premise: every record before `step` is finite and inside the
             # limit (the reference raises DivergenceError past it)
-            times, *records = reference_trajectory(spec, noise, state, 0.45, step - 10, 10, "sgd", seed)
+            times, *records = reference_trajectory(spec, noise, state, 0.45, step - 10, 10, seed)
             assert times[-1] == step - 10
             assert all(np.all(np.isfinite(r)) for r in records)
         with pytest.raises(DivergenceError) as ref:
-            reference_trajectory(spec, noise, state, 0.45, 200, 10, "sgd", seed)
+            reference_trajectory(spec, noise, state, 0.45, 200, 10, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as err:
                 run_trajectory(spec, noise, state, 0.45, 200, 10, seed=seed)
         assert err.value.step == ref.value.step == step
         assert str(err.value) == str(ref.value)
-
-
-class TestJumpCoefficients:
-    A = np.array([0.999999, 0.5, 0.0, -0.4, -0.95])
-
-    def test_one_step_is_the_plain_step(self):
-        decay, scale = _jump_coefficients(self.A, 1)
-        assert np.array_equal(decay, self.A)
-        assert np.array_equal(scale, np.ones_like(self.A))
-
-    @pytest.mark.parametrize("n", [2, 7, 10, 33])
-    def test_match_n_composed_steps(self, n):
-        # n steps c <- a*c - e_j compose to a^n * c - sum_j a^(n-1-j) e_j, whose
-        # noise variance is sum_j a^(2j) = (1 - a^(2n)) / (1 - a^2)
-        decay, scale = _jump_coefficients(self.A, n)
-        assert np.allclose(decay, np.prod(np.tile(self.A, (n, 1)), axis=0), rtol=1e-13, atol=0)
-        closed = (1.0 - self.A ** (2 * n)) / (1.0 - self.A**2)
-        assert np.allclose(scale**2, closed, rtol=1e-9, atol=0)
-        # a negative a makes a^n alternate in sign
-        assert np.all(np.sign(decay[3:]) == (-1) ** n)
-
-    @pytest.mark.parametrize("n", [1, 2, 10, 64])
-    def test_agree_with_the_mode_law(self, n):
-        # the kernel's term-by-term G_n is the one second statement of
-        # theory.mode_law, whose variance at eta = kappa2 = 1 is G_n
-        lam = 1.0 - self.A
-        a = 1.0 - lam
-        decay, scale = _jump_coefficients(a, n)
-        assert np.array_equal(decay, a**n)
-        _, g = mode_law(0.0, lam, 1.0, 1.0, n)
-        assert np.all(np.abs(scale**2 - g) <= 4 * n * np.finfo(float).eps * g)
 
 
 def law_problem(d, eta_top):
@@ -362,23 +304,19 @@ def law_problem(d, eta_top):
     return spec, noise, random_init(d, 3.0, seed=d + 1), eta_top / spec.lambda_max
 
 
-def assert_records_match_closed_form(runs, spec, noise, init, eta, algo="sgd"):
+def assert_records_match_closed_form(runs, spec, noise, init, eta):
     """At every record time t > 0 the seed means of s_D, s_B and the loss lie
     within 5 stderr of their closed forms: per mode E[c_i(t)^2] from
-    expected_second_moment for updated modes, c_i(0)^2 for the others. t = 0
-    is left out, since every seed starts from the same state."""
+    expected_second_moment. t = 0 is left out, since every seed starts from
+    the same state."""
     k, lam = spec.k, spec.lambdas
-    updated = {"sgd": np.ones(spec.d, bool), "dsgd": np.arange(spec.d) < k, "bsgd": np.arange(spec.d) >= k}[algo]
     times = runs[0].times
     for name, weight in (("s_d", np.where(np.arange(spec.d) < k, lam**2, 0.0)),
                          ("s_b", np.where(np.arange(spec.d) >= k, lam**2, 0.0)),
                          ("losses", 0.5 * lam)):
         vals = np.array([getattr(run, name) for run in runs])
         for i, t in enumerate(times[1:], 1):
-            second = [
-                expected_second_moment(c0, l, k2, eta, int(t)) if up else c0**2
-                for c0, l, k2, up in zip(init.c, lam, noise.kappa2, updated)
-            ]
+            second = [expected_second_moment(c0, l, k2, eta, int(t)) for c0, l, k2 in zip(init.c, lam, noise.kappa2)]
             target = float(np.sum(weight * second))
             stderr = vals[:, i].std(ddof=1) / np.sqrt(len(runs))
             assert abs(vals[:, i].mean() - target) <= 5.0 * stderr + 1e-12 * abs(target), (name, t)
@@ -432,14 +370,19 @@ class TestJumpEdges:
         assert list(runs[0].times) == [0, 30]
         assert_records_match_closed_form(runs, spec, noise, init, eta)
 
-    @pytest.mark.parametrize("algo", ["dsgd", "bsgd"])
-    def test_projected_jumps_leave_the_other_block(self, algo):
-        spec, noise, init, eta = law_problem(24, 0.5)
-        runs = [run_trajectory(spec, noise, init, eta, 66, 7, algo=algo, seed=s) for s in range(1500)]
-        for run in runs:
-            fixed = run.s_b if algo == "dsgd" else run.s_d
-            assert np.all(fixed == fixed[0])
-        assert_records_match_closed_form(runs, spec, noise, init, eta, algo)
+    def test_eta_at_two_over_lambda_steps_one_at_a_time(self):
+        # eta = fl(2/lambda_1) leaves |a_1| = 1 - 2e-16 < 1, yet eta is not
+        # below 2/lambda_1, the range of mode_law: the run must not jump
+        lam = 1.4442534981735462
+        spec = Spectrum(lambdas=np.array([lam, 0.25]), k=1)
+        noise = NoiseProfile(kappa2=np.array([1.0, 1.0]))
+        state = State(c=np.array([1.0, 1.0]))
+        eta = 2.0 / lam
+        assert abs(1.0 - eta * lam) < 1.0 and not eta < 2.0 / lam
+        traj = run_trajectory(spec, noise, state, eta, 100, 10, seed=1)
+        ref = reference_trajectory(spec, noise, state, eta, 100, 10, 1, step_by_step=True)
+        for name, want in zip(("times", "thetas", "losses", "s_d", "s_b"), ref):
+            assert np.array_equal(getattr(traj, name), want), name
 
     def test_start_beyond_limit_steps_one_at_a_time(self):
         # the first step brings the start back inside the limit, so the run
@@ -448,7 +391,7 @@ class TestJumpEdges:
         noise = NoiseProfile(kappa2=np.array([1.0, 1.0]))
         state = State(c=np.array([2e150, 1.0]))
         traj = run_trajectory(spec, noise, state, 0.45, 200, 100, seed=4)
-        ref = reference_trajectory(spec, noise, state, 0.45, 200, 100, "sgd", 4, step_by_step=True)
+        ref = reference_trajectory(spec, noise, state, 0.45, 200, 100, 4, step_by_step=True)
         for name, want in zip(("times", "thetas", "losses", "s_d", "s_b"), ref):
             assert np.array_equal(getattr(traj, name), want), name
 

@@ -1,8 +1,8 @@
 """Byte-identity gate: sha256 of every file the four presets write at tiny
-sizes, and of the JSON that `report` prints for a fixed problem and state. A
-change that must leave output bytes alone (a refactor, a faster kernel) keeps
-these hashes; a change that means to alter outputs records new ones and says
-why.
+sizes (`simulate` also at one record per step), and of the JSON that `report`
+prints for a fixed problem and state. A change that must leave output bytes
+alone (a refactor, a faster kernel) keeps these hashes; a change that means
+to alter outputs records new ones and says why.
 
 The hashes were recorded with numpy 2.4.6; another numpy release may draw
 or sum differently, so the test is skipped there rather than failing on
@@ -25,6 +25,10 @@ COMMON = ["--d", "24", "--k", "4"]
 PRESETS = {
     "simulate": ["simulate", *COMMON, "--eta", "0.02", "--steps", "300", "--m", "8", "--m", "20",
                  "--seed", "1", "--seed", "2"],
+    # one record per step: the runs take the SGD step path, whose bytes no
+    # change to the jump law may move
+    "simulate_step": ["simulate", *COMMON, "--eta", "0.02", "--steps", "300", "--m", "8", "--m", "20",
+                      "--seed", "1", "--seed", "2", "--record-every", "1"],
     "sweep": ["sweep-gap", *COMMON, "--eta", "0.02", "--steps", "300", "--m", "8", "--m", "20",
               "--seed", "1", "--seed", "2"],
     # 20_001 samples cap the sign tests at 10_001 antithetic pairs: five
@@ -43,16 +47,31 @@ SHA256 = {
         "loss_m20_seed2.svg": "1152bbffcfe065ffe5b6d00e23e6b90b4d7d55896873175ec9cfade27dd364fe",
         "loss_m8_seed1.svg": "090ac23cf02ef16ff7fc7108b2071e09859c13a09f0ab32676c0788812e2728c",
         "loss_m8_seed2.svg": "056819a9f177153a2fabad4bab67c79c54074aeab4397e9d81c09edfd5bef587",
-        "summary.csv": "572aacfc8f47e55d751f3ffe7826d49ac02e492ac2d37bbf76620ce84dc04aa5",
-        "traj_m20_seed1.csv": "0f44bb8b7f4189591e33457ca1e72101fafcc8a7496c2a353751540f9c20711b",
-        "traj_m20_seed2.csv": "2f3f9eb96d1132c9053900bf34335121cef5ab8f62604d09f0a9bd3d44358f2f",
-        "traj_m8_seed1.csv": "b7f6ce6ce36aa6f038bffe88ad6094a13a21ea6383f67fce53ae4dbbf890c859",
-        "traj_m8_seed2.csv": "4c3401dae637455bea2de7f3670f2e56140e8bba3f12cb88e400db9d75b8c948",
+        "summary.csv": "aff05dcfedc7d83ba6fa107f2e02087187426e49aac5049539fd9102e519ad31",
+        "traj_m20_seed1.csv": "f753bb1f25ebadb2e18900b03e87d92f723aa86121745d55e0794b4171da9dba",
+        "traj_m20_seed2.csv": "64e59dbbf14505847c1be5fca44f0ee6ef324837031421e7e8170a67754572b6",
+        "traj_m8_seed1.csv": "2fea4e78e0c4e87d72e4121511b86755108b05de4c53108d7825238af8f78b1d",
+        "traj_m8_seed2.csv": "4358320a1bf3ad9607641b1c668f6d7704c2b1a36ef5298d0c7b222cd5c68b6e",
+    },
+    "simulate_step": {
+        "alignment_m20_seed1.svg": "1ea7d6c728c0f5d385246edf4723f77052d23af5193a5653bd36e84b314c67ed",
+        "alignment_m20_seed2.svg": "29082b4c08e724d18e76f63f261d84f841f6dde0ea51eb1f1ca57d4dc6d44217",
+        "alignment_m8_seed1.svg": "be4a7329f8e44a96df601850801c22eee79d0cb00b742fc714ff8fe03f99f8a6",
+        "alignment_m8_seed2.svg": "6ab7d1debc35a87c338fe0751addf813c00e738e764d607f21e9d9251c40c2c3",
+        "loss_m20_seed1.svg": "b9f2f60cde1b238cf9648b7f5f4b3c797db348a76b40d6b2b4d4d9669146056d",
+        "loss_m20_seed2.svg": "c10cbaab946f798b4b8f8858b10e8bd7b385a63d197d4afa01ddc0e801cf9429",
+        "loss_m8_seed1.svg": "cc7023001d29d02852c265b2c5f361a4a97e9aef69718549f938017fa0978c9b",
+        "loss_m8_seed2.svg": "63c9dff2f71158eda7341fa03b0cb439c508d692bb016ae91fbc72a0ebd31d19",
+        "summary.csv": "2b616ce6ce11c3fa95aaadfa444fe09e1b78b075e82f1f4eaa91e189e1b0be13",
+        "traj_m20_seed1.csv": "d2f4830515756c23191c5fa815add15b5dceeebad74786b4835782a4fb8f7a20",
+        "traj_m20_seed2.csv": "b0514c3577663a0faf2d98e06bdc97d71c9d7673d33894b92d0b3f224ddea79e",
+        "traj_m8_seed1.csv": "699b0bccfa81564afab9b29abeae7f9fbb01109cc1f9a5ed79b52e26e7e4e657",
+        "traj_m8_seed2.csv": "4249a3c048010f281731272470fdd07149a37e740f6b4aacd9f29665a5f969ae",
     },
     "sweep": {
-        "alignment_vs_m.csv": "452c7a94264f82d433fad0c60a9cd3be871256f579c584b4952fdd6241ce8a96",
+        "alignment_vs_m.csv": "48e69b6019fefda7470590a918d8aa35f90a8776fce635b9dbb0a3d53769429f",
         "alignment_vs_m.svg": "2ce888c1c8d209340b236fd4daec7783bf4ba569c434f8f9275954e991df6c51",
-        "alignment_vs_m_logfit.csv": "5d751fb78b8b439533e3ff7f0dc8b7401c7c70f2c44cac67c00079b1db0639c4",
+        "alignment_vs_m_logfit.csv": "b33164d0517c400f93b81e4b119c3c0d2aaa5e42eb31b6c3cacbeb738af24caf",
     },
     "drift": {
         "drift_verdicts.csv": "ca7c9bc04f1c0b9b39492bee99747be615313811e203e0e3c462df79afce4fc8",

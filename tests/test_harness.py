@@ -369,6 +369,13 @@ class TestCli:
         code = main(["simulate", "--config", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [[], ["--d", "30"]])
+    def test_config_not_an_object_is_usage_error(self, flags, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('["d"]')
+        err = self._usage_error(["print-config", "--config", str(bad), *flags], capsys)
+        assert f"{bad}: config document must be a JSON object" in err
+
     def test_drift_test_cli(self, tmp_path):
         out = tmp_path / "drift"
         code = main([
@@ -388,7 +395,8 @@ class TestCli:
         assert len(err.splitlines()) == 1 and err.startswith("alignlab: error: ")
         return err
 
-    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+    # 5000 digits: more than int() converts
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", pytest.param("1" * 5000, id="5000-digits")])
     def test_bad_thread_count_is_usage_error(self, threads, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ALIGNLAB_THREADS", threads)
         out = tmp_path / "runs"
@@ -596,6 +604,31 @@ class TestCli:
         argv = ["report", "--spectrum", str(bad), "--noise", str(problem), "--state", str(state_path), "--eta", "0.1"]
         err = self._usage_error(argv, capsys)
         assert f"{bad}:2:1: " in err
+
+    # each document is a fixa input with one bad value (1e400 parses as inf)
+    @pytest.mark.parametrize("role, text, detail", [
+        pytest.param("spectrum", '{"lambdas": "abc", "k": 1}', "'lambdas' must be a list", id="lambdas-str"),
+        pytest.param("spectrum", '{"lambdas": [4, "x", 1], "k": 1}', "'lambdas' must be a list", id="lambdas-item"),
+        pytest.param("spectrum", '{"lambdas": [2, 1], "k": 1e400}', "'k' must be an int64", id="k-inf"),
+        pytest.param("spectrum", '{"lambdas": [2, 1], "k": "1"}', "'k' must be an int64", id="k-str"),
+        pytest.param("spectrum", '{"lambdas": [2, 1], "k": 1.7}', "'k' must be an int64", id="k-float"),
+        pytest.param("spectrum", '{"lambdas": [2, 1], "k": true}', "'k' must be an int64", id="k-bool"),
+        pytest.param("spectrum", '[2, 1]', "must be a JSON object", id="array"),
+        pytest.param("spectrum", '{"lambdas": [2, 1]}', "missing keys ['k']", id="k-missing"),
+        pytest.param("noise", '{"kappa2": {"a": 1}}', "'kappa2' must be a list", id="kappa2-object"),
+        pytest.param("noise", '{"kappa2": [1, 1], "s_min": "x"}', "'s_min' must be a finite number", id="s_min-str"),
+        pytest.param("state", '{"c": "abc"}', "'c' must be a list", id="c-str"),
+        pytest.param("state", '{"c": [1, 1], "t": "x"}', "'t' must be an int64", id="t-str"),
+        pytest.param("state", '{"c": [1, 1], "t": 1.5}', "'t' must be an int64", id="t-float"),
+    ])
+    def test_malformed_report_value_is_usage_error(self, role, text, detail, fixa_files, tmp_path, capsys):
+        problem, state_path = fixa_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        paths = {"spectrum": problem, "noise": problem, "state": state_path, role: bad}
+        argv = ["report", *(arg for r, path in paths.items() for arg in (f"--{r}", str(path))), "--eta", "0.1"]
+        err = self._usage_error(argv, capsys)
+        assert f"{bad}: {role}" in err and detail in err
 
     @pytest.mark.parametrize("command", ["print-config", "simulate"])
     def test_k_not_below_d_is_usage_error(self, command, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from alignlab import (
     build_spectrum,
     isotropic_noise,
 )
-from alignlab.spectrum import read_noise_json
+from alignlab.harness import _read_input
 
 from helpers import random_problem
 
@@ -127,6 +129,8 @@ class TestNoise:
 
 
 class TestSerialization:
-    def test_json_keeps_custom_bounds(self):
-        noise = read_noise_json({"kappa2": [1.0, 2.0], "s_min": 0.5, "s_max": 4.0})
+    def test_json_keeps_custom_bounds(self, tmp_path):
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps({"kappa2": [1.0, 2.0], "s_min": 0.5, "s_max": 4.0}))
+        noise = _read_input(path, "noise")
         assert noise.s_min == 0.5 and noise.s_max == 4.0

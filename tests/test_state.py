@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from alignlab import (
     rescale_to_alignment,
     run_trajectory,
 )
-from alignlab.state import state_from_json
+from alignlab.harness import _read_input
 
 from helpers import random_problem
 
@@ -161,9 +163,11 @@ class TestRescale:
 
 
 class TestStateSerialization:
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         doc = {"c": [1.5, -2.0], "t": 3}
-        state = state_from_json(doc)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        state = _read_input(path, "state")
         assert state.c.tolist() == doc["c"]
         assert state.t == 3
 
