@@ -296,6 +296,49 @@ class TestChunkedKernel:
         assert str(err.value) == str(ref.value)
 
 
+class TestJumpCoefficients:
+    """An n-step jump takes its decay and noise standard deviation from
+    mode_law(1, lam, kappa2, eta, n); here that law is held against the
+    composed steps term by term, at eta = kappa2 = 1 and a = 1 - lam."""
+
+    A = np.array([0.999999, 0.5, 0.0, -0.4, -0.95])
+
+    def test_one_step_is_the_plain_step(self):
+        # a one-step jump is the plain SGD step, mean a*c0 and variance
+        # eta^2 kappa2; mode_law at t = 1 states the same law
+        lam, kappa2, eta = 1.0 - self.A, np.full(len(self.A), 2.5), 0.3
+        decay, var = mode_law(1.0, lam, kappa2, eta, 1)
+        plain = eta**2 * kappa2
+        assert np.all(np.abs(decay - (1.0 - eta * lam)) <= np.finfo(float).eps)
+        assert np.all(np.abs(var - plain) <= 4 * np.finfo(float).eps * plain)
+
+    @pytest.mark.parametrize("n", [2, 7, 10, 33])
+    def test_match_n_composed_steps(self, n):
+        # n steps c <- a*c - e_j compose to a^n * c - sum_j a^(n-1-j) e_j, whose
+        # noise variance is sum_j a^(2j) = (1 - a^(2n)) / (1 - a^2)
+        decay, var = mode_law(1.0, 1.0 - self.A, 1.0, 1.0, n)
+        assert np.allclose(decay, np.prod(np.tile(self.A, (n, 1)), axis=0), rtol=1e-13, atol=0)
+        closed = (1.0 - self.A ** (2 * n)) / (1.0 - self.A**2)
+        assert np.allclose(var, closed, rtol=1e-9, atol=0)
+        # a negative a makes a^n alternate in sign
+        assert np.all(np.sign(decay[3:]) == (-1) ** n)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 64])
+    def test_agree_with_the_mode_law(self, n):
+        # G_n = sum_{j<n} a^(2j) summed term by term, and a^n, against
+        # mode_law's variance and mean at eta = kappa2 = 1
+        lam = 1.0 - self.A
+        a = 1.0 - lam
+        g, term = np.zeros_like(a), np.ones_like(a)
+        for _ in range(n):
+            g += term
+            term *= a * a
+        decay, var = mode_law(1.0, lam, 1.0, 1.0, n)
+        bound = 4 * n * np.finfo(float).eps
+        assert np.all(np.abs(decay - a**n) <= bound * np.abs(a**n))
+        assert np.all(np.abs(var - g) <= bound * g)
+
+
 def law_problem(d, eta_top):
     """A (spectrum, noise, init, eta) with eta * lambda_1 = eta_top: the init
     sits well above the stationary level, so the records are transient."""
