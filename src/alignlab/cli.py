@@ -24,7 +24,10 @@ from .harness import (
 )
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _config_flags() -> argparse.ArgumentParser:
+    """The config flags that every preset subcommand takes, built once as a
+    parent parser."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", metavar="PATH", help="JSON config file; flags override its keys")
     # each dest is the ExperimentConfig field the flag overrides
     parser.add_argument("--d", type=int)
@@ -43,6 +46,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-start", dest="T_start", metavar="T_START", type=int)
     parser.add_argument("--out", dest="output_dir", metavar="DIR")
     parser.add_argument("--print-config", action="store_true", help="echo the resolved config and exit")
+    return parser
 
 
 # how drift-test and projected-test spend --n-mc
@@ -64,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="alignlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    common = _config_flags()
     for name, help_text in (
         ("simulate", "constant-step trajectories per (m, seed) with summary"),
         ("sweep-gap", "late-phase alignment vs gap ratio"),
@@ -71,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("projected-test", "loss-change tests for block-projected updates"),
         ("print-config", "echo the fully resolved config"),
     ):
-        p = sub.add_parser(name, help=help_text, description=_LOOKS if name.endswith("-test") else None)
-        _add_config_flags(p)
+        p = sub.add_parser(
+            name, help=help_text, description=_LOOKS if name.endswith("-test") else None, parents=[common]
+        )
         if name == "drift-test":
             p.add_argument(
                 "--theta-target", action="append", dest="theta_targets",

@@ -424,17 +424,25 @@ def _parse_theta_target(token, spec: Spectrum, noise: NoiseProfile) -> tuple[str
 
 def _state_above_theta_star(base: State, spec: Spectrum, noise: NoiseProfile) -> State:
     """Shrink the bulk block until theta = (theta_star + 1)/2 at the resulting
-    state. theta(h) falls and theta_star(h) rises with the bulk scale h, so the
-    gap function is strictly decreasing and bisection is safe. (Growing the
+    state. Scaling the bulk coordinates by h changes only s_B, to h^2 s_B, so
+    theta(h) = s_D / (s_D + h^2 s_B), and theta_star reads s only through
+    m_aux = s (lambda_max^2 - lambda_min^2). The search therefore takes the
+    block stats and the thresholds of base once and bisects on log h in
+    floats, re-solving the auxiliary quadratic for r0 at each step, down to
+    adjacent floats. theta(h) falls and theta_star(h) rises with h, so the gap
+    function is strictly decreasing and bisection is safe. (Growing the
     dominant block instead cannot cross theta_star: both sides then approach 1
     at the same 1/scale^2 rate and the inequality locks.)"""
+    stats = block_stats(base, spec, noise)
+    rt = theory.theta_star(stats, spec, noise)
+    spread = spec.lambda_max**2 - spec.lambda_min**2
 
     def gap(log_h: float) -> float:
-        c = base.c.copy()
-        c[spec.k :] *= math.exp(log_h)
-        stats = block_stats(State(c=c, t=base.t), spec, noise)
-        ts = theory.theta_star(stats, spec, noise).theta_star
-        return stats.theta - 0.5 * (ts + 1.0)
+        h = math.exp(log_h)
+        s = stats.s_d + h * h * stats.s_b
+        theta = stats.s_d / s if s > 0 else 0.0
+        r0 = theory._stable_positive_root(rt.a_aux, rt.a_aux - s * spread - rt.h_aux, -rt.h_aux)
+        return theta - 0.5 * (r0 / (1.0 + r0) + 1.0)
 
     lo, hi = -40.0, 40.0
     if gap(lo) <= 0 or gap(hi) >= 0:
@@ -471,7 +479,7 @@ def cmd_drift_test(
     base = random_init(config.d, config.init_scale, seed=_stream(seed, m, _STREAM_INIT))
     # asymptotic claim on theta itself: allow absolute slack at moderate d
     theta_slack = 0.005 if config.d >= 200 else 0.0
-    eta_fallback = 2.0 * spec.gap1 / (spec.lambda_max**2 - spec.lambda_min**2)
+    eta_fallback = theory._gap_step(spec)
 
     jobs = []
     for token in theta_targets:
@@ -480,9 +488,10 @@ def cmd_drift_test(
             state = _state_above_theta_star(base, spec, noise)
         else:
             state = rescale_to_alignment(base, spec, value, which="dominant")
-        eta_star = theory.drift_quadratic(block_stats(state, spec, noise)).eta_star
+        stats = block_stats(state, spec, noise)
+        eta_star = theory.drift_quadratic(stats).eta_star
         eta_ref = eta_star if eta_star is not None and eta_star > 0 else eta_fallback
-        jobs.append((state, [factor * eta_ref for factor in eta_factors]))
+        jobs.append((state, stats, [factor * eta_ref for factor in eta_factors]))
     # one draw serves every target and step size
     rows = drift_verdicts(
         jobs, spec, noise, config.n_mc, _stream_int(seed, m, _STREAM_MC, 0), config.z_crit, theta_slack
@@ -515,7 +524,7 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
         if lo == hi:
             skipped.append((i, "equal thresholds"))
             continue
-        chosen.append((state, 0.5 * (lo + hi)))
+        chosen.append((state, stats, 0.5 * (lo + hi)))
     if not chosen:
         reasons = "; ".join(sorted({reason for _, reason in skipped}))
         raise ParameterError(f"no state left to test: every state was skipped ({reasons})")

@@ -81,7 +81,7 @@ import numpy as np
 from ._pool import run_jobs
 from .errors import ParameterError
 from .spectrum import NoiseProfile, Spectrum
-from .state import State, _check_dims, _theta, block_stats
+from .state import State, _check_dims, _theta
 from .theory import drift_quadratic, expected_drift, expected_loss_change, loss_threshold
 
 __all__ = [
@@ -426,18 +426,18 @@ def drift_verdicts(
     theta_abs_slack: float = 0.0,
 ) -> list[Verdict]:
     """Sign tests of the one-step drift at each step size of each (state,
-    etas) job, all from one estimate on seed of at most n samples, stopped at
-    the first look where every row is settled (module docstring). Per job and
-    step size, in order: the f_drift row, which tests the exact finite-d
-    expectation p*eta^2 + q*eta, and the theta_drift row, which tests
+    stats, etas) job, stats being the state's `block_stats`, all from one
+    estimate on seed of at most n samples, stopped at the first look where
+    every row is settled (module docstring). Per job and step size, in order:
+    the f_drift row, which tests the exact finite-d expectation
+    p*eta^2 + q*eta, and the theta_drift row, which tests
     E[theta_{t+1}] - theta_t against the same sign. The regime results
     describe that drift only asymptotically; `theta_abs_slack` widens its
     inconclusive band accordingly. Every row is tested at z_K for the K looks
     of the cap n."""
-    jobs = [(state, [float(e) for e in etas]) for state, etas in jobs]
+    jobs = [(state, stats, [float(e) for e in etas]) for state, stats, etas in jobs]
     checks = []
-    for state, etas in jobs:
-        stats = block_stats(state, spec, noise)
+    for _, stats, etas in jobs:
         dq = drift_quadratic(stats)
         eta_star = dq.eta_star if dq.eta_star is not None and dq.eta_star > 0 else None
         for eta in etas:
@@ -456,7 +456,8 @@ def drift_verdicts(
 
     # stop at the first look where every row is settled
     return rows(_one_step_estimates(
-        jobs, spec, noise, n, seed, _VERDICT_MIN_N, lambda ests: all(row.settled for row in rows(ests))
+        [(state, etas) for state, _, etas in jobs], spec, noise, n, seed, _VERDICT_MIN_N,
+        lambda ests: all(row.settled for row in rows(ests)),
     ))
 
 
@@ -491,24 +492,23 @@ def projected_verdicts(
     z_crit: float = 3.0,
 ) -> list[Verdict]:
     """Sign tests of the expected loss change of the step projected on the
-    dominant and on the bulk block, for each (state, eta) job, all from one
-    estimate on seed of at most n samples, stopped as in `drift_verdicts`:
-    per job the loss_change_D row, then the loss_change_B row. Each tests the
-    sign of its block's closed-form theory.expected_loss_change at z_K, and
-    its target_ok checks the estimate at the stopping look against that
-    change within 4 stderr."""
-    jobs = [(state, float(eta)) for state, eta in jobs]
+    dominant and on the bulk block, for each (state, stats, eta) job, stats
+    being the state's `block_stats`, all from one estimate on seed of at most
+    n samples, stopped as in `drift_verdicts`: per job the loss_change_D row,
+    then the loss_change_B row. Each tests the sign of its block's
+    closed-form theory.expected_loss_change at z_K, and its target_ok checks
+    the estimate at the stopping look against that change within 4 stderr."""
+    jobs = [(state, stats, float(eta)) for state, stats, eta in jobs]
     checks = []
-    for state, eta in jobs:
+    for state, stats, eta in jobs:
         _check(state, spec, noise, n, _VERDICT_MIN_N)
-        stats = block_stats(state, spec, noise)
         for block in ("D", "B"):
             target = expected_loss_change(stats, block, eta)  # rejects a step whose change overflows, before drawing
             s, tau, _, _, n_loss = stats.block(block)
             threshold = loss_threshold(stats, block) if tau + n_loss > 0 else None
             tol = 1e-12 * (eta * s + 0.5 * eta**2 * (tau + n_loss))
             checks.append((f"loss_change_{block}", stats.theta, eta, threshold, target, tol))
-    kernels = [_projected_kernel(state, spec, noise, eta) for state, eta in jobs]
+    kernels = [_projected_kernel(state, spec, noise, eta) for state, _, eta in jobs]
     z = _z_looks(z_crit, n)
 
     def rows(ests):

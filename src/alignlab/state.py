@@ -111,15 +111,22 @@ def alignment(state: State, spec: Spectrum) -> float:
 
 
 def block_stats(state: State, spec: Spectrum, noise: NoiseProfile) -> BlockStats:
+    """The block energies of state; one that passes the float range is a
+    ParameterError, with no numpy warning."""
     _check_dims(state, spec, noise)
     lam = spec.lambdas
-    c2 = state.c**2
-    weights = np.stack([lam**2 * c2, lam**3 * c2, lam**4 * c2, lam**2 * noise.kappa2, lam * noise.kappa2])
-    (s_d, tau_d, u_d, e_d, n_d), (s_b, tau_b, u_b, e_b, n_b) = (x.tolist() for x in spec.split_sum(weights))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = state.c**2
+        weights = np.stack([lam**2 * c2, lam**3 * c2, lam**4 * c2, lam**2 * noise.kappa2, lam * noise.kappa2])
+        sums = spec.split_sum(weights)
+    (s_d, tau_d, u_d, e_d, n_d), (s_b, tau_b, u_b, e_b, n_b) = (x.tolist() for x in sums)
+    s = s_d + s_b
+    if not (np.all(np.isfinite(sums)) and np.isfinite(s)):
+        raise ParameterError("a block energy passes the float range: the eigenvalues, noise or state are too large")
     return BlockStats(
         s_d=s_d,
         s_b=s_b,
-        s=s_d + s_b,
+        s=s,
         tau_d=tau_d,
         tau_b=tau_b,
         u_d=u_d,

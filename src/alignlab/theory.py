@@ -226,9 +226,10 @@ def eta_star_lower_bound(
         raise UndefinedBoundError("lower bound undefined at zero alignment")
     if not x_norm2 > 0:
         raise ParameterError("x_norm2 must be > 0")
-    denom = (spec.lambda_max**2 - spec.lambda_min**2) + (
-        noise.s_max * spec.psi_dominant / (spec.lambda_min**2 * x_norm2 * stats.theta)
-    )
+    scale = spec.lambda_min**2 * x_norm2 * stats.theta
+    if scale == 0.0:
+        raise UndefinedBoundError("lower bound undefined: lambda_min^2 * ||x||^2 * theta rounds to 0")
+    denom = (spec.lambda_max**2 - spec.lambda_min**2) + (noise.s_max * spec.psi_dominant / scale)
     return 2.0 * spec.gap1 / denom
 
 
@@ -290,6 +291,19 @@ def crossover_gap_bounds(stats: BlockStats, spec: Spectrum) -> tuple[float, floa
     return lo, hi
 
 
+def _gap_step(spec: Spectrum) -> float:
+    """2 gap1 / (lambda_max^2 - lambda_min^2): the step-size cap of the
+    two-phase plan, and the step `drift-test` falls back on where eta* is
+    undefined. A spectrum whose squared extremes round to one value (both
+    underflow) is a ParameterError rather than a division by zero."""
+    spread = spec.lambda_max**2 - spec.lambda_min**2
+    if spread == 0.0:
+        raise ParameterError(
+            f"lambda_max^2 - lambda_min^2 rounds to 0 for eigenvalues {spec.lambda_max!r} and {spec.lambda_min!r}"
+        )
+    return 2.0 * spec.gap1 / spread
+
+
 def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> CsgdPlan:
     """Two-phase prediction for a constant-step run started at `init`."""
     if not eta > 0:
@@ -302,7 +316,7 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
     with np.errstate(over="ignore"):
         c2 = init.c**2
     varrho_d = float(spec.split_sum(c2 - beta)[0])
-    step_cap = min(2.0 / spec.lambda_max, 2.0 * spec.gap1 / (spec.lambda_max**2 - spec.lambda_min**2))
+    step_cap = min(2.0 / spec.lambda_max, _gap_step(spec))
     # at a tiny eta the product may pass the float range: delta is then 0
     with np.errstate(over="ignore"):
         denom = float(

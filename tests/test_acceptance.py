@@ -235,7 +235,8 @@ def test_c07_projected_loss_reproduction():
         assert lo < hi  # low-alignment ordering
         eta = 0.5 * (lo + hi)
         seed = int(rng.integers(2**31))
-        rows = projected_verdicts([(state, eta)], spec, noise, 50_000, seed, z_crit=3.0)
+        job = (state, block_stats(state, spec, noise), eta)
+        rows = projected_verdicts([job], spec, noise, 50_000, seed, z_crit=3.0)
         for v, want in zip(rows, ("+", "-")):
             min_abs_z = min(min_abs_z, abs(v.z))
             if v.predicted != want or v.verdict != "confirmed" or not v.target_ok:

@@ -1,11 +1,13 @@
+import argparse
 import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from alignlab import ParameterError, load_config, theory
-from alignlab.cli import main
+from alignlab.cli import build_parser, main
 from alignlab.harness import (
     _STREAM_INIT,
     _STREAM_MC,
@@ -26,7 +28,7 @@ from alignlab.montecarlo import drift_verdicts, projected_verdicts
 from alignlab.state import block_stats, random_init, rescale_to_alignment
 from alignlab.theory import g_gap, loss_threshold, theta_star
 
-from helpers import stop_at_pairs
+from helpers import random_problem, stop_at_pairs
 
 
 def csv_rows(rows):
@@ -209,12 +211,13 @@ class TestDriftTestCommand:
         pairs = int(rows[0][7])
         assert pairs > 1024 and {int(row[7]) for row in rows} == {pairs}
         etas = [float(row[2]) for row in rows[::2]]
-        alone = [drift_verdicts([(state, [eta])], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit) for eta in etas]
+        stats = block_stats(state, spec, noise)
+        alone = [drift_verdicts([(state, stats, [eta])], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit) for eta in etas]
         assert all(row.estimate.n <= pairs for call in alone for row in call)
         stop_at_pairs(monkeypatch, pairs)
         expected = []
         for eta in etas:
-            expected += csv_rows(drift_verdicts([(state, [eta])], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit))
+            expected += csv_rows(drift_verdicts([(state, stats, [eta])], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit))
         assert len(rows) == 6
         assert rows == expected
 
@@ -235,7 +238,8 @@ class TestDriftTestCommand:
         expected = []
         for t_idx, state in enumerate(states):
             etas = [float(row[2]) for row in rows[4 * t_idx : 4 * t_idx + 4 : 2]]
-            expected += csv_rows(drift_verdicts([(state, etas)], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit))
+            job = (state, block_stats(state, spec, noise), etas)
+            expected += csv_rows(drift_verdicts([job], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit))
         assert len(rows) == 12
         assert rows == expected
 
@@ -246,12 +250,27 @@ class TestDriftTestCommand:
         m, seed = cfg.m_list[0], cfg.seeds[0]
         spec, noise = _problem_for(cfg, m, seed)
         base = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT))
-        calls = []
-        monkeypatch.setattr(theory, "theta_star", lambda *a: calls.append(a) or theta_star(*a))
+        # the search solves the auxiliary quadratic once in theta_star and
+        # once per gap evaluation: the two bracket ends, then one per halving
+        # of [-40, 40], some 60 of which reach adjacent floats
+        solves = []
+        root = theory._stable_positive_root
+        monkeypatch.setattr(theory, "_stable_positive_root", lambda *a: solves.append(a) or root(*a))
         state = _state_above_theta_star(base, spec, noise)
-        assert len(calls) < 100
+        assert 50 < len(solves) < 100
         stats = block_stats(state, spec, noise)
         assert stats.theta == pytest.approx(0.5 * (theta_star(stats, spec, noise).theta_star + 1.0), rel=1e-12)
+
+    def test_high_target_meets_its_definition(self):
+        # the search reads theta and theta_star off the base state's block
+        # energies; the full block_stats of the state it returns must agree
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            spec, noise, base = random_problem(rng)
+            state = _state_above_theta_star(base, spec, noise)
+            assert np.array_equal(state.c[: spec.k], base.c[: spec.k])
+            stats = block_stats(state, spec, noise)
+            assert stats.theta == pytest.approx(0.5 * (theta_star(stats, spec, noise).theta_star + 1.0), rel=1e-12)
 
     def test_absolute_target(self, tmp_path):
         cfg = tiny_config(tmp_path, n_mc=5_000)
@@ -286,7 +305,7 @@ class TestProjectedTestCommand:
             stats = block_stats(state, spec, noise)
             eta = 0.5 * sum(loss_threshold(stats, b) for b in ("D", "B"))
             mc_seed = _stream_int(seed, m, _STREAM_MC, 1000)
-            expected += csv_rows(projected_verdicts([(state, eta)], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit))
+            expected += csv_rows(projected_verdicts([(state, stats, eta)], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit))
         assert len(rows) == 6
         assert rows == expected
 
@@ -629,6 +648,71 @@ class TestCli:
         argv = ["report", *(arg for r, path in paths.items() for arg in (f"--{r}", str(path))), "--eta", "0.1"]
         err = self._usage_error(argv, capsys)
         assert f"{bad}: {role}" in err and detail in err
+
+    # with filterwarnings = error, a numpy overflow warning would raise out
+    # of main instead of leaving the one stderr line
+    @pytest.mark.parametrize("problem, detail", [
+        pytest.param({"lambdas": [1e-300, 1e-301], "k": 1, "kappa2": [1, 1]}, "rounds to 0", id="squares-underflow"),
+        # no bulk noise, so theta_star is skipped and eta_star_lower_bound is reached
+        pytest.param({"lambdas": [1e-100, 1e-170], "k": 1, "kappa2": [1, 0]}, "rounds to 0", id="min-square-underflow"),
+        pytest.param({"lambdas": [1e300, 1], "k": 1, "kappa2": [1, 1]}, "float range", id="lambdas-overflow"),
+        pytest.param({"lambdas": [2, 1], "k": 1, "kappa2": [1e308, 1e308]}, "float range", id="kappa2-overflow"),
+    ])
+    def test_report_past_the_float_range_is_usage_error(self, problem, detail, fixa_files, tmp_path, capsys):
+        _, state_path = fixa_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(problem))
+        argv = ["report", "--spectrum", str(bad), "--noise", str(bad), "--state", str(state_path), "--eta", "0.1"]
+        assert detail in self._usage_error(argv, capsys)
+
+    def test_drift_test_on_underflowing_squares_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bulk_range": [1e-200, 1e-200]}))
+        out = tmp_path / "drift"
+        argv = [*self.DRIFT_ARGS, "--config", str(config), "--out", str(out)]
+        assert "rounds to 0" in self._usage_error(argv, capsys)
+        assert not out.exists()
+
+    def test_verdicts_past_the_first_look_equal_across_threads(self, tmp_path, monkeypatch):
+        # at 0.98 eta* the f drift is small enough that the draw stops at the
+        # 8192-pair look, whose batches 3 and 4 run together on the pool
+        argv = ["drift-test", "--d", "24", "--k", "4", "--m", "8", "--seed", "3", "--n-mc", "20001",
+                "--theta-target", "0.3*ggap", "--eta-factor", "0.98"]
+        tables = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+            out = tmp_path / threads
+            assert main([*argv, "--out", str(out)]) == 0
+            tables.append((out / "drift_verdicts.csv").read_bytes())
+        assert tables[0] == tables[1] == tables[2]
+        pairs = {line.split(b",")[7] for line in tables[0].splitlines()[1:]}
+        assert pairs == {b"8192"}
+
+    # the flags of every subcommand, as (option strings, dest)
+    CONFIG_FLAGS = [
+        (("-h", "--help"), "help"), (("--config",), "config"), (("--d",), "d"), (("--k",), "k"),
+        (("--m",), "m_list"), (("--eta",), "eta"), (("--steps",), "T"), (("--sigma2",), "sigma2"),
+        (("--init-scale",), "init_scale"), (("--seed",), "seeds"), (("--n-mc",), "n_mc"),
+        (("--record-every",), "record_every"), (("--t-start",), "T_start"), (("--out",), "output_dir"),
+        (("--print-config",), "print_config"),
+    ]
+    SUBCOMMAND_FLAGS = {
+        "simulate": CONFIG_FLAGS,
+        "sweep-gap": CONFIG_FLAGS,
+        "drift-test": [*CONFIG_FLAGS, (("--theta-target",), "theta_targets"), (("--eta-factor",), "eta_factors")],
+        "projected-test": [*CONFIG_FLAGS, (("--n-states",), "n_states")],
+        "print-config": CONFIG_FLAGS,
+        "report": [(("-h", "--help"), "help"), (("--spectrum",), "spectrum"), (("--noise",), "noise"),
+                   (("--state",), "state"), (("--eta",), "eta")],
+    }
+
+    def test_subcommand_flags(self):
+        (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            name: [(tuple(action.option_strings), action.dest) for action in parser._actions]
+            for name, parser in subparsers.choices.items()
+        }
+        assert flags == self.SUBCOMMAND_FLAGS
 
     @pytest.mark.parametrize("command", ["print-config", "simulate"])
     def test_k_not_below_d_is_usage_error(self, command, tmp_path, capsys):

@@ -400,8 +400,9 @@ class TestSharedDraw:
         ]
         # the first state steps at its dominant loss threshold: its zero-mean
         # row keeps the shared draw going past the first look
-        jobs = [(state, (0.3 + 0.2 * i) / spec.lambda_max) for i, state in enumerate(states)]
-        jobs[0] = (states[0], loss_threshold(block_stats(states[0], spec, noise), "D"))
+        stats = [block_stats(state, spec, noise) for state in states]
+        jobs = [(state, st, (0.3 + 0.2 * i) / spec.lambda_max) for i, (state, st) in enumerate(zip(states, stats))]
+        jobs[0] = (states[0], stats[0], loss_threshold(stats[0], "D"))
         shared = projected_verdicts(jobs, spec, noise, 20_001, 31)
         pairs = shared[0].estimate.n
         assert pairs > 1024 and all(row.estimate.n == pairs for row in shared)
@@ -487,7 +488,7 @@ class TestThreadCountInvariance:
         kernels = [_projected_kernel(state, spec, noise, 0.3)]
         a, b, c = self._under_threads(
             monkeypatch,
-            lambda: (projected_verdicts([(state, 0.3)], spec, noise, self.N, 18)[row],
+            lambda: (projected_verdicts([(state, block_stats(state, spec, noise), 0.3)], spec, noise, self.N, 18)[row],
                      _estimate(self.N, 18, spec, kernels)[row]),
         )
         assert a == b == c
@@ -502,7 +503,7 @@ class TestThreadCountInvariance:
         def run():
             return (
                 _one_step_estimates([(state, etas) for state in states], spec, noise, self.N, 33, 100),
-                projected_verdicts([(state, 0.3) for state in states], spec, noise, self.N, 34),
+                projected_verdicts([(s, block_stats(s, spec, noise), 0.3) for s in states], spec, noise, self.N, 34),
             )
 
         a, b, c = self._under_threads(monkeypatch, run)
@@ -514,10 +515,12 @@ class TestThreadCountInvariance:
             "import numpy as np, sys\n"
             "sys.path.insert(0, 'tests')\n"
             "from helpers import shared_draw_problem\n"
+            "from alignlab import block_stats\n"
             "from alignlab.montecarlo import _one_step_estimates, projected_verdicts\n"
             "spec, noise, states = shared_draw_problem(35, 500)\n"
             "print(_one_step_estimates([(s, [0.5 / spec.lambda_max]) for s in states], spec, noise, 20_001, 36, 100))\n"
-            "print(projected_verdicts([(s, 0.3) for s in states], spec, noise, 20_001, 37))\n"
+            "jobs = [(s, block_stats(s, spec, noise), 0.3) for s in states]\n"
+            "print(projected_verdicts(jobs, spec, noise, 20_001, 37))\n"
         )
         src = str(Path(alignlab.__file__).resolve().parent.parent)
         outputs = []
@@ -536,10 +539,10 @@ class TestThreadCountInvariance:
             "import numpy as np, sys\n"
             "sys.path.insert(0, 'tests')\n"
             "from helpers import random_problem\n"
-            "from alignlab import one_step_estimates, projected_verdicts\n"
+            "from alignlab import block_stats, one_step_estimates, projected_verdicts\n"
             "spec, noise, state = random_problem(np.random.default_rng(26), d=500)\n"
             "print(one_step_estimates(state, spec, noise, [0.5 / spec.lambda_max], 20_001, seed=19))\n"
-            "print(projected_verdicts([(state, 0.3)], spec, noise, 20_001, 19))\n"
+            "print(projected_verdicts([(state, block_stats(state, spec, noise), 0.3)], spec, noise, 20_001, 19))\n"
         )
         src = str(Path(alignlab.__file__).resolve().parent.parent)
         outputs = []
@@ -609,7 +612,7 @@ class TestGroupSequential:
         assert drawn == [list(range(len(montecarlo._batch_bounds(40_000)) - 1))]
         # settled at the sixth look, 32768 pairs (z = 4.08)
         drawn.clear()
-        rows = projected_verdicts([(state, 0.806)], spec, noise, 80_000, 1)
+        rows = projected_verdicts([(state, block_stats(state, spec, noise), 0.806)], spec, noise, 80_000, 1)
         assert {row.estimate.n for row in rows} == {32768}
         assert drawn == [[0], [1], [2], [3], [4, 5], [6, 7, 8, 9]]
 
@@ -620,7 +623,7 @@ class TestGroupSequential:
         runs = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("ALIGNLAB_THREADS", threads)
-            rows = projected_verdicts([(state, 0.806)], spec, noise, 80_000, 1)
+            rows = projected_verdicts([(state, block_stats(state, spec, noise), 0.806)], spec, noise, 80_000, 1)
             runs.append((rows, repr([row.cells() for row in rows])))
         assert runs[0] == runs[1] == runs[2]
         rows = runs[0][0]
@@ -630,14 +633,15 @@ class TestGroupSequential:
     def test_band_settled_row_stops_at_the_first_look(self, fixa):
         # the theta row lies inside its slack band and the f row is decided
         spec, noise, state = fixa
-        f_row, theta_row = drift_verdicts([(state, [0.1])], spec, noise, 100_000, 5, theta_abs_slack=1.0)
+        job = (state, block_stats(state, spec, noise), [0.1])
+        f_row, theta_row = drift_verdicts([job], spec, noise, 100_000, 5, theta_abs_slack=1.0)
         assert (f_row.verdict, theta_row.verdict) == ("confirmed", "inconclusive")
         assert f_row.settled and theta_row.settled
         assert f_row.estimate.n == theta_row.estimate.n == 1024
 
     def test_zero_mean_row_without_slack_runs_to_the_cap(self, fixa):
         spec, noise, state = fixa
-        f_row, _ = drift_verdicts([(state, [2.0 / 3.0])], spec, noise, 100_000, 6)
+        f_row, _ = drift_verdicts([(state, block_stats(state, spec, noise), [2.0 / 3.0])], spec, noise, 100_000, 6)
         assert (f_row.predicted, f_row.verdict, f_row.settled) == ("0", "inconclusive", False)
         assert f_row.estimate.n == 50_000
 
@@ -651,7 +655,8 @@ class TestGroupSequential:
         monkeypatch.setenv("ALIGNLAB_THREADS", threads)
         spec, noise, state = fixa
         seeds = 2000
-        rows = [projected_verdicts([(state, 0.8)], spec, noise, 32_768, seed, z_crit=1.5)[0] for seed in range(seeds)]
+        job = (state, block_stats(state, spec, noise), 0.8)
+        rows = [projected_verdicts([job], spec, noise, 32_768, seed, z_crit=1.5)[0] for seed in range(seeds)]
         assert {row.predicted for row in rows} == {"0"}
         level = math.erfc(1.5 / math.sqrt(2.0))
         false = sum(row.verdict != "inconclusive" for row in rows) / seeds
@@ -660,7 +665,7 @@ class TestGroupSequential:
 
 def drift_rows(state, spec, noise, eta, n, seed):
     """The f_drift and theta_drift rows of one state at one step size."""
-    return drift_verdicts([(state, [eta])], spec, noise, n, seed)
+    return drift_verdicts([(state, block_stats(state, spec, noise), [eta])], spec, noise, n, seed)
 
 
 class TestDriftSignTest:
@@ -692,7 +697,7 @@ class TestDriftSignTest:
         assert stats.theta >= theta_star(stats, spec, noise).theta_star
         # one call on one seed: each step size sees the draws a call of its own would
         etas = [f / spec.lambda_max for f in (0.01, 1.0, 10.0)]
-        f_rows = drift_verdicts([(high, etas)], spec, noise, 50_000, 32)[::2]
+        f_rows = drift_verdicts([(high, block_stats(high, spec, noise), etas)], spec, noise, 50_000, 32)[::2]
         assert [row.eta for row in f_rows] == etas
         for row in f_rows:
             assert row.predicted == "-"
@@ -749,7 +754,7 @@ class TestProjectedLossTest:
     def test_non_finite_step_rejected(self, fixa, eta):
         spec, noise, state = fixa
         with pytest.raises(ParameterError, match="finite"):
-            projected_verdicts([(state, eta)], spec, noise, 5_000, 0)
+            projected_verdicts([(state, block_stats(state, spec, noise), eta)], spec, noise, 5_000, 0)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_overflowing_step_rejected_before_drawing(self, fixa, threads, monkeypatch):
@@ -760,19 +765,19 @@ class TestProjectedLossTest:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="not finite"):
-                projected_verdicts([(state, 1e160)], spec, noise, 2001, 0)
+                projected_verdicts([(state, block_stats(state, spec, noise), 1e160)], spec, noise, 2001, 0)
 
     def test_boundary_step_inconclusive(self, fixa):
         spec, noise, state = fixa
         assert expected_loss_change(block_stats(state, spec, noise), "D", 0.8) == pytest.approx(0.0, abs=1e-14)
-        d_row, _ = projected_verdicts([(state, 0.8)], spec, noise, 50_000, 40)
+        d_row, _ = projected_verdicts([(state, block_stats(state, spec, noise), 0.8)], spec, noise, 50_000, 40)
         assert d_row.predicted == "0"
         assert d_row.verdict == "inconclusive"
         assert d_row.threshold == pytest.approx(0.8)
 
     def test_between_thresholds_dominant_up_bulk_down(self, fixa):
         spec, noise, state = fixa
-        up, down = projected_verdicts([(state, 0.9)], spec, noise, 100_000, 41)
+        up, down = projected_verdicts([(state, block_stats(state, spec, noise), 0.9)], spec, noise, 100_000, 41)
         assert (up.test, down.test) == ("loss_change_D", "loss_change_B")
         assert up.predicted == "+"
         assert up.verdict == "confirmed"
@@ -783,14 +788,14 @@ class TestProjectedLossTest:
 
     def test_tiny_step_decreases(self, fixa):
         spec, noise, state = fixa
-        d_row, _ = projected_verdicts([(state, 0.01)], spec, noise, 50_000, 42)
+        d_row, _ = projected_verdicts([(state, block_stats(state, spec, noise), 0.01)], spec, noise, 50_000, 42)
         assert d_row.predicted == "-"
         assert d_row.verdict == "confirmed"
 
     def test_closed_form_target(self, fixa):
         spec, noise, state = fixa
         stats = block_stats(state, spec, noise)
-        d_row, _ = projected_verdicts([(state, 0.3)], spec, noise, 50_000, 43)
+        d_row, _ = projected_verdicts([(state, block_stats(state, spec, noise), 0.3)], spec, noise, 50_000, 43)
         expected = -0.3 * stats.s_d + 0.5 * 0.3**2 * (stats.tau_d + stats.n_loss_d)
         assert expected_loss_change(stats, "D", 0.3) == pytest.approx(expected, rel=1e-14)
         assert d_row.target_ok
@@ -807,7 +812,7 @@ class TestProjectedLossTest:
         for shift, ok in ((0.0, True), (1e-11, False)):
             estimates = [McEstimate(mean=t + shift, stderr=0.0, n=25_000) for t in targets]
             monkeypatch.setattr(montecarlo, "_estimate", lambda n, seed, spec, kernels, stop=None: estimates)
-            rows = projected_verdicts([(state, eta)], spec, noise, 50_000, 43)
+            rows = projected_verdicts([(state, block_stats(state, spec, noise), eta)], spec, noise, 50_000, 43)
             assert [row.target_ok for row in rows] == [ok, ok]
             assert [row.predicted for row in rows] == signs
             assert [row.estimate.n for row in rows] == [25_000, 25_000]
