@@ -166,11 +166,15 @@ def run_trajectory(
         times += t[due].tolist()
         reduce(len(due))
 
-    s_d, s_b = np.concatenate(s_d), np.concatenate(s_b)
+    s_d, s_b, losses = np.concatenate(s_d), np.concatenate(s_b), np.concatenate(losses)
+    # a run that stays inside the divergence limit can still record energies
+    # past the float range, from huge eigenvalues
+    if not np.all(np.isfinite(s_d + s_b + losses)):
+        raise ParameterError("a recorded energy passes the float range: the eigenvalues or the start are too large")
     return TrajectoryRecord(
         times=np.asarray(times, dtype=int),
         thetas=_theta(s_d, s_b),
-        losses=np.concatenate(losses),
+        losses=losses,
         s_d=s_d,
         s_b=s_b,
     )

@@ -1,10 +1,11 @@
-"""Experiment presets: configuration, deterministic seeding, worker pool, and
-the CSV/SVG emitting commands behind the CLI.
+"""Experiment presets: configuration, deterministic seeding, and the CSV/SVG
+emitting commands behind the CLI.
 
 Determinism contract: every output file's bytes depend only on (config,
-seeds). Jobs fan out over a thread pool capped by ALIGNLAB_THREADS, results
-are assembled in job order, and files are written atomically
-(write-then-rename), so the pool size never changes the outputs.
+seeds). Jobs fan out over `_pool.run_jobs`, the one job runner, whose thread
+pool ALIGNLAB_THREADS caps; results are assembled in job order, and files
+are written atomically (write-then-rename), so the pool size never changes
+the outputs.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ _OPTIONAL_NUMBER = (lambda v: v is None or _is_number(v), "a finite number or nu
 _REPORT_INPUTS = {
     "spectrum": (Spectrum, {"lambdas": _NUMBERS, "k": _INTEGER}),
     "noise": (NoiseProfile, {"kappa2": _NUMBERS, "s_min": _OPTIONAL_NUMBER, "s_max": _OPTIONAL_NUMBER}),
-    "state": (State, {"c": _NUMBERS, "t": _INTEGER}),
+    "state": (State, {"c": _NUMBERS}),
 }
 
 
@@ -457,7 +458,7 @@ def _state_above_theta_star(base: State, spec: Spectrum, noise: NoiseProfile) ->
             hi = mid
     c = base.c.copy()
     c[spec.k :] *= math.exp(0.5 * (lo + hi))
-    return State(c=c, t=base.t)
+    return State(c=c)
 
 
 def cmd_drift_test(
@@ -487,7 +488,7 @@ def cmd_drift_test(
         if kind == "high":
             state = _state_above_theta_star(base, spec, noise)
         else:
-            state = rescale_to_alignment(base, spec, value, which="dominant")
+            state = rescale_to_alignment(base, spec, value)
         stats = block_stats(state, spec, noise)
         eta_star = theory.drift_quadratic(stats).eta_star
         eta_ref = eta_star if eta_star is not None and eta_star > 0 else eta_fallback

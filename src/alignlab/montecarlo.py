@@ -3,12 +3,13 @@ of the drift predictions against them.
 
 Sampling schedule: an estimate of n samples with seed s draws ceil(n/2)
 noise vectors z and uses each twice, as z and as -z (antithetic pairs,
-Hammersley & Morton 1956). The pairs are split into batches: a batch is as
-long as the pairs before it, clamped to [_FINISH, _BATCH], so batches hold
-1024, 1024, 2048 and then 4096 pairs and their bounds pass through every
-1024 * 2^i below the total. Batch j uses the stream
+Hammersley & Morton 1956). The pairs are split into batches by a rule: a
+batch is as long as the pairs before it, clamped to [_FINISH, _BATCH], so
+batches hold 1024, 1024, 2048 and then 4096 pairs and their bounds pass
+through every 1024 * 2^i below the total. Batch j uses the stream
 ``Generator(SFC64(SeedSequence([s, j])))`` (SFC64 draws a normal faster than
-numpy's default PCG64).
+numpy's default PCG64). The rule is applied a look at a time (below), so the
+batches are formed as they are drawn and never listed up to the total.
 Batches run on the job pool (ALIGNLAB_THREADS). Each worker draws its batch
 in row blocks of about _BLOCK_VALUES normals into one reused buffer that
 stays in cache; successive blocks continue one generator stream, so the
@@ -33,13 +34,16 @@ the cap alone, and test each row at z_K, where
 2 (1 - Phi(z_K)) = 2 (1 - Phi(z_crit)) / K: Bonferroni over the looks
 (Jennison & Turnbull 2000, Group Sequential Methods with Applications to
 Clinical Trials), so a row's chance of a false sign stays within the
-two-sided level of z_crit. A row is settled when it is decided at z_K, or
-when mean +- z_K stderr lies inside its slack band (a settled inconclusive);
-the draw stops at the first look where every row that shares it is settled,
-and every row reports at that look. Each look's batches run in their own
-pass over the pool, so no batch past the stopping look is drawn, and the
-sums run in batch order, so the stopping look and the bytes do not depend on
-the thread count. The estimates of `one_step_estimates` never stop early.
+two-sided level of z_crit. The looks are pair counts read off the cap in
+O(log cap) (`_looks`), so a sign test's set-up does not grow with its cap. A
+row is settled when it is decided at z_K, or when mean +- z_K stderr lies
+inside its slack band (a settled inconclusive); the draw stops at the first
+look where every row that shares it is settled, and every row reports at
+that look. Each look's batches are formed when the draw reaches that look
+and run in their own pass over the pool, so no batch past the stopping look
+is formed or drawn, and the sums run in batch order, so the stopping look
+and the bytes do not depend on the thread count. The estimates of
+`one_step_estimates` are one look at n and never stop early.
 
 Kernel: every statistic estimated here is quadratic in the noise, so a
 draw z enters a state's statistics only through block sums: linear forms per
@@ -155,12 +159,6 @@ class Verdict:
                 est.mean, est.stderr, est.n, self.z, self.verdict]
 
 
-def _check(state: State, spec: Spectrum, noise: NoiseProfile, n: int, n_min: int) -> None:
-    _check_dims(state, spec, noise)
-    if n < n_min:
-        raise ParameterError(f"need at least {n_min} samples, got {n}")
-
-
 class _Kernel(NamedTuple):
     """One state's share of a draw z: the weights of the linear forms it reads
     (none when every row is affine in the block sums), the weights q of the
@@ -182,25 +180,10 @@ def _pivot(kernel: _Kernel, q_sums: np.ndarray) -> np.ndarray:
     return kernel.finish(np.zeros((len(kernel.forms), 2, 1)), q_sums[:, None])[:, 0]
 
 
-def _batch_bounds(pairs: int) -> list[int]:
-    """Pair bounds 0 = b_0 < b_1 < ... < b_J = pairs of the batches: batch j
-    covers [b_j, b_{j+1}) and is as long as the pairs before it, clamped to
-    [_FINISH, _BATCH]."""
-    bounds = [0]
-    while bounds[-1] < pairs:
-        bounds.append(min(pairs, bounds[-1] + min(max(bounds[-1], _FINISH), _BATCH)))
-    return bounds
-
-
-def _looks(bounds: list[int]) -> list[int]:
-    """The batch counts at which a sequential estimate looks: every bound that
-    is _FINISH * 2^i, and the cap."""
-    looks = []
-    for j, b in enumerate(bounds[1:], 1):
-        q, r = divmod(b, _FINISH)
-        if b == bounds[-1] or (r == 0 and q & (q - 1) == 0):
-            looks.append(j)
-    return looks
+def _looks(pairs: int) -> list[int]:
+    """The pair counts at which a sequential estimate of `pairs` pairs looks:
+    every _FINISH * 2^i below the cap, then the cap."""
+    return [_FINISH << i for i in range(((pairs - 1) // _FINISH).bit_length())] + [pairs]
 
 
 def _z_looks(z_crit: float, n: int) -> float:
@@ -208,7 +191,7 @@ def _z_looks(z_crit: float, n: int) -> float:
     an estimate capped at n samples, by bisection on math.erfc. Since the
     normal's Mills ratio falls, z_K <= sqrt(z_crit^2 + 2 log K), which is
     taken where the tail underflows."""
-    k = len(_looks(_batch_bounds(-(-n // 2))))
+    k = len(_looks(-(-n // 2)))
     if k == 1:
         return z_crit
     lo, hi = z_crit, math.sqrt(z_crit * z_crit + 2.0 * math.log(k))
@@ -231,20 +214,22 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> li
     """Mean and standard error of every row of every kernel, kernel by kernel,
     from ceil(n/2) antithetic pairs over the batches of the schedule, which
     run on the job pool. With stop, n is a cap: the estimates are formed at
-    each look of the schedule, and returned at the first where stop(estimates)
-    holds, or at the cap. The kernels come from one factory on spec and one
-    noise profile, so they share q and every draw. Each worker draws a batch
-    in row blocks of about _BLOCK_VALUES normals into one reused buffer
-    (successive standard_normal(out=) calls on a generator continue one
-    stream) and writes each block's sums into a reused block-sum buffer.
-    Every kernel then turns chunks of _FINISH pairs into pair means; finish
-    works pair by pair, so a chunk's rows equal those of the whole batch.
-    The worker shifts them by a data-free pivot (`_pivot`), which keeps the
-    sums of squares free of cancellation (a pivot that is not finite stops
-    the estimate before any draw), and returns per row the shifted
-    sum and sum of squares. These stream back in batch order and are
-    combined with math.fsum, so a worker holds O(block + chunk x width)
-    values and the calling thread O(batches x width) whatever n is."""
+    each look (`_looks`), and returned at the first where stop(estimates)
+    holds, or at the cap. A look's batches are formed only when the estimate
+    reaches it, so no set-up grows with the cap. The kernels come from one
+    factory on spec and one noise profile, so they share q and every draw.
+    Each worker draws a batch in row blocks of about _BLOCK_VALUES normals
+    into one reused buffer (successive standard_normal(out=) calls on a
+    generator continue one stream) and writes each block's sums into a
+    reused block-sum buffer. Every kernel then turns chunks of _FINISH pairs
+    into pair means; finish works pair by pair, so a chunk's rows equal
+    those of the whole batch. The worker shifts them by a data-free pivot
+    (`_pivot`), which keeps the sums of squares free of cancellation (a
+    pivot that is not finite stops the estimate before any draw), and
+    returns per row the shifted sum and sum of squares. These stream back in
+    batch order and are combined with math.fsum, so a worker holds
+    O(block + chunk x width) values and the calling thread O(batches x
+    width) whatever n is."""
     if not kernels:
         return []
     k, d, q = spec.k, spec.d, kernels[0].q
@@ -258,14 +243,15 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> li
     centres = np.concatenate(pivots)
     # kernel i reads the linear-form sums forms[i]:forms[i + 1]
     forms = np.cumsum([0] + [len(kernel.forms) for kernel in kernels])
-    bounds = _batch_bounds(-(-n // 2))
-    batch_rows = min(bounds[-1], _BATCH)
+    pairs = -(-n // 2)
+    batch_rows = min(pairs, _BATCH)
     block_rows = min(batch_rows, max(1, _BLOCK_VALUES // d))
     local = threading.local()
 
     @np.errstate(over="ignore", invalid="ignore")  # pool threads start from numpy's defaults
-    def run(j):
-        nb = bounds[j + 1] - bounds[j]
+    def run(batch):
+        j, begin, end = batch
+        nb = end - begin
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, j])))
         if not hasattr(local, "buffer"):
             local.buffer = np.empty((block_rows, d))
@@ -287,11 +273,16 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> li
             moments.append(shifted)
         return np.concatenate(moments, axis=1)
 
-    parts = []
-    for look in _looks(bounds) if stop else [len(bounds) - 1]:
-        # this look's batches only: none past it is started
-        parts += run_jobs(run, range(len(parts), look))
-        out = _combine(np.array(parts), centres, bounds[look])
+    parts, end = [], 0
+    for look in _looks(pairs) if stop else [pairs]:
+        # this look's batches (j, begin, end) only: none past it is started;
+        # each is as long as the pairs before it, clamped to [_FINISH, _BATCH]
+        batches = []
+        while end < look:
+            begin, end = end, min(look, end + min(max(end, _FINISH), _BATCH))
+            batches.append((len(parts) + len(batches), begin, end))
+        parts += run_jobs(run, batches)
+        out = _combine(np.array(parts), centres, look)
         if stop and stop(out):
             break
     return out
@@ -340,6 +331,9 @@ def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: li
     f = s_B s_D' - s_D s_B', affine in s', is f0 + eta^2 (s_B Q_D - s_D Q_B),
     formed from the random parts directly so that it does not cancel two large
     products. Only theta_next, a ratio, needs s' at z and at -z."""
+    if not etas or not all(0 <= e < math.inf for e in etas):
+        raise ParameterError("etas must be non-empty, finite and non-negative")
+    _check_dims(state, spec, noise)
     lam = spec.lambdas
     lam2c = lam**2 * state.c
     a = np.sqrt(noise.kappa2) * lam2c
@@ -368,17 +362,6 @@ def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: li
     return _Kernel((a, lam * a), lam**2 * noise.kappa2, finish)
 
 
-def _one_step_estimates(jobs, spec: Spectrum, noise: NoiseProfile, n: int, seed: int, n_min: int, stop=None) -> list:
-    """The estimates of f, sD_next, sB_next and theta_next at each step size
-    of each (state, etas) job, in that order, all from the same draws: n of
-    them, or with stop, up to n (`_estimate`)."""
-    for state, etas in jobs:
-        if not etas or not all(0 <= e < math.inf for e in etas):
-            raise ParameterError("etas must be non-empty, finite and non-negative")
-        _check(state, spec, noise, n, n_min)
-    return _estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, etas) for state, etas in jobs], stop)
-
-
 def one_step_estimates(
     state: State,
     spec: Spectrum,
@@ -392,8 +375,10 @@ def one_step_estimates(
     `etas`. Returns {eta: {"f"|"sD_next"|"sB_next"|"theta_next": McEstimate}},
     each over all ceil(n/2) pairs: these estimates never stop early.
     """
+    if n < 100:
+        raise ParameterError(f"need at least 100 samples, got {n}")
     etas = [float(e) for e in etas]
-    ests = iter(_one_step_estimates([(state, etas)], spec, noise, n, seed, 100))
+    ests = iter(_estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, etas)]))
     keys = ("f", "sD_next", "sB_next", "theta_next")
     return {eta: dict(zip(keys, [next(ests) for _ in keys])) for eta in etas}
 
@@ -435,6 +420,8 @@ def drift_verdicts(
     describe that drift only asymptotically; `theta_abs_slack` widens its
     inconclusive band accordingly. Every row is tested at z_K for the K looks
     of the cap n."""
+    if n < _VERDICT_MIN_N:
+        raise ParameterError(f"need at least {_VERDICT_MIN_N} samples, got {n}")
     jobs = [(state, stats, [float(e) for e in etas]) for state, stats, etas in jobs]
     checks = []
     for _, stats, etas in jobs:
@@ -443,6 +430,7 @@ def drift_verdicts(
         for eta in etas:
             target = expected_drift(dq, eta)  # rejects a step whose drift overflows, before drawing
             checks.append((stats.theta, eta, eta_star, target, 1e-12 * (abs(dq.p) * eta**2 + abs(dq.q) * eta)))
+    kernels = [_one_step_kernel(state, spec, noise, etas) for state, _, etas in jobs]
     z = _z_looks(z_crit, n)
 
     def rows(ests):
@@ -455,10 +443,7 @@ def drift_verdicts(
         return out
 
     # stop at the first look where every row is settled
-    return rows(_one_step_estimates(
-        [(state, etas) for state, _, etas in jobs], spec, noise, n, seed, _VERDICT_MIN_N,
-        lambda ests: all(row.settled for row in rows(ests)),
-    ))
+    return rows(_estimate(n, seed, spec, kernels, lambda ests: all(row.settled for row in rows(ests))))
 
 
 def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: float) -> _Kernel:
@@ -470,6 +455,7 @@ def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: fl
     -eta zeta.grad + eta^2 sum lam grad zeta + eta^2/2 sum lam zeta^2. The
     two middle terms are odd in z, so the pair mean is the constant plus
     eta^2/2 sum lam zeta^2 and the kernel reads no linear form."""
+    _check_dims(state, spec, noise)
     lam = spec.lambdas
     grad = lam * state.c
     g2 = grad**2
@@ -498,10 +484,11 @@ def projected_verdicts(
     then the loss_change_B row. Each tests the sign of its block's
     closed-form theory.expected_loss_change at z_K, and its target_ok checks
     the estimate at the stopping look against that change within 4 stderr."""
+    if n < _VERDICT_MIN_N:
+        raise ParameterError(f"need at least {_VERDICT_MIN_N} samples, got {n}")
     jobs = [(state, stats, float(eta)) for state, stats, eta in jobs]
     checks = []
-    for state, stats, eta in jobs:
-        _check(state, spec, noise, n, _VERDICT_MIN_N)
+    for _, stats, eta in jobs:
         for block in ("D", "B"):
             target = expected_loss_change(stats, block, eta)  # rejects a step whose change overflows, before drawing
             s, tau, _, _, n_loss = stats.block(block)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Eigenbasis coordinates c_i of the iterate at time step t."""
+    """Eigenbasis coordinates c_i of the iterate."""
 
     c: np.ndarray
-    t: int = 0
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -33,8 +33,6 @@ class State:
             raise ParameterError("c must be a non-empty 1-d array")
         if not np.all(np.isfinite(c)):
             raise ParameterError("state coordinates must be finite")
-        if self.t < 0:
-            raise ParameterError("time index must be >= 0")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
@@ -146,31 +144,28 @@ def loss(state: State, spec: Spectrum) -> float:
 
 
 def random_init(d: int, scale: float, seed: int) -> State:
-    """i.i.d. Gaussian coordinates with standard deviation `scale`, at t = 0."""
+    """i.i.d. Gaussian coordinates with standard deviation `scale`."""
     if not scale > 0:
         raise ParameterError("scale must be > 0")
     rng = np.random.default_rng(seed)
-    return State(c=rng.standard_normal(d) * scale, t=0)
+    return State(c=rng.standard_normal(d) * scale)
 
 
-def rescale_to_alignment(state: State, spec: Spectrum, theta: float, which: str = "dominant") -> State:
-    """Rescale one block of coordinates so the alignment equals `theta` exactly.
-
-    `which` chooses the rescaled block; the target must lie in (0, 1) and both
-    blocks of the input state must carry energy.
+def rescale_to_alignment(state: State, spec: Spectrum, theta: float) -> State:
+    """Rescale the dominant block of coordinates so the alignment equals
+    `theta` exactly. The target must lie in (0, 1), both blocks of the input
+    state must carry energy, and their energies must lie in the float range.
     """
     _check_dims(state, spec)
     if not 0 < theta < 1:
         raise ConstructionError(f"target alignment {theta} outside (0, 1)")
-    s_d, s_b = map(float, spec.split_sum((spec.lambdas * state.c) ** 2))
+    with np.errstate(over="ignore"):
+        s_d, s_b = map(float, spec.split_sum((spec.lambdas * state.c) ** 2))
+    if not math.isfinite(s_d + s_b):
+        raise ParameterError("a block energy passes the float range: the eigenvalues or state are too large")
     if s_d == 0.0 or s_b == 0.0:
         raise ConstructionError("both blocks must be nonzero to rescale to a target alignment")
     c = state.c.copy()
-    if which == "dominant":
-        c[: spec.k] *= np.sqrt(theta / (1 - theta) * s_b / s_d)
-    elif which == "bulk":
-        c[spec.k :] *= np.sqrt((1 - theta) / theta * s_d / s_b)
-    else:
-        raise ParameterError(f"which must be 'dominant' or 'bulk', got {which!r}")
-    return State(c=c, t=state.t)
+    c[: spec.k] *= np.sqrt(theta / (1 - theta) * s_b / s_d)
+    return State(c=c)
 

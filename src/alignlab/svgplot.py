@@ -42,7 +42,10 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
 
 
 def _tick_label(t: float, log: bool) -> str:
-    return _fmt(10.0**t) if log else _fmt(t)
+    if not log:
+        return _fmt(t)
+    # a decade past the float range has no float to format
+    return _fmt(10.0**t) if t <= 308 else f"1e+{int(t)}"
 
 
 def line_plot(path, series, title="", xlabel="", ylabel="", xlog=False, ylog=False) -> None:
@@ -66,12 +69,13 @@ def line_plot(path, series, title="", xlabel="", ylabel="", xlog=False, ylog=Fal
             keep &= y > 0
         cleaned.append((x[keep], y[keep], label))
 
-    xs = np.concatenate([c[0] for c in cleaned]) if cleaned else np.array([0.0, 1.0])
-    ys = np.concatenate([c[1] for c in cleaned]) if cleaned else np.array([0.0, 1.0])
-    if xs.size == 0:
-        xs, ys = np.array([0.0, 1.0]), np.array([0.0, 1.0])
-    tx = _transform(xs, xlog)
-    ty = _transform(ys, ylog)
+    xs = np.concatenate([c[0] for c in cleaned]) if cleaned else np.empty(0)
+    ys = np.concatenate([c[1] for c in cleaned]) if cleaned else np.empty(0)
+    if xs.size:
+        tx, ty = _transform(xs, xlog), _transform(ys, ylog)
+    else:
+        # nothing to show: the axes span [0, 1] after their transform
+        tx = ty = np.array([0.0, 1.0])
     x_lo, x_hi = float(tx.min()), float(tx.max())
     y_lo, y_hi = float(ty.min()), float(ty.max())
     if x_hi == x_lo:

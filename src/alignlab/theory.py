@@ -295,8 +295,12 @@ def _gap_step(spec: Spectrum) -> float:
     """2 gap1 / (lambda_max^2 - lambda_min^2): the step-size cap of the
     two-phase plan, and the step `drift-test` falls back on where eta* is
     undefined. A spectrum whose squared extremes round to one value (both
-    underflow) is a ParameterError rather than a division by zero."""
-    spread = spec.lambda_max**2 - spec.lambda_min**2
+    underflow) is a ParameterError rather than a division by zero, and so is
+    one whose largest square passes the float range."""
+    try:
+        spread = spec.lambda_max**2 - spec.lambda_min**2
+    except OverflowError:
+        raise ParameterError(f"lambda_max^2 passes the float range for eigenvalue {spec.lambda_max!r}") from None
     if spread == 0.0:
         raise ParameterError(
             f"lambda_max^2 - lambda_min^2 rounds to 0 for eigenvalues {spec.lambda_max!r} and {spec.lambda_min!r}"
@@ -309,6 +313,9 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
     if not eta > 0:
         raise ParameterError("eta must be > 0")
     _check_dims(init, spec, noise)
+    # before mode_law squares the eigenvalues: a spectrum whose squares pass
+    # the float range is a ParameterError here, not a numpy warning there
+    step_cap = min(2.0 / spec.lambda_max, _gap_step(spec))
     lam = spec.lambdas
     beta = mode_law(init.c, lam, noise.kappa2, eta, math.inf)[1]
     k = spec.k
@@ -316,7 +323,6 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
     with np.errstate(over="ignore"):
         c2 = init.c**2
     varrho_d = float(spec.split_sum(c2 - beta)[0])
-    step_cap = min(2.0 / spec.lambda_max, _gap_step(spec))
     # at a tiny eta the product may pass the float range: delta is then 0
     with np.errstate(over="ignore"):
         denom = float(

@@ -1,7 +1,8 @@
 """Shared random-problem generators for the test suite, the step-by-step SGD
 reference that `run_trajectory` is checked against, the per-sample one-step
-references that the Monte-Carlo kernels are checked against, and a hook that
-stops the sign tests at a chosen look."""
+references that the Monte-Carlo kernels are checked against, the Monte-Carlo
+batch schedule listed in full, and a hook that stops the sign tests at a
+chosen look."""
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def sgd_step(state: State, spec: Spectrum, noise_sample, eta: float) -> State:
     if zeta.shape != (spec.d,):
         raise ParameterError(f"noise sample shape {zeta.shape} != ({spec.d},)")
     c = (1.0 - eta * spec.lambdas) * state.c - eta * zeta
-    return State(c=c, t=state.t + 1)
+    return State(c=c)
 
 
 def sample_noise(noise: NoiseProfile, rng: np.random.Generator) -> np.ndarray:
@@ -92,6 +93,19 @@ def direct_projected(state: State, spec: Spectrum, noise: NoiseProfile, eta: flo
         rows.append(-eta * lin + 0.5 * eta**2 * sq)
         sizes.append(eta * np.abs(lin) + eta**2 * sq)
     return np.array(rows), np.array(sizes)
+
+
+def batch_schedule(pairs):
+    """The Monte-Carlo batches (j, begin, end) of an estimate over `pairs`
+    pairs, listed up to the total: each batch is as long as the pairs before
+    it, clamped to [1024, 4096]. The sequential looks are the batch ends that
+    are 1024 * 2^i, and the total."""
+    batches, end = [], 0
+    while end < pairs:
+        begin, end = end, min(pairs, end + min(max(end, 1024), 4096))
+        batches.append((len(batches), begin, end))
+    looks = [end for _, _, end in batches if end == pairs or (end % 1024 == 0 and (end // 1024).bit_count() == 1)]
+    return batches, looks
 
 
 def stop_at_pairs(monkeypatch, pairs):

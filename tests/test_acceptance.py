@@ -228,7 +228,7 @@ def test_c07_projected_loss_reproduction():
         stats = block_stats(state, spec, noise)
         cq = crossover(stats)
         if stats.theta >= cq.theta_crit:
-            state = rescale_to_alignment(state, spec, 0.5 * cq.theta_crit, "dominant")
+            state = rescale_to_alignment(state, spec, 0.5 * cq.theta_crit)
             stats = block_stats(state, spec, noise)
         lo = loss_threshold(stats, "D")
         hi = loss_threshold(stats, "B")

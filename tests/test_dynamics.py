@@ -28,13 +28,11 @@ class TestSteps:
         spec, _, state = fixa
         out = sgd_step(state, spec, np.zeros(2), 0.1)
         assert np.allclose(out.c, [0.8, 0.9])
-        assert out.t == 1
 
     def test_zero_step_only_advances_time(self, fixa):
         spec, _, state = fixa
         out = sgd_step(state, spec, np.zeros(2), 0.0)
         assert np.array_equal(out.c, state.c)
-        assert out.t == state.t + 1
 
     def test_single_mode_with_noise(self):
         spec = Spectrum(lambdas=np.array([2.0, 1.0]), k=1)
@@ -184,7 +182,7 @@ def reference_trajectory(spec, noise, init, eta, T, record_every, seed, step_by_
             z = rng.standard_normal(spec.d)
             if n > 1:
                 decay, var = mode_law(1.0, lam, noise.kappa2, eta, n)
-                state = State(c=decay * state.c - z * np.sqrt(var), t=t)
+                state = State(c=decay * state.c - z * np.sqrt(var))
             else:
                 state = sgd_step(state, spec, z * np.sqrt(noise.kappa2), eta)
             peak = float(np.max(np.abs(state.c)))
@@ -271,6 +269,16 @@ class TestChunkedKernel:
             with pytest.raises(DivergenceError) as err:
                 run_trajectory(spec, noise, State(c=np.array([1.0, 1.0])), 0.02, 50, 10, seed=1)
         assert err.value.step == 1
+
+    def test_records_past_the_float_range_are_parameter_error(self):
+        # the run stays far inside the divergence limit, but lambda^2 c^2
+        # passes the float range in every record
+        spec = Spectrum(lambdas=np.array([1e200, 1.0]), k=1)
+        noise = NoiseProfile(kappa2=np.array([1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="float range"):
+                run_trajectory(spec, noise, State(c=np.array([1.0, 1.0])), 1e-210, 50, 10, seed=1)
 
     @pytest.mark.parametrize("seed, step", [(4, 10), (3, 20)])
     def test_divergence_of_a_jumping_run_matches_reference(self, seed, step):

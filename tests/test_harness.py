@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +207,7 @@ class TestDriftTestCommand:
         m, seed = cfg.m_list[0], cfg.seeds[0]
         spec, noise = _problem_for(cfg, m, seed)
         base = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT))
-        state = rescale_to_alignment(base, spec, 0.3 * g_gap(spec, noise), which="dominant")
+        state = rescale_to_alignment(base, spec, 0.3 * g_gap(spec, noise))
         mc_seed = _stream_int(seed, m, _STREAM_MC, 0)
         pairs = int(rows[0][7])
         assert pairs > 1024 and {int(row[7]) for row in rows} == {pairs}
@@ -231,7 +232,7 @@ class TestDriftTestCommand:
         m, seed = cfg.m_list[0], cfg.seeds[0]
         spec, noise = _problem_for(cfg, m, seed)
         base = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT))
-        states = [rescale_to_alignment(base, spec, f * g_gap(spec, noise), which="dominant") for f in (0.3, 0.9)]
+        states = [rescale_to_alignment(base, spec, f * g_gap(spec, noise)) for f in (0.3, 0.9)]
         states.append(_state_above_theta_star(base, spec, noise))
         mc_seed = _stream_int(seed, m, _STREAM_MC, 0)
         stop_at_pairs(monkeypatch, int(rows[0][7]))
@@ -637,8 +638,6 @@ class TestCli:
         pytest.param("noise", '{"kappa2": {"a": 1}}', "'kappa2' must be a list", id="kappa2-object"),
         pytest.param("noise", '{"kappa2": [1, 1], "s_min": "x"}', "'s_min' must be a finite number", id="s_min-str"),
         pytest.param("state", '{"c": "abc"}', "'c' must be a list", id="c-str"),
-        pytest.param("state", '{"c": [1, 1], "t": "x"}', "'t' must be an int64", id="t-str"),
-        pytest.param("state", '{"c": [1, 1], "t": 1.5}', "'t' must be an int64", id="t-float"),
     ])
     def test_malformed_report_value_is_usage_error(self, role, text, detail, fixa_files, tmp_path, capsys):
         problem, state_path = fixa_files
@@ -687,6 +686,67 @@ class TestCli:
         assert tables[0] == tables[1] == tables[2]
         pairs = {line.split(b",")[7] for line in tables[0].splitlines()[1:]}
         assert pairs == {b"8192"}
+
+    def test_huge_cap_sets_up_like_a_small_one(self, tmp_path):
+        # the looks are read off the cap of 5e17 pairs, and every row settles
+        # at the first of them
+        out = tmp_path / "drift"
+        argv = ["drift-test", "--d", "24", "--k", "4", "--m", "8", "--n-mc", str(10**18), "--out", str(out)]
+        assert main(argv) == 0
+        pairs = {line.split(",")[7] for line in (out / "drift_verdicts.csv").read_text().splitlines()[1:]}
+        assert pairs == {"1024"}
+
+    # each preset's flags, and float-range edges: eigenvalues whose squares
+    # (1e200, 1e155) or fourth powers (1e100) pass it, noise and starts near
+    # it, and step sizes that diverge at once or underflow the update
+    PRESET_ARGS = {
+        "simulate": ["simulate", "--steps", "50"],
+        "sweep-gap": ["sweep-gap", "--steps", "50", "--m", "5"],
+        "drift-test": ["drift-test", "--n-mc", "2000"],
+        "projected-test": ["projected-test", "--n-mc", "2000", "--n-states", "2"],
+    }
+    FLOAT_EDGES = {
+        "m1e200-eta1e-210": ["--m", "1e200", "--eta", "1e-210"],
+        "m1e308": ["--m", "1e308"],
+        "m1e155-eta1e-160": ["--m", "1e155", "--eta", "1e-160"],
+        "m1e100-init1e149": ["--m", "1e100", "--init-scale", "1e149"],
+        "sigma2-1e300": ["--m", "8", "--sigma2", "1e300"],
+        "eta1e300": ["--m", "8", "--eta", "1e300"],
+        "bulk1e150": ["--m", "8", "--config", "BULK"],
+    }
+
+    @pytest.mark.parametrize("edge", sorted(FLOAT_EDGES))
+    @pytest.mark.parametrize("command", sorted(PRESET_ARGS))
+    def test_float_range_edge_exits_cleanly(self, command, edge, tmp_path, capsys):
+        # exit 0, 1 or 2 with no traceback or warning (both would raise out of
+        # main here); exit 2 is one line and writes nothing; no CSV cell is nan
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bulk_range": [1e150, 1e150]}))
+        out = tmp_path / "out"
+        flags = [str(config) if flag == "BULK" else flag for flag in self.FLOAT_EDGES[edge]]
+        argv = [*self.PRESET_ARGS[command], "--d", "24", "--k", "4", "--seed", "1", *flags, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and "Warning" not in err
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("alignlab: error: ")
+            assert not out.exists()
+        written = list(out.rglob("*.csv")) if out.exists() else []
+        assert not any("nan" in path.read_text() for path in written)
+
+    @pytest.mark.parametrize("argv", [
+        ["drift-test", "--d", "24", "--k", "4", "--m", "1e200", "--n-mc", "2000"],
+        ["simulate", "--d", "24", "--k", "4", "--m", "1e200", "--eta", "1e-210", "--steps", "50", "--seed", "1"],
+        ["sweep-gap", "--d", "24", "--k", "4", "--m", "5", "--m", "1e200", "--eta", "1e-210", "--steps", "50",
+         "--seed", "1"],
+    ], ids=["drift-test", "simulate", "sweep-gap"])
+    def test_squares_past_the_float_range_are_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert "float range" in self._usage_error([*argv, "--out", str(out)], capsys)
+        assert not out.exists()
 
     # the flags of every subcommand, as (option strings, dest)
     CONFIG_FLAGS = [

@@ -36,13 +36,20 @@ from alignlab.harness import _state_above_theta_star
 from alignlab.montecarlo import (
     _block_sums,
     _estimate,
-    _one_step_estimates,
     _one_step_kernel,
     _pivot,
     _projected_kernel,
 )
 
-from helpers import direct_one_step, direct_projected, random_problem, sgd_step, shared_draw_problem, stop_at_pairs
+from helpers import (
+    batch_schedule,
+    direct_one_step,
+    direct_projected,
+    random_problem,
+    sgd_step,
+    shared_draw_problem,
+    stop_at_pairs,
+)
 
 # E[theta_{t+1}] for the 2-d fixture at eta=0.1, frozen from two independent
 # quadratures (400-node Gauss-Hermite grid and adaptive integration agree to
@@ -391,7 +398,7 @@ class TestSharedDraw:
         # stopped at the same look
         spec, noise, states = shared_draw_problem(29, 40)
         jobs = [(state, [f / spec.lambda_max for f in (0.2 * (i + 1), 1.9)]) for i, state in enumerate(states)]
-        shared = _one_step_estimates(jobs, spec, noise, 20_001, 30, 100)
+        shared = _estimate(20_001, 30, spec, [_one_step_kernel(state, spec, noise, etas) for state, etas in jobs])
         assert shared == [
             est
             for state, etas in jobs
@@ -447,7 +454,7 @@ class TestBoundedMemory:
         n = 400_000
         width = 4 * len(etas)
         worker = montecarlo._BLOCK_VALUES + 3 * 2 * montecarlo._BATCH + 8 * width * montecarlo._FINISH
-        partial = 2 * width * (len(montecarlo._batch_bounds(-(-n // 2))) - 1)
+        partial = 2 * width * len(batch_schedule(-(-n // 2))[0])
         tracemalloc.start()
         try:
             one_step_estimates(state, spec, noise, etas, n, seed=5)
@@ -502,7 +509,7 @@ class TestThreadCountInvariance:
 
         def run():
             return (
-                _one_step_estimates([(state, etas) for state in states], spec, noise, self.N, 33, 100),
+                _estimate(self.N, 33, spec, [_one_step_kernel(state, spec, noise, etas) for state in states]),
                 projected_verdicts([(s, block_stats(s, spec, noise), 0.3) for s in states], spec, noise, self.N, 34),
             )
 
@@ -516,9 +523,10 @@ class TestThreadCountInvariance:
             "sys.path.insert(0, 'tests')\n"
             "from helpers import shared_draw_problem\n"
             "from alignlab import block_stats\n"
-            "from alignlab.montecarlo import _one_step_estimates, projected_verdicts\n"
+            "from alignlab.montecarlo import _estimate, _one_step_kernel, projected_verdicts\n"
             "spec, noise, states = shared_draw_problem(35, 500)\n"
-            "print(_one_step_estimates([(s, [0.5 / spec.lambda_max]) for s in states], spec, noise, 20_001, 36, 100))\n"
+            "kernels = [_one_step_kernel(s, spec, noise, [0.5 / spec.lambda_max]) for s in states]\n"
+            "print(_estimate(20_001, 36, spec, kernels))\n"
             "jobs = [(s, block_stats(s, spec, noise), 0.3) for s in states]\n"
             "print(projected_verdicts(jobs, spec, noise, 20_001, 37))\n"
         )
@@ -560,19 +568,47 @@ class TestGroupSequential:
     each row at the Bonferroni z_K of those K looks, and stop the shared
     draw at the first look where every row is settled."""
 
-    def test_schedule_and_looks(self):
-        bounds = montecarlo._batch_bounds(50_000)
+    def test_schedule_and_looks(self, fixa, monkeypatch):
+        # the schedule listed in full: batches of 1024, 1024, 2048 and then
+        # 4096 pairs, whose ends pass through every 1024 * 2^i below the total
+        batches, looks = batch_schedule(50_000)
+        bounds = [0] + [end for _, _, end in batches]
         assert bounds[:7] == [0, 1024, 2048, 4096, 8192, 12288, 16384] and bounds[-1] == 50_000
         assert set(np.diff(bounds[3:-1])) == {montecarlo._BATCH}
-        looks = [bounds[j] for j in montecarlo._looks(bounds)]
         assert looks == [1024, 2048, 4096, 8192, 16384, 32768, 50_000]
-        assert [montecarlo._batch_bounds(p)[-1] for p in (1, 500, 1024, 1025)] == [1, 500, 1024, 1025]
-        assert montecarlo._looks(montecarlo._batch_bounds(8192)) == [1, 2, 3, 4]
+        # the looks read off the cap are those of the listed schedule
+        caps = [*range(1, 20_000), *range(20_000, 400_000, 37), *(2**k + e for k in range(25) for e in (0, 1))]
+        assert all(montecarlo._looks(pairs) == batch_schedule(pairs)[1] for pairs in caps)
+        assert montecarlo._looks(8192) == [1024, 2048, 4096, 8192]
+        assert [montecarlo._looks(p)[-1] for p in (1, 500, 1024, 1025)] == [1, 500, 1024, 1025]
+        # an estimate draws exactly the listed batches: the fixed-n path in one
+        # pass, and a sign test stopped at its cap look by look
+        spec, noise, state = fixa
+        drawn, run_jobs = [], montecarlo.run_jobs
+
+        def recording(fn, jobs):
+            drawn.append(list(jobs))
+            return run_jobs(fn, jobs)
+
+        monkeypatch.setattr(montecarlo, "run_jobs", recording)
+        for pairs in (500, 1024, 1025, 50_000):
+            batches, looks = batch_schedule(pairs)
+            drawn.clear()
+            one_step_estimates(state, spec, noise, [0.1], 2 * pairs, seed=2)
+            assert drawn == [batches]
+            drawn.clear()
+            with monkeypatch.context() as patch:
+                stop_at_pairs(patch, pairs)
+                rows = drift_verdicts([(state, block_stats(state, spec, noise), [0.1])], spec, noise, 2 * pairs, 2)
+            assert {row.estimate.n for row in rows} == {pairs}
+            assert [look[-1][2] for look in drawn] == looks
+            assert [batch for look in drawn for batch in look] == batches
 
     @pytest.mark.parametrize("z_crit", [1.5, 3.0, 5.0, 9.0])
     @pytest.mark.parametrize("n", [2000, 20_001, 100_000, 10**7])
     def test_z_k_spends_the_level_evenly_over_the_looks(self, z_crit, n):
-        k = len(montecarlo._looks(montecarlo._batch_bounds(-(-n // 2))))
+        k = len(montecarlo._looks(-(-n // 2)))
+        assert k == len(batch_schedule(-(-n // 2))[1])
         z = montecarlo._z_looks(z_crit, n)
         if k == 1:
             assert z == z_crit
@@ -585,6 +621,18 @@ class TestGroupSequential:
     def test_z_k_where_the_tail_underflows(self):
         # erfc(40 / sqrt(2)) underflows; the tail bound is the threshold
         assert montecarlo._z_looks(40.0, 100_000) == math.sqrt(1600.0 + 2.0 * math.log(7))
+
+    def test_set_up_does_not_grow_with_the_cap(self):
+        # z_K at a cap of 5e9 pairs reads its 24 looks off the cap; listing
+        # the schedule's 1.2 million batches would take tens of MB
+        tracemalloc.start()
+        try:
+            z = montecarlo._z_looks(3.0, 10**10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(montecarlo._looks(5 * 10**9)) == 24 and z > 3.0
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("n", [100, 2047, 2049, 8193, 20_001, 40_000])
     def test_one_step_estimates_use_every_pair(self, fixa, n):
@@ -607,14 +655,23 @@ class TestGroupSequential:
             return run_jobs(fn, jobs)
 
         monkeypatch.setattr(montecarlo, "run_jobs", recording)
-        # fixed n: one pass over every batch
+        # fixed n: one pass over every batch (j, begin, end)
         one_step_estimates(state, spec, noise, [0.1], 80_000, seed=1)
-        assert drawn == [list(range(len(montecarlo._batch_bounds(40_000)) - 1))]
+        assert drawn == [batch_schedule(40_000)[0]]
+        assert drawn[0][:4] == [(0, 0, 1024), (1, 1024, 2048), (2, 2048, 4096), (3, 4096, 8192)]
+        assert drawn[0][-2:] == [(10, 32768, 36864), (11, 36864, 40_000)]
         # settled at the sixth look, 32768 pairs (z = 4.08)
         drawn.clear()
         rows = projected_verdicts([(state, block_stats(state, spec, noise), 0.806)], spec, noise, 80_000, 1)
         assert {row.estimate.n for row in rows} == {32768}
-        assert drawn == [[0], [1], [2], [3], [4, 5], [6, 7, 8, 9]]
+        assert drawn == [
+            [(0, 0, 1024)],
+            [(1, 1024, 2048)],
+            [(2, 2048, 4096)],
+            [(3, 4096, 8192)],
+            [(4, 8192, 12288), (5, 12288, 16384)],
+            [(6, 16384, 20480), (7, 20480, 24576), (8, 24576, 28672), (9, 28672, 32768)],
+        ]
 
     def test_stopping_look_and_bytes_equal_across_threads(self, fixa, monkeypatch):
         # the look at 32768 pairs takes four batches, which two and three
@@ -679,7 +736,7 @@ class TestDriftSignTest:
     def test_large_step_confirms_increase_below_g_gap(self):
         rng = np.random.default_rng(23)
         spec, noise, state = random_problem(rng, d=50, isotropic_only=True)
-        low = rescale_to_alignment(state, spec, 0.5 * g_gap(spec, noise), "dominant")
+        low = rescale_to_alignment(state, spec, 0.5 * g_gap(spec, noise))
         stats = block_stats(low, spec, noise)
         dq = drift_quadratic(stats)
         assert dq.p > 0

@@ -142,7 +142,6 @@ class TestRandomInit:
         a = random_init(50, 2.0, seed=7)
         b = random_init(50, 2.0, seed=7)
         assert np.array_equal(a.c, b.c)
-        assert a.t == 0
 
 
 class TestRescale:
@@ -150,9 +149,8 @@ class TestRescale:
         rng = np.random.default_rng(5)
         spec, _, state = random_problem(rng, d=30)
         for target in (0.05, 0.5, 0.97):
-            for which in ("dominant", "bulk"):
-                out = rescale_to_alignment(state, spec, target, which=which)
-                assert alignment(out, spec) == pytest.approx(target, abs=1e-12)
+            out = rescale_to_alignment(state, spec, target)
+            assert alignment(out, spec) == pytest.approx(target, abs=1e-12)
 
     def test_rejects_bad_targets(self, fixa):
         spec, _, state = fixa
@@ -164,12 +162,12 @@ class TestRescale:
 
 class TestStateSerialization:
     def test_json_round_trip(self, tmp_path):
+        # a "t" key, once the time index, is ignored like any unknown key
         doc = {"c": [1.5, -2.0], "t": 3}
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
         state = _read_input(path, "state")
         assert state.c.tolist() == doc["c"]
-        assert state.t == 3
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ParameterError):

@@ -556,7 +556,7 @@ class TestRegimeConsistency:
             spec, noise, state = random_problem(rng)
             gg = g_gap(spec, noise)
             frac = float(rng.uniform(0.05, 1.0))
-            low = rescale_to_alignment(state, spec, frac * gg, which="dominant")
+            low = rescale_to_alignment(state, spec, frac * gg)
             dq = drift_quadratic(block_stats(low, spec, noise))
             assert dq.p > 0
 
