@@ -57,9 +57,12 @@ Pair means are formed in closed form: a statistic affine in the block sums
 (f, the next block energies, the projected loss change) has as pair mean
 its even part, with the linear forms dropped, and only theta_next, a ratio,
 is evaluated at z and at -z. A projected-loss state therefore reads no
-linear form at all. Pair means are i.i.d. and unbiased; per draw the
-variance never rises (Var((g(z) + g(-z))/2) <= Var g(z)), and per requested
-sample it rises at most 2x, for a statistic even in z.
+linear form at all, and neither does `one_step_estimates`, the oracle's
+estimator of the three statistics with closed-form means (f and the next
+block energies); theta_next is estimated by `drift_verdicts`. Pair means
+are i.i.d. and unbiased; per draw the variance never rises
+(Var((g(z) + g(-z))/2) <= Var g(z)), and per requested sample it rises at
+most 2x, for a statistic even in z.
 
 One estimate serves several states on one spectrum and noise profile: each
 draw is reduced to the linear forms its states read and the shared sums of
@@ -290,13 +293,18 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> li
 
 def _combine(parts: np.ndarray, centres: np.ndarray, pairs: int) -> list[McEstimate]:
     """The estimates from the per-batch shifted sums parts, shape (batches, 2,
-    rows), over pairs pairs, summed in batch order."""
+    rows), over pairs pairs, summed in batch order. A sum of squares of
+    zero over a nonzero sum can only have underflowed."""
     if not np.all(np.isfinite(parts.sum(axis=0))):
         raise ParameterError("a Monte-Carlo sum of squares is not finite: the step size or the state is too large")
     out = []
     for j, centre in enumerate(centres):
         s1 = math.fsum(parts[:, 0, j])
         s2 = math.fsum(parts[:, 1, j])
+        if s2 == 0.0 and s1 != 0.0:
+            raise ParameterError(
+                "a Monte-Carlo sum of squares underflows: the spectrum, the state or the noise is too small"
+            )
         mean = float(centre) + s1 / pairs
         var = max(0.0, (s2 - s1 * s1 / pairs) / (pairs - 1))
         out.append(McEstimate(mean=mean, stderr=math.sqrt(var / pairs), n=pairs))
@@ -317,9 +325,11 @@ def _block_sums(z: np.ndarray, k: int, vectors: list, q: np.ndarray, out: np.nda
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the pivot: _estimate rejects it
-def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: list) -> _Kernel:
+def _one_step_kernel(
+    state: State, spec: Spectrum, noise: NoiseProfile, etas: list, theta_next: bool = True
+) -> _Kernel:
     """Kernel whose rows are, for each eta, the pair means of f, sD_next,
-    sB_next and theta_next.
+    sB_next and, with theta_next, theta_next.
 
     With zeta = kappa * z, the next energy of block X is
     s_X' = sum_X lam^2 ((1 - eta lam) c - eta zeta)^2
@@ -330,7 +340,9 @@ def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: li
     so the pair mean of s_X' is its even part m_X + eta^2 Q_X, and that of
     f = s_B s_D' - s_D s_B', affine in s', is f0 + eta^2 (s_B Q_D - s_D Q_B),
     formed from the random parts directly so that it does not cancel two large
-    products. Only theta_next, a ratio, needs s' at z and at -z."""
+    products. Only theta_next, a ratio, needs s' at z and at -z; without it
+    the kernel reads no linear form, and its rows equal the first three of
+    each eta's four bit for bit."""
     if not etas or not all(0 <= e < math.inf for e in etas):
         raise ParameterError("etas must be non-empty, finite and non-negative")
     _check_dims(state, spec, noise)
@@ -344,22 +356,25 @@ def _one_step_kernel(state: State, spec: Spectrum, noise: NoiseProfile, etas: li
     m = np.stack(spec.split_sum(w), axis=1)[:, :, None]
     f0 = s_b0 * m[:, 0] - s_d0 * m[:, 1]
 
+    width = 4 if theta_next else 3
+
     def finish(lin, quad):
-        l1, l2 = lin
-        rows = np.empty((len(etas), 4, quad.shape[1]))
+        rows = np.empty((len(etas), width, quad.shape[1]))
         even = eta**2 * quad
         np.add(f0, s_b0 * even[:, 0] - s_d0 * even[:, 1], out=rows[:, 0])
         np.add(m, even, out=rows[:, 1:3])
-        odd = 2.0 * eta * (l1 - eta * l2)
-        thetas = []
-        for s1 in (rows[:, 1:3] - odd, rows[:, 1:3] + odd):
-            # s' >= 0; the clamp only removes rounding below zero
-            np.maximum(s1, 0.0, out=s1)
-            thetas.append(_theta(s1[:, 0], s1[:, 1]))
-        np.multiply(0.5, thetas[0] + thetas[1], out=rows[:, 3])
-        return rows.reshape(4 * len(etas), -1)
+        if theta_next:
+            l1, l2 = lin
+            odd = 2.0 * eta * (l1 - eta * l2)
+            thetas = []
+            for s1 in (rows[:, 1:3] - odd, rows[:, 1:3] + odd):
+                # s' >= 0; the clamp only removes rounding below zero
+                np.maximum(s1, 0.0, out=s1)
+                thetas.append(_theta(s1[:, 0], s1[:, 1]))
+            np.multiply(0.5, thetas[0] + thetas[1], out=rows[:, 3])
+        return rows.reshape(width * len(etas), -1)
 
-    return _Kernel((a, lam * a), lam**2 * noise.kappa2, finish)
+    return _Kernel((a, lam * a) if theta_next else (), lam**2 * noise.kappa2, finish)
 
 
 def one_step_estimates(
@@ -371,15 +386,19 @@ def one_step_estimates(
     seed: int,
 ) -> dict:
     """Estimate, from n shared one-step noise draws, the comparison functional
-    f, the next block energies, and the next alignment, for every eta in
-    `etas`. Returns {eta: {"f"|"sD_next"|"sB_next"|"theta_next": McEstimate}},
-    each over all ceil(n/2) pairs: these estimates never stop early.
+    f and the next block energies for every eta in `etas`: the one-step
+    statistics with closed-form means (theory.expected_drift and
+    expected_next_block_energy), which these estimates check. Returns
+    {eta: {"f"|"sD_next"|"sB_next": McEstimate}}, each over all ceil(n/2)
+    pairs: these estimates never stop early. All three are affine in the
+    block sums, so the draw is reduced to its sums of squares alone; the next
+    alignment is estimated by `drift_verdicts`.
     """
     if n < 100:
         raise ParameterError(f"need at least 100 samples, got {n}")
     etas = [float(e) for e in etas]
-    ests = iter(_estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, etas)]))
-    keys = ("f", "sD_next", "sB_next", "theta_next")
+    ests = iter(_estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, etas, theta_next=False)]))
+    keys = ("f", "sD_next", "sB_next")
     return {eta: dict(zip(keys, [next(ests) for _ in keys])) for eta in etas}
 
 

@@ -172,7 +172,13 @@ def _check_root(a: float, b: float, c: float, root: float) -> None:
 
 
 def _stable_positive_root(a: float, b: float, c: float) -> float:
-    """Positive root of a*x^2 + b*x + c with a > 0 > c, avoiding cancellation."""
+    """Positive root of a*x^2 + b*x + c with a > 0 > c, avoiding cancellation.
+    The coefficients are first scaled by the power of two that brings the
+    largest to [0.5, 1), which changes no root and, for coefficients that stay
+    in the normal range, no bit; b*b and a*c then neither underflow nor
+    overflow when the coefficients are all tiny or all huge."""
+    e = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
     disc = b * b - 4.0 * a * c
     sq = math.sqrt(disc)
     if b <= 0:

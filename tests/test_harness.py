@@ -672,6 +672,39 @@ class TestCli:
         assert "rounds to 0" in self._usage_error(argv, capsys)
         assert not out.exists()
 
+    def test_report_on_a_tiny_spectrum(self, tmp_path, capsys):
+        # the auxiliary quadratic's b is about -2.9e-298: b*b underflows
+        # unless the coefficients are scaled before the discriminant
+        spectrum, noise, state = (tmp_path / f"{name}.json" for name in ("spectrum", "noise", "state"))
+        lambdas = [8e-150, 7e-150, 6e-150, 5e-150] + [1e-150 * (1.0 - 0.03 * i) for i in range(20)]
+        spectrum.write_text(json.dumps({"lambdas": lambdas, "k": 4}))
+        noise.write_text(json.dumps({"kappa2": [1.0] * 24}))
+        state.write_text(json.dumps({"c": [1.0] * 24}))
+        argv = ["report", "--spectrum", str(spectrum), "--noise", str(noise), "--state", str(state), "--eta", "1e140"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["theta_star"] == pytest.approx(0.941441270837504, rel=1e-12)
+
+    def test_drift_test_on_underflowing_monte_carlo_squares_is_usage_error(self, tmp_path, capsys):
+        # theta_star is found; then the shifted f rows (~1e-298) square to 0
+        # while their sum does not, which would read as a zero stderr
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bulk_range": [1e-160, 1e-150]}))
+        out = tmp_path / "drift"
+        argv = ["drift-test", "--d", "24", "--k", "4", "--seed", "1", "--n-mc", "2000", "--m", "8",
+                "--config", str(config), "--out", str(out)]
+        assert "sum of squares underflows" in self._usage_error(argv, capsys)
+        assert not out.exists()
+
+    def test_drift_test_where_theta_star_rounds_to_one_is_usage_error(self, tmp_path, capsys):
+        # at m = 1e50 the auxiliary quadratic's b*b (b ~ -7.9e200) would
+        # overflow; its root 6.2e199 is finite, so theta_star rounds to 1 and
+        # no state lies above it
+        out = tmp_path / "drift"
+        argv = ["drift-test", "--d", "24", "--k", "4", "--seed", "1", "--n-mc", "2000", "--m", "1e50",
+                "--out", str(out)]
+        assert "no bulk rescaling reaches the high-alignment regime" in self._usage_error(argv, capsys)
+        assert not out.exists()
+
     def test_verdicts_past_the_first_look_equal_across_threads(self, tmp_path, monkeypatch):
         # at 0.98 eta* the f drift is small enough that the draw stops at the
         # 8192-pair look, whose batches 3 and 4 run together on the pool

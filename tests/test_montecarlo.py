@@ -62,18 +62,24 @@ def one_step(state, spec, noise, eta, n, seed):
     return one_step_estimates(state, spec, noise, [eta], n, seed)[eta]
 
 
+def theta_next(state, spec, noise, eta, n, seed):
+    """The theta_next estimate of the theta_next-reading one-step kernel, the
+    one drift_verdicts tests, at a single step size over all ceil(n/2) pairs."""
+    return _estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, [eta])])[3]
+
+
 class TestConditionalAlignment:
     def test_noiseless_is_deterministic(self, fixa):
         spec, _, state = fixa
         silent = NoiseProfile(kappa2=np.zeros(2))
-        est = one_step(state, spec, silent, 0.1, 500, seed=0)["theta_next"]
+        est = theta_next(state, spec, silent, 0.1, 500, seed=0)
         assert est.stderr == 0.0
         expected = block_stats(sgd_step(state, spec, np.zeros(2), 0.1), spec, silent).theta
         assert est.mean == pytest.approx(expected, rel=1e-15)
 
     def test_matches_quadrature_oracle(self, fixa):
         spec, noise, state = fixa
-        est = one_step(state, spec, noise, 0.1, 100_000, seed=11)["theta_next"]
+        est = theta_next(state, spec, noise, 0.1, 100_000, seed=11)
         assert abs(est.mean - NEXT_THETA_FIXA) <= 4.0 * est.stderr
 
     def test_small_n_rejected(self, fixa):
@@ -315,6 +321,52 @@ class TestPairMeanKernels:
                 assert np.all(np.abs(got - block) <= 1e-12 * block_size)
 
 
+class TestOracleKernel:
+    """one_step_estimates estimates f, sD_next and sB_next, which are affine
+    in the block sums, so its kernel reads no linear form; its rows are, bit
+    for bit, those rows of the theta_next-reading kernel of drift_verdicts."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reads_no_linear_form_and_equals_the_theta_kernel_rows(self, seed, monkeypatch):
+        rng = np.random.default_rng(4400 + seed)
+        spec, noise, state = random_problem(rng)
+        etas = [f / spec.lambda_max for f in rng.uniform(0.05, 1.95, 3)]
+        kernels, estimate = [], montecarlo._estimate
+
+        def capturing(n, seed, spec, family, stop=None):
+            kernels.extend(family)
+            return estimate(n, seed, spec, family, stop)
+
+        monkeypatch.setattr(montecarlo, "_estimate", capturing)
+        out = one_step_estimates(state, spec, noise, etas, 100, seed=0)
+        assert all(list(rows) == ["f", "sD_next", "sB_next"] for rows in out.values())
+        (kernel,) = kernels
+        assert kernel.forms == ()
+        full = _one_step_kernel(state, spec, noise, etas)
+        assert np.array_equal(kernel.q, full.q)
+        # the block sums of the theta_next kernel's draw: its two linear forms
+        # and the sum of squares that both kernels read
+        sums = np.empty((len(full.forms) + 1, 2, 1500))
+        _block_sums(rng.standard_normal((1500, spec.d)), spec.k, list(full.forms), full.q, sums)
+        q_sums = np.stack(spec.split_sum(full.q))
+        for got, want in (
+            (kernel.finish(sums[:0], sums[-1]), full.finish(sums[:-1], sums[-1])),
+            (_pivot(kernel, q_sums)[:, None], _pivot(full, q_sums)[:, None]),
+        ):
+            want = want.reshape(len(etas), 4, -1)[:, :3].reshape(3 * len(etas), -1)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [100, 2047, 2049, 8193, 20_001, 100_000])
+    def test_estimates_equal_the_theta_kernel_estimates(self, n):
+        spec, noise, state = random_problem(np.random.default_rng(4500), d=50)
+        etas = [f / spec.lambda_max for f in (0.1, 1.0, 1.9)]
+        full = _estimate(n, 7, spec, [_one_step_kernel(state, spec, noise, etas)])
+        out = one_step_estimates(state, spec, noise, etas, n, seed=7)
+        assert [est for rows in out.values() for est in rows.values()] == [
+            est for i, est in enumerate(full) if i % 4 != 3
+        ]
+
+
 class TestPivot:
     """Each worker shifts its rows by the kernels' rows at lin = 0 and
     quad = E[quad]; for the rows affine in the block sums that is their
@@ -402,6 +454,13 @@ class TestSharedDraw:
         assert shared == [
             est
             for state, etas in jobs
+            for est in _estimate(20_001, 30, spec, [_one_step_kernel(state, spec, noise, etas)])
+        ]
+        # one_step_estimates' rows are the f, sD_next and sB_next rows of the
+        # shared draw
+        assert [est for i, est in enumerate(shared) if i % 4 != 3] == [
+            est
+            for state, etas in jobs
             for rows in one_step_estimates(state, spec, noise, etas, 20_001, 30).values()
             for est in rows.values()
         ]
@@ -443,17 +502,18 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_peak_within_worker_buffers_at_twelve_step_sizes(self, threads, monkeypatch):
         # a worker holds one row block of the draw, its batch's block sums
-        # (two linear forms and the sum of squares, per block and pair) and
-        # the temporaries of finish on one chunk of _FINISH pairs, a handful
-        # of (width, chunk) arrays (the one-step kernel holds under five at
-        # once: eight are allowed); the calling thread keeps two sums per row
-        # and batch. The rows of a whole batch are never formed.
+        # (the sum of squares alone, per block and pair: the kernel of
+        # one_step_estimates reads no linear form) and the temporaries of
+        # finish on one chunk of _FINISH pairs, a handful of (width, chunk)
+        # arrays, width being 3 rows per step size (the kernel holds under
+        # five at once: eight are allowed); the calling thread keeps two sums
+        # per row and batch. The rows of a whole batch are never formed.
         monkeypatch.setenv("ALIGNLAB_THREADS", str(threads))
         spec, noise, state = random_problem(np.random.default_rng(31), d=50)
         etas = [f / spec.lambda_max for f in np.linspace(0.1, 3.0, 12)]
         n = 400_000
-        width = 4 * len(etas)
-        worker = montecarlo._BLOCK_VALUES + 3 * 2 * montecarlo._BATCH + 8 * width * montecarlo._FINISH
+        width = 3 * len(etas)
+        worker = montecarlo._BLOCK_VALUES + 2 * montecarlo._BATCH + 8 * width * montecarlo._FINISH
         partial = 2 * width * len(batch_schedule(-(-n // 2))[0])
         tracemalloc.start()
         try:
@@ -786,6 +846,14 @@ class TestDriftSignTest:
         spec, noise, state = fixa
         with pytest.raises(ParameterError, match="sum of squares is not finite"):
             one_step_estimates(state, spec, noise, [1e100], 20_001, seed=0)
+
+    def test_underflowing_sum_of_squares_rejected(self):
+        # f is about 1e-300: its squared deviations round to 0 while their sum
+        # does not, which would read as a zero stderr
+        spec = Spectrum(lambdas=np.array([2e-75, 1e-75]), k=1)
+        noise = NoiseProfile(kappa2=np.array([1.0, 1.0]))
+        with pytest.raises(ParameterError, match="sum of squares underflows"):
+            one_step_estimates(State(c=np.array([1.0, 1.0])), spec, noise, [0.1], 2001, seed=0)
 
     def test_overflowing_step_rejected_before_drawing(self, fixa, monkeypatch):
         spec, noise, state = fixa

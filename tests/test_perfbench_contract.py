@@ -6,6 +6,7 @@ test suite first."""
 
 import inspect
 
+import numpy as np
 import pytest
 
 import alignlab
@@ -22,6 +23,11 @@ CHILD_CALLS = {
     "expected_next_block_energy": (3, ()),
     "one_step_estimates": (5, ("seed",)),
 }
+
+# what perfbench/child.py's oracle reads of one_step_estimates' result: per
+# step size these keys, and these fields of each McEstimate
+ORACLE_KEYS = ["f", "sD_next", "sB_next"]
+ORACLE_FIELDS = ("mean", "stderr")
 
 # the parameters perfbench/tracer.py's hooks read, by traced function
 TRACED_PARAMETERS = [
@@ -43,3 +49,17 @@ def test_traced_parameters_exist(module, name, parameters):
     function = getattr(module, name)
     assert inspect.isfunction(function) and function.__module__ == module.__name__
     assert set(parameters) <= set(inspect.signature(function).parameters)
+
+
+def test_one_step_estimates_result_keys():
+    spec = alignlab.Spectrum(lambdas=np.array([2.0, 1.0]), k=1)
+    noise = alignlab.NoiseProfile(kappa2=np.array([1.0, 1.0]))
+    state = alignlab.State(c=np.array([1.0, 1.0]))
+    etas = [0.1, 0.5]
+    out = alignlab.one_step_estimates(state, spec, noise, etas, 100, seed=0)
+    assert list(out) == etas
+    for rows in out.values():
+        assert list(rows) == ORACLE_KEYS
+        for est in rows.values():
+            assert isinstance(est, alignlab.McEstimate)
+            assert all(isinstance(getattr(est, field), float) for field in ORACLE_FIELDS)

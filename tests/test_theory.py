@@ -35,6 +35,7 @@ from alignlab import (
     theta_star,
     theta_star_rate_fit,
 )
+from alignlab import theory
 from alignlab.harness import _state_above_theta_star
 
 from helpers import random_problem
@@ -170,6 +171,21 @@ class TestThetaStar:
             resid = rt.a_aux * rt.r0**2 + (rt.a_aux - rt.m_aux - rt.h_aux) * rt.r0 - rt.h_aux
             scale = max(rt.a_aux * rt.r0**2, rt.h_aux, abs((rt.a_aux - rt.m_aux - rt.h_aux) * rt.r0))
             assert abs(resid) <= 1e-9 * scale
+
+
+    def test_root_keeps_its_bits_at_any_scale(self):
+        # the coefficients are scaled by a power of two before the
+        # discriminant: a root agrees bit for bit with the unscaled formula,
+        # and with itself on coefficients scaled by 2^-960, where b*b
+        # underflows, or by 2^960, where it overflows
+        rng = np.random.default_rng(14)
+        for _ in range(2000):
+            a, b, c = map(float, np.exp(rng.uniform(-30.0, 30.0, 3)) * [1.0, rng.choice([-1.0, 1.0]), -1.0])
+            root = theory._stable_positive_root(a, b, c)
+            sq = math.sqrt(b * b - 4.0 * a * c)
+            assert root == ((-b + sq) / (2.0 * a) if b <= 0 else (2.0 * c) / (-b - sq))
+            for e in (-960, 960):
+                assert theory._stable_positive_root(math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)) == root
 
 
 class TestThetaStarRateFit:
