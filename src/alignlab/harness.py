@@ -436,26 +436,16 @@ def _state_above_theta_star(base: State, spec: Spectrum, noise: NoiseProfile) ->
     at the same 1/scale^2 rate and the inequality locks.)"""
     stats = block_stats(base, spec, noise)
     rt = theory.theta_star(stats, spec, noise)
-    spread = spec.lambda_max**2 - spec.lambda_min**2
-
     def gap(log_h: float) -> float:
         h = math.exp(log_h)
         s = stats.s_d + h * h * stats.s_b
         theta = stats.s_d / s if s > 0 else 0.0
-        r0 = theory._stable_positive_root(rt.a_aux, rt.a_aux - s * spread - rt.h_aux, -rt.h_aux)
+        r0 = theory._aux_root(rt.a_aux, s * spec.spread2, rt.h_aux)
         return theta - 0.5 * (r0 / (1.0 + r0) + 1.0)
 
-    lo, hi = -40.0, 40.0
-    if gap(lo) <= 0 or gap(hi) >= 0:
+    if gap(-40.0) <= 0 or gap(40.0) >= 0:
         raise ConstructionError("no bulk rescaling reaches the high-alignment regime")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break  # adjacent floats: neither bound can move again
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = theory._bisect(lambda log_h: gap(log_h) > 0, -40.0, 40.0)
     c = base.c.copy()
     c[spec.k :] *= math.exp(0.5 * (lo + hi))
     return State(c=c)

@@ -89,7 +89,7 @@ from ._pool import run_jobs
 from .errors import ParameterError
 from .spectrum import NoiseProfile, Spectrum
 from .state import State, _check_dims, _theta
-from .theory import drift_quadratic, expected_drift, expected_loss_change, loss_threshold
+from .theory import _bisect, drift_quadratic, expected_drift, expected_loss_change, loss_threshold
 
 __all__ = [
     "McEstimate",
@@ -197,19 +197,11 @@ def _z_looks(z_crit: float, n: int) -> float:
     k = len(_looks(-(-n // 2)))
     if k == 1:
         return z_crit
-    lo, hi = z_crit, math.sqrt(z_crit * z_crit + 2.0 * math.log(k))
+    hi = math.sqrt(z_crit * z_crit + 2.0 * math.log(k))
     level = math.erfc(z_crit / math.sqrt(2.0)) / k
     if level == 0.0:
         return hi
-    while lo < hi:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break  # adjacent floats
-        if math.erfc(mid / math.sqrt(2.0)) > level:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _bisect(lambda z: math.erfc(z / math.sqrt(2.0)) > level, z_crit, hi)[1]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the pivots or sums: ParameterError below

@@ -93,6 +93,11 @@ class Spectrum:
     def lambda_min(self) -> float:
         return float(self.lambdas[-1])
 
+    @property
+    def spread2(self) -> float:
+        """lambda_max^2 - lambda_min^2; OverflowError past the float range."""
+        return self.lambda_max**2 - self.lambda_min**2
+
 
 @dataclass(frozen=True, eq=False)
 class NoiseProfile:

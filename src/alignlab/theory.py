@@ -54,8 +54,8 @@ __all__ = [
     "theory_report",
 ]
 
-# Residual tolerance for the stable quadratic-root solves, relative to the
-# largest term that enters the evaluation.
+# Residual tolerance of `_aux_root`, relative to the largest term of the
+# quadratic at the root.
 _ROOT_RTOL = 1e-9
 
 
@@ -136,13 +136,14 @@ def drift_quadratic(stats: BlockStats) -> DriftQuadratic:
     return DriftQuadratic(p=p, q=q, eta_star=eta_star)
 
 
-def _quadratic_in_eta(a: float, b: float, eta: float, what: str) -> float:
-    """a eta^2 + b eta for eta >= 0; a step at which it overflows or is not
-    finite is a ParameterError, so callers reject it before any draw."""
+def _quadratic_in_eta(a: float, b: float, eta: float, what: str, c: float = -0.0) -> float:
+    """c + b eta + a eta^2 for eta >= 0 (the default c = -0.0 adds nothing);
+    a step at which it overflows or is not finite is a ParameterError, so
+    callers reject it before any draw."""
     if eta < 0:
         raise ParameterError("eta must be >= 0")
     try:
-        value = a * eta**2 + b * eta
+        value = c + b * eta + a * eta**2
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -163,30 +164,39 @@ def g_gap(spec: Spectrum, noise: NoiseProfile) -> float:
     return float(1.0 / (1.0 + (noise.s_max / noise.s_min) * (1.0 / spec.rho) * ratio2))
 
 
-def _check_root(a: float, b: float, c: float, root: float) -> None:
-    """Raise unless a*root^2 + b*root + c vanishes to _ROOT_RTOL of its largest term."""
-    scale = max(abs(a * root * root), abs(b * root), abs(c))
-    residual = abs(a * root * root + b * root + c)
-    if residual > _ROOT_RTOL * max(scale, 1e-300):
+def _aux_root(a: float, m: float, h: float) -> float:
+    """Positive root r of a r^2 + (a - m - h) r - h, the auxiliary quadratic
+    in r = theta/(1 - theta) of theta_star (weights s_min psi_B, s spread2,
+    s_max psi_D) and of crossover (n_B, alpha, n_D); r = inf at a = 0. The
+    weights are first scaled by the power of two that brings the largest to
+    [0.5, 1), which changes no root and, in the normal range, no bit, so b*b
+    and a*h neither underflow nor overflow; each branch avoids cancellation."""
+    if a == 0.0:
+        return math.inf
+    e = -math.frexp(max(a, m, h))[1]
+    a, m, h = math.ldexp(a, e), math.ldexp(m, e), math.ldexp(h, e)
+    b = a - m - h
+    sq = math.sqrt(b * b + 4.0 * a * h)
+    root = (sq - b) / (2.0 * a) if b <= 0 else (2.0 * h) / (b + sq)
+    residual = abs(a * root * root + b * root - h)
+    if residual > _ROOT_RTOL * max(a * root * root, abs(b * root), h):
         raise AlignlabError(f"quadratic root residual {residual} exceeds tolerance")
-
-
-def _stable_positive_root(a: float, b: float, c: float) -> float:
-    """Positive root of a*x^2 + b*x + c with a > 0 > c, avoiding cancellation.
-    The coefficients are first scaled by the power of two that brings the
-    largest to [0.5, 1), which changes no root and, for coefficients that stay
-    in the normal range, no bit; b*b and a*c then neither underflow nor
-    overflow when the coefficients are all tiny or all huge."""
-    e = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
-    a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
-    disc = b * b - 4.0 * a * c
-    sq = math.sqrt(disc)
-    if b <= 0:
-        root = (-b + sq) / (2.0 * a)
-    else:
-        root = (2.0 * c) / (-b - sq)
-    _check_root(a, b, c, root)
     return root
+
+
+def _bisect(above, lo: float, hi: float) -> tuple[float, float]:
+    """The bracket [lo, hi] of the point where above(x) turns false, halved
+    from above(lo) and not above(hi) until lo and hi are adjacent floats, or
+    at most 200 times. Serves the `high` drift-test target and z_K."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # adjacent floats: neither bound can move again
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def theta_star(stats: BlockStats, spec: Spectrum, noise: NoiseProfile) -> RegimeThresholds:
@@ -198,10 +208,10 @@ def theta_star(stats: BlockStats, spec: Spectrum, noise: NoiseProfile) -> Regime
         raise UnsupportedNoiseError("theta_star needs s_min > 0")
     a_aux = noise.s_min * spec.psi_bulk
     h_aux = noise.s_max * spec.psi_dominant
-    m_aux = stats.s * (spec.lambda_max**2 - spec.lambda_min**2)
+    m_aux = stats.s * spec.spread2
     if a_aux == 0.0:
         raise UnsupportedNoiseError("theta_star needs a_aux = s_min * psi_bulk > 0")
-    r0 = _stable_positive_root(a_aux, a_aux - m_aux - h_aux, -h_aux)
+    r0 = _aux_root(a_aux, m_aux, h_aux)
     return RegimeThresholds(
         g_gap=g_gap(spec, noise),
         theta_star=r0 / (1.0 + r0),
@@ -235,7 +245,7 @@ def eta_star_lower_bound(
     scale = spec.lambda_min**2 * x_norm2 * stats.theta
     if scale == 0.0:
         raise UndefinedBoundError("lower bound undefined: lambda_min^2 * ||x||^2 * theta rounds to 0")
-    denom = (spec.lambda_max**2 - spec.lambda_min**2) + (noise.s_max * spec.psi_dominant / scale)
+    denom = spec.spread2 + (noise.s_max * spec.psi_dominant / scale)
     return 2.0 * spec.gap1 / denom
 
 
@@ -269,22 +279,15 @@ def expected_loss_change(stats: BlockStats, block: str, eta: float) -> float:
 def crossover(stats: BlockStats) -> CrossoverQuadratic:
     """Alignment level at which the two loss thresholds swap order.
 
-    The root is found through the substitution g = 1 - theta, whose quadratic
-    alpha*g^2 - (alpha + n_B + n_D)*g + n_B has an all-positive citardauq
-    denominator, so theta_crit is accurate even when it sits next to 1.
+    (1 + r)^2 h(theta) is theta_star's auxiliary quadratic with the weights
+    (n_B, alpha, n_D), so theta_crit_gap = 1/(1 + r) is accurate even when
+    theta_crit sits next to 1, and 0 at n_B = 0.
     """
     if stats.s_d == 0.0 or stats.s_b == 0.0:
         raise DegenerateBlockError("crossover needs both blocks nonzero")
-    alpha = stats.s * (stats.mu_d - stats.mu_b)
-    beta = -alpha + stats.n_loss_b + stats.n_loss_d
-    gamma = -stats.n_loss_d
-    n_b = stats.n_loss_b
-    big = alpha + n_b + stats.n_loss_d
-    gap = 2.0 * n_b / (big + math.sqrt(big * big - 4.0 * alpha * n_b))
-    _check_root(alpha, -big, n_b, gap)
-    return CrossoverQuadratic(
-        alpha=alpha, beta=beta, gamma=gamma, theta_crit=1.0 - gap, theta_crit_gap=gap
-    )
+    alpha, n_b, n_d = stats.s * (stats.mu_d - stats.mu_b), stats.n_loss_b, stats.n_loss_d
+    gap = 1.0 / (1.0 + _aux_root(n_b, alpha, n_d))
+    return CrossoverQuadratic(alpha, -alpha + n_b + n_d, -n_d, theta_crit=1.0 - gap, theta_crit_gap=gap)
 
 
 def crossover_gap_bounds(stats: BlockStats, spec: Spectrum) -> tuple[float, float]:
@@ -304,7 +307,7 @@ def _gap_step(spec: Spectrum) -> float:
     underflow) is a ParameterError rather than a division by zero, and so is
     one whose largest square passes the float range."""
     try:
-        spread = spec.lambda_max**2 - spec.lambda_min**2
+        spread = spec.spread2
     except OverflowError:
         raise ParameterError(f"lambda_max^2 passes the float range for eigenvalue {spec.lambda_max!r}") from None
     if spread == 0.0:
@@ -333,7 +336,7 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
     with np.errstate(over="ignore"):
         denom = float(
             spec.lambda_min**2 * lam[k - 1] ** 2
-            * (2.0 * spec.gap1 / eta - (spec.lambda_max**2 - spec.lambda_min**2))
+            * (2.0 * spec.gap1 / eta - spec.spread2)
         )
     delta = (noise.s_max * spec.psi_dominant * spec.lambda_max**2 / denom) if denom != 0 else math.inf
 
@@ -404,10 +407,8 @@ def expected_second_moment(c0: float, lam: float, kappa2: float, eta: float, t: 
 def expected_next_block_energy(stats: BlockStats, eta: float, block: str) -> float:
     """Exact conditional expectation of the block energy after one step:
     s - 2 eta tau + eta^2 (u + e)."""
-    if eta < 0:
-        raise ParameterError("eta must be >= 0")
     s, tau, u, e, _ = stats.block(block)
-    return s - 2.0 * eta * tau + eta**2 * (u + e)
+    return _quadratic_in_eta(u + e, -2.0 * tau, eta, "next block energy", s)
 
 
 def theory_report(spec: Spectrum, noise: NoiseProfile, state: State, eta: float) -> dict:

@@ -1,8 +1,11 @@
 """Shared random-problem generators for the test suite, the step-by-step SGD
 reference that `run_trajectory` is checked against, the per-sample one-step
-references that the Monte-Carlo kernels are checked against, the Monte-Carlo
+references that the Monte-Carlo kernels are checked against, a 60-digit
+solve of the alignment thresholds' auxiliary quadratic, the Monte-Carlo
 batch schedule listed in full, and a hook that stops the sign tests at a
 chosen look."""
+
+import decimal
 
 import numpy as np
 
@@ -93,6 +96,14 @@ def direct_projected(state: State, spec: Spectrum, noise: NoiseProfile, eta: flo
         rows.append(-eta * lin + 0.5 * eta**2 * sq)
         sizes.append(eta * np.abs(lin) + eta**2 * sq)
     return np.array(rows), np.array(sizes)
+
+
+def decimal_aux_root(a, m, h) -> decimal.Decimal:
+    """The positive root r of a r^2 + (a - m - h) r - h (theory._aux_root's
+    quadratic) in 60-digit decimal arithmetic from the exact weights."""
+    with decimal.localcontext(prec=60):
+        a, m, h = map(decimal.Decimal, (a, m, h))
+        return (m + h - a + ((a - m - h) ** 2 + 4 * a * h).sqrt()) / (2 * a)
 
 
 def batch_schedule(pairs):

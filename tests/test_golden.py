@@ -1,5 +1,6 @@
 """Byte-identity gate: sha256 of every file the four presets write at tiny
-sizes (`simulate` also at one record per step), and of the JSON that `report`
+sizes (`simulate` also at one record per step) and of the verdict tables at
+the benchmark's verdict configurations, and of the JSON that `report`
 prints for a fixed problem and state. A change that must leave output bytes
 alone (a refactor, a faster kernel) keeps these hashes; a change that means
 to alter outputs records new ones and says why.
@@ -35,6 +36,11 @@ PRESETS = {
     # Monte-Carlo batches and five looks; every row settles at the first
     "drift": ["drift-test", *COMMON, "--m", "8", "--seed", "3", "--n-mc", "20001"],
     "projected": ["projected-test", *COMMON, "--m", "8", "--seed", "3", "--n-mc", "20001", "--n-states", "3"],
+    # the benchmark's verdict configurations at one seed: only d >= 200 gives
+    # the theta rows their slack, and the `high` target is searched at d = 500
+    "drift_d500": ["drift-test", "--d", "500", "--k", "50", "--m", "20", "--seed", "1", "--n-mc", "16384"],
+    "projected_d60": ["projected-test", "--d", "60", "--k", "6", "--m", "8", "--seed", "1", "--n-mc", "16384",
+                      "--n-states", "10"],
 }
 
 SHA256 = {
@@ -78,6 +84,12 @@ SHA256 = {
     },
     "projected": {
         "projected_verdicts.csv": "ab26ee6b12f54759e8270738a81bb5961e7ae2df1bd1507ff5079b6e4b558266",
+    },
+    "drift_d500": {
+        "drift_verdicts.csv": "47a3509f2125699c4312795187a2c1b4961a58df679e50946ea670f1010b5be2",
+    },
+    "projected_d60": {
+        "projected_verdicts.csv": "f2a5ad7d4855db0ec2eb995eafbf9c08f1ae01a073942242a4b07d9a47360326",
     },
 }
 

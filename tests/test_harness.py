@@ -2,12 +2,13 @@ import argparse
 import json
 import os
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alignlab import ParameterError, load_config, theory
+from alignlab import NoiseProfile, ParameterError, Spectrum, State, load_config, theory
 from alignlab.cli import build_parser, main
 from alignlab.harness import (
     _STREAM_INIT,
@@ -29,7 +30,7 @@ from alignlab.montecarlo import drift_verdicts, projected_verdicts
 from alignlab.state import block_stats, random_init, rescale_to_alignment
 from alignlab.theory import g_gap, loss_threshold, theta_star
 
-from helpers import random_problem, stop_at_pairs
+from helpers import decimal_aux_root, random_problem, stop_at_pairs
 
 
 def csv_rows(rows):
@@ -255,8 +256,8 @@ class TestDriftTestCommand:
         # once per gap evaluation: the two bracket ends, then one per halving
         # of [-40, 40], some 60 of which reach adjacent floats
         solves = []
-        root = theory._stable_positive_root
-        monkeypatch.setattr(theory, "_stable_positive_root", lambda *a: solves.append(a) or root(*a))
+        root = theory._aux_root
+        monkeypatch.setattr(theory, "_aux_root", lambda *a: solves.append(a) or root(*a))
         state = _state_above_theta_star(base, spec, noise)
         assert 50 < len(solves) < 100
         stats = block_stats(state, spec, noise)
@@ -683,6 +684,22 @@ class TestCli:
         argv = ["report", "--spectrum", str(spectrum), "--noise", str(noise), "--state", str(state), "--eta", "1e140"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["theta_star"] == pytest.approx(0.941441270837504, rel=1e-12)
+
+    def test_report_on_a_tiny_crossover(self, tmp_path, capsys):
+        # theta_crit's weights are about 1e-160: its discriminant underflows
+        # unless they are scaled before it, as theta_star's are (the step
+        # keeps csgd's stationary variances, about eta / lambda, in range)
+        spectrum, noise, state = (tmp_path / f"{name}.json" for name in ("spectrum", "noise", "state"))
+        lambdas = [8e-160, 7e-160, 6e-160, 5e-160] + [1e-160 * (1.0 - 0.03 * i) for i in range(20)]
+        spectrum.write_text(json.dumps({"lambdas": lambdas, "k": 4}))
+        noise.write_text(json.dumps({"kappa2": [1.0] * 24}))
+        state.write_text(json.dumps({"c": [1.0] * 24}))
+        argv = ["report", "--spectrum", str(spectrum), "--noise", str(noise), "--state", str(state), "--eta", "1e140"]
+        assert main(argv) == 0
+        stats = block_stats(State(c=np.ones(24)), Spectrum(lambdas=lambdas, k=4), NoiseProfile(kappa2=np.ones(24)))
+        alpha = Decimal(stats.s) * (Decimal(stats.mu_d) - Decimal(stats.mu_b))
+        r = decimal_aux_root(stats.n_loss_b, alpha, stats.n_loss_d)
+        assert json.loads(capsys.readouterr().out)["theta_crit"] == pytest.approx(float(r / (1 + r)), rel=1e-14)
 
     def test_drift_test_on_underflowing_monte_carlo_squares_is_usage_error(self, tmp_path, capsys):
         # theta_star is found; then the shifted f rows (~1e-298) square to 0

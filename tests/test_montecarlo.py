@@ -397,6 +397,59 @@ class TestPivot:
                 target = expected_loss_change(stats, block, eta)
                 assert got == pytest.approx(target, rel=0, abs=1e-12 * (eta * s + 0.5 * eta**2 * (tau + n_loss)))
 
+    @staticmethod
+    def pivot_errors(spec, noise, state, etas):
+        """The largest relative distances of the pivots to their closed forms
+        (f, next block energies, projected loss changes) over both one-step
+        layouts and the projected kernel at each step size: f relative to
+        |p| eta^2 + |q| eta, beyond 4 ulps of the two products s_B sD' and
+        s_D sB' whose difference the kernel forms, and the loss change
+        relative to eta s + eta^2 (tau + n_loss)/2."""
+        stats = block_stats(state, spec, noise)
+        dq = drift_quadratic(stats)
+        errors = [0.0, 0.0, 0.0]
+        for width, theta_next in ((4, True), (3, False)):
+            kernel = _one_step_kernel(state, spec, noise, etas, theta_next)
+            pivot = _pivot(kernel, np.stack(spec.split_sum(kernel.q))).reshape(len(etas), width)
+            for eta, (f, s_d1, s_b1, *_) in zip(etas, pivot):
+                e_d, e_b = (expected_next_block_energy(stats, eta, block) for block in ("D", "B"))
+                rounding = 2.0**-50 * (stats.s_b * e_d + stats.s_d * e_b)
+                size = abs(dq.p) * eta**2 + abs(dq.q) * eta
+                errors[0] = max(errors[0], (abs(f - expected_drift(dq, eta)) - rounding) / size)
+                errors[1] = max(errors[1], abs(s_d1 - e_d) / e_d, abs(s_b1 - e_b) / e_b)
+        for eta in etas:
+            kernel = _projected_kernel(state, spec, noise, eta)
+            for got, block in zip(_pivot(kernel, np.stack(spec.split_sum(kernel.q))), ("D", "B")):
+                s, tau, _, _, n_loss = stats.block(block)
+                size = eta * s + 0.5 * eta**2 * (tau + n_loss)
+                errors[2] = max(errors[2], abs(got - expected_loss_change(stats, block, eta)) / size)
+        return errors
+
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["ac1", "degenerate"])
+    def test_pivot_equals_the_closed_forms_on_the_oracle_triples(self, degenerate):
+        # AC1's 1000 triples and step-size grid, replayed without a draw (one
+        # rng.integers(2**31) per triple stood for its Monte-Carlo seed), and
+        # as many degenerate-block triples on the same grid rule; there f is
+        # small next to the products it differences, which is what the
+        # rounding allowance is for
+        rng = np.random.default_rng(20260811 + degenerate)
+        worst = np.zeros(3)
+        for _ in range(1000):
+            spec, noise, state = random_problem(rng, degenerate_blocks=degenerate)
+            eta_star = drift_quadratic(block_stats(state, spec, noise)).eta_star
+            ref = eta_star if eta_star is not None and eta_star > 0 else 2.0 * spec.gap1 / spec.spread2
+            rng.integers(2**31)
+            worst = np.maximum(worst, self.pivot_errors(spec, noise, state, [0.1 * ref, ref, 3.0 * ref]))
+        assert np.all(worst <= 1e-12), worst
+
+    def test_pivot_on_fixa_is_exact(self, fixa):
+        spec, noise, state = fixa
+        kernel = _one_step_kernel(state, spec, noise, [0.1], theta_next=False)
+        assert _pivot(kernel, np.stack(spec.split_sum(kernel.q))) == pytest.approx([-0.68, 2.6, 0.82], rel=1e-12)
+        kernel = _projected_kernel(state, spec, noise, 0.3)
+        assert _pivot(kernel, np.stack(spec.split_sum(kernel.q))) == pytest.approx([-0.75, -0.21], rel=1e-12)
+        assert max(self.pivot_errors(spec, noise, state, [0.1, 0.3])) <= 1e-12
+
 
 class TestSharedDraw:
     """All states of one estimate share each draw, which each worker draws in
@@ -681,6 +734,18 @@ class TestGroupSequential:
     def test_z_k_where_the_tail_underflows(self):
         # erfc(40 / sqrt(2)) underflows; the tail bound is the threshold
         assert montecarlo._z_looks(40.0, 100_000) == math.sqrt(1600.0 + 2.0 * math.log(7))
+
+    def test_z_k_is_the_last_float_whose_tail_is_within_the_level(self):
+        # bisected down to adjacent floats: z_K's tail is within the level,
+        # and the tail of the float just below z_K is not
+        for z_crit in np.linspace(0.1, 38.0, 40):
+            for n in (1000, 2001, 20_001, 10**7, 10**12, 10**18):
+                k = len(montecarlo._looks(-(-n // 2)))
+                level = math.erfc(z_crit / math.sqrt(2.0)) / k
+                z = montecarlo._z_looks(float(z_crit), n)
+                if k > 1 and level > 0.0:
+                    assert math.erfc(z / math.sqrt(2.0)) <= level
+                    assert math.erfc(math.nextafter(z, 0.0) / math.sqrt(2.0)) > level
 
     def test_set_up_does_not_grow_with_the_cap(self):
         # z_K at a cap of 5e9 pairs reads its 24 looks off the cap; listing

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,7 @@ from alignlab import (
 from alignlab import theory
 from alignlab.harness import _state_above_theta_star
 
-from helpers import random_problem
+from helpers import decimal_aux_root, random_problem
 
 # Oracle values for the 2-d fixture, each re-derivable by hand from the
 # defining sums (verified against a 50-digit computation before freezing).
@@ -174,18 +175,19 @@ class TestThetaStar:
 
 
     def test_root_keeps_its_bits_at_any_scale(self):
-        # the coefficients are scaled by a power of two before the
-        # discriminant: a root agrees bit for bit with the unscaled formula,
-        # and with itself on coefficients scaled by 2^-960, where b*b
-        # underflows, or by 2^960, where it overflows
+        # the weights are scaled by a power of two before the discriminant: a
+        # root agrees bit for bit with the unscaled formula, and with itself
+        # on weights scaled by 2^-960, where b*b underflows, or by 2^960,
+        # where it overflows
         rng = np.random.default_rng(14)
         for _ in range(2000):
-            a, b, c = map(float, np.exp(rng.uniform(-30.0, 30.0, 3)) * [1.0, rng.choice([-1.0, 1.0]), -1.0])
-            root = theory._stable_positive_root(a, b, c)
-            sq = math.sqrt(b * b - 4.0 * a * c)
-            assert root == ((-b + sq) / (2.0 * a) if b <= 0 else (2.0 * c) / (-b - sq))
+            a, m, h = map(float, np.exp(rng.uniform(-30.0, 30.0, 3)))
+            root = theory._aux_root(a, m, h)
+            b = a - m - h
+            sq = math.sqrt(b * b + 4.0 * a * h)
+            assert root == ((-b + sq) / (2.0 * a) if b <= 0 else (2.0 * h) / (b + sq))
             for e in (-960, 960):
-                assert theory._stable_positive_root(math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)) == root
+                assert theory._aux_root(math.ldexp(a, e), math.ldexp(m, e), math.ldexp(h, e)) == root
 
 
 class TestThetaStarRateFit:
@@ -374,6 +376,36 @@ class TestCrossover:
         with pytest.raises(DegenerateBlockError):
             crossover(block_stats(State(c=np.array([1.0, 0.0])), spec, noise))
 
+    def test_no_bulk_noise(self):
+        # n_B = 0: the loss thresholds never swap, theta_crit = 1 exactly
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            spec, noise, state = random_problem(rng, dominant_noise_only=True)
+            cq = crossover(block_stats(state, spec, noise))
+            assert (cq.theta_crit, cq.theta_crit_gap) == (1.0, 0.0)
+
+    def test_no_dominant_noise(self, fixa):
+        # n_D = 0: h(theta) = theta (alpha theta - alpha + n_B), so
+        # theta_crit = 1 - n_B / alpha = 1 - 1/5 on fixa
+        spec, _, state = fixa
+        cq = crossover(block_stats(state, spec, NoiseProfile(kappa2=np.array([0.0, 1.0]))))
+        assert cq.gamma == 0.0
+        assert (cq.theta_crit, cq.theta_crit_gap) == (0.8, 0.2)
+
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["general", "degenerate"])
+    def test_gap_matches_a_decimal_solve(self, degenerate):
+        # 1 - theta_crit = 1/(1 + r) against the root of n_B r^2 + (n_B -
+        # alpha - n_D) r - n_D solved in 60 digits from the same weights
+        rng = np.random.default_rng(20 + degenerate)
+        worst = 0.0
+        for _ in range(2000):
+            spec, noise, state = random_problem(rng, degenerate_blocks=degenerate)
+            stats = block_stats(state, spec, noise)
+            cq = crossover(stats)
+            exact = 1 / (1 + decimal_aux_root(stats.n_loss_b, cq.alpha, stats.n_loss_d))
+            worst = max(worst, float(abs(Decimal(cq.theta_crit_gap) - exact) / exact))
+        assert worst <= 1e-15
+
 
 class TestCsgdPlan:
     def test_fixture_plan(self, fixa):
@@ -547,6 +579,12 @@ class TestNextBlockEnergy:
         stats = stats_of(fixa)
         assert expected_next_block_energy(stats, 0.0, "D") == stats.s_d
         assert expected_next_block_energy(stats, 0.0, "B") == stats.s_b
+
+    # at 1e154 eta^2 is finite and the curvature term overflows; above it eta^2 does
+    @pytest.mark.parametrize("eta", [1e154, 1e200, 1e308, math.inf, math.nan])
+    def test_non_finite_energy_rejected(self, fixa, eta):
+        with pytest.raises(ParameterError, match="next block energy at eta=.* is not finite"):
+            expected_next_block_energy(stats_of(fixa), eta, "D")
 
     def test_bilinearity_matches_drift(self):
         rng = np.random.default_rng(17)
