@@ -147,6 +147,9 @@ _REPORT_INPUTS = {
     "noise": (NoiseProfile, {"kappa2": _NUMBERS, "s_min": _OPTIONAL_NUMBER, "s_max": _OPTIONAL_NUMBER}),
     "state": (State, {"c": _NUMBERS}),
 }
+# the keys a `report` input may hold: one problem file may serve as both
+# spectrum and noise, and a state's "t" (once its time index) is ignored
+_REPORT_KEYS = {key for _, types in _REPORT_INPUTS.values() for key in types} | {"t"}
 
 
 def _check_fields(doc: dict, types: dict, what: str) -> dict:
@@ -172,9 +175,13 @@ def _read_json(path, what: str) -> dict:
 
 def _read_input(path, what: str):
     """The Spectrum, NoiseProfile or State (`what`) that the JSON object in
-    the file describes, once each of its fields passes its check."""
+    the file describes, once each of its fields passes its check and it
+    holds no key that no report input reads."""
     cls, types = _REPORT_INPUTS[what]
     doc = _check_fields(_read_json(path, what), types, f"{path}: {what}")
+    unknown = sorted(set(doc) - _REPORT_KEYS)
+    if unknown:
+        raise ParameterError(f"{path}: {what} document has unknown keys {unknown}")
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
     if missing:
         raise ParameterError(f"{path}: {what} document missing keys {missing}")
@@ -515,7 +522,7 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
         if lo == hi:
             skipped.append((i, "equal thresholds"))
             continue
-        chosen.append((state, stats, 0.5 * (lo + hi)))
+        chosen.append((stats, 0.5 * (lo + hi)))
     if not chosen:
         reasons = "; ".join(sorted({reason for _, reason in skipped}))
         raise ParameterError(f"no state left to test: every state was skipped ({reasons})")

@@ -10,10 +10,10 @@ through every 1024 * 2^i below the total. Batch j uses the stream
 ``Generator(SFC64(SeedSequence([s, j])))`` (SFC64 draws a normal faster than
 numpy's default PCG64). The rule is applied a look at a time (below), so the
 batches are formed as they are drawn and never listed up to the total.
-Batches run on the job pool (ALIGNLAB_THREADS). Each worker draws its batch
-in row blocks of about _BLOCK_VALUES normals into one reused buffer that
-stays in cache; successive blocks continue one generator stream, so the
-draws equal one whole (batch, d) draw. It forms the pair means in chunks of
+Batches run on the job pool (ALIGNLAB_THREADS). Each batch is drawn in row
+blocks of about _BLOCK_VALUES normals into one buffer of its own that stays
+in cache; successive blocks continue one generator stream, so the draws
+equal one whole (batch, d) draw. It forms the pair means in chunks of
 _FINISH pairs and reduces each chunk to a sum and a sum of squares per
 statistic, shifted by a pivot: the statistic at zero linear forms and the
 mean sum of squares, which is its exact mean when it is affine in the block
@@ -42,8 +42,9 @@ look where every row that shares it is settled, and every row reports at
 that look. Each look's batches are formed when the draw reaches that look
 and run in their own pass over the pool, so no batch past the stopping look
 is formed or drawn, and the sums run in batch order, so the stopping look
-and the bytes do not depend on the thread count. The estimates of
-`one_step_estimates` are one look at n and never stop early.
+and the bytes do not depend on the thread count. Both presets run their
+sign tests through `_sign_tests`. The estimates of `one_step_estimates` are
+one look at n and never stop early.
 
 Kernel: every statistic estimated here is quadratic in the noise, so a
 draw z enters a state's statistics only through block sums: linear forms per
@@ -79,7 +80,6 @@ their bits do not depend on BLAS's thread count either.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -88,7 +88,7 @@ import numpy as np
 from ._pool import run_jobs
 from .errors import ParameterError
 from .spectrum import NoiseProfile, Spectrum
-from .state import State, _check_dims, _theta
+from .state import BlockStats, State, _check_dims, _theta, block_stats
 from .theory import _bisect, drift_quadratic, expected_drift, expected_loss_change, loss_threshold
 
 __all__ = [
@@ -213,10 +213,10 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> li
     holds, or at the cap. A look's batches are formed only when the estimate
     reaches it, so no set-up grows with the cap. The kernels come from one
     factory on spec and one noise profile, so they share q and every draw.
-    Each worker draws a batch in row blocks of about _BLOCK_VALUES normals
-    into one reused buffer (successive standard_normal(out=) calls on a
-    generator continue one stream) and writes each block's sums into a
-    reused block-sum buffer. Every kernel then turns chunks of _FINISH pairs
+    Each batch is drawn in row blocks of about _BLOCK_VALUES normals into a
+    buffer of its own (successive standard_normal(out=) calls on a generator
+    continue one stream), and each block's sums are written into the batch's
+    block-sum buffer. Every kernel then turns chunks of _FINISH pairs
     into pair means; finish works pair by pair, so a chunk's rows equal
     those of the whole batch. The worker shifts them by a data-free pivot
     (`_pivot`), which keeps the sums of squares free of cancellation (a
@@ -239,21 +239,17 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> li
     # kernel i reads the linear-form sums forms[i]:forms[i + 1]
     forms = np.cumsum([0] + [len(kernel.forms) for kernel in kernels])
     pairs = -(-n // 2)
-    batch_rows = min(pairs, _BATCH)
-    block_rows = min(batch_rows, max(1, _BLOCK_VALUES // d))
-    local = threading.local()
+    block_rows = max(1, _BLOCK_VALUES // d)
 
     @np.errstate(over="ignore", invalid="ignore")  # pool threads start from numpy's defaults
     def run(batch):
         j, begin, end = batch
         nb = end - begin
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, j])))
-        if not hasattr(local, "buffer"):
-            local.buffer = np.empty((block_rows, d))
-            local.sums = np.empty((len(vectors) + 1, 2, batch_rows))
-        sums = local.sums[:, :, :nb]
-        for start in range(0, nb, block_rows):
-            z = local.buffer[: min(block_rows, nb - start)]
+        buffer = np.empty((min(block_rows, nb), d))
+        sums = np.empty((len(vectors) + 1, 2, nb))
+        for start in range(0, nb, len(buffer)):
+            z = buffer[: nb - start]
             rng.standard_normal(out=z)
             _block_sums(z, k, vectors, q, sums[:, :, start : start + len(z)])
         moments = []
@@ -318,10 +314,11 @@ def _block_sums(z: np.ndarray, k: int, vectors: list, q: np.ndarray, out: np.nda
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the pivot: _estimate rejects it
 def _one_step_kernel(
-    state: State, spec: Spectrum, noise: NoiseProfile, etas: list, theta_next: bool = True
+    state: State, stats: BlockStats, spec: Spectrum, noise: NoiseProfile, etas: list, theta_next: bool = True
 ) -> _Kernel:
     """Kernel whose rows are, for each eta, the pair means of f, sD_next,
-    sB_next and, with theta_next, theta_next.
+    sB_next and, with theta_next, theta_next; stats is the state's
+    `block_stats`, whose block energies s_D and s_B it reads.
 
     With zeta = kappa * z, the next energy of block X is
     s_X' = sum_X lam^2 ((1 - eta lam) c - eta zeta)^2
@@ -330,30 +327,31 @@ def _one_step_kernel(
     per block do not depend on eta, and Q not on the state either: six block
     sums per draw serve every step size of a state. The last term is odd in z,
     so the pair mean of s_X' is its even part m_X + eta^2 Q_X, and that of
-    f = s_B s_D' - s_D s_B', affine in s', is f0 + eta^2 (s_B Q_D - s_D Q_B),
-    formed from the random parts directly so that it does not cancel two large
-    products. Only theta_next, a ratio, needs s' at z and at -z; without it
-    the kernel reads no linear form, and its rows equal the first three of
+    f = s_B s_D' - s_D s_B', affine in s', is f0 + eta^2 (s_B Q_D - s_D Q_B).
+    Both parts are formed without cancelling two large products: the random
+    part from Q directly, and f0 = s_B m_D - s_D m_B as s_B dm_D - s_D dm_B
+    from dm_X = m_X - s_X = sum_X lam^2 c^2 x (x - 2), x = eta lam, which is
+    0 at eta = 0. Only theta_next, a ratio, needs s' at z and at -z; without
+    it the kernel reads no linear form, and its rows equal the first three of
     each eta's four bit for bit."""
     if not etas or not all(0 <= e < math.inf for e in etas):
         raise ParameterError("etas must be non-empty, finite and non-negative")
     _check_dims(state, spec, noise)
     lam = spec.lambdas
-    lam2c = lam**2 * state.c
-    a = np.sqrt(noise.kappa2) * lam2c
-    s_d0, s_b0 = map(float, spec.split_sum(lam2c * state.c))
+    a = np.sqrt(noise.kappa2) * (lam**2 * state.c)
     # step sizes along axis 0, blocks (D, B) along axis 1, draws along axis 2
     eta = np.array(etas)[:, None, None]
-    w = lam**2 * ((1.0 - eta[:, 0] * lam) * state.c) ** 2
-    m = np.stack(spec.split_sum(w), axis=1)[:, :, None]
-    f0 = s_b0 * m[:, 0] - s_d0 * m[:, 1]
+    x = eta[:, 0] * lam
+    m = np.stack(spec.split_sum(lam**2 * ((1.0 - x) * state.c) ** 2), axis=1)[:, :, None]
+    dm = np.stack(spec.split_sum(lam**2 * state.c**2 * x * (x - 2.0)), axis=1)[:, :, None]
+    f0 = stats.s_b * dm[:, 0] - stats.s_d * dm[:, 1]
 
     width = 4 if theta_next else 3
 
     def finish(lin, quad):
         rows = np.empty((len(etas), width, quad.shape[1]))
         even = eta**2 * quad
-        np.add(f0, s_b0 * even[:, 0] - s_d0 * even[:, 1], out=rows[:, 0])
+        np.add(f0, stats.s_b * even[:, 0] - stats.s_d * even[:, 1], out=rows[:, 0])
         np.add(m, even, out=rows[:, 1:3])
         if theta_next:
             l1, l2 = lin
@@ -384,12 +382,14 @@ def one_step_estimates(
     {eta: {"f"|"sD_next"|"sB_next": McEstimate}}, each over all ceil(n/2)
     pairs: these estimates never stop early. All three are affine in the
     block sums, so the draw is reduced to its sums of squares alone; the next
-    alignment is estimated by `drift_verdicts`.
+    alignment is estimated by `drift_verdicts`. A state whose `block_stats`
+    pass the float range is a ParameterError.
     """
     if n < 100:
         raise ParameterError(f"need at least 100 samples, got {n}")
     etas = [float(e) for e in etas]
-    ests = iter(_estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, etas, theta_next=False)]))
+    kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas, theta_next=False)
+    ests = iter(_estimate(n, seed, spec, [kernel]))
     keys = ("f", "sD_next", "sB_next")
     return {eta: dict(zip(keys, [next(ests) for _ in keys])) for eta in etas}
 
@@ -412,6 +412,18 @@ def _verdict(test, theta, eta, threshold, target, tol, est, z_crit, slack=0.0, t
         z = 0.0 if est.mean == 0 else math.copysign(math.inf, est.mean)
     return Verdict(test, theta, eta, threshold, predicted, est, z, verdict, target_ok, settled)
 
+
+def _sign_tests(n: int, seed: int, spec: Spectrum, kernels: list, rows: Callable, z_crit: float) -> list[Verdict]:
+    """The verdicts rows(ests, z_K) on the estimates of the kernels' rows,
+    from one estimate on seed of at most n samples, stopped at the first look
+    where every verdict is settled (module docstring); z_K is z_crit spread
+    over the K looks of the cap n."""
+    if n < _VERDICT_MIN_N:
+        raise ParameterError(f"need at least {_VERDICT_MIN_N} samples, got {n}")
+    z = _z_looks(z_crit, n)
+    return rows(_estimate(n, seed, spec, kernels, lambda ests: all(row.settled for row in rows(ests, z))), z)
+
+
 def drift_verdicts(
     jobs,
     spec: Spectrum,
@@ -424,15 +436,13 @@ def drift_verdicts(
     """Sign tests of the one-step drift at each step size of each (state,
     stats, etas) job, stats being the state's `block_stats`, all from one
     estimate on seed of at most n samples, stopped at the first look where
-    every row is settled (module docstring). Per job and step size, in order:
+    every row is settled (`_sign_tests`). Per job and step size, in order:
     the f_drift row, which tests the exact finite-d expectation
     p*eta^2 + q*eta, and the theta_drift row, which tests
     E[theta_{t+1}] - theta_t against the same sign. The regime results
     describe that drift only asymptotically; `theta_abs_slack` widens its
     inconclusive band accordingly. Every row is tested at z_K for the K looks
     of the cap n."""
-    if n < _VERDICT_MIN_N:
-        raise ParameterError(f"need at least {_VERDICT_MIN_N} samples, got {n}")
     jobs = [(state, stats, [float(e) for e in etas]) for state, stats, etas in jobs]
     checks = []
     for _, stats, etas in jobs:
@@ -441,10 +451,9 @@ def drift_verdicts(
         for eta in etas:
             target = expected_drift(dq, eta)  # rejects a step whose drift overflows, before drawing
             checks.append((stats.theta, eta, eta_star, target, 1e-12 * (abs(dq.p) * eta**2 + abs(dq.q) * eta)))
-    kernels = [_one_step_kernel(state, spec, noise, etas) for state, _, etas in jobs]
-    z = _z_looks(z_crit, n)
+    kernels = [_one_step_kernel(state, stats, spec, noise, etas) for state, stats, etas in jobs]
 
-    def rows(ests):
+    def rows(ests, z):
         ests, out = iter(ests), []
         for theta, eta, eta_star, target, tol in checks:
             f, _, _, theta_next = (next(ests) for _ in range(4))
@@ -453,31 +462,28 @@ def drift_verdicts(
             out.append(_verdict("theta_drift", theta, eta, eta_star, target, tol, dtheta, z, theta_abs_slack))
         return out
 
-    # stop at the first look where every row is settled
-    return rows(_estimate(n, seed, spec, kernels, lambda ests: all(row.settled for row in rows(ests))))
+    return _sign_tests(n, seed, spec, kernels, rows, z_crit)
 
 
-def _projected_kernel(state: State, spec: Spectrum, noise: NoiseProfile, eta: float) -> _Kernel:
+def _projected_kernel(stats: BlockStats, spec: Spectrum, noise: NoiseProfile, eta: float) -> _Kernel:
     """Kernel whose rows are the pair means of the loss change of the step
-    projected on the dominant and on the bulk block.
+    projected on the dominant and on the bulk block, for the state whose
+    `block_stats` are stats.
 
     With g = grad + zeta on block X (grad = lam c, zeta = kappa z), the loss
-    change -eta g.grad + eta^2/2 sum lam g^2 expands to a constant plus
-    -eta zeta.grad + eta^2 sum lam grad zeta + eta^2/2 sum lam zeta^2. The
-    two middle terms are odd in z, so the pair mean is the constant plus
-    eta^2/2 sum lam zeta^2 and the kernel reads no linear form."""
-    _check_dims(state, spec, noise)
-    lam = spec.lambdas
-    grad = lam * state.c
-    g2 = grad**2
-    # (D, B) block sums of grad^2 and lam grad^2
-    g2_sum, lg2_sum = np.stack(spec.split_sum(np.stack([g2, lam * g2])), axis=1)
-    base = (-eta * g2_sum + 0.5 * eta**2 * lg2_sum)[:, None]
+    change -eta g.grad + eta^2/2 sum lam g^2 expands to the constant
+    -eta s_X + eta^2/2 tau_X plus -eta zeta.grad + eta^2 sum lam grad zeta +
+    eta^2/2 sum lam zeta^2. The two middle terms are odd in z, so the pair
+    mean is the constant plus eta^2/2 sum lam zeta^2 and the kernel reads no
+    linear form, nor the state."""
+    if noise.d != spec.d:
+        raise ParameterError(f"noise dimension {noise.d} != spectrum dimension {spec.d}")
+    base = np.array([[-eta * s + 0.5 * eta**2 * tau] for s, tau, *_ in map(stats.block, "DB")])
 
     def finish(_lin, quad):
         return base + (0.5 * eta**2) * quad
 
-    return _Kernel((), lam * noise.kappa2, finish)
+    return _Kernel((), spec.lambdas * noise.kappa2, finish)
 
 
 def projected_verdicts(
@@ -489,31 +495,28 @@ def projected_verdicts(
     z_crit: float = 3.0,
 ) -> list[Verdict]:
     """Sign tests of the expected loss change of the step projected on the
-    dominant and on the bulk block, for each (state, stats, eta) job, stats
-    being the state's `block_stats`, all from one estimate on seed of at most
-    n samples, stopped as in `drift_verdicts`: per job the loss_change_D row,
+    dominant and on the bulk block, for each (stats, eta) job, stats being a
+    state's `block_stats`, all from one estimate on seed of at most n
+    samples, stopped as in `drift_verdicts`: per job the loss_change_D row,
     then the loss_change_B row. Each tests the sign of its block's
     closed-form theory.expected_loss_change at z_K, and its target_ok checks
     the estimate at the stopping look against that change within 4 stderr."""
-    if n < _VERDICT_MIN_N:
-        raise ParameterError(f"need at least {_VERDICT_MIN_N} samples, got {n}")
-    jobs = [(state, stats, float(eta)) for state, stats, eta in jobs]
+    jobs = [(stats, float(eta)) for stats, eta in jobs]
     checks = []
-    for _, stats, eta in jobs:
+    for stats, eta in jobs:
         for block in ("D", "B"):
             target = expected_loss_change(stats, block, eta)  # rejects a step whose change overflows, before drawing
             s, tau, _, _, n_loss = stats.block(block)
             threshold = loss_threshold(stats, block) if tau + n_loss > 0 else None
             tol = 1e-12 * (eta * s + 0.5 * eta**2 * (tau + n_loss))
             checks.append((f"loss_change_{block}", stats.theta, eta, threshold, target, tol))
-    kernels = [_projected_kernel(state, spec, noise, eta) for state, _, eta in jobs]
-    z = _z_looks(z_crit, n)
+    kernels = [_projected_kernel(stats, spec, noise, eta) for stats, eta in jobs]
 
-    def rows(ests):
+    def rows(ests, z):
         out = []
         for (test, theta, eta, threshold, target, tol), est in zip(checks, ests):
             target_ok = abs(est.mean - target) <= 4.0 * est.stderr + 1e-12 * (1.0 + abs(target))
             out.append(_verdict(test, theta, eta, threshold, target, tol, est, z, target_ok=target_ok))
         return out
 
-    return rows(_estimate(n, seed, spec, kernels, lambda ests: all(row.settled for row in rows(ests))))
+    return _sign_tests(n, seed, spec, kernels, rows, z_crit)

@@ -326,7 +326,12 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
     # the float range is a ParameterError here, not a numpy warning there
     step_cap = min(2.0 / spec.lambda_max, _gap_step(spec))
     lam = spec.lambdas
-    beta = mode_law(init.c, lam, noise.kappa2, eta, math.inf)[1]
+    # a stationary variance past the float range is a StepSizeError here,
+    # not an inf (and NaN downstream) after a numpy warning
+    with np.errstate(over="ignore"):
+        beta = mode_law(init.c, lam, noise.kappa2, eta, math.inf)[1]
+    if not np.all(np.isfinite(beta)):
+        raise StepSizeError(f"the stationary variance at eta={eta!r} passes the float range")
     k = spec.k
     # a far-out start may square past the float range: varrho_d is then inf
     with np.errstate(over="ignore"):

@@ -80,16 +80,16 @@ SHA256 = {
         "alignment_vs_m_logfit.csv": "b33164d0517c400f93b81e4b119c3c0d2aaa5e42eb31b6c3cacbeb738af24caf",
     },
     "drift": {
-        "drift_verdicts.csv": "ca7c9bc04f1c0b9b39492bee99747be615313811e203e0e3c462df79afce4fc8",
+        "drift_verdicts.csv": "6bfcdce8822f18aa2d5ddadcf12ce750d3bc506d12f1a4b022eb90023096644e",
     },
     "projected": {
-        "projected_verdicts.csv": "ab26ee6b12f54759e8270738a81bb5961e7ae2df1bd1507ff5079b6e4b558266",
+        "projected_verdicts.csv": "184513d84f406bd783fc5b66d233bd2807da8c5275b3d89a892b3a57f8cc4fd2",
     },
     "drift_d500": {
-        "drift_verdicts.csv": "47a3509f2125699c4312795187a2c1b4961a58df679e50946ea670f1010b5be2",
+        "drift_verdicts.csv": "25fc0864409cd6236e737029e987195e85e27bc995deefed8adbfae2d16b823a",
     },
     "projected_d60": {
-        "projected_verdicts.csv": "f2a5ad7d4855db0ec2eb995eafbf9c08f1ae01a073942242a4b07d9a47360326",
+        "projected_verdicts.csv": "88fcc24dafd03d32dba1ff92dbd08b7d160c0e3c0130e1eaefe90f08c4c6aa63",
     },
 }
 

@@ -307,7 +307,7 @@ class TestProjectedTestCommand:
             stats = block_stats(state, spec, noise)
             eta = 0.5 * sum(loss_threshold(stats, b) for b in ("D", "B"))
             mc_seed = _stream_int(seed, m, _STREAM_MC, 1000)
-            expected += csv_rows(projected_verdicts([(state, stats, eta)], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit))
+            expected += csv_rows(projected_verdicts([(stats, eta)], spec, noise, cfg.n_mc, mc_seed, cfg.z_crit))
         assert len(rows) == 6
         assert rows == expected
 
@@ -636,6 +636,10 @@ class TestCli:
         pytest.param("spectrum", '{"lambdas": [2, 1], "k": true}', "'k' must be an int64", id="k-bool"),
         pytest.param("spectrum", '[2, 1]', "must be a JSON object", id="array"),
         pytest.param("spectrum", '{"lambdas": [2, 1]}', "missing keys ['k']", id="k-missing"),
+        pytest.param("noise", '{"kappa2": [1, 1], "s_mx": 9}', "unknown keys ['s_mx']", id="noise-unknown-key"),
+        pytest.param("spectrum", '{"lambdas": [2, 1], "k": 1, "K": 1, "kappa": [1]}', "unknown keys ['K', 'kappa']",
+                     id="spectrum-unknown-keys"),
+        pytest.param("state", '{"c": [1, 1], "time": 0}', "unknown keys ['time']", id="state-unknown-key"),
         pytest.param("noise", '{"kappa2": {"a": 1}}', "'kappa2' must be a list", id="kappa2-object"),
         pytest.param("noise", '{"kappa2": [1, 1], "s_min": "x"}', "'s_min' must be a finite number", id="s_min-str"),
         pytest.param("state", '{"c": "abc"}', "'c' must be a list", id="c-str"),
@@ -685,21 +689,38 @@ class TestCli:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["theta_star"] == pytest.approx(0.941441270837504, rel=1e-12)
 
+    TINY_LAMBDAS = [8e-160, 7e-160, 6e-160, 5e-160] + [1e-160 * (1.0 - 0.03 * i) for i in range(20)]
+
+    def _tiny_report_argv(self, tmp_path, eta):
+        spectrum, noise, state = (tmp_path / f"{name}.json" for name in ("spectrum", "noise", "state"))
+        spectrum.write_text(json.dumps({"lambdas": self.TINY_LAMBDAS, "k": 4}))
+        noise.write_text(json.dumps({"kappa2": [1.0] * 24}))
+        state.write_text(json.dumps({"c": [1.0] * 24}))
+        return ["report", "--spectrum", str(spectrum), "--noise", str(noise), "--state", str(state), "--eta", eta]
+
     def test_report_on_a_tiny_crossover(self, tmp_path, capsys):
         # theta_crit's weights are about 1e-160: its discriminant underflows
         # unless they are scaled before it, as theta_star's are (the step
         # keeps csgd's stationary variances, about eta / lambda, in range)
-        spectrum, noise, state = (tmp_path / f"{name}.json" for name in ("spectrum", "noise", "state"))
-        lambdas = [8e-160, 7e-160, 6e-160, 5e-160] + [1e-160 * (1.0 - 0.03 * i) for i in range(20)]
-        spectrum.write_text(json.dumps({"lambdas": lambdas, "k": 4}))
-        noise.write_text(json.dumps({"kappa2": [1.0] * 24}))
-        state.write_text(json.dumps({"c": [1.0] * 24}))
-        argv = ["report", "--spectrum", str(spectrum), "--noise", str(noise), "--state", str(state), "--eta", "1e140"]
-        assert main(argv) == 0
+        lambdas = self.TINY_LAMBDAS
+        assert main(self._tiny_report_argv(tmp_path, "1e140")) == 0
         stats = block_stats(State(c=np.ones(24)), Spectrum(lambdas=lambdas, k=4), NoiseProfile(kappa2=np.ones(24)))
         alpha = Decimal(stats.s) * (Decimal(stats.mu_d) - Decimal(stats.mu_b))
         r = decimal_aux_root(stats.n_loss_b, alpha, stats.n_loss_d)
         assert json.loads(capsys.readouterr().out)["theta_crit"] == pytest.approx(float(r / (1 + r)), rel=1e-14)
+
+    def test_report_past_the_stationary_variance_range(self, tmp_path, capsys):
+        # at eta = 1e150 csgd's stationary variances, about eta / lambda, pass
+        # the float range: the plan is an error entry, with no numpy warning,
+        # and the report stays JSON with no Infinity or NaN in it
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(self._tiny_report_argv(tmp_path, "1e150")) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert list(report["csgd"]) == ["error"] and "passes the float range" in report["csgd"]["error"]
 
     def test_drift_test_on_underflowing_monte_carlo_squares_is_usage_error(self, tmp_path, capsys):
         # theta_star is found; then the shifted f rows (~1e-298) square to 0

@@ -65,7 +65,7 @@ def one_step(state, spec, noise, eta, n, seed):
 def theta_next(state, spec, noise, eta, n, seed):
     """The theta_next estimate of the theta_next-reading one-step kernel, the
     one drift_verdicts tests, at a single step size over all ceil(n/2) pairs."""
-    return _estimate(n, seed, spec, [_one_step_kernel(state, spec, noise, [eta])])[3]
+    return _estimate(n, seed, spec, [_one_step_kernel(state, block_stats(state, spec, noise), spec, noise, [eta])])[3]
 
 
 class TestConditionalAlignment:
@@ -195,7 +195,8 @@ class TestSufficientStatisticsKernel:
         if dq.eta_star is not None and dq.eta_star > 0:
             etas.append(dq.eta_star)
         z = np.random.default_rng(d).standard_normal((4096, d))
-        rows = kernel_rows(_one_step_kernel(state, spec, noise, etas), spec.k, z.copy())
+        kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas)
+        rows = kernel_rows(kernel, spec.k, z.copy())
         for idx, eta in enumerate(etas):
             (f, s_d1, s_b1, theta1), scale = direct_pair(direct_one_step, state, spec, noise, eta, z)
             assert np.all(np.abs(rows[4 * idx] - f) <= 1e-9 * scale)
@@ -210,7 +211,8 @@ class TestSufficientStatisticsKernel:
         lam = spec.lambdas
         z = np.random.default_rng(3).standard_normal((8192, 2))
         etas = [0.1, 0.5, 2.0 / 3.0, 1.0]
-        rows = kernel_rows(_one_step_kernel(state, spec, noise, etas), spec.k, z.copy())
+        kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas)
+        rows = kernel_rows(kernel, spec.k, z.copy())
         for idx, eta in enumerate(etas):
             (f, s_d1, s_b1, _), _ = direct_pair(direct_one_step, state, spec, noise, eta, z)
             terms = lam**2 * (((1.0 - eta * lam) * state.c) ** 2 + (eta * z) ** 2)
@@ -229,7 +231,8 @@ class TestSufficientStatisticsKernel:
             free = np.random.default_rng(1).standard_normal((1001, 2))
             for mask in ([1, 0], [0, 1], [1, 1]):
                 z = np.where(mask, root * nudge, free)
-                rows = kernel_rows(_one_step_kernel(state, spec, noise, [eta]), spec.k, z)
+                kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, [eta])
+                rows = kernel_rows(kernel, spec.k, z)
                 assert np.all(rows[1:3] >= 0.0)
                 assert np.all((rows[3] >= 0.0) & (rows[3] <= 1.0))
 
@@ -237,7 +240,7 @@ class TestSufficientStatisticsKernel:
         spec, noise, state = wide_blocks_problem(7, 30)
         z = np.random.default_rng(8).standard_normal((4096, 30))
         for eta in (0.1 / spec.lambda_max, 1.0 / spec.lambda_max, 3.0 / spec.lambda_max):
-            rows = kernel_rows(_projected_kernel(state, spec, noise, eta), spec.k, z.copy())
+            rows = kernel_rows(_projected_kernel(block_stats(state, spec, noise), spec, noise, eta), spec.k, z.copy())
             want = direct_pair(direct_projected, state, spec, noise, eta, z)[0]
             sizes = np.maximum(*(direct_projected(state, spec, noise, eta, x)[1] for x in (z, -z)))
             for row, block, size in zip(rows, want, sizes):
@@ -299,7 +302,8 @@ class TestPairMeanKernels:
         spec, noise, state = random_problem(rng)
         etas = [f / spec.lambda_max for f in rng.uniform(0.05, 1.95, 3)]
         z = rng.standard_normal((512, spec.d))
-        rows = kernel_rows(_one_step_kernel(state, spec, noise, etas), spec.k, z.copy())
+        kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas)
+        rows = kernel_rows(kernel, spec.k, z.copy())
         for idx, eta in enumerate(etas):
             (f, s_d1, s_b1, theta1), scale = direct_pair(direct_one_step, state, spec, noise, eta, z)
             assert np.all(np.abs(rows[4 * idx] - f) <= 1e-12 * scale)
@@ -313,7 +317,7 @@ class TestPairMeanKernels:
         z = rng.standard_normal((512, spec.d))
         for factor in rng.uniform(0.05, 3.0, 3):
             eta = factor / spec.lambda_max
-            kernel = _projected_kernel(state, spec, noise, eta)
+            kernel = _projected_kernel(block_stats(state, spec, noise), spec, noise, eta)
             assert kernel.forms == ()
             rows = kernel_rows(kernel, spec.k, z.copy())
             want, size = direct_pair(direct_projected, state, spec, noise, eta, z)
@@ -342,7 +346,7 @@ class TestOracleKernel:
         assert all(list(rows) == ["f", "sD_next", "sB_next"] for rows in out.values())
         (kernel,) = kernels
         assert kernel.forms == ()
-        full = _one_step_kernel(state, spec, noise, etas)
+        full = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas)
         assert np.array_equal(kernel.q, full.q)
         # the block sums of the theta_next kernel's draw: its two linear forms
         # and the sum of squares that both kernels read
@@ -360,7 +364,7 @@ class TestOracleKernel:
     def test_estimates_equal_the_theta_kernel_estimates(self, n):
         spec, noise, state = random_problem(np.random.default_rng(4500), d=50)
         etas = [f / spec.lambda_max for f in (0.1, 1.0, 1.9)]
-        full = _estimate(n, 7, spec, [_one_step_kernel(state, spec, noise, etas)])
+        full = _estimate(n, 7, spec, [_one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas)])
         out = one_step_estimates(state, spec, noise, etas, n, seed=7)
         assert [est for rows in out.values() for est in rows.values()] == [
             est for i, est in enumerate(full) if i % 4 != 3
@@ -380,7 +384,7 @@ class TestPivot:
         stats = block_stats(state, spec, noise)
         dq = drift_quadratic(stats)
         etas = [f / spec.lambda_max for f in rng.uniform(0.05, 1.95, 3)]
-        kernel = _one_step_kernel(state, spec, noise, etas)
+        kernel = _one_step_kernel(state, stats, spec, noise, etas)
         pivot = _pivot(kernel, np.stack(spec.split_sum(kernel.q)))
         for idx, eta in enumerate(etas):
             f, s_d1, s_b1, theta1 = pivot[4 * idx : 4 * idx + 4]
@@ -390,7 +394,7 @@ class TestPivot:
             assert s_b1 == pytest.approx(e_b, rel=1e-12)
             assert theta1 == pytest.approx(e_d / (e_d + e_b), rel=1e-12)
         for eta in etas:
-            kernel = _projected_kernel(state, spec, noise, eta)
+            kernel = _projected_kernel(stats, spec, noise, eta)
             pivot = _pivot(kernel, np.stack(spec.split_sum(kernel.q)))
             for got, block in zip(pivot, ("D", "B")):
                 s, tau, _, _, n_loss = stats.block(block)
@@ -402,23 +406,21 @@ class TestPivot:
         """The largest relative distances of the pivots to their closed forms
         (f, next block energies, projected loss changes) over both one-step
         layouts and the projected kernel at each step size: f relative to
-        |p| eta^2 + |q| eta, beyond 4 ulps of the two products s_B sD' and
-        s_D sB' whose difference the kernel forms, and the loss change
-        relative to eta s + eta^2 (tau + n_loss)/2."""
+        |p| eta^2 + |q| eta, and the loss change relative to
+        eta s + eta^2 (tau + n_loss)/2."""
         stats = block_stats(state, spec, noise)
         dq = drift_quadratic(stats)
         errors = [0.0, 0.0, 0.0]
         for width, theta_next in ((4, True), (3, False)):
-            kernel = _one_step_kernel(state, spec, noise, etas, theta_next)
+            kernel = _one_step_kernel(state, stats, spec, noise, etas, theta_next)
             pivot = _pivot(kernel, np.stack(spec.split_sum(kernel.q))).reshape(len(etas), width)
             for eta, (f, s_d1, s_b1, *_) in zip(etas, pivot):
                 e_d, e_b = (expected_next_block_energy(stats, eta, block) for block in ("D", "B"))
-                rounding = 2.0**-50 * (stats.s_b * e_d + stats.s_d * e_b)
                 size = abs(dq.p) * eta**2 + abs(dq.q) * eta
-                errors[0] = max(errors[0], (abs(f - expected_drift(dq, eta)) - rounding) / size)
+                errors[0] = max(errors[0], abs(f - expected_drift(dq, eta)) / size)
                 errors[1] = max(errors[1], abs(s_d1 - e_d) / e_d, abs(s_b1 - e_b) / e_b)
         for eta in etas:
-            kernel = _projected_kernel(state, spec, noise, eta)
+            kernel = _projected_kernel(stats, spec, noise, eta)
             for got, block in zip(_pivot(kernel, np.stack(spec.split_sum(kernel.q))), ("D", "B")):
                 s, tau, _, _, n_loss = stats.block(block)
                 size = eta * s + 0.5 * eta**2 * (tau + n_loss)
@@ -429,9 +431,8 @@ class TestPivot:
     def test_pivot_equals_the_closed_forms_on_the_oracle_triples(self, degenerate):
         # AC1's 1000 triples and step-size grid, replayed without a draw (one
         # rng.integers(2**31) per triple stood for its Monte-Carlo seed), and
-        # as many degenerate-block triples on the same grid rule; there f is
-        # small next to the products it differences, which is what the
-        # rounding allowance is for
+        # as many degenerate-block triples on the same grid rule, where f is
+        # small next to the products s_B sD' and s_D sB'
         rng = np.random.default_rng(20260811 + degenerate)
         worst = np.zeros(3)
         for _ in range(1000):
@@ -444,9 +445,9 @@ class TestPivot:
 
     def test_pivot_on_fixa_is_exact(self, fixa):
         spec, noise, state = fixa
-        kernel = _one_step_kernel(state, spec, noise, [0.1], theta_next=False)
+        kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, [0.1], theta_next=False)
         assert _pivot(kernel, np.stack(spec.split_sum(kernel.q))) == pytest.approx([-0.68, 2.6, 0.82], rel=1e-12)
-        kernel = _projected_kernel(state, spec, noise, 0.3)
+        kernel = _projected_kernel(block_stats(state, spec, noise), spec, noise, 0.3)
         assert _pivot(kernel, np.stack(spec.split_sum(kernel.q))) == pytest.approx([-0.75, -0.21], rel=1e-12)
         assert max(self.pivot_errors(spec, noise, state, [0.1, 0.3])) <= 1e-12
 
@@ -467,8 +468,8 @@ class TestSharedDraw:
         spec, noise, states = shared_draw_problem(d, d)
         etas = [f / spec.lambda_max for f in (0.5, 1.5)]
         families = (
-            [_one_step_kernel(state, spec, noise, etas) for state in states],
-            [_projected_kernel(state, spec, noise, 0.7 / spec.lambda_max) for state in states],
+            [_one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas) for state in states],
+            [_projected_kernel(block_stats(s, spec, noise), spec, noise, 0.7 / spec.lambda_max) for s in states],
         )
         seed, sizes = 28, (1024, 1024, 2048, 4096, 1809)
 
@@ -503,11 +504,12 @@ class TestSharedDraw:
         # stopped at the same look
         spec, noise, states = shared_draw_problem(29, 40)
         jobs = [(state, [f / spec.lambda_max for f in (0.2 * (i + 1), 1.9)]) for i, state in enumerate(states)]
-        shared = _estimate(20_001, 30, spec, [_one_step_kernel(state, spec, noise, etas) for state, etas in jobs])
+        kernels = [_one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas) for state, etas in jobs]
+        shared = _estimate(20_001, 30, spec, kernels)
         assert shared == [
             est
-            for state, etas in jobs
-            for est in _estimate(20_001, 30, spec, [_one_step_kernel(state, spec, noise, etas)])
+            for kernel in kernels
+            for est in _estimate(20_001, 30, spec, [kernel])
         ]
         # one_step_estimates' rows are the f, sD_next and sB_next rows of the
         # shared draw
@@ -520,8 +522,8 @@ class TestSharedDraw:
         # the first state steps at its dominant loss threshold: its zero-mean
         # row keeps the shared draw going past the first look
         stats = [block_stats(state, spec, noise) for state in states]
-        jobs = [(state, st, (0.3 + 0.2 * i) / spec.lambda_max) for i, (state, st) in enumerate(zip(states, stats))]
-        jobs[0] = (states[0], stats[0], loss_threshold(stats[0], "D"))
+        jobs = [(st, (0.3 + 0.2 * i) / spec.lambda_max) for i, st in enumerate(stats)]
+        jobs[0] = (stats[0], loss_threshold(stats[0], "D"))
         shared = projected_verdicts(jobs, spec, noise, 20_001, 31)
         pairs = shared[0].estimate.n
         assert pairs > 1024 and all(row.estimate.n == pairs for row in shared)
@@ -605,10 +607,10 @@ class TestThreadCountInvariance:
         # same kernel over all pairs
         spec, noise, state = random_problem(np.random.default_rng(25), d=50)
         row = "DB".index(block)
-        kernels = [_projected_kernel(state, spec, noise, 0.3)]
+        kernels = [_projected_kernel(block_stats(state, spec, noise), spec, noise, 0.3)]
         a, b, c = self._under_threads(
             monkeypatch,
-            lambda: (projected_verdicts([(state, block_stats(state, spec, noise), 0.3)], spec, noise, self.N, 18)[row],
+            lambda: (projected_verdicts([(block_stats(state, spec, noise), 0.3)], spec, noise, self.N, 18)[row],
                      _estimate(self.N, 18, spec, kernels)[row]),
         )
         assert a == b == c
@@ -619,11 +621,12 @@ class TestThreadCountInvariance:
     def test_multi_state_estimates(self, monkeypatch):
         spec, noise, states = shared_draw_problem(32, 50)
         etas = [f / spec.lambda_max for f in (0.1, 1.5)]
+        kernels = [_one_step_kernel(s, block_stats(s, spec, noise), spec, noise, etas) for s in states]
 
         def run():
             return (
-                _estimate(self.N, 33, spec, [_one_step_kernel(state, spec, noise, etas) for state in states]),
-                projected_verdicts([(s, block_stats(s, spec, noise), 0.3) for s in states], spec, noise, self.N, 34),
+                _estimate(self.N, 33, spec, kernels),
+                projected_verdicts([(block_stats(s, spec, noise), 0.3) for s in states], spec, noise, self.N, 34),
             )
 
         a, b, c = self._under_threads(monkeypatch, run)
@@ -638,9 +641,10 @@ class TestThreadCountInvariance:
             "from alignlab import block_stats\n"
             "from alignlab.montecarlo import _estimate, _one_step_kernel, projected_verdicts\n"
             "spec, noise, states = shared_draw_problem(35, 500)\n"
-            "kernels = [_one_step_kernel(s, spec, noise, [0.5 / spec.lambda_max]) for s in states]\n"
+            "eta = 0.5 / spec.lambda_max\n"
+            "kernels = [_one_step_kernel(s, block_stats(s, spec, noise), spec, noise, [eta]) for s in states]\n"
             "print(_estimate(20_001, 36, spec, kernels))\n"
-            "jobs = [(s, block_stats(s, spec, noise), 0.3) for s in states]\n"
+            "jobs = [(block_stats(s, spec, noise), 0.3) for s in states]\n"
             "print(projected_verdicts(jobs, spec, noise, 20_001, 37))\n"
         )
         src = str(Path(alignlab.__file__).resolve().parent.parent)
@@ -663,7 +667,7 @@ class TestThreadCountInvariance:
             "from alignlab import block_stats, one_step_estimates, projected_verdicts\n"
             "spec, noise, state = random_problem(np.random.default_rng(26), d=500)\n"
             "print(one_step_estimates(state, spec, noise, [0.5 / spec.lambda_max], 20_001, seed=19))\n"
-            "print(projected_verdicts([(state, block_stats(state, spec, noise), 0.3)], spec, noise, 20_001, 19))\n"
+            "print(projected_verdicts([(block_stats(state, spec, noise), 0.3)], spec, noise, 20_001, 19))\n"
         )
         src = str(Path(alignlab.__file__).resolve().parent.parent)
         outputs = []
@@ -787,7 +791,7 @@ class TestGroupSequential:
         assert drawn[0][-2:] == [(10, 32768, 36864), (11, 36864, 40_000)]
         # settled at the sixth look, 32768 pairs (z = 4.08)
         drawn.clear()
-        rows = projected_verdicts([(state, block_stats(state, spec, noise), 0.806)], spec, noise, 80_000, 1)
+        rows = projected_verdicts([(block_stats(state, spec, noise), 0.806)], spec, noise, 80_000, 1)
         assert {row.estimate.n for row in rows} == {32768}
         assert drawn == [
             [(0, 0, 1024)],
@@ -805,7 +809,7 @@ class TestGroupSequential:
         runs = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("ALIGNLAB_THREADS", threads)
-            rows = projected_verdicts([(state, block_stats(state, spec, noise), 0.806)], spec, noise, 80_000, 1)
+            rows = projected_verdicts([(block_stats(state, spec, noise), 0.806)], spec, noise, 80_000, 1)
             runs.append((rows, repr([row.cells() for row in rows])))
         assert runs[0] == runs[1] == runs[2]
         rows = runs[0][0]
@@ -837,7 +841,7 @@ class TestGroupSequential:
         monkeypatch.setenv("ALIGNLAB_THREADS", threads)
         spec, noise, state = fixa
         seeds = 2000
-        job = (state, block_stats(state, spec, noise), 0.8)
+        job = (block_stats(state, spec, noise), 0.8)
         rows = [projected_verdicts([job], spec, noise, 32_768, seed, z_crit=1.5)[0] for seed in range(seeds)]
         assert {row.predicted for row in rows} == {"0"}
         level = math.erfc(1.5 / math.sqrt(2.0))
@@ -890,6 +894,16 @@ class TestDriftSignTest:
         f_row, _ = drift_rows(state, spec, noise, 2.0 / 3.0, 50_000, seed=33)
         assert f_row.predicted == "0"
         assert f_row.verdict == "inconclusive"
+
+    @pytest.mark.parametrize("seed", [5, 6, 7, 11, 14])
+    def test_zero_step_f_row_is_exactly_zero(self, seed):
+        # at eta = 0 the step moves nothing, so f is 0 on every draw: the row
+        # reads mean 0 with stderr 0 and predicts "0", never a contradiction
+        spec, noise, state = random_problem(np.random.default_rng(seed))
+        f_row, _ = drift_rows(state, spec, noise, 0.0, 2000, seed=0)
+        assert f_row.verdict != "contradicted"
+        assert (f_row.estimate.mean, f_row.estimate.stderr) == (0.0, 0.0)
+        assert one_step(state, spec, noise, 0.0, 2000, seed=0)["f"].mean == 0.0
 
     def test_sample_floor(self, fixa):
         spec, noise, state = fixa
@@ -944,7 +958,7 @@ class TestProjectedLossTest:
     def test_non_finite_step_rejected(self, fixa, eta):
         spec, noise, state = fixa
         with pytest.raises(ParameterError, match="finite"):
-            projected_verdicts([(state, block_stats(state, spec, noise), eta)], spec, noise, 5_000, 0)
+            projected_verdicts([(block_stats(state, spec, noise), eta)], spec, noise, 5_000, 0)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_overflowing_step_rejected_before_drawing(self, fixa, threads, monkeypatch):
@@ -955,19 +969,19 @@ class TestProjectedLossTest:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="not finite"):
-                projected_verdicts([(state, block_stats(state, spec, noise), 1e160)], spec, noise, 2001, 0)
+                projected_verdicts([(block_stats(state, spec, noise), 1e160)], spec, noise, 2001, 0)
 
     def test_boundary_step_inconclusive(self, fixa):
         spec, noise, state = fixa
         assert expected_loss_change(block_stats(state, spec, noise), "D", 0.8) == pytest.approx(0.0, abs=1e-14)
-        d_row, _ = projected_verdicts([(state, block_stats(state, spec, noise), 0.8)], spec, noise, 50_000, 40)
+        d_row, _ = projected_verdicts([(block_stats(state, spec, noise), 0.8)], spec, noise, 50_000, 40)
         assert d_row.predicted == "0"
         assert d_row.verdict == "inconclusive"
         assert d_row.threshold == pytest.approx(0.8)
 
     def test_between_thresholds_dominant_up_bulk_down(self, fixa):
         spec, noise, state = fixa
-        up, down = projected_verdicts([(state, block_stats(state, spec, noise), 0.9)], spec, noise, 100_000, 41)
+        up, down = projected_verdicts([(block_stats(state, spec, noise), 0.9)], spec, noise, 100_000, 41)
         assert (up.test, down.test) == ("loss_change_D", "loss_change_B")
         assert up.predicted == "+"
         assert up.verdict == "confirmed"
@@ -978,14 +992,14 @@ class TestProjectedLossTest:
 
     def test_tiny_step_decreases(self, fixa):
         spec, noise, state = fixa
-        d_row, _ = projected_verdicts([(state, block_stats(state, spec, noise), 0.01)], spec, noise, 50_000, 42)
+        d_row, _ = projected_verdicts([(block_stats(state, spec, noise), 0.01)], spec, noise, 50_000, 42)
         assert d_row.predicted == "-"
         assert d_row.verdict == "confirmed"
 
     def test_closed_form_target(self, fixa):
         spec, noise, state = fixa
         stats = block_stats(state, spec, noise)
-        d_row, _ = projected_verdicts([(state, block_stats(state, spec, noise), 0.3)], spec, noise, 50_000, 43)
+        d_row, _ = projected_verdicts([(block_stats(state, spec, noise), 0.3)], spec, noise, 50_000, 43)
         expected = -0.3 * stats.s_d + 0.5 * 0.3**2 * (stats.tau_d + stats.n_loss_d)
         assert expected_loss_change(stats, "D", 0.3) == pytest.approx(expected, rel=1e-14)
         assert d_row.target_ok
@@ -1002,7 +1016,7 @@ class TestProjectedLossTest:
         for shift, ok in ((0.0, True), (1e-11, False)):
             estimates = [McEstimate(mean=t + shift, stderr=0.0, n=25_000) for t in targets]
             monkeypatch.setattr(montecarlo, "_estimate", lambda n, seed, spec, kernels, stop=None: estimates)
-            rows = projected_verdicts([(state, block_stats(state, spec, noise), eta)], spec, noise, 50_000, 43)
+            rows = projected_verdicts([(block_stats(state, spec, noise), eta)], spec, noise, 50_000, 43)
             assert [row.target_ok for row in rows] == [ok, ok]
             assert [row.predicted for row in rows] == signs
             assert [row.estimate.n for row in rows] == [25_000, 25_000]

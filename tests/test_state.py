@@ -162,7 +162,7 @@ class TestRescale:
 
 class TestStateSerialization:
     def test_json_round_trip(self, tmp_path):
-        # a "t" key, once the time index, is ignored like any unknown key
+        # a "t" key, once the time index, is still read and ignored
         doc = {"c": [1.5, -2.0], "t": 3}
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
