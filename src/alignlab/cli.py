@@ -45,7 +45,6 @@ def _config_flags() -> argparse.ArgumentParser:
     parser.add_argument("--record-every", dest="record_every", type=int)
     parser.add_argument("--t-start", dest="T_start", metavar="T_START", type=int)
     parser.add_argument("--out", dest="output_dir", metavar="DIR")
-    parser.add_argument("--print-config", action="store_true", help="echo the resolved config and exit")
     return parser
 
 
@@ -105,7 +104,7 @@ def main(argv=None) -> int:
             return 0
 
         config = _resolve(args)
-        if args.command == "print-config" or args.print_config:
+        if args.command == "print-config":
             print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
             return 0
         if args.command == "simulate":

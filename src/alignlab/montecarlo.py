@@ -13,20 +13,21 @@ batches are formed as they are drawn and never listed up to the total.
 Batches run on the job pool (ALIGNLAB_THREADS). Each batch is drawn in row
 blocks of about _BLOCK_VALUES normals into one buffer of its own that stays
 in cache; successive blocks continue one generator stream, so the draws
-equal one whole (batch, d) draw. It forms the pair means in chunks of
-_FINISH pairs and reduces each chunk to a sum and a sum of squares per
-statistic, shifted by a pivot: the statistic at zero linear forms and the
-mean sum of squares, which is its exact mean when it is affine in the block
-sums (Chan, Golub & LeVeque 1983, Am. Stat. 37(3): a shift near the mean
-keeps the one-pass variance free of cancellation). The pivot needs no draw,
-so it does not depend on the pool size. Per-batch sums stream back in batch
-order, at most 2 x workers batches at a time, and are combined with
-``math.fsum``, which is exactly rounded. An estimate's memory is therefore
-O(workers x (block + chunk x width)), width being the number of statistics,
-whatever n is, besides the two partial sums per statistic and batch that the
-exactly rounded total keeps; its results are bit-identical for a given
-(n, seed) whatever the pool size, and two estimates with the same seed share
-their noise draws (common random numbers).
+equal one whole (batch, d) draw. A batch returns the moments of Q (the
+Kernel paragraph) shifted by its mean E[Q]: the sum of Q - E[Q] and the sum
+of its outer products, six values whatever the number of rows (Chan, Golub &
+LeVeque 1983, Am. Stat. 37(3): a shift near the mean keeps the one-pass
+variance free of cancellation). A ratio row is formed pair by pair instead,
+in chunks of _FINISH pairs, and reduced to its sum and sum of squares
+shifted by its value at Q = E[Q]. Neither shift needs a draw, so neither
+depends on the pool size. Per-batch sums stream back in batch order, at most
+2 x workers batches at a time, and are combined with ``math.fsum``, which is
+exactly rounded. An estimate's memory is therefore O(workers x (block +
+chunk x ratio rows)) whatever n is, besides the six values and the two per
+ratio row of each batch that the exactly rounded total keeps; its results
+are bit-identical for a given (n, seed) whatever the pool size, and two
+estimates with the same seed share their noise draws (common random
+numbers).
 
 Group-sequential verdicts: for the sign tests n is a cap. They look at the
 estimate at every batch bound 1024 * 2^i and at the cap, K looks fixed by
@@ -48,33 +49,36 @@ one look at n and never stop early.
 
 Kernel: every statistic estimated here is quadratic in the noise, so a
 draw z enters a state's statistics only through block sums: linear forms per
-block that depend on the state, and one weighted sum of squares per block
-that depends only on the spectrum and the noise (`_block_sums`). The linear
-forms are odd in z and the sum of squares is even, so the sums of -z are
-those of z with the linear forms negated, and the mirrored sample costs no
-draw. Each pair contributes one sample, the mean of its two values, so
-`McEstimate.n` counts pairs and its stderr is the pair std / sqrt(pairs).
-Pair means are formed in closed form: a statistic affine in the block sums
-(f, the next block energies, the projected loss change) has as pair mean
-its even part, with the linear forms dropped, and only theta_next, a ratio,
-is evaluated at z and at -z. A projected-loss state therefore reads no
-linear form at all, and neither does `one_step_estimates`, the oracle's
-estimator of the three statistics with closed-form means (f and the next
-block energies); theta_next is estimated by `drift_verdicts`. Pair means
-are i.i.d. and unbiased; per draw the variance never rises
+block that depend on the state, and Q, the (D, B) block sums of q z^2, which
+depend only on the spectrum and the noise (`_block_sums`). The linear forms
+are odd in z and Q is even, so the sums of -z are those of z with the linear
+forms negated, and the mirrored sample costs no draw. Each pair contributes
+one sample, the mean of its two values, so `McEstimate.n` counts pairs and
+its stderr is the pair std / sqrt(pairs). A statistic affine in the block
+sums (f, the next block energies, the projected loss change) has as pair
+mean its even part, which is affine in Q: a kernel holds it as data, the row
+c + w.Q. Its estimate is its draw-free pivot c + w.E[Q], the exact mean, plus
+w.(Qbar - E[Q]), so its sums over the pairs are w times the shifted moments
+of Q (`_combine`), and its Monte-Carlo checks only the sampler's Q. Only
+theta_next, a ratio, is formed per pair, at z and at -z, and only it reads
+linear forms; `drift_verdicts` estimates it, and `one_step_estimates`, the
+oracle's estimator of f and the next block energies, drops it, so a
+projected-loss state and the oracle read no linear form. Pair means are
+i.i.d. and unbiased; per draw the variance never rises
 (Var((g(z) + g(-z))/2) <= Var g(z)), and per requested sample it rises at
 most 2x, for a statistic even in z.
 
 One estimate serves several states on one spectrum and noise profile: each
-draw is reduced to the linear forms its states read and the shared sums of
-squares, and what is left per state, step size and block is O(batch) work.
+draw is reduced to the linear forms its ratio rows read and the shared Q,
+and what is left is O(batch) work per ratio row and none per affine row.
 The verdict presets therefore draw once per preset: `drift-test` for all its
 targets and step sizes, `projected-test` for all its states and both blocks.
 Their verdicts are correlated across states, while each keeps its own
 marginal law; a state's rows equal those it would get alone on the same
 seed stopped at the same look, but which look that is depends on every row
-that shares the draw. The sums use numpy's own einsum loop rather than BLAS, so
-their bits do not depend on BLAS's thread count either.
+that shares the draw. The sums and the w products use numpy's own einsum
+loop rather than BLAS, so their bits do not depend on BLAS's thread count
+either.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ _BATCH = 4096
 # normals per row block of a batch's draw: the block stays in cache while
 # every kernel's sums pass over it
 _BLOCK_VALUES = 65536
-# pairs per call of a kernel's finish: bounds its (width, pairs) temporaries;
+# pairs per call of a kernel's ratio: bounds its (rows, pairs) temporaries;
 # also the first batch and the first look of an estimate
 _FINISH = 1024
 # sample floor of the sign tests
@@ -163,24 +167,20 @@ class Verdict:
 
 
 class _Kernel(NamedTuple):
-    """One state's share of a draw z: the weights of the linear forms it reads
-    (none when every row is affine in the block sums), the weights q of the
-    sum of squares, and finish(lin, quad), which turns the (D, B) block sums
-    of the forms on z, shape (len(forms), 2, nb), and of q z^2, shape (2, nb),
-    into (width, nb) rows of antithetic pair means: the sums of -z are those
-    of z with the linear forms negated."""
+    """One state's share of a draw z. Its affine rows are the pair means
+    c + w.Q, where Q is the (D, B) block sums of q z^2: c has shape (rows,)
+    and w shape (rows, 2). ratio(lin, quad), when given, turns the (D, B)
+    block sums of the linear forms on z, shape (len(forms), 2, nb), and Q,
+    shape (2, nb), into (rows, nb) pair means of the rows that are not affine
+    in Q, evaluated at z and at -z: the sums of -z are those of z with the
+    linear forms negated. An estimate lists the affine rows, then the ratio
+    rows."""
 
-    forms: tuple
+    c: np.ndarray
+    w: np.ndarray
     q: np.ndarray
-    finish: Callable
-
-
-def _pivot(kernel: _Kernel, q_sums: np.ndarray) -> np.ndarray:
-    """The kernel's rows at lin = 0 and quad = E[quad] = q_sums, the (D, B)
-    block sums of q. It needs no draw. For a row affine in the block sums (f,
-    the next block energies, the projected loss change) it is the row's exact
-    mean; for theta_next it is theta_next at the mean noise energy."""
-    return kernel.finish(np.zeros((len(kernel.forms), 2, 1)), q_sums[:, None])[:, 0]
+    forms: tuple = ()
+    ratio: Callable | None = None
 
 
 def _looks(pairs: int) -> list[int]:
@@ -216,28 +216,37 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> li
     Each batch is drawn in row blocks of about _BLOCK_VALUES normals into a
     buffer of its own (successive standard_normal(out=) calls on a generator
     continue one stream), and each block's sums are written into the batch's
-    block-sum buffer. Every kernel then turns chunks of _FINISH pairs
-    into pair means; finish works pair by pair, so a chunk's rows equal
-    those of the whole batch. The worker shifts them by a data-free pivot
-    (`_pivot`), which keeps the sums of squares free of cancellation (a
-    pivot that is not finite stops the estimate before any draw), and
-    returns per row the shifted sum and sum of squares. These stream back in
-    batch order and are combined with math.fsum, so a worker holds
-    O(block + chunk x width) values and the calling thread O(batches x
-    width) whatever n is."""
+    block-sum buffer. The worker returns the moments of Q shifted by E[Q],
+    and for each ratio row its sum and sum of squares over chunks of _FINISH
+    pairs, shifted by its value at lin = 0 and Q = E[Q]; ratio works pair by
+    pair, so a chunk's rows equal those of the whole batch. Each row's pivot
+    (c + w.E[Q] for an affine row) needs no draw, and one that is not finite
+    stops the estimate before any draw. The batch sums stream back in batch
+    order and are combined with math.fsum, so a worker holds O(block + chunk
+    x ratio rows) values and the calling thread O(batches x ratio rows)
+    whatever n is."""
     if not kernels:
         return []
     k, d, q = spec.k, spec.d, kernels[0].q
-    vectors = [v for kernel in kernels for v in kernel.forms]
-    q_sums = np.stack(spec.split_sum(q))
-    pivots = [_pivot(kernel, q_sums) for kernel in kernels]
-    if not np.all(np.isfinite(np.concatenate(pivots))):
+    q_mean = np.stack(spec.split_sum(q))
+    ratios = [kernel for kernel in kernels if kernel.ratio]
+    vectors = [v for kernel in ratios for v in kernel.forms]
+    # ratio kernel i reads the linear-form sums forms[i]:forms[i + 1]
+    forms = np.cumsum([0] + [len(kernel.forms) for kernel in ratios])
+    pivots = [kernel.ratio(np.zeros((len(kernel.forms), 2, 1)), q_mean[:, None])[:, 0] for kernel in ratios]
+    # each kernel's rows: its affine rows, then its ratio rows, whose w is 0
+    # and whose sums the workers form (flagged sampled)
+    centres, w, sampled, ratio_pivots = [], [], [], iter(pivots)
+    for kernel in kernels:
+        pivot = next(ratio_pivots) if kernel.ratio else np.empty(0)
+        centres += [kernel.c + np.einsum("ri,i->r", kernel.w, q_mean), pivot]
+        w += [kernel.w, np.zeros((len(pivot), 2))]
+        sampled += [np.zeros(len(kernel.c), bool), np.ones(len(pivot), bool)]
+    centres, w, sampled = np.concatenate(centres), np.concatenate(w), np.concatenate(sampled)
+    if not np.all(np.isfinite(centres)):
         raise ParameterError(
             "a Monte-Carlo statistic is not finite at the mean noise: the step size or the state is too large"
         )
-    centres = np.concatenate(pivots)
-    # kernel i reads the linear-form sums forms[i]:forms[i + 1]
-    forms = np.cumsum([0] + [len(kernel.forms) for kernel in kernels])
     pairs = -(-n // 2)
     block_rows = max(1, _BLOCK_VALUES // d)
 
@@ -252,17 +261,17 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> li
             z = buffer[: nb - start]
             rng.standard_normal(out=z)
             _block_sums(z, k, vectors, q, sums[:, :, start : start + len(z)])
-        moments = []
-        for kernel, centre, first, last in zip(kernels, pivots, forms, forms[1:]):
-            shifted = np.zeros((2, len(centre)))
+        dq = sums[-1] - q_mean[:, None]
+        shifted = [np.zeros((2, len(centre))) for centre in pivots]
+        for kernel, centre, out, first, last in zip(ratios, pivots, shifted, forms, forms[1:]):
             for lo in range(0, nb, _FINISH):
                 chunk = sums[:, :, lo : lo + _FINISH]
-                rows = kernel.finish(chunk[first:last], chunk[-1])
+                rows = kernel.ratio(chunk[first:last], chunk[-1])
                 rows -= centre[:, None]
-                shifted[0] += rows.sum(axis=1)
-                shifted[1] += np.square(rows, out=rows).sum(axis=1)
-            moments.append(shifted)
-        return np.concatenate(moments, axis=1)
+                out[0] += rows.sum(axis=1)
+                out[1] += np.square(rows, out=rows).sum(axis=1)
+        moments = [dq.sum(axis=1), np.einsum("in,jn->ij", dq, dq).ravel()]
+        return np.concatenate([*moments, *np.hstack([np.zeros((2, 0)), *shifted])])
 
     parts, end = [], 0
     for look in _looks(pairs) if stop else [pairs]:
@@ -273,29 +282,37 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> li
             begin, end = end, min(look, end + min(max(end, _FINISH), _BATCH))
             batches.append((len(parts) + len(batches), begin, end))
         parts += run_jobs(run, batches)
-        out = _combine(np.array(parts), centres, look)
+        out = _combine(np.array(parts), centres, w, sampled, look)
         if stop and stop(out):
             break
     return out
 
 
-def _combine(parts: np.ndarray, centres: np.ndarray, pairs: int) -> list[McEstimate]:
-    """The estimates from the per-batch shifted sums parts, shape (batches, 2,
-    rows), over pairs pairs, summed in batch order. A sum of squares of
-    zero over a nonzero sum can only have underflowed."""
-    if not np.all(np.isfinite(parts.sum(axis=0))):
+def _combine(
+    parts: np.ndarray, centres: np.ndarray, w: np.ndarray, sampled: np.ndarray, pairs: int
+) -> list[McEstimate]:
+    """The estimates of the rows whose pivots are centres over pairs pairs,
+    from the per-batch sums parts, shape (batches, 6 + 2 R): the sum of
+    dQ = Q - E[Q], the sum of dQ dQ^T, and the shifted sums and sums of
+    squares of the R rows flagged sampled, each summed in batch order. An
+    affine row c + w.Q has the shifted sum w.sum(dQ) and sum of squares
+    w.sum(dQ dQ^T).w^T. A sum of squares of zero over a nonzero sum can only
+    have underflowed."""
+    # a column whose sum is not finite may overflow math.fsum; the rows show it
+    totals = np.array([math.fsum(col) if math.isfinite(t) else t for col, t in zip(parts.T, parts.sum(axis=0))])
+    s1 = np.einsum("ri,i->r", w, totals[:2])
+    s2 = np.einsum("ri,ij,rj->r", w, totals[2:6].reshape(2, 2), w)
+    s1[sampled], s2[sampled] = totals[6:].reshape(2, -1)
+    if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))):
         raise ParameterError("a Monte-Carlo sum of squares is not finite: the step size or the state is too large")
     out = []
-    for j, centre in enumerate(centres):
-        s1 = math.fsum(parts[:, 0, j])
-        s2 = math.fsum(parts[:, 1, j])
-        if s2 == 0.0 and s1 != 0.0:
+    for centre, a, b in zip(centres.tolist(), s1.tolist(), s2.tolist()):
+        if b == 0.0 and a != 0.0:
             raise ParameterError(
                 "a Monte-Carlo sum of squares underflows: the spectrum, the state or the noise is too small"
             )
-        mean = float(centre) + s1 / pairs
-        var = max(0.0, (s2 - s1 * s1 / pairs) / (pairs - 1))
-        out.append(McEstimate(mean=mean, stderr=math.sqrt(var / pairs), n=pairs))
+        var = max(0.0, (b - a * a / pairs) / (pairs - 1))
+        out.append(McEstimate(mean=centre + a / pairs, stderr=math.sqrt(var / pairs), n=pairs))
     return out
 
 
@@ -313,12 +330,11 @@ def _block_sums(z: np.ndarray, k: int, vectors: list, q: np.ndarray, out: np.nda
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the pivot: _estimate rejects it
-def _one_step_kernel(
-    state: State, stats: BlockStats, spec: Spectrum, noise: NoiseProfile, etas: list, theta_next: bool = True
-) -> _Kernel:
-    """Kernel whose rows are, for each eta, the pair means of f, sD_next,
-    sB_next and, with theta_next, theta_next; stats is the state's
-    `block_stats`, whose block energies s_D and s_B it reads.
+def _one_step_kernel(state: State, stats: BlockStats, spec: Spectrum, noise: NoiseProfile, etas: list) -> _Kernel:
+    """Kernel whose affine rows are, for each eta, the pair means of f,
+    sD_next and sB_next, and whose ratio rows are those of theta_next for each
+    eta; stats is the state's `block_stats`, whose block energies s_D and s_B
+    it reads.
 
     With zeta = kappa * z, the next energy of block X is
     s_X' = sum_X lam^2 ((1 - eta lam) c - eta zeta)^2
@@ -331,9 +347,8 @@ def _one_step_kernel(
     Both parts are formed without cancelling two large products: the random
     part from Q directly, and f0 = s_B m_D - s_D m_B as s_B dm_D - s_D dm_B
     from dm_X = m_X - s_X = sum_X lam^2 c^2 x (x - 2), x = eta lam, which is
-    0 at eta = 0. Only theta_next, a ratio, needs s' at z and at -z; without
-    it the kernel reads no linear form, and its rows equal the first three of
-    each eta's four bit for bit."""
+    0 at eta = 0. Only theta_next, a ratio, needs s' at z and at -z, and so
+    the linear forms L1 and L2."""
     if not etas or not all(0 <= e < math.inf for e in etas):
         raise ParameterError("etas must be non-empty, finite and non-negative")
     _check_dims(state, spec, noise)
@@ -343,28 +358,19 @@ def _one_step_kernel(
     eta = np.array(etas)[:, None, None]
     x = eta[:, 0] * lam
     m = np.stack(spec.split_sum(lam**2 * ((1.0 - x) * state.c) ** 2), axis=1)[:, :, None]
-    dm = np.stack(spec.split_sum(lam**2 * state.c**2 * x * (x - 2.0)), axis=1)[:, :, None]
+    dm = np.stack(spec.split_sum(lam**2 * state.c**2 * x * (x - 2.0)), axis=1)
     f0 = stats.s_b * dm[:, 0] - stats.s_d * dm[:, 1]
+    c = np.column_stack([f0, m[:, :, 0]]).ravel()
+    w = (eta**2 * np.array([[stats.s_b, -stats.s_d], [1.0, 0.0], [0.0, 1.0]])).reshape(-1, 2)
 
-    width = 4 if theta_next else 3
+    def ratio(lin, quad):
+        even = m + eta**2 * quad
+        odd = 2.0 * eta * (lin[0] - eta * lin[1])
+        # s' at -z and at z; s' >= 0, and the clamp only removes rounding below zero
+        s_minus, s_plus = (np.maximum(s1, 0.0, out=s1) for s1 in (even - odd, even + odd))
+        return 0.5 * (_theta(s_minus[:, 0], s_minus[:, 1]) + _theta(s_plus[:, 0], s_plus[:, 1]))
 
-    def finish(lin, quad):
-        rows = np.empty((len(etas), width, quad.shape[1]))
-        even = eta**2 * quad
-        np.add(f0, stats.s_b * even[:, 0] - stats.s_d * even[:, 1], out=rows[:, 0])
-        np.add(m, even, out=rows[:, 1:3])
-        if theta_next:
-            l1, l2 = lin
-            odd = 2.0 * eta * (l1 - eta * l2)
-            thetas = []
-            for s1 in (rows[:, 1:3] - odd, rows[:, 1:3] + odd):
-                # s' >= 0; the clamp only removes rounding below zero
-                np.maximum(s1, 0.0, out=s1)
-                thetas.append(_theta(s1[:, 0], s1[:, 1]))
-            np.multiply(0.5, thetas[0] + thetas[1], out=rows[:, 3])
-        return rows.reshape(width * len(etas), -1)
-
-    return _Kernel((a, lam * a) if theta_next else (), lam**2 * noise.kappa2, finish)
+    return _Kernel(c, w, lam**2 * noise.kappa2, (a, lam * a), ratio)
 
 
 def one_step_estimates(
@@ -381,15 +387,16 @@ def one_step_estimates(
     expected_next_block_energy), which these estimates check. Returns
     {eta: {"f"|"sD_next"|"sB_next": McEstimate}}, each over all ceil(n/2)
     pairs: these estimates never stop early. All three are affine in the
-    block sums, so the draw is reduced to its sums of squares alone; the next
-    alignment is estimated by `drift_verdicts`. A state whose `block_stats`
-    pass the float range is a ParameterError.
+    block sums, so the kernel's theta_next rows are dropped and the draw is
+    reduced to the moments of Q alone; the next alignment is estimated by
+    `drift_verdicts`. A state whose `block_stats` pass the float range is a
+    ParameterError.
     """
     if n < 100:
         raise ParameterError(f"need at least 100 samples, got {n}")
     etas = [float(e) for e in etas]
-    kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas, theta_next=False)
-    ests = iter(_estimate(n, seed, spec, [kernel]))
+    kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas)
+    ests = iter(_estimate(n, seed, spec, [kernel._replace(forms=(), ratio=None)]))
     keys = ("f", "sD_next", "sB_next")
     return {eta: dict(zip(keys, [next(ests) for _ in keys])) for eta in etas}
 
@@ -448,42 +455,41 @@ def drift_verdicts(
     for _, stats, etas in jobs:
         dq = drift_quadratic(stats)
         eta_star = dq.eta_star if dq.eta_star is not None and dq.eta_star > 0 else None
-        for eta in etas:
-            target = expected_drift(dq, eta)  # rejects a step whose drift overflows, before drawing
-            checks.append((stats.theta, eta, eta_star, target, 1e-12 * (abs(dq.p) * eta**2 + abs(dq.q) * eta)))
+        # rejects a step whose drift overflows, before drawing
+        checks.append([(stats.theta, eta, eta_star, expected_drift(dq, eta),
+                        1e-12 * (abs(dq.p) * eta**2 + abs(dq.q) * eta)) for eta in etas])
     kernels = [_one_step_kernel(state, stats, spec, noise, etas) for state, stats, etas in jobs]
 
     def rows(ests, z):
         ests, out = iter(ests), []
-        for theta, eta, eta_star, target, tol in checks:
-            f, _, _, theta_next = (next(ests) for _ in range(4))
-            dtheta = McEstimate(mean=theta_next.mean - theta, stderr=theta_next.stderr, n=theta_next.n)
-            out.append(_verdict("f_drift", theta, eta, eta_star, target, tol, f, z))
-            out.append(_verdict("theta_drift", theta, eta, eta_star, target, tol, dtheta, z, theta_abs_slack))
+        for job in checks:
+            # a kernel's rows: f, sD_next and sB_next per eta, then theta_next
+            # per eta, which zip takes from ests once per eta of the job
+            fs = [next(ests) for _ in range(3 * len(job))][::3]
+            for (theta, eta, eta_star, target, tol), f, theta_next in zip(job, fs, ests):
+                dtheta = McEstimate(mean=theta_next.mean - theta, stderr=theta_next.stderr, n=theta_next.n)
+                out.append(_verdict("f_drift", theta, eta, eta_star, target, tol, f, z))
+                out.append(_verdict("theta_drift", theta, eta, eta_star, target, tol, dtheta, z, theta_abs_slack))
         return out
 
     return _sign_tests(n, seed, spec, kernels, rows, z_crit)
 
 
 def _projected_kernel(stats: BlockStats, spec: Spectrum, noise: NoiseProfile, eta: float) -> _Kernel:
-    """Kernel whose rows are the pair means of the loss change of the step
-    projected on the dominant and on the bulk block, for the state whose
+    """Kernel whose affine rows are the pair means of the loss change of the
+    step projected on the dominant and on the bulk block, for the state whose
     `block_stats` are stats.
 
     With g = grad + zeta on block X (grad = lam c, zeta = kappa z), the loss
     change -eta g.grad + eta^2/2 sum lam g^2 expands to the constant
     -eta s_X + eta^2/2 tau_X plus -eta zeta.grad + eta^2 sum lam grad zeta +
     eta^2/2 sum lam zeta^2. The two middle terms are odd in z, so the pair
-    mean is the constant plus eta^2/2 sum lam zeta^2 and the kernel reads no
-    linear form, nor the state."""
+    mean is the constant plus eta^2/2 Q_X, with q = lam kappa^2: both rows are
+    affine, and the kernel reads no linear form, nor the state."""
     if noise.d != spec.d:
         raise ParameterError(f"noise dimension {noise.d} != spectrum dimension {spec.d}")
-    base = np.array([[-eta * s + 0.5 * eta**2 * tau] for s, tau, *_ in map(stats.block, "DB")])
-
-    def finish(_lin, quad):
-        return base + (0.5 * eta**2) * quad
-
-    return _Kernel((), spec.lambdas * noise.kappa2, finish)
+    c = np.array([-eta * s + 0.5 * eta**2 * tau for s, tau, *_ in map(stats.block, "DB")])
+    return _Kernel(c, 0.5 * eta**2 * np.eye(2), spec.lambdas * noise.kappa2)
 
 
 def projected_verdicts(

@@ -113,14 +113,15 @@ class CsgdFlags:
 @dataclass(frozen=True)
 class CsgdPlan:
     """Two-phase prediction for constant-step runs: per-mode stationary second
-    moments beta_i, initial surplus varrho_d, threshold delta, predicted length
-    t_star of the decreasing phase (None when undefined or past the float
-    range), and the late-time alignment theta_inf."""
+    moments beta_i, initial surplus varrho_d, threshold delta (None at the
+    gap cap, where it is undefined, and past the float range), predicted
+    length t_star of the decreasing phase (None when undefined or past the
+    float range), and the late-time alignment theta_inf."""
 
     eta: float
     beta_coeffs: np.ndarray
     varrho_d: float
-    delta: float
+    delta: float | None
     t_star: int | None
     theta_inf: float
     flags: CsgdFlags
@@ -337,13 +338,17 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
     with np.errstate(over="ignore"):
         c2 = init.c**2
     varrho_d = float(spec.split_sum(c2 - beta)[0])
-    # at a tiny eta the product may pass the float range: delta is then 0
-    with np.errstate(over="ignore"):
-        denom = float(
-            spec.lambda_min**2 * lam[k - 1] ** 2
-            * (2.0 * spec.gap1 / eta - spec.spread2)
-        )
-    delta = (noise.s_max * spec.psi_dominant * spec.lambda_max**2 / denom) if denom != 0 else math.inf
+    # delta = s_max psi_D lam_1^2 / (lam_min^2 lam_k^2 (2 gap1 / eta - spread2))
+    #       = s_max (sum_D rho^2) (eta / lam_1) / (rho_min^2 rho_k^2 b)
+    # with rho = lam / lam_1 and b = 2 gap1 / lam_1 - eta lam_1 (1 - rho_min^2),
+    # so no square under- or overflows on a tiny or huge spectrum; None where
+    # it is undefined (b is 0 at the gap cap) or past the float range
+    rho = lam / spec.lambda_max
+    rho_min2 = float(rho[-1] ** 2)
+    b = 2.0 * (spec.gap1 / spec.lambda_max) - eta * spec.lambda_max * (1.0 - rho_min2)
+    denom = rho_min2 * float(rho[k - 1] ** 2) * b
+    delta = noise.s_max * float(spec.split_sum(rho**2)[0]) / denom * (eta / spec.lambda_max) if denom else math.inf
+    delta = delta if math.isfinite(delta) else None
 
     lam2beta = lam**2 * beta
     total = float(np.sum(lam2beta))
@@ -351,7 +356,7 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
         raise UnsupportedNoiseError("theta_inf undefined for an all-zero noise profile")
     theta_inf = float(spec.split_sum(lam2beta)[0] / total)
 
-    gap_to_floor = delta - float(spec.split_sum(beta)[0])
+    gap_to_floor = math.inf if delta is None else delta - float(spec.split_sum(beta)[0])
     flags = CsgdFlags(
         step_size_ok=bool(eta < step_cap),
         init_coords_ok=bool(np.all(c2[:k] > beta[:k])),

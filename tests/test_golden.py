@@ -80,16 +80,16 @@ SHA256 = {
         "alignment_vs_m_logfit.csv": "b33164d0517c400f93b81e4b119c3c0d2aaa5e42eb31b6c3cacbeb738af24caf",
     },
     "drift": {
-        "drift_verdicts.csv": "6bfcdce8822f18aa2d5ddadcf12ce750d3bc506d12f1a4b022eb90023096644e",
+        "drift_verdicts.csv": "73c48878ab915f2cb1c9498c8ac594abd33a79dc502ac23027fa0a96320f2cf3",
     },
     "projected": {
-        "projected_verdicts.csv": "184513d84f406bd783fc5b66d233bd2807da8c5275b3d89a892b3a57f8cc4fd2",
+        "projected_verdicts.csv": "80caeff823c2c485af6205a36d8a3a32db3856356b9c22cbe030aed6af0c745f",
     },
     "drift_d500": {
-        "drift_verdicts.csv": "25fc0864409cd6236e737029e987195e85e27bc995deefed8adbfae2d16b823a",
+        "drift_verdicts.csv": "7210796cecdcb93ed699d27fc615e7f9b0472a0efe4f5e94db25b775e887b567",
     },
     "projected_d60": {
-        "projected_verdicts.csv": "88fcc24dafd03d32dba1ff92dbd08b7d160c0e3c0130e1eaefe90f08c4c6aa63",
+        "projected_verdicts.csv": "8a93fe969799931029f6918e9dc363691cb07e0841fd8c23c75ba29b552c09e1",
     },
 }
 
@@ -107,7 +107,7 @@ def test_preset_output_bytes(preset, threads, tmp_path, monkeypatch):
 
 # the printed report holds csgd.beta_coeffs, t_star and theta_inf, so this
 # hash pins every closed form of the per-mode law
-REPORT_SHA256 = "65901b40f8960321635e678f30a5c6f56ec422f3effa75b1f3a7280196795504"
+REPORT_SHA256 = "d75a9b4ea4548dfc5654fb8980b57f28949b394f3cc0166fc7a64f57a8e40709"
 
 
 @pytest.mark.skipif(np.__version__ != NUMPY_VERSION, reason=f"hashes recorded with numpy {NUMPY_VERSION}")

@@ -2,13 +2,13 @@ import argparse
 import json
 import os
 import warnings
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alignlab import NoiseProfile, ParameterError, Spectrum, State, load_config, theory
+from alignlab import NoiseProfile, ParameterError, Spectrum, State, build_spectrum, load_config, theory
 from alignlab.cli import build_parser, main
 from alignlab.harness import (
     _STREAM_INIT,
@@ -31,6 +31,15 @@ from alignlab.state import block_stats, random_init, rescale_to_alignment
 from alignlab.theory import g_gap, loss_threshold, theta_star
 
 from helpers import decimal_aux_root, random_problem, stop_at_pairs
+
+
+def strict_json(text):
+    """The JSON document text, rejecting Infinity and NaN, which strict JSON
+    does not have."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def csv_rows(rows):
@@ -367,13 +376,6 @@ class TestCli:
         assert doc["d"] == 64 and doc["k"] == 8
         assert doc["m_list"] == [5.0, 9.0]
         assert doc["seeds"] == [3]
-
-    def test_print_config_flag_short_circuits(self, tmp_path, capsys):
-        out_dir = tmp_path / "never"
-        code = main(["simulate", "--d", "16", "--k", "2", "--out", str(out_dir), "--print-config"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["d"] == 16
-        assert not out_dir.exists()
 
     def test_simulate_cli(self, tmp_path):
         out = tmp_path / "runs"
@@ -713,14 +715,41 @@ class TestCli:
         # at eta = 1e150 csgd's stationary variances, about eta / lambda, pass
         # the float range: the plan is an error entry, with no numpy warning,
         # and the report stays JSON with no Infinity or NaN in it
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(self._tiny_report_argv(tmp_path, "1e150")) == 0
-        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        report = strict_json(capsys.readouterr().out)
         assert list(report["csgd"]) == ["error"] and "passes the float range" in report["csgd"]["error"]
+
+    def test_report_delta_on_a_tiny_spectrum(self, tmp_path, capsys):
+        # s_max psi_D lam_1^2 and lam_min^2 lam_k^2 (2 gap1 / eta - spread2)
+        # both underflow to 0 here, while delta itself, about 3e302, is in
+        # range: it is formed from ratios to lam_1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(self._tiny_report_argv(tmp_path, "1e140")) == 0
+        delta = strict_json(capsys.readouterr().out)["csgd"]["delta"]
+        with localcontext(prec=60):
+            lam, eta = [Decimal(x) for x in self.TINY_LAMBDAS], Decimal(1e140)
+            gap1, spread2 = lam[3] - lam[4], lam[0] ** 2 - lam[-1] ** 2
+            psi_d = sum(x * x for x in lam[:4])
+            exact = psi_d * lam[0] ** 2 / (lam[-1] ** 2 * lam[3] ** 2 * (2 * gap1 / eta - spread2))
+        assert delta == pytest.approx(float(exact), rel=1e-14)
+
+    def test_report_at_the_gap_cap(self, tmp_path, capsys):
+        # the golden report problem at eta = 2 gap1 / spread2 exactly, where
+        # delta's denominator is 0: delta is undefined, null in the report
+        problem, state = tmp_path / "problem.json", tmp_path / "state.json"
+        spec = build_spectrum(24, 4, 8.0, (0.5, 1.0), seed=5)
+        problem.write_text(json.dumps({"lambdas": spec.lambdas.tolist(), "k": 4, "kappa2": [1.0] * 24}))
+        state.write_text(json.dumps({"c": random_init(24, 3.0, seed=6).c.tolist()}))
+        eta = theory._gap_step(spec)
+        assert eta == 0.21977893265592469
+        argv = ["report", "--spectrum", str(problem), "--noise", str(problem), "--state", str(state)]
+        assert main([*argv, "--eta", repr(eta)]) == 0
+        csgd = strict_json(capsys.readouterr().out)["csgd"]
+        assert csgd["delta"] is None and csgd["t_star"] is None
+        assert csgd["assumption_ok"] == {"step_size": False, "init_coords": True, "init_energy": False}
 
     def test_drift_test_on_underflowing_monte_carlo_squares_is_usage_error(self, tmp_path, capsys):
         # theta_star is found; then the shifted f rows (~1e-298) square to 0
@@ -825,7 +854,6 @@ class TestCli:
         (("--m",), "m_list"), (("--eta",), "eta"), (("--steps",), "T"), (("--sigma2",), "sigma2"),
         (("--init-scale",), "init_scale"), (("--seed",), "seeds"), (("--n-mc",), "n_mc"),
         (("--record-every",), "record_every"), (("--t-start",), "T_start"), (("--out",), "output_dir"),
-        (("--print-config",), "print_config"),
     ]
     SUBCOMMAND_FLAGS = {
         "simulate": CONFIG_FLAGS,

@@ -37,7 +37,6 @@ from alignlab.montecarlo import (
     _block_sums,
     _estimate,
     _one_step_kernel,
-    _pivot,
     _projected_kernel,
 )
 
@@ -155,10 +154,27 @@ class TestEstimatorMechanics:
 
 def kernel_rows(kernel, k, z):
     """A kernel's rows of pair means over the pairs (z, -z) of one whole draw
-    z (overwritten)."""
+    z (overwritten): its affine rows c + w.Q, then its ratio rows."""
     sums = np.empty((len(kernel.forms) + 1, 2, len(z)))
     _block_sums(z, k, list(kernel.forms), kernel.q, sums)
-    return kernel.finish(sums[:-1], sums[-1])
+    rows = kernel.c[:, None] + np.einsum("ri,in->rn", kernel.w, sums[-1])
+    return np.concatenate([rows, kernel.ratio(sums[:-1], sums[-1])]) if kernel.ratio else rows
+
+
+def per_eta(rows, count):
+    """A one-step kernel's rows (f, sD_next and sB_next per step size, then
+    theta_next per step size) regrouped per step size, shape (count, 4, ...)."""
+    return np.concatenate([rows[: 3 * count].reshape(count, 3, *rows.shape[1:]), rows[3 * count :, None]], axis=1)
+
+
+def pivot(kernel, spec):
+    """A kernel's rows at lin = 0 and Q = E[Q], the (D, B) block sums of q:
+    c + w.E[Q], the exact mean of each affine row, then the ratio rows."""
+    q_mean = np.stack(spec.split_sum(kernel.q))
+    rows = kernel.c + np.einsum("ri,i->r", kernel.w, q_mean)
+    if kernel.ratio is None:
+        return rows
+    return np.concatenate([rows, kernel.ratio(np.zeros((len(kernel.forms), 2, 1)), q_mean[:, None])[:, 0]])
 
 
 def direct_pair(reference, state, spec, noise, eta, z):
@@ -196,13 +212,13 @@ class TestSufficientStatisticsKernel:
             etas.append(dq.eta_star)
         z = np.random.default_rng(d).standard_normal((4096, d))
         kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas)
-        rows = kernel_rows(kernel, spec.k, z.copy())
+        rows = per_eta(kernel_rows(kernel, spec.k, z.copy()), len(etas))
         for idx, eta in enumerate(etas):
             (f, s_d1, s_b1, theta1), scale = direct_pair(direct_one_step, state, spec, noise, eta, z)
-            assert np.all(np.abs(rows[4 * idx] - f) <= 1e-9 * scale)
-            np.testing.assert_allclose(rows[4 * idx + 1], s_d1, rtol=1e-9, atol=0)
-            np.testing.assert_allclose(rows[4 * idx + 2], s_b1, rtol=1e-9, atol=0)
-            np.testing.assert_allclose(rows[4 * idx + 3], theta1, rtol=1e-9, atol=0)
+            assert np.all(np.abs(rows[idx, 0] - f) <= 1e-9 * scale)
+            np.testing.assert_allclose(rows[idx, 1], s_d1, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(rows[idx, 2], s_b1, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(rows[idx, 3], theta1, rtol=1e-9, atol=0)
 
     def test_single_mode_blocks_within_rounding_of_the_terms(self, fixa):
         # a one-mode block's next energy is one square (a - b)^2 that the
@@ -212,14 +228,14 @@ class TestSufficientStatisticsKernel:
         z = np.random.default_rng(3).standard_normal((8192, 2))
         etas = [0.1, 0.5, 2.0 / 3.0, 1.0]
         kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas)
-        rows = kernel_rows(kernel, spec.k, z.copy())
+        rows = per_eta(kernel_rows(kernel, spec.k, z.copy()), len(etas))
         for idx, eta in enumerate(etas):
             (f, s_d1, s_b1, _), _ = direct_pair(direct_one_step, state, spec, noise, eta, z)
             terms = lam**2 * (((1.0 - eta * lam) * state.c) ** 2 + (eta * z) ** 2)
             s_d0, s_b0 = lam**2 * state.c**2
-            assert np.all(np.abs(rows[4 * idx] - f) <= 1e-12 * (s_b0 * terms[:, 0] + s_d0 * terms[:, 1]))
-            assert np.all(np.abs(rows[4 * idx + 1] - s_d1) <= 1e-12 * terms[:, 0])
-            assert np.all(np.abs(rows[4 * idx + 2] - s_b1) <= 1e-12 * terms[:, 1])
+            assert np.all(np.abs(rows[idx, 0] - f) <= 1e-12 * (s_b0 * terms[:, 0] + s_d0 * terms[:, 1]))
+            assert np.all(np.abs(rows[idx, 1] - s_d1) <= 1e-12 * terms[:, 0])
+            assert np.all(np.abs(rows[idx, 2] - s_b1) <= 1e-12 * terms[:, 1])
 
     def test_theta_next_in_unit_interval_at_cancelling_draws(self, fixa):
         # draws within a few ulps of the root (1 - eta lam) c = eta zeta drive
@@ -303,11 +319,11 @@ class TestPairMeanKernels:
         etas = [f / spec.lambda_max for f in rng.uniform(0.05, 1.95, 3)]
         z = rng.standard_normal((512, spec.d))
         kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas)
-        rows = kernel_rows(kernel, spec.k, z.copy())
+        rows = per_eta(kernel_rows(kernel, spec.k, z.copy()), len(etas))
         for idx, eta in enumerate(etas):
             (f, s_d1, s_b1, theta1), scale = direct_pair(direct_one_step, state, spec, noise, eta, z)
-            assert np.all(np.abs(rows[4 * idx] - f) <= 1e-12 * scale)
-            for got, want in zip(rows[4 * idx + 1 : 4 * idx + 4], (s_d1, s_b1, theta1)):
+            assert np.all(np.abs(rows[idx, 0] - f) <= 1e-12 * scale)
+            for got, want in zip(rows[idx, 1:], (s_d1, s_b1, theta1)):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -318,7 +334,7 @@ class TestPairMeanKernels:
         for factor in rng.uniform(0.05, 3.0, 3):
             eta = factor / spec.lambda_max
             kernel = _projected_kernel(block_stats(state, spec, noise), spec, noise, eta)
-            assert kernel.forms == ()
+            assert kernel.forms == () and kernel.ratio is None
             rows = kernel_rows(kernel, spec.k, z.copy())
             want, size = direct_pair(direct_projected, state, spec, noise, eta, z)
             for got, block, block_size in zip(rows, want, size):
@@ -327,8 +343,9 @@ class TestPairMeanKernels:
 
 class TestOracleKernel:
     """one_step_estimates estimates f, sD_next and sB_next, which are affine
-    in the block sums, so its kernel reads no linear form; its rows are, bit
-    for bit, those rows of the theta_next-reading kernel of drift_verdicts."""
+    in the block sums, so its kernel reads no linear form and has no ratio
+    rows; its affine rows are those of the theta_next-reading kernel of
+    drift_verdicts."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reads_no_linear_form_and_equals_the_theta_kernel_rows(self, seed, monkeypatch):
@@ -345,20 +362,12 @@ class TestOracleKernel:
         out = one_step_estimates(state, spec, noise, etas, 100, seed=0)
         assert all(list(rows) == ["f", "sD_next", "sB_next"] for rows in out.values())
         (kernel,) = kernels
-        assert kernel.forms == ()
+        assert kernel.forms == () and kernel.ratio is None
         full = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas)
-        assert np.array_equal(kernel.q, full.q)
-        # the block sums of the theta_next kernel's draw: its two linear forms
-        # and the sum of squares that both kernels read
-        sums = np.empty((len(full.forms) + 1, 2, 1500))
-        _block_sums(rng.standard_normal((1500, spec.d)), spec.k, list(full.forms), full.q, sums)
-        q_sums = np.stack(spec.split_sum(full.q))
-        for got, want in (
-            (kernel.finish(sums[:0], sums[-1]), full.finish(sums[:-1], sums[-1])),
-            (_pivot(kernel, q_sums)[:, None], _pivot(full, q_sums)[:, None]),
-        ):
-            want = want.reshape(len(etas), 4, -1)[:, :3].reshape(3 * len(etas), -1)
-            assert got.shape == want.shape and np.array_equal(got, want)
+        assert len(full.forms) == 2 and full.ratio is not None
+        assert kernel.c.shape == (3 * len(etas),) and kernel.w.shape == (3 * len(etas), 2)
+        for got, want in zip(kernel[:3], full[:3]):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [100, 2047, 2049, 8193, 20_001, 100_000])
     def test_estimates_equal_the_theta_kernel_estimates(self, n):
@@ -366,15 +375,13 @@ class TestOracleKernel:
         etas = [f / spec.lambda_max for f in (0.1, 1.0, 1.9)]
         full = _estimate(n, 7, spec, [_one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas)])
         out = one_step_estimates(state, spec, noise, etas, n, seed=7)
-        assert [est for rows in out.values() for est in rows.values()] == [
-            est for i, est in enumerate(full) if i % 4 != 3
-        ]
+        assert [est for rows in out.values() for est in rows.values()] == full[: 3 * len(etas)]
 
 
 class TestPivot:
-    """Each worker shifts its rows by the kernels' rows at lin = 0 and
-    quad = E[quad]; for the rows affine in the block sums that is their
-    closed-form mean, and for theta_next the alignment at the mean next block
+    """Each estimate shifts its rows by the kernels' rows at lin = 0 and
+    Q = E[Q]; for an affine row c + w.Q that is c + w.E[Q], its closed-form
+    mean, and for theta_next the alignment at the mean next block
     energies."""
 
     @pytest.mark.parametrize("seed", range(12))
@@ -384,19 +391,15 @@ class TestPivot:
         stats = block_stats(state, spec, noise)
         dq = drift_quadratic(stats)
         etas = [f / spec.lambda_max for f in rng.uniform(0.05, 1.95, 3)]
-        kernel = _one_step_kernel(state, stats, spec, noise, etas)
-        pivot = _pivot(kernel, np.stack(spec.split_sum(kernel.q)))
-        for idx, eta in enumerate(etas):
-            f, s_d1, s_b1, theta1 = pivot[4 * idx : 4 * idx + 4]
+        rows = per_eta(pivot(_one_step_kernel(state, stats, spec, noise, etas), spec), len(etas))
+        for eta, (f, s_d1, s_b1, theta1) in zip(etas, rows):
             e_d, e_b = (expected_next_block_energy(stats, eta, block) for block in ("D", "B"))
             assert f == pytest.approx(expected_drift(dq, eta), rel=0, abs=1e-12 * (stats.s_b * e_d + stats.s_d * e_b))
             assert s_d1 == pytest.approx(e_d, rel=1e-12)
             assert s_b1 == pytest.approx(e_b, rel=1e-12)
             assert theta1 == pytest.approx(e_d / (e_d + e_b), rel=1e-12)
         for eta in etas:
-            kernel = _projected_kernel(stats, spec, noise, eta)
-            pivot = _pivot(kernel, np.stack(spec.split_sum(kernel.q)))
-            for got, block in zip(pivot, ("D", "B")):
+            for got, block in zip(pivot(_projected_kernel(stats, spec, noise, eta), spec), ("D", "B")):
                 s, tau, _, _, n_loss = stats.block(block)
                 target = expected_loss_change(stats, block, eta)
                 assert got == pytest.approx(target, rel=0, abs=1e-12 * (eta * s + 0.5 * eta**2 * (tau + n_loss)))
@@ -404,24 +407,21 @@ class TestPivot:
     @staticmethod
     def pivot_errors(spec, noise, state, etas):
         """The largest relative distances of the pivots to their closed forms
-        (f, next block energies, projected loss changes) over both one-step
-        layouts and the projected kernel at each step size: f relative to
+        (f, next block energies, projected loss changes) over the one-step
+        kernel and the projected kernel at each step size: f relative to
         |p| eta^2 + |q| eta, and the loss change relative to
         eta s + eta^2 (tau + n_loss)/2."""
         stats = block_stats(state, spec, noise)
         dq = drift_quadratic(stats)
         errors = [0.0, 0.0, 0.0]
-        for width, theta_next in ((4, True), (3, False)):
-            kernel = _one_step_kernel(state, stats, spec, noise, etas, theta_next)
-            pivot = _pivot(kernel, np.stack(spec.split_sum(kernel.q))).reshape(len(etas), width)
-            for eta, (f, s_d1, s_b1, *_) in zip(etas, pivot):
-                e_d, e_b = (expected_next_block_energy(stats, eta, block) for block in ("D", "B"))
-                size = abs(dq.p) * eta**2 + abs(dq.q) * eta
-                errors[0] = max(errors[0], abs(f - expected_drift(dq, eta)) / size)
-                errors[1] = max(errors[1], abs(s_d1 - e_d) / e_d, abs(s_b1 - e_b) / e_b)
+        rows = per_eta(pivot(_one_step_kernel(state, stats, spec, noise, etas), spec), len(etas))
+        for eta, (f, s_d1, s_b1, _) in zip(etas, rows):
+            e_d, e_b = (expected_next_block_energy(stats, eta, block) for block in ("D", "B"))
+            size = abs(dq.p) * eta**2 + abs(dq.q) * eta
+            errors[0] = max(errors[0], abs(f - expected_drift(dq, eta)) / size)
+            errors[1] = max(errors[1], abs(s_d1 - e_d) / e_d, abs(s_b1 - e_b) / e_b)
         for eta in etas:
-            kernel = _projected_kernel(stats, spec, noise, eta)
-            for got, block in zip(_pivot(kernel, np.stack(spec.split_sum(kernel.q))), ("D", "B")):
+            for got, block in zip(pivot(_projected_kernel(stats, spec, noise, eta), spec), ("D", "B")):
                 s, tau, _, _, n_loss = stats.block(block)
                 size = eta * s + 0.5 * eta**2 * (tau + n_loss)
                 errors[2] = max(errors[2], abs(got - expected_loss_change(stats, block, eta)) / size)
@@ -445,23 +445,23 @@ class TestPivot:
 
     def test_pivot_on_fixa_is_exact(self, fixa):
         spec, noise, state = fixa
-        kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, [0.1], theta_next=False)
-        assert _pivot(kernel, np.stack(spec.split_sum(kernel.q))) == pytest.approx([-0.68, 2.6, 0.82], rel=1e-12)
+        kernel = _one_step_kernel(state, block_stats(state, spec, noise), spec, noise, [0.1])
+        assert pivot(kernel, spec)[:3] == pytest.approx([-0.68, 2.6, 0.82], rel=1e-12)
         kernel = _projected_kernel(block_stats(state, spec, noise), spec, noise, 0.3)
-        assert _pivot(kernel, np.stack(spec.split_sum(kernel.q))) == pytest.approx([-0.75, -0.21], rel=1e-12)
+        assert pivot(kernel, spec) == pytest.approx([-0.75, -0.21], rel=1e-12)
         assert max(self.pivot_errors(spec, noise, state, [0.1, 0.3])) <= 1e-12
 
 
 class TestSharedDraw:
     """All states of one estimate share each draw, which each worker draws in
-    row blocks and finishes in chunks of pairs; every state's pair means must
-    equal those computed from the whole (nb, d) draw of the batch, bit for
-    bit."""
+    row blocks; its block sums must equal those of the whole (nb, d) draw of
+    the batch, and every ratio row, formed in chunks of pairs, the row formed
+    from that whole draw, bit for bit."""
 
     # 20_001 samples = 10_001 pairs: batches of 1024, 1024, 2048 and 4096
     # pairs and a short one of 1809; at d = 10, 60 and 500 the last row block
     # of every batch is short as well, and the short batch ends in a short
-    # finish chunk
+    # ratio chunk
     @pytest.mark.parametrize("d", [2, 10, 60, 500])
     def test_row_blocks_equal_whole_batch_draw(self, d, monkeypatch):
         monkeypatch.setenv("ALIGNLAB_THREADS", "1")
@@ -472,29 +472,44 @@ class TestSharedDraw:
             [_projected_kernel(block_stats(s, spec, noise), spec, noise, 0.7 / spec.lambda_max) for s in states],
         )
         seed, sizes = 28, (1024, 1024, 2048, 4096, 1809)
+        summed = []
+
+        def recording(z, k, vectors, q, out):
+            _block_sums(z, k, vectors, q, out)
+            summed.append(out.copy())
+
+        monkeypatch.setattr(montecarlo, "_block_sums", recording)
 
         def capturing(kernel, fed):
-            def finish(lin, quad):
-                rows = kernel.finish(lin, quad)
+            def ratio(lin, quad):
+                rows = kernel.ratio(lin, quad)
                 fed.append(rows.copy())
                 return rows
 
-            return kernel._replace(finish=finish)
+            return kernel._replace(ratio=ratio) if kernel.ratio else kernel
 
         for family in families:
             fed = [[] for _ in family]
+            summed.clear()
             ests = _estimate(20_001, seed, spec, [capturing(kernel, got) for kernel, got in zip(family, fed)])
-            expected = [[] for _ in family]
+            vectors = [v for kernel in family for v in kernel.forms]
+            whole, expected = [], [[] for _ in family]
             for j, nb in enumerate(sizes):
                 z = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, j]))).standard_normal((nb, d))
+                whole.append(np.empty((len(vectors) + 1, 2, nb)))
+                _block_sums(z.copy(), spec.k, vectors, family[0].q, whole[-1])
                 for want, kernel in zip(expected, family):
-                    want.append(kernel_rows(kernel, spec.k, z.copy()))
-            for got, want in zip(fed, expected):
-                # the first call is the data-free pivot; the rest are chunks
-                chunks = got[1:]
-                assert [c.shape[1] for c in chunks] == [1024] * 8 + [1024, 785]
-                assert np.array_equal(np.concatenate(chunks, axis=1), np.concatenate(want, axis=1))
-            assert len(ests) == sum(len(want[0]) for want in expected)
+                    want.append(kernel_rows(kernel, spec.k, z.copy())[len(kernel.c) :])
+            assert np.array_equal(np.concatenate(summed, axis=2), np.concatenate(whole, axis=2))
+            for got, want, kernel in zip(fed, expected, family):
+                if kernel.ratio:
+                    # the first call is the data-free pivot; the rest are chunks
+                    chunks = got[1:]
+                    assert [c.shape[1] for c in chunks] == [1024] * 8 + [1024, 785]
+                    assert np.array_equal(np.concatenate(chunks, axis=1), np.concatenate(want, axis=1))
+                else:
+                    assert got == []
+            assert len(ests) == sum(len(kernel.c) + len(want[0]) for kernel, want in zip(family, expected))
             assert all(est.n == sum(sizes) for est in ests)
 
     def test_each_state_equals_its_own_estimate(self, monkeypatch):
@@ -513,7 +528,9 @@ class TestSharedDraw:
         ]
         # one_step_estimates' rows are the f, sD_next and sB_next rows of the
         # shared draw
-        assert [est for i, est in enumerate(shared) if i % 4 != 3] == [
+        # (each kernel lists f, sD_next and sB_next per step size, then
+        # theta_next per step size)
+        assert [est for i, est in enumerate(shared) if i % 8 < 6] == [
             est
             for state, etas in jobs
             for rows in one_step_estimates(state, spec, noise, etas, 20_001, 30).values()
@@ -558,11 +575,11 @@ class TestBoundedMemory:
     def test_peak_within_worker_buffers_at_twelve_step_sizes(self, threads, monkeypatch):
         # a worker holds one row block of the draw, its batch's block sums
         # (the sum of squares alone, per block and pair: the kernel of
-        # one_step_estimates reads no linear form) and the temporaries of
-        # finish on one chunk of _FINISH pairs, a handful of (width, chunk)
-        # arrays, width being 3 rows per step size (the kernel holds under
-        # five at once: eight are allowed); the calling thread keeps two sums
-        # per row and batch. The rows of a whole batch are never formed.
+        # one_step_estimates reads no linear form) and their shifted copy,
+        # and forms no per-pair row; the bound still allows eight (width,
+        # chunk) arrays per worker, width being 3 rows per step size, and two
+        # sums per row and batch in the calling thread, which keeps six sums
+        # per batch. The rows of a whole batch are never formed.
         monkeypatch.setenv("ALIGNLAB_THREADS", str(threads))
         spec, noise, state = random_problem(np.random.default_rng(31), d=50)
         etas = [f / spec.lambda_max for f in np.linspace(0.1, 3.0, 12)]
@@ -656,6 +673,37 @@ class TestThreadCountInvariance:
                                  cwd=Path(__file__).resolve().parent.parent, check=True)
             outputs.append(run.stdout)
         assert outputs[0] == outputs[1]
+
+    def test_shared_draw_blas_and_pool_thread_counts(self):
+        # the w products and the moments of Q, like the block sums, run
+        # numpy's einsum loop: a shared-draw estimate over one-step and
+        # theta_next kernels, and one over projected kernels, keep their bits
+        # under every BLAS and pool thread count
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, 'tests')\n"
+            "from helpers import shared_draw_problem\n"
+            "from alignlab import block_stats\n"
+            "from alignlab.montecarlo import _estimate, _one_step_kernel, _projected_kernel\n"
+            "spec, noise, states = shared_draw_problem(38, 500)\n"
+            "etas = [f / spec.lambda_max for f in (0.1, 0.5, 1.5)]\n"
+            "kernels = [_one_step_kernel(s, block_stats(s, spec, noise), spec, noise, etas) for s in states]\n"
+            "oracle = [kernel._replace(forms=(), ratio=None) for kernel in kernels]\n"
+            "print(_estimate(20_001, 39, spec, oracle + kernels))\n"
+            "eta = 0.7 / spec.lambda_max\n"
+            "print(_estimate(20_001, 40, spec, [_projected_kernel(block_stats(s, spec, noise), spec, noise, eta)"
+            " for s in states]))\n"
+        )
+        src = str(Path(alignlab.__file__).resolve().parent.parent)
+        outputs = set()
+        for blas in ("1", "2"):
+            for pool in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas, ALIGNLAB_THREADS=pool,
+                           PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+                run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                                     cwd=Path(__file__).resolve().parent.parent, check=True)
+                outputs.add(run.stdout)
+        assert len(outputs) == 1 and "McEstimate" in outputs.pop()
 
     def test_blas_thread_count(self):
         # BLAS reads its thread count once, at start-up; a matrix product's
