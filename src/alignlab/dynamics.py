@@ -8,13 +8,19 @@ and root variance at t = n. `run_trajectory` jumps from record to record when
 every mode has |a| < 1 and eta < 2/lambda (the range of `mode_law`) and the
 start lies inside the divergence limit, else it steps; a one-step jump is the
 SGD step, c <- a*c - (z*kappa)*eta, bit for bit. Projected updates are checked
-one step at a time by `projected-test`. Noise comes from one
+one step at a time by `projected-test`.
+
+The jump plan is formed once: jump j ends on step ends[j] = min((j + 1) R, T),
+and it is a record where due[j], that is where ends[j] is a multiple of
+`record_every` or is T. The record times are [0] + ends[due], a
+`DivergenceError` names ends[j], and a chunk reduces all its states when each
+of its jumps is a record and the due ones otherwise. Noise comes from one
 ``Generator(SFC64(seed))`` stream (SFC64 draws a normal faster than numpy's
-default PCG64), a chunk of jumps at a time into one reused buffer; each jump
-writes its state over its spent noise row, and one pass per chunk checks every
-state against the divergence limit (no replay) before the records are reduced
-in place. The bulk draws release the GIL, and output bytes do not depend on
-the thread count."""
+default PCG64), a chunk of jumps at a time into one reused buffer. Each jump
+writes decay*c - noise over its own spent noise row, and that row is the next
+jump's c; one pass per chunk checks every state against the divergence limit
+(no replay) before the records are reduced in place. The bulk draws release
+the GIL, and output bytes do not depend on the thread count."""
 
 from __future__ import annotations
 
@@ -105,12 +111,15 @@ def run_trajectory(
     lam2 = lam**2
     a = 1.0 - eta * lam
 
-    c = init.c.copy()
+    c = init.c
     # |a| < 1 can hold at eta = fl(2/lambda), outside the range of mode_law
     jump = np.all(np.abs(a) < 1.0) and np.all(eta < 2.0 / lam) and np.max(np.abs(c)) <= _DIVERGENCE_LIMIT
     R = min(record_every, T) if jump else 1
     n_jumps = -(-T // R)
     last = T - (n_jumps - 1) * R
+    # the jump plan: jump j ends on step ends[j] and is a record where due[j]
+    ends = np.minimum(np.arange(1, n_jumps + 1) * R, T)
+    due = (ends % record_every == 0) | (ends == T)
 
     def law(n):
         """(decay, noise factors) of an n-step jump: the SGD step itself at
@@ -121,50 +130,41 @@ def run_trajectory(
         return mean, (np.sqrt(var),)
 
     decay, factors = law(R)
-    decay_last, factors_last = law(last)
+    decay_last, factors_last = law(last) if last < R else (decay, factors)
 
     rng = np.random.Generator(np.random.SFC64(seed))
     buf = np.empty((min(_chunk_rows(spec.d), n_jumps), spec.d))
     scratch = np.empty_like(buf)
-    times, s_d, s_b, losses = [0], [], [], []
+    tmp = np.empty(spec.d)
+    s_d, s_b, losses = [], [], []
 
-    def reduce(n):
-        """Append the records of the states held in buf[:n] (squared in place)."""
-        c2 = np.square(buf[:n], out=buf[:n])
-        dom, bulk = spec.split_sum(np.multiply(lam2, c2, out=scratch[:n]))
+    def reduce(states):
+        """Append the records of `states` (squared in place)."""
+        c2 = np.square(states, out=states)
+        dom, bulk = spec.split_sum(np.multiply(lam2, c2, out=scratch[: len(c2)]))
         s_d.append(dom)
         s_b.append(bulk)
-        losses.append(0.5 * np.multiply(lam, c2, out=scratch[:n]).sum(axis=1))
+        losses.append(0.5 * np.multiply(lam, c2, out=scratch[: len(c2)]).sum(axis=1))
 
-    def draw(rows, j0):
-        """Noise of jumps j0, j0 + 1, ... into rows."""
+    reduce(np.array([c]))
+    for j0 in range(0, n_jumps, len(buf)):
+        rows = buf[: min(len(buf), n_jumps - j0)]
         rng.standard_normal(out=rows)
         n_full = min(len(rows), n_jumps - 1 - j0)
         for part, fs in ((rows[:n_full], factors), (rows[n_full:], factors_last)):
             for f in fs:
                 part *= f
-        return rows
-
-    buf[0] = c
-    reduce(1)
-    for j0 in range(0, n_jumps, len(buf)):
-        n = min(len(buf), n_jumps - j0)
-        # jump j0 + i overwrites its spent noise row buf[i] with the state it reaches
-        for i, step in enumerate(draw(buf[:n], j0)):
-            np.multiply(decay if j0 + i < n_jumps - 1 else decay_last, c, out=c)
-            np.subtract(c, step, out=c)
-            buf[i] = c
-        t = np.minimum(np.arange(j0 + 1, j0 + n + 1) * R, T)
-        peaks = np.abs(buf[:n], out=scratch[:n]).max(axis=1)
+        # jump j0 + i writes the state it reaches over its spent noise row
+        for i, row in enumerate(rows):
+            np.multiply(decay if j0 + i < n_jumps - 1 else decay_last, c, out=tmp)
+            c = np.subtract(tmp, row, out=row)
+        peaks = np.abs(rows, out=scratch[: len(rows)]).max(axis=1)
         bad = np.flatnonzero(~(peaks <= _DIVERGENCE_LIMIT))  # NaN is bad too
         if len(bad):
-            raise DivergenceError(int(t[bad[0]]), f"max |c_i| = {float(peaks[bad[0]])}")
-        # every jump ends on a record; single steps only every record_every-th
-        due = np.flatnonzero((t % record_every == 0) | (t == T))
-        if len(due) < n:
-            buf[: len(due)] = buf[due]
-        times += t[due].tolist()
-        reduce(len(due))
+            raise DivergenceError(int(ends[j0 + bad[0]]), f"max |c_i| = {float(peaks[bad[0]])}")
+        c = c.copy()  # the chunk's last state outlives its row, squared below
+        keep = due[j0 : j0 + len(rows)]
+        reduce(rows if keep.all() else rows[keep])
 
     s_d, s_b, losses = np.concatenate(s_d), np.concatenate(s_b), np.concatenate(losses)
     # a run that stays inside the divergence limit can still record energies
@@ -172,7 +172,7 @@ def run_trajectory(
     if not np.all(np.isfinite(s_d + s_b + losses)):
         raise ParameterError("a recorded energy passes the float range: the eigenvalues or the start are too large")
     return TrajectoryRecord(
-        times=np.asarray(times, dtype=int),
+        times=np.concatenate(([0], ends[due])),
         thetas=_theta(s_d, s_b),
         losses=losses,
         s_d=s_d,

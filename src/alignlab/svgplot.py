@@ -143,7 +143,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="", xlog=False, ylog=Fal
             continue
         color = _COLORS[i % len(_COLORS)]
         xp, yp = px(_transform(x, xlog)).tolist(), py(_transform(y, ylog)).tolist()
-        pts = " ".join(f"{a:.6g},{b:.6g}" for a, b in zip(xp, yp))
+        pts = " ".join(map("%.6g,%.6g".__mod__, zip(xp, yp)))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         if label:
             ly = _MARGIN_T + 14 + 14 * i

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -325,7 +326,8 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
     _check_dims(init, spec, noise)
     # before mode_law squares the eigenvalues: a spectrum whose squares pass
     # the float range is a ParameterError here, not a numpy warning there
-    step_cap = min(2.0 / spec.lambda_max, _gap_step(spec))
+    gap_step = _gap_step(spec)
+    step_cap = min(2.0 / spec.lambda_max, gap_step)
     lam = spec.lambdas
     # a stationary variance past the float range is a StepSizeError here,
     # not an inf (and NaN downstream) after a numpy warning
@@ -340,15 +342,16 @@ def csgd_plan(spec: Spectrum, noise: NoiseProfile, init: State, eta: float) -> C
     varrho_d = float(spec.split_sum(c2 - beta)[0])
     # delta = s_max psi_D lam_1^2 / (lam_min^2 lam_k^2 (2 gap1 / eta - spread2))
     #       = s_max (sum_D rho^2) (eta / lam_1) / (rho_min^2 rho_k^2 b)
-    # with rho = lam / lam_1 and b = 2 gap1 / lam_1 - eta lam_1 (1 - rho_min^2),
-    # so no square under- or overflows on a tiny or huge spectrum; None where
-    # it is undefined (b is 0 at the gap cap) or past the float range
+    # with rho = lam / lam_1 and b = (2 gap1 - eta spread2) / lam_1, so no
+    # square under- or overflows on a tiny or huge spectrum. b's two terms
+    # cancel near the gap cap, so it is formed exactly and rounded once. None
+    # where delta is undefined (from the gap cap on) or past the float range
     rho = lam / spec.lambda_max
-    rho_min2 = float(rho[-1] ** 2)
-    b = 2.0 * (spec.gap1 / spec.lambda_max) - eta * spec.lambda_max * (1.0 - rho_min2)
-    denom = rho_min2 * float(rho[k - 1] ** 2) * b
+    l1, lk, lk1, lmin = (Fraction(float(x)) for x in lam[[0, k - 1, k, -1]])
+    b = (2 * (lk - lk1) - Fraction(eta) * (l1 * l1 - lmin * lmin)) / l1
+    denom = float(rho[-1] ** 2) * float(rho[k - 1] ** 2) * float(b)
     delta = noise.s_max * float(spec.split_sum(rho**2)[0]) / denom * (eta / spec.lambda_max) if denom else math.inf
-    delta = delta if math.isfinite(delta) else None
+    delta = delta if math.isfinite(delta) and eta < gap_step and b > 0 else None
 
     lam2beta = lam**2 * beta
     total = float(np.sum(lam2beta))

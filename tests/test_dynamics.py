@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -229,6 +230,19 @@ class TestChunkedKernel:
         for name, want in zip(("times", "thetas", "losses", "s_d", "s_b"), ref):
             assert np.array_equal(getattr(traj, name), want), name
 
+    def test_memory_stays_within_a_chunk(self, problem):
+        # 20000 single steps at d = 500 would hold 80 MB of states; the run
+        # keeps a chunk of them and the 20001 records (0.8 MB) and peaks near
+        # 1.7 MB
+        spec, noise, init = problem
+        tracemalloc.start()
+        try:
+            run_trajectory(spec, noise, init, 0.003, 20_000, 1, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_divergence_between_checks_matches_reference(self, fixa):
         # 2/lambda_1 < eta: |c_1| doubles each step, passes the limit near step
         # 500 and overflows near step 1025, all inside one chunk
@@ -280,26 +294,28 @@ class TestChunkedKernel:
             with pytest.raises(ParameterError, match="float range"):
                 run_trajectory(spec, noise, State(c=np.array([1.0, 1.0])), 1e-210, 50, 10, seed=1)
 
-    @pytest.mark.parametrize("seed, step", [(4, 10), (3, 20)])
-    def test_divergence_of_a_jumping_run_matches_reference(self, seed, step):
+    @pytest.mark.parametrize(
+        "seed, step, T", [(4, 10, 200), (3, 20, 200), (3, 15, 15)], ids=["4-10", "3-20", "3-15-last"]
+    )
+    def test_divergence_of_a_jumping_run_matches_reference(self, seed, step, T):
         # every mode contracts, so the run jumps 10 steps at a time; the huge
         # dominant noise carries a record past the limit (for seed 3 the
-        # second one, not the first)
+        # second one, not the first; at T = 15 on the shorter last jump)
         spec = Spectrum(lambdas=np.array([2.0, 1.0]), k=1)
         noise = NoiseProfile(kappa2=np.array([1e302, 1.0]))
         state = State(c=np.array([1.0, 1.0]))
         if step > 10:
             # the premise: every record before `step` is finite and inside the
             # limit (the reference raises DivergenceError past it)
-            times, *records = reference_trajectory(spec, noise, state, 0.45, step - 10, 10, seed)
-            assert times[-1] == step - 10
+            times, *records = reference_trajectory(spec, noise, state, 0.45, 10, 10, seed)
+            assert times[-1] == 10
             assert all(np.all(np.isfinite(r)) for r in records)
         with pytest.raises(DivergenceError) as ref:
-            reference_trajectory(spec, noise, state, 0.45, 200, 10, seed)
+            reference_trajectory(spec, noise, state, 0.45, T, 10, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as err:
-                run_trajectory(spec, noise, state, 0.45, 200, 10, seed=seed)
+                run_trajectory(spec, noise, state, 0.45, T, 10, seed=seed)
         assert err.value.step == ref.value.step == step
         assert str(err.value) == str(ref.value)
 

@@ -1,5 +1,5 @@
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +31,7 @@ from alignlab import (
     g_gap,
     loss_threshold,
     mode_law,
+    random_init,
     rescale_to_alignment,
     theory_report,
     theta_star,
@@ -463,6 +464,24 @@ class TestCsgdPlan:
         plan = csgd_plan(*fixa, 3e-307)
         assert plan.flags.all_ok
         assert plan.t_star is None
+
+    def test_delta_near_the_gap_cap(self):
+        # the golden report problem one float below eta = 2 gap1 / spread2,
+        # where 2 gap1 / eta and spread2 agree to rounding in delta's bracket;
+        # from the cap on delta is undefined
+        spec = build_spectrum(24, 4, 8.0, (0.5, 1.0), seed=5)
+        noise, state = NoiseProfile(kappa2=np.ones(24)), random_init(24, 3.0, seed=6)
+        cap = theory._gap_step(spec)
+        assert csgd_plan(spec, noise, state, math.nextafter(cap, 1.0)).delta is None
+        eta = math.nextafter(cap, 0.0)
+        assert eta == 0.21977893265592466
+        plan = csgd_plan(spec, noise, state, eta)
+        with localcontext(prec=60):
+            lam = [Decimal(x) for x in spec.lambdas.tolist()]
+            gap1, spread2 = lam[3] - lam[4], lam[0] ** 2 - lam[-1] ** 2
+            psi_d = sum(x * x for x in lam[:4])
+            exact = psi_d * lam[0] ** 2 / (lam[-1] ** 2 * lam[3] ** 2 * (2 * gap1 / Decimal(eta) - spread2))
+        assert abs(Decimal(plan.delta) - exact) / exact <= Decimal(1e-15)
 
     def test_beta_positive_when_stable(self):
         rng = np.random.default_rng(16)
