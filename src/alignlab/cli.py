@@ -95,6 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each preset subcommand's command and the flags it passes on when given
+_PRESETS = {
+    "simulate": (cmd_simulate, ()),
+    "sweep-gap": (cmd_sweep_gap, ()),
+    "drift-test": (cmd_drift_test, ("theta_targets", "eta_factors")),
+    "projected-test": (cmd_projected_test, ("n_states",)),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -107,24 +116,11 @@ def main(argv=None) -> int:
         if args.command == "print-config":
             print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
             return 0
-        if args.command == "simulate":
-            _, diverged = cmd_simulate(config)
-            return 1 if diverged else 0
-        if args.command == "sweep-gap":
-            _, diverged = cmd_sweep_gap(config)
-            return 1 if diverged else 0
-        if args.command == "drift-test":
-            kwargs = {}
-            if args.theta_targets:
-                kwargs["theta_targets"] = args.theta_targets
-            if args.eta_factors:
-                kwargs["eta_factors"] = args.eta_factors
-            _, contradicted = cmd_drift_test(config, **kwargs)
-            return 1 if contradicted else 0
-        if args.command == "projected-test":
-            _, failed = cmd_projected_test(config, n_states=args.n_states)
-            return 1 if failed else 0
-        raise AssertionError(f"unhandled command {args.command}")
+        command, flags = _PRESETS[args.command]
+        given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+        # a diverged job or a failed verdict exits 1
+        _, failed = command(config, **given)
+        return int(failed)
     except (AlignlabError, OSError, MemoryError) as exc:
         print(f"alignlab: error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,10 @@ seeds). Jobs fan out over `_pool.run_jobs`, the one job runner, whose thread
 pool ALIGNLAB_THREADS caps; results are assembled in job order, and files
 are written atomically (write-then-rename), so the pool size never changes
 the outputs.
+
+`drift-test`'s `high` target, the state at theta = (theta_star + 1)/2, is
+the base state with its bulk block scaled by a factor found in closed form,
+from one root of theta_star's auxiliary quadratic (`_state_above_theta_star`).
 """
 
 from __future__ import annotations
@@ -161,13 +165,16 @@ def _check_fields(doc: dict, types: dict, what: str) -> dict:
 
 
 def _read_json(path, what: str) -> dict:
-    """The JSON object in the file; a syntax error is a ParameterError naming
-    path:line:col."""
-    with open(path) as fh:
+    """The JSON object in the file, read as UTF-8 whatever the locale; a
+    syntax error is a ParameterError naming path:line:col, and bytes that
+    are not UTF-8 one naming the path."""
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if not isinstance(doc, dict):
         raise ParameterError(f"{path}: {what} document must be a JSON object")
     return doc
@@ -431,31 +438,29 @@ def _parse_theta_target(token, spec: Spectrum, noise: NoiseProfile) -> tuple[str
 
 
 def _state_above_theta_star(base: State, spec: Spectrum, noise: NoiseProfile) -> State:
-    """Shrink the bulk block until theta = (theta_star + 1)/2 at the resulting
-    state. Scaling the bulk coordinates by h changes only s_B, to h^2 s_B, so
-    theta(h) = s_D / (s_D + h^2 s_B), and theta_star reads s only through
-    m_aux = s (lambda_max^2 - lambda_min^2). The search therefore takes the
-    block stats and the thresholds of base once and bisects on log h in
-    floats, re-solving the auxiliary quadratic for r0 at each step, down to
-    adjacent floats. theta(h) falls and theta_star(h) rises with h, so the gap
-    function is strictly decreasing and bisection is safe. (Growing the
-    dominant block instead cannot cross theta_star: both sides then approach 1
-    at the same 1/scale^2 rate and the inequality locks.)"""
+    """base with its bulk block scaled by h so that theta = (theta_star + 1)/2
+    at the resulting state. Scaling keeps s_D and sets r = theta/(1 - theta)
+    = s_D/(h^2 s_B), and theta_star reads s only through m_aux = s spread2,
+    so the target is r = 1 + 2 r0, r0 being theta_star's root at the scaled
+    state. With s = s_D (1 + 1/r), the cubic in u = r - 1 that this leaves
+    is (u + 2) times the auxiliary quadratic with the weights
+    (a_aux, 2 s_D spread2, 2 h_aux), so u is that quadratic's positive root
+    and h = sqrt(s_D / ((1 + u) s_B)). Where theta_star is within rounding of
+    1 the state's alignment rounds to 1, and it is refused with a
+    ConstructionError, as is a base with an empty block. (Growing the dominant block instead
+    cannot cross theta_star: both sides then approach 1 at the same
+    1/scale^2 rate and the inequality locks.)"""
     stats = block_stats(base, spec, noise)
+    if stats.s_d == 0.0 or stats.s_b == 0.0:
+        raise ConstructionError("both blocks must be nonzero to reach the high-alignment regime")
     rt = theory.theta_star(stats, spec, noise)
-    def gap(log_h: float) -> float:
-        h = math.exp(log_h)
-        s = stats.s_d + h * h * stats.s_b
-        theta = stats.s_d / s if s > 0 else 0.0
-        r0 = theory._aux_root(rt.a_aux, s * spec.spread2, rt.h_aux)
-        return theta - 0.5 * (r0 / (1.0 + r0) + 1.0)
-
-    if gap(-40.0) <= 0 or gap(40.0) >= 0:
-        raise ConstructionError("no bulk rescaling reaches the high-alignment regime")
-    lo, hi = theory._bisect(lambda log_h: gap(log_h) > 0, -40.0, 40.0)
+    u = theory._aux_root(rt.a_aux, 2.0 * stats.s_d * spec.spread2, 2.0 * rt.h_aux)
     c = base.c.copy()
-    c[spec.k :] *= math.exp(0.5 * (lo + hi))
-    return State(c=c)
+    c[spec.k :] *= math.sqrt(stats.s_d / ((1.0 + u) * stats.s_b))
+    state = State(c=c)
+    if not block_stats(state, spec, noise).theta < 1.0:
+        raise ConstructionError("no bulk rescaling reaches the high-alignment regime")
+    return state
 
 
 def cmd_drift_test(

@@ -93,7 +93,7 @@ from ._pool import run_jobs
 from .errors import ParameterError
 from .spectrum import NoiseProfile, Spectrum
 from .state import BlockStats, State, _check_dims, _theta, block_stats
-from .theory import _bisect, drift_quadratic, expected_drift, expected_loss_change, loss_threshold
+from .theory import drift_quadratic, expected_drift, expected_loss_change, loss_threshold
 
 __all__ = [
     "McEstimate",
@@ -173,8 +173,8 @@ class _Kernel(NamedTuple):
     block sums of the linear forms on z, shape (len(forms), 2, nb), and Q,
     shape (2, nb), into (rows, nb) pair means of the rows that are not affine
     in Q, evaluated at z and at -z: the sums of -z are those of z with the
-    linear forms negated. An estimate lists the affine rows, then the ratio
-    rows."""
+    linear forms negated. An estimate lists the affine rows of every kernel,
+    then the ratio rows of every kernel."""
 
     c: np.ndarray
     w: np.ndarray
@@ -187,6 +187,18 @@ def _looks(pairs: int) -> list[int]:
     """The pair counts at which a sequential estimate of `pairs` pairs looks:
     every _FINISH * 2^i below the cap, then the cap."""
     return [_FINISH << i for i in range(((pairs - 1) // _FINISH).bit_length())] + [pairs]
+
+
+def _bisect(above, lo: float, hi: float) -> tuple[float, float]:
+    """The bracket [lo, hi] of the point where above(x) turns false, halved
+    from above(lo) and not above(hi) until lo and hi are adjacent floats, or
+    at most 200 times."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # adjacent floats: neither bound can move again
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return lo, hi
 
 
 def _z_looks(z_crit: float, n: int) -> float:
@@ -206,11 +218,11 @@ def _z_looks(z_crit: float, n: int) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the pivots or sums: ParameterError below
 def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> list[McEstimate]:
-    """Mean and standard error of every row of every kernel, kernel by kernel,
-    from ceil(n/2) antithetic pairs over the batches of the schedule, which
-    run on the job pool. With stop, n is a cap: the estimates are formed at
-    each look (`_looks`), and returned at the first where stop(estimates)
-    holds, or at the cap. A look's batches are formed only when the estimate
+    """Mean and standard error of every affine row of every kernel, kernel by
+    kernel, then of every ratio row likewise, from ceil(n/2) antithetic pairs
+    over the batches of the schedule, which run on the job pool. With stop, n
+    is a cap: the estimates are formed at each look (`_looks`), and returned
+    at the first where stop(estimates) holds, or at the cap. A look's batches are formed only when the estimate
     reaches it, so no set-up grows with the cap. The kernels come from one
     factory on spec and one noise profile, so they share q and every draw.
     Each batch is drawn in row blocks of about _BLOCK_VALUES normals into a
@@ -234,15 +246,10 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> li
     # ratio kernel i reads the linear-form sums forms[i]:forms[i + 1]
     forms = np.cumsum([0] + [len(kernel.forms) for kernel in ratios])
     pivots = [kernel.ratio(np.zeros((len(kernel.forms), 2, 1)), q_mean[:, None])[:, 0] for kernel in ratios]
-    # each kernel's rows: its affine rows, then its ratio rows, whose w is 0
-    # and whose sums the workers form (flagged sampled)
-    centres, w, sampled, ratio_pivots = [], [], [], iter(pivots)
-    for kernel in kernels:
-        pivot = next(ratio_pivots) if kernel.ratio else np.empty(0)
-        centres += [kernel.c + np.einsum("ri,i->r", kernel.w, q_mean), pivot]
-        w += [kernel.w, np.zeros((len(pivot), 2))]
-        sampled += [np.zeros(len(kernel.c), bool), np.ones(len(pivot), bool)]
-    centres, w, sampled = np.concatenate(centres), np.concatenate(w), np.concatenate(sampled)
+    # every kernel's affine rows, then every ratio row, whose sums the workers form
+    w = np.concatenate([kernel.w for kernel in kernels])
+    centres = np.concatenate([kernel.c for kernel in kernels] + pivots)
+    centres[: len(w)] += np.einsum("ri,i->r", w, q_mean)
     if not np.all(np.isfinite(centres)):
         raise ParameterError(
             "a Monte-Carlo statistic is not finite at the mean noise: the step size or the state is too large"
@@ -282,27 +289,25 @@ def _estimate(n: int, seed: int, spec: Spectrum, kernels: list, stop=None) -> li
             begin, end = end, min(look, end + min(max(end, _FINISH), _BATCH))
             batches.append((len(parts) + len(batches), begin, end))
         parts += run_jobs(run, batches)
-        out = _combine(np.array(parts), centres, w, sampled, look)
+        out = _combine(np.array(parts), centres, w, look)
         if stop and stop(out):
             break
     return out
 
 
-def _combine(
-    parts: np.ndarray, centres: np.ndarray, w: np.ndarray, sampled: np.ndarray, pairs: int
-) -> list[McEstimate]:
+def _combine(parts: np.ndarray, centres: np.ndarray, w: np.ndarray, pairs: int) -> list[McEstimate]:
     """The estimates of the rows whose pivots are centres over pairs pairs,
     from the per-batch sums parts, shape (batches, 6 + 2 R): the sum of
     dQ = Q - E[Q], the sum of dQ dQ^T, and the shifted sums and sums of
-    squares of the R rows flagged sampled, each summed in batch order. An
-    affine row c + w.Q has the shifted sum w.sum(dQ) and sum of squares
-    w.sum(dQ dQ^T).w^T. A sum of squares of zero over a nonzero sum can only
-    have underflowed."""
+    squares of the R ratio rows, each summed in batch order. The affine rows
+    c + w.Q come first, and have the shifted sum w.sum(dQ) and sum of squares
+    w.sum(dQ dQ^T).w^T; the ratio rows follow. A sum of squares of zero over
+    a nonzero sum can only have underflowed."""
     # a column whose sum is not finite may overflow math.fsum; the rows show it
     totals = np.array([math.fsum(col) if math.isfinite(t) else t for col, t in zip(parts.T, parts.sum(axis=0))])
-    s1 = np.einsum("ri,i->r", w, totals[:2])
-    s2 = np.einsum("ri,ij,rj->r", w, totals[2:6].reshape(2, 2), w)
-    s1[sampled], s2[sampled] = totals[6:].reshape(2, -1)
+    ratio_s1, ratio_s2 = totals[6:].reshape(2, -1)
+    s1 = np.concatenate([np.einsum("ri,i->r", w, totals[:2]), ratio_s1])
+    s2 = np.concatenate([np.einsum("ri,ij,rj->r", w, totals[2:6].reshape(2, 2), w), ratio_s2])
     if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))):
         raise ParameterError("a Monte-Carlo sum of squares is not finite: the step size or the state is too large")
     out = []
@@ -456,20 +461,17 @@ def drift_verdicts(
         dq = drift_quadratic(stats)
         eta_star = dq.eta_star if dq.eta_star is not None and dq.eta_star > 0 else None
         # rejects a step whose drift overflows, before drawing
-        checks.append([(stats.theta, eta, eta_star, expected_drift(dq, eta),
-                        1e-12 * (abs(dq.p) * eta**2 + abs(dq.q) * eta)) for eta in etas])
+        checks += [(stats.theta, eta, eta_star, expected_drift(dq, eta),
+                    1e-12 * (abs(dq.p) * eta**2 + abs(dq.q) * eta)) for eta in etas]
     kernels = [_one_step_kernel(state, stats, spec, noise, etas) for state, stats, etas in jobs]
 
     def rows(ests, z):
-        ests, out = iter(ests), []
-        for job in checks:
-            # a kernel's rows: f, sD_next and sB_next per eta, then theta_next
-            # per eta, which zip takes from ests once per eta of the job
-            fs = [next(ests) for _ in range(3 * len(job))][::3]
-            for (theta, eta, eta_star, target, tol), f, theta_next in zip(job, fs, ests):
-                dtheta = McEstimate(mean=theta_next.mean - theta, stderr=theta_next.stderr, n=theta_next.n)
-                out.append(_verdict("f_drift", theta, eta, eta_star, target, tol, f, z))
-                out.append(_verdict("theta_drift", theta, eta, eta_star, target, tol, dtheta, z, theta_abs_slack))
+        # f, sD_next and sB_next per step size of every job, then theta_next per step size
+        out, fs = [], ests[: 3 * len(checks) : 3]
+        for (theta, eta, eta_star, target, tol), f, theta_next in zip(checks, fs, ests[3 * len(checks) :]):
+            dtheta = McEstimate(mean=theta_next.mean - theta, stderr=theta_next.stderr, n=theta_next.n)
+            out.append(_verdict("f_drift", theta, eta, eta_star, target, tol, f, z))
+            out.append(_verdict("theta_drift", theta, eta, eta_star, target, tol, dtheta, z, theta_abs_slack))
         return out
 
     return _sign_tests(n, seed, spec, kernels, rows, z_crit)

@@ -156,6 +156,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="", xlog=False, ylog=Fal
                 f'font-size="10">{label}</text>'
             )
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    # no newline translation: the bytes are the same on every platform
+    with open(path, "w", newline="") as fh:
         fh.write("\n".join(parts))
         fh.write("\n")

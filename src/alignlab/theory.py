@@ -8,6 +8,10 @@ Every closed form of a mode c_t reads `mode_law`, the exact Gaussian AR(1) law
 does not cancel at small eta lambda; the trajectory jumps of `dynamics` read it
 too. Projected updates are checked one step at a time: `projected-test` tests
 `expected_loss_change`.
+
+theta_star, crossover's theta_crit and the `high` drift-test state of
+`harness` are each one root of one auxiliary quadratic, `_aux_root`; no
+threshold here is searched for.
 """
 
 from __future__ import annotations
@@ -169,10 +173,12 @@ def g_gap(spec: Spectrum, noise: NoiseProfile) -> float:
 def _aux_root(a: float, m: float, h: float) -> float:
     """Positive root r of a r^2 + (a - m - h) r - h, the auxiliary quadratic
     in r = theta/(1 - theta) of theta_star (weights s_min psi_B, s spread2,
-    s_max psi_D) and of crossover (n_B, alpha, n_D); r = inf at a = 0. The
-    weights are first scaled by the power of two that brings the largest to
-    [0.5, 1), which changes no root and, in the normal range, no bit, so b*b
-    and a*h neither underflow nor overflow; each branch avoids cancellation."""
+    s_max psi_D) and of crossover (n_B, alpha, n_D), and in r - 1 of the
+    `high` drift-test state (s_min psi_B, 2 s_D spread2, 2 s_max psi_D);
+    r = inf at a = 0. The weights are first scaled by the power of two that
+    brings the largest to [0.5, 1), which changes no root and, in the normal
+    range, no bit, so b*b and a*h neither underflow nor overflow; each branch
+    avoids cancellation."""
     if a == 0.0:
         return math.inf
     e = -math.frexp(max(a, m, h))[1]
@@ -184,21 +190,6 @@ def _aux_root(a: float, m: float, h: float) -> float:
     if residual > _ROOT_RTOL * max(a * root * root, abs(b * root), h):
         raise AlignlabError(f"quadratic root residual {residual} exceeds tolerance")
     return root
-
-
-def _bisect(above, lo: float, hi: float) -> tuple[float, float]:
-    """The bracket [lo, hi] of the point where above(x) turns false, halved
-    from above(lo) and not above(hi) until lo and hi are adjacent floats, or
-    at most 200 times. Serves the `high` drift-test target and z_K."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break  # adjacent floats: neither bound can move again
-        if above(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def theta_star(stats: BlockStats, spec: Spectrum, noise: NoiseProfile) -> RegimeThresholds:

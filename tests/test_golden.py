@@ -80,13 +80,13 @@ SHA256 = {
         "alignment_vs_m_logfit.csv": "b33164d0517c400f93b81e4b119c3c0d2aaa5e42eb31b6c3cacbeb738af24caf",
     },
     "drift": {
-        "drift_verdicts.csv": "73c48878ab915f2cb1c9498c8ac594abd33a79dc502ac23027fa0a96320f2cf3",
+        "drift_verdicts.csv": "29203bf9feccd352d76d7ef707518c960868f7e437639728511b6b4c0ea61c61",
     },
     "projected": {
         "projected_verdicts.csv": "80caeff823c2c485af6205a36d8a3a32db3856356b9c22cbe030aed6af0c745f",
     },
     "drift_d500": {
-        "drift_verdicts.csv": "7210796cecdcb93ed699d27fc615e7f9b0472a0efe4f5e94db25b775e887b567",
+        "drift_verdicts.csv": "642e0d7b03e5afaabd0338c287d92ac3a366ec11747df34a95d197534f96c3e4",
     },
     "projected_d60": {
         "projected_verdicts.csv": "8a93fe969799931029f6918e9dc363691cb07e0841fd8c23c75ba29b552c09e1",

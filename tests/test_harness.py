@@ -1,3 +1,4 @@
+import _pyio
 import argparse
 import json
 import os
@@ -8,7 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alignlab import NoiseProfile, ParameterError, Spectrum, State, build_spectrum, load_config, theory
+from alignlab import (
+    ConstructionError,
+    NoiseProfile,
+    ParameterError,
+    Spectrum,
+    State,
+    build_spectrum,
+    load_config,
+    svgplot,
+    theory,
+)
 from alignlab.cli import build_parser, main
 from alignlab.harness import (
     _STREAM_INIT,
@@ -133,6 +144,18 @@ class TestAtomicWrite:
         assert target.read_text() == "old\n"
 
 
+class TestSvgBytes:
+    def test_no_newline_translation(self, tmp_path, monkeypatch):
+        # _pyio's text files read os.linesep, as io's do on a platform whose
+        # line separator it is
+        monkeypatch.setattr(os, "linesep", "\r\n")
+        monkeypatch.setattr(svgplot, "open", _pyio.open, raising=False)
+        path = tmp_path / "plot.svg"
+        svgplot.line_plot(path, [([1.0, 2.0, 3.0], [0.5, 0.2, 0.1], "a")], title="t", xlog=True)
+        data = path.read_bytes()
+        assert b"\n" in data and b"\r" not in data
+
+
 class TestSimulate:
     def test_outputs_and_summary(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -254,24 +277,6 @@ class TestDriftTestCommand:
         assert len(rows) == 12
         assert rows == expected
 
-    def test_high_target_bisection_stops_at_adjacent_floats(self, tmp_path, monkeypatch):
-        # once the bisection interval holds two adjacent floats neither bound
-        # can move, so the search stops there instead of running 200 steps
-        cfg = tiny_config(tmp_path)
-        m, seed = cfg.m_list[0], cfg.seeds[0]
-        spec, noise = _problem_for(cfg, m, seed)
-        base = random_init(cfg.d, cfg.init_scale, seed=_stream(seed, m, _STREAM_INIT))
-        # the search solves the auxiliary quadratic once in theta_star and
-        # once per gap evaluation: the two bracket ends, then one per halving
-        # of [-40, 40], some 60 of which reach adjacent floats
-        solves = []
-        root = theory._aux_root
-        monkeypatch.setattr(theory, "_aux_root", lambda *a: solves.append(a) or root(*a))
-        state = _state_above_theta_star(base, spec, noise)
-        assert 50 < len(solves) < 100
-        stats = block_stats(state, spec, noise)
-        assert stats.theta == pytest.approx(0.5 * (theta_star(stats, spec, noise).theta_star + 1.0), rel=1e-12)
-
     def test_high_target_meets_its_definition(self):
         # the search reads theta and theta_star off the base state's block
         # energies; the full block_stats of the state it returns must agree
@@ -282,6 +287,29 @@ class TestDriftTestCommand:
             assert np.array_equal(state.c[: spec.k], base.c[: spec.k])
             stats = block_stats(state, spec, noise)
             assert stats.theta == pytest.approx(0.5 * (theta_star(stats, spec, noise).theta_star + 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_high_target_is_the_root_of_the_scaled_quadratic(self, degenerate):
+        # s_D/s_B = 1 + u, u the positive root of theta_star's auxiliary
+        # quadratic with the weights (a_aux, 2 s_D spread2, 2 h_aux), solved
+        # to 60 digits from the base state's weights
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            spec, noise, base = random_problem(rng, degenerate_blocks=degenerate)
+            stats = block_stats(base, spec, noise)
+            rt = theta_star(stats, spec, noise)
+            high = block_stats(_state_above_theta_star(base, spec, noise), spec, noise)
+            with localcontext(prec=60):
+                exact = 1 + decimal_aux_root(rt.a_aux, 2 * stats.s_d * spec.spread2, 2 * rt.h_aux)
+                assert abs(Decimal(high.s_d) / Decimal(high.s_b) / exact - 1) <= Decimal("1e-14")
+
+    @pytest.mark.parametrize("empty", [slice(None, 3), slice(3, None)], ids=["dominant", "bulk"])
+    def test_high_target_needs_both_blocks(self, empty):
+        spec = build_spectrum(12, 3, 8.0, (0.5, 1.0), seed=5)
+        c = random_init(12, 1.0, seed=6).c.copy()
+        c[empty] = 0.0
+        with pytest.raises(ConstructionError, match="both blocks must be nonzero"):
+            _state_above_theta_star(State(c=c), spec, NoiseProfile(kappa2=np.ones(12)))
 
     def test_absolute_target(self, tmp_path):
         cfg = tiny_config(tmp_path, n_mc=5_000)
@@ -398,6 +426,14 @@ class TestCli:
         bad.write_text('["d"]')
         err = self._usage_error(["print-config", "--config", str(bad), *flags], capsys)
         assert f"{bad}: config document must be a JSON object" in err
+
+    @pytest.mark.parametrize("command", ["print-config", "simulate"])
+    def test_config_not_utf8_is_usage_error(self, command, tmp_path, capsys):
+        bad, out = tmp_path / "bad.json", tmp_path / "out"
+        bad.write_bytes(b'\xff\xfe{"d": 5}')
+        err = self._usage_error([command, "--config", str(bad), "--out", str(out)], capsys)
+        assert f"{bad}: not UTF-8 text" in err
+        assert not out.exists()
 
     def test_drift_test_cli(self, tmp_path):
         out = tmp_path / "drift"
@@ -627,6 +663,13 @@ class TestCli:
         argv = ["report", "--spectrum", str(bad), "--noise", str(problem), "--state", str(state_path), "--eta", "0.1"]
         err = self._usage_error(argv, capsys)
         assert f"{bad}:2:1: " in err
+
+    def test_report_input_not_utf8_is_usage_error(self, fixa_files, tmp_path, capsys):
+        problem, state_path = fixa_files
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"lambdas": [2.0, 1.0], "k": 1}')
+        argv = ["report", "--spectrum", str(bad), "--noise", str(problem), "--state", str(state_path), "--eta", "0.1"]
+        assert f"{bad}: not UTF-8 text" in self._usage_error(argv, capsys)
 
     # each document is a fixa input with one bad value (1e400 parses as inf)
     @pytest.mark.parametrize("role, text, detail", [

@@ -521,16 +521,13 @@ class TestSharedDraw:
         jobs = [(state, [f / spec.lambda_max for f in (0.2 * (i + 1), 1.9)]) for i, state in enumerate(states)]
         kernels = [_one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas) for state, etas in jobs]
         shared = _estimate(20_001, 30, spec, kernels)
-        assert shared == [
-            est
-            for kernel in kernels
-            for est in _estimate(20_001, 30, spec, [kernel])
-        ]
-        # one_step_estimates' rows are the f, sD_next and sB_next rows of the
-        # shared draw
-        # (each kernel lists f, sD_next and sB_next per step size, then
-        # theta_next per step size)
-        assert [est for i, est in enumerate(shared) if i % 8 < 6] == [
+        # the affine rows (f, sD_next and sB_next per step size) of every
+        # kernel, then the ratio rows (theta_next per step size) of every kernel
+        alone = [(_estimate(20_001, 30, spec, [kernel]), len(kernel.c)) for kernel in kernels]
+        affine = [est for ests, rows in alone for est in ests[:rows]]
+        assert shared == affine + [est for ests, rows in alone for est in ests[rows:]]
+        # one_step_estimates' rows are the affine rows of the shared draw
+        assert affine == [
             est
             for state, etas in jobs
             for rows in one_step_estimates(state, spec, noise, etas, 20_001, 30).values()
