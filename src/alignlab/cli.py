@@ -50,7 +50,7 @@ def _config_flags() -> argparse.ArgumentParser:
 
 # how drift-test and projected-test spend --n-mc
 _LOOKS = (
-    "--n-mc caps the Monte-Carlo samples. The verdicts look after 1024, 2048, 4096, ... antithetic pairs "
+    "--n-mc caps the Monte-Carlo samples. The verdicts look after 512, 1024, 2048, ... antithetic pairs "
     "and at the cap, K looks in all, and test every row at z_K, where 2(1 - Phi(z_K)) = 2(1 - Phi(z_crit))/K. "
     "The one shared draw stops at the first look where every row is confirmed or contradicted at z_K, or has "
     "mean +- z_K*stderr inside its slack band; every row reports at that look, and its pairs column says how "

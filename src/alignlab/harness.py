@@ -509,8 +509,8 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
     equal thresholds is skipped with one stderr line; when every state is
     skipped the command fails before drawing. Returns (out_dir, any_failure)."""
     config.validate()
-    if n_states < 1:
-        raise ParameterError("n_states must be >= 1")
+    if not (_is_int(n_states) and n_states >= 1):
+        raise ParameterError(f"n_states must be an int64 integer >= 1, got {n_states!r}")
     out = Path(config.output_dir)
     m, seed = config.m_list[0], config.seeds[0]
     spec, noise = _problem_for(config, m, seed)

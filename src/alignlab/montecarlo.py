@@ -5,8 +5,8 @@ Sampling schedule: an estimate of n samples with seed s draws ceil(n/2)
 noise vectors z and uses each twice, as z and as -z (antithetic pairs,
 Hammersley & Morton 1956). The pairs are split into batches by a rule: a
 batch is as long as the pairs before it, clamped to [_FINISH, _BATCH], so
-batches hold 1024, 1024, 2048 and then 4096 pairs and their bounds pass
-through every 1024 * 2^i below the total. Batch j uses the stream
+batches hold 512, 512, 1024, 2048 and then 4096 pairs and their bounds pass
+through every 512 * 2^i below the total. Batch j uses the stream
 ``Generator(SFC64(SeedSequence([s, j])))`` (SFC64 draws a normal faster than
 numpy's default PCG64). The rule is applied a look at a time (below), so the
 batches are formed as they are drawn and never listed up to the total.
@@ -30,7 +30,7 @@ estimates with the same seed share their noise draws (common random
 numbers).
 
 Group-sequential verdicts: for the sign tests n is a cap. They look at the
-estimate at every batch bound 1024 * 2^i and at the cap, K looks fixed by
+estimate at every batch bound 512 * 2^i and at the cap, K looks fixed by
 the cap alone, and test each row at z_K, where
 2 (1 - Phi(z_K)) = 2 (1 - Phi(z_crit)) / K: Bonferroni over the looks
 (Jennison & Turnbull 2000, Group Sequential Methods with Applications to
@@ -110,8 +110,10 @@ _BATCH = 4096
 # every kernel's sums pass over it
 _BLOCK_VALUES = 65536
 # pairs per call of a kernel's ratio: bounds its (rows, pairs) temporaries;
-# also the first batch and the first look of an estimate
-_FINISH = 1024
+# also the first batch and the first look of an estimate: the least power of
+# two whose 2 x _FINISH samples reach the sign tests' floor, so the first look
+# can already decide
+_FINISH = 512
 # sample floor of the sign tests
 _VERDICT_MIN_N = 1000
 

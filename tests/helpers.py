@@ -109,13 +109,14 @@ def decimal_aux_root(a, m, h) -> decimal.Decimal:
 def batch_schedule(pairs):
     """The Monte-Carlo batches (j, begin, end) of an estimate over `pairs`
     pairs, listed up to the total: each batch is as long as the pairs before
-    it, clamped to [1024, 4096]. The sequential looks are the batch ends that
-    are 1024 * 2^i, and the total."""
+    it, clamped to [_FINISH, _BATCH]. The sequential looks are the batch ends
+    that are _FINISH * 2^i, and the total."""
+    first, full = montecarlo._FINISH, montecarlo._BATCH
     batches, end = [], 0
     while end < pairs:
-        begin, end = end, min(pairs, end + min(max(end, 1024), 4096))
+        begin, end = end, min(pairs, end + min(max(end, first), full))
         batches.append((len(batches), begin, end))
-    looks = [end for _, _, end in batches if end == pairs or (end % 1024 == 0 and (end // 1024).bit_count() == 1)]
+    looks = [end for _, _, end in batches if end == pairs or (end % first == 0 and (end // first).bit_count() == 1)]
     return batches, looks
 
 

@@ -32,8 +32,8 @@ PRESETS = {
                       "--seed", "1", "--seed", "2", "--record-every", "1"],
     "sweep": ["sweep-gap", *COMMON, "--eta", "0.02", "--steps", "300", "--m", "8", "--m", "20",
               "--seed", "1", "--seed", "2"],
-    # 20_001 samples cap the sign tests at 10_001 antithetic pairs: five
-    # Monte-Carlo batches and five looks; every row settles at the first
+    # 20_001 samples cap the sign tests at 10_001 antithetic pairs: six
+    # Monte-Carlo batches and six looks; every row settles at the first
     "drift": ["drift-test", *COMMON, "--m", "8", "--seed", "3", "--n-mc", "20001"],
     "projected": ["projected-test", *COMMON, "--m", "8", "--seed", "3", "--n-mc", "20001", "--n-states", "3"],
     # the benchmark's verdict configurations at one seed: only d >= 200 gives
@@ -80,16 +80,16 @@ SHA256 = {
         "alignment_vs_m_logfit.csv": "b33164d0517c400f93b81e4b119c3c0d2aaa5e42eb31b6c3cacbeb738af24caf",
     },
     "drift": {
-        "drift_verdicts.csv": "29203bf9feccd352d76d7ef707518c960868f7e437639728511b6b4c0ea61c61",
+        "drift_verdicts.csv": "4680663c487e302884d9a41734083323b4a5475391087b104e862a061e3d95b5",
     },
     "projected": {
-        "projected_verdicts.csv": "80caeff823c2c485af6205a36d8a3a32db3856356b9c22cbe030aed6af0c745f",
+        "projected_verdicts.csv": "c6d4eb882b12e1310735ab84240b30f0acc8e67dc9d2140b2c37d43a0993a138",
     },
     "drift_d500": {
-        "drift_verdicts.csv": "642e0d7b03e5afaabd0338c287d92ac3a366ec11747df34a95d197534f96c3e4",
+        "drift_verdicts.csv": "85315e207e1ae319d6df6691ed8511f94f683f090fb7c699668cba441722e613",
     },
     "projected_d60": {
-        "projected_verdicts.csv": "8a93fe969799931029f6918e9dc363691cb07e0841fd8c23c75ba29b552c09e1",
+        "projected_verdicts.csv": "f810ffef31de348d4eb61d14f0a140a917186263f9be9e3673799a9ca2111d43",
     },
 }
 

@@ -469,6 +469,14 @@ class TestCli:
         assert "T_start=200" in err
         assert not out.exists()
 
+    def test_n_states_past_int64_is_usage_error(self, tmp_path, capsys):
+        # checked like every integer config field, before any state is drawn
+        out = tmp_path / "projected"
+        argv = ["projected-test", "--d", "24", "--k", "4", "--m", "5", "--seed", "1",
+                "--n-states", str(10**20), "--out", str(out)]
+        assert "n_states must be an int64 integer" in self._usage_error(argv, capsys)
+        assert not out.exists()
+
     def test_negative_t_start_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "runs"
         err = self._usage_error([*self.SIM_ARGS, "--m", "8", "--t-start", "-10", "--out", str(out)], capsys)
@@ -816,10 +824,11 @@ class TestCli:
         assert not out.exists()
 
     def test_verdicts_past_the_first_look_equal_across_threads(self, tmp_path, monkeypatch):
-        # at 0.98 eta* the f drift is small enough that the draw stops at the
-        # 8192-pair look, whose batches 3 and 4 run together on the pool
-        argv = ["drift-test", "--d", "24", "--k", "4", "--m", "8", "--seed", "3", "--n-mc", "20001",
-                "--theta-target", "0.3*ggap", "--eta-factor", "0.98"]
+        # at 0.99 eta* the f drift is too small to decide, so the draw runs to
+        # the cap of 15001 pairs, a look whose batches 5 (8192 to 12288 pairs)
+        # and 6 (to 15001) run together on the pool
+        argv = ["drift-test", "--d", "24", "--k", "4", "--m", "8", "--seed", "3", "--n-mc", "30001",
+                "--theta-target", "0.3*ggap", "--eta-factor", "0.99"]
         tables = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("ALIGNLAB_THREADS", threads)
@@ -828,7 +837,7 @@ class TestCli:
             tables.append((out / "drift_verdicts.csv").read_bytes())
         assert tables[0] == tables[1] == tables[2]
         pairs = {line.split(b",")[7] for line in tables[0].splitlines()[1:]}
-        assert pairs == {b"8192"}
+        assert pairs == {b"15001"}
 
     def test_huge_cap_sets_up_like_a_small_one(self, tmp_path):
         # the looks are read off the cap of 5e17 pairs, and every row settles
@@ -837,7 +846,24 @@ class TestCli:
         argv = ["drift-test", "--d", "24", "--k", "4", "--m", "8", "--n-mc", str(10**18), "--out", str(out)]
         assert main(argv) == 0
         pairs = {line.split(",")[7] for line in (out / "drift_verdicts.csv").read_text().splitlines()[1:]}
-        assert pairs == {"1024"}
+        assert pairs == {"512"}
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_benchmark_presets_settle_at_the_first_look(self, seed, tmp_path):
+        # the verdict presets at perfbench's verdicts config: every row is
+        # decided or band-settled after the first look's 512 pairs
+        common = ["--seed", str(seed), "--n-mc", "16384"]
+        presets = {
+            "drift_verdicts.csv": ["drift-test", "--d", "500", "--k", "50", "--m", "20", *common],
+            "projected_verdicts.csv": ["projected-test", "--d", "60", "--k", "6", "--m", "8", "--n-states", "10",
+                                       *common],
+        }
+        for name, argv in presets.items():
+            out = tmp_path / name
+            assert main([*argv, "--out", str(out)]) == 0
+            rows = [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+            assert rows and {row[7] for row in rows} == {"512"}
+            assert all(row[9] != "contradicted" for row in rows)
 
     # each preset's flags, and float-range edges: eigenvalues whose squares
     # (1e200, 1e155) or fourth powers (1e100) pass it, noise and starts near

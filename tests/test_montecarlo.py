@@ -458,8 +458,8 @@ class TestSharedDraw:
     the batch, and every ratio row, formed in chunks of pairs, the row formed
     from that whole draw, bit for bit."""
 
-    # 20_001 samples = 10_001 pairs: batches of 1024, 1024, 2048 and 4096
-    # pairs and a short one of 1809; at d = 10, 60 and 500 the last row block
+    # 20_001 samples = 10_001 pairs: batches of 512, 512, 1024, 2048 and
+    # 4096 pairs and a short one of 1809; at d = 10, 60 and 500 the last row block
     # of every batch is short as well, and the short batch ends in a short
     # ratio chunk
     @pytest.mark.parametrize("d", [2, 10, 60, 500])
@@ -471,7 +471,7 @@ class TestSharedDraw:
             [_one_step_kernel(state, block_stats(state, spec, noise), spec, noise, etas) for state in states],
             [_projected_kernel(block_stats(s, spec, noise), spec, noise, 0.7 / spec.lambda_max) for s in states],
         )
-        seed, sizes = 28, (1024, 1024, 2048, 4096, 1809)
+        seed, sizes = 28, (512, 512, 1024, 2048, 4096, 1809)
         summed = []
 
         def recording(z, k, vectors, q, out):
@@ -505,7 +505,7 @@ class TestSharedDraw:
                 if kernel.ratio:
                     # the first call is the data-free pivot; the rest are chunks
                     chunks = got[1:]
-                    assert [c.shape[1] for c in chunks] == [1024] * 8 + [1024, 785]
+                    assert [c.shape[1] for c in chunks] == [512] * 16 + [512, 512, 512, 273]
                     assert np.array_equal(np.concatenate(chunks, axis=1), np.concatenate(want, axis=1))
                 else:
                     assert got == []
@@ -594,7 +594,7 @@ class TestBoundedMemory:
 
 
 class TestThreadCountInvariance:
-    # 20_001 samples are 10_001 antithetic pairs: four batches of 1024 to 4096
+    # 20_001 samples are 10_001 antithetic pairs: five batches of 512 to 4096
     # pairs and a short one
     N = 20_001
     PAIRS = 10_001
@@ -726,23 +726,24 @@ class TestThreadCountInvariance:
 
 
 class TestGroupSequential:
-    """The sign tests look at every batch bound 1024 * 2^i and at the cap, test
+    """The sign tests look at every batch bound 512 * 2^i and at the cap, test
     each row at the Bonferroni z_K of those K looks, and stop the shared
     draw at the first look where every row is settled."""
 
     def test_schedule_and_looks(self, fixa, monkeypatch):
-        # the schedule listed in full: batches of 1024, 1024, 2048 and then
-        # 4096 pairs, whose ends pass through every 1024 * 2^i below the total
+        # the schedule listed in full: batches of 512, 512, 1024, 2048 and
+        # then 4096 pairs, whose ends pass through every 512 * 2^i below the
+        # total
         batches, looks = batch_schedule(50_000)
         bounds = [0] + [end for _, _, end in batches]
-        assert bounds[:7] == [0, 1024, 2048, 4096, 8192, 12288, 16384] and bounds[-1] == 50_000
-        assert set(np.diff(bounds[3:-1])) == {montecarlo._BATCH}
-        assert looks == [1024, 2048, 4096, 8192, 16384, 32768, 50_000]
+        assert bounds[:8] == [0, 512, 1024, 2048, 4096, 8192, 12288, 16384] and bounds[-1] == 50_000
+        assert set(np.diff(bounds[4:-1])) == {montecarlo._BATCH}
+        assert looks == [512, 1024, 2048, 4096, 8192, 16384, 32768, 50_000]
         # the looks read off the cap are those of the listed schedule
         caps = [*range(1, 20_000), *range(20_000, 400_000, 37), *(2**k + e for k in range(25) for e in (0, 1))]
         assert all(montecarlo._looks(pairs) == batch_schedule(pairs)[1] for pairs in caps)
-        assert montecarlo._looks(8192) == [1024, 2048, 4096, 8192]
-        assert [montecarlo._looks(p)[-1] for p in (1, 500, 1024, 1025)] == [1, 500, 1024, 1025]
+        assert montecarlo._looks(8192) == [512, 1024, 2048, 4096, 8192]
+        assert [montecarlo._looks(p)[-1] for p in (1, 500, 512, 513)] == [1, 500, 512, 513]
         # an estimate draws exactly the listed batches: the fixed-n path in one
         # pass, and a sign test stopped at its cap look by look
         spec, noise, state = fixa
@@ -753,7 +754,7 @@ class TestGroupSequential:
             return run_jobs(fn, jobs)
 
         monkeypatch.setattr(montecarlo, "run_jobs", recording)
-        for pairs in (500, 1024, 1025, 50_000):
+        for pairs in (500, 512, 513, 50_000):
             batches, looks = batch_schedule(pairs)
             drawn.clear()
             one_step_estimates(state, spec, noise, [0.1], 2 * pairs, seed=2)
@@ -765,6 +766,13 @@ class TestGroupSequential:
             assert {row.estimate.n for row in rows} == {pairs}
             assert [look[-1][2] for look in drawn] == looks
             assert [batch for look in drawn for batch in look] == batches
+
+    def test_first_look_is_the_least_power_of_two_at_the_floor(self):
+        # the first look's 2 x _FINISH samples reach the sample floor, and
+        # half as many pairs would not
+        first = montecarlo._FINISH
+        assert first & (first - 1) == 0
+        assert first < montecarlo._VERDICT_MIN_N <= 2 * first
 
     @pytest.mark.parametrize("z_crit", [1.5, 3.0, 5.0, 9.0])
     @pytest.mark.parametrize("n", [2000, 20_001, 100_000, 10**7])
@@ -782,7 +790,7 @@ class TestGroupSequential:
 
     def test_z_k_where_the_tail_underflows(self):
         # erfc(40 / sqrt(2)) underflows; the tail bound is the threshold
-        assert montecarlo._z_looks(40.0, 100_000) == math.sqrt(1600.0 + 2.0 * math.log(7))
+        assert montecarlo._z_looks(40.0, 100_000) == math.sqrt(1600.0 + 2.0 * math.log(8))
 
     def test_z_k_is_the_last_float_whose_tail_is_within_the_level(self):
         # bisected down to adjacent floats: z_K's tail is within the level,
@@ -797,7 +805,7 @@ class TestGroupSequential:
                     assert math.erfc(math.nextafter(z, 0.0) / math.sqrt(2.0)) > level
 
     def test_set_up_does_not_grow_with_the_cap(self):
-        # z_K at a cap of 5e9 pairs reads its 24 looks off the cap; listing
+        # z_K at a cap of 5e9 pairs reads its 25 looks off the cap; listing
         # the schedule's 1.2 million batches would take tens of MB
         tracemalloc.start()
         try:
@@ -805,7 +813,7 @@ class TestGroupSequential:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(montecarlo._looks(5 * 10**9)) == 24 and z > 3.0
+        assert len(montecarlo._looks(5 * 10**9)) == 25 and z > 3.0
         assert peak < 1_000_000
 
     @pytest.mark.parametrize("n", [100, 2047, 2049, 8193, 20_001, 40_000])
@@ -832,19 +840,20 @@ class TestGroupSequential:
         # fixed n: one pass over every batch (j, begin, end)
         one_step_estimates(state, spec, noise, [0.1], 80_000, seed=1)
         assert drawn == [batch_schedule(40_000)[0]]
-        assert drawn[0][:4] == [(0, 0, 1024), (1, 1024, 2048), (2, 2048, 4096), (3, 4096, 8192)]
-        assert drawn[0][-2:] == [(10, 32768, 36864), (11, 36864, 40_000)]
-        # settled at the sixth look, 32768 pairs (z = 4.08)
+        assert drawn[0][:5] == [(0, 0, 512), (1, 512, 1024), (2, 1024, 2048), (3, 2048, 4096), (4, 4096, 8192)]
+        assert drawn[0][-2:] == [(11, 32768, 36864), (12, 36864, 40_000)]
+        # settled at the seventh look, 32768 pairs (z = 4.20)
         drawn.clear()
         rows = projected_verdicts([(block_stats(state, spec, noise), 0.806)], spec, noise, 80_000, 1)
         assert {row.estimate.n for row in rows} == {32768}
         assert drawn == [
-            [(0, 0, 1024)],
-            [(1, 1024, 2048)],
-            [(2, 2048, 4096)],
-            [(3, 4096, 8192)],
-            [(4, 8192, 12288), (5, 12288, 16384)],
-            [(6, 16384, 20480), (7, 20480, 24576), (8, 24576, 28672), (9, 28672, 32768)],
+            [(0, 0, 512)],
+            [(1, 512, 1024)],
+            [(2, 1024, 2048)],
+            [(3, 2048, 4096)],
+            [(4, 4096, 8192)],
+            [(5, 8192, 12288), (6, 12288, 16384)],
+            [(7, 16384, 20480), (8, 20480, 24576), (9, 24576, 28672), (10, 28672, 32768)],
         ]
 
     def test_stopping_look_and_bytes_equal_across_threads(self, fixa, monkeypatch):
@@ -868,7 +877,7 @@ class TestGroupSequential:
         f_row, theta_row = drift_verdicts([job], spec, noise, 100_000, 5, theta_abs_slack=1.0)
         assert (f_row.verdict, theta_row.verdict) == ("confirmed", "inconclusive")
         assert f_row.settled and theta_row.settled
-        assert f_row.estimate.n == theta_row.estimate.n == 1024
+        assert f_row.estimate.n == theta_row.estimate.n == 512
 
     def test_zero_mean_row_without_slack_runs_to_the_cap(self, fixa):
         spec, noise, state = fixa
@@ -881,7 +890,7 @@ class TestGroupSequential:
         # error-rate gate: at z_crit = 1.5 over 2000 seeds, the dominant row
         # at its loss threshold (exact zero mean, predicted "0") may be
         # decided, always falsely, at most at the two-sided level
-        # 2 (1 - Phi(1.5)) = 0.134 plus 3 binomial standard errors; K = 5
+        # 2 (1 - Phi(1.5)) = 0.134 plus 3 binomial standard errors; K = 6
         # looks up to 16384 pairs, the last of two batches
         monkeypatch.setenv("ALIGNLAB_THREADS", threads)
         spec, noise, state = fixa
