@@ -59,8 +59,7 @@ _LOOKS = (
 
 
 def _resolve(args: argparse.Namespace):
-    values = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
-    return load_config(args.config, {key: value for key, value in values.items() if value is not None})
+    return load_config(args.config, {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,7 @@ import os
 import struct
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +51,12 @@ DEFAULT_SEEDS = (42, 87, 568, 1101, 12138, 70425, 4008001)
 _STREAM_SPECTRUM, _STREAM_INIT, _STREAM_TRAJECTORY, _STREAM_MC = range(4)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment parameters; every CLI flag overrides one field.
+    A config checks itself when it is built, from flags, a JSON file or
+    Python, and stores each field in one normal form: floats as float, ints
+    as int, lists as tuples.
 
     bulk_range and top_spread are conventions (the target setting specifies
     only the gap ratio); top_spread defaults low enough that the default sweep
@@ -75,7 +79,10 @@ class ExperimentConfig:
     top_spread: float = 0.2
     z_crit: float = 3.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _check_fields(vars(self), _FIELD_TYPES, "config")
+        for key, (_, _, normal) in _FIELD_TYPES.items():
+            object.__setattr__(self, key, normal(getattr(self, key)))
         if self.d < 2 or self.k < 1 or self.T < 1 or self.record_every < 1 or self.n_mc < 1:
             raise ParameterError("counts must be >= 1 (and d >= 2)")
         if self.k >= self.d:
@@ -86,6 +93,8 @@ class ExperimentConfig:
             raise ParameterError("m values must be > 1 and non-empty")
         if not self.seeds or min(self.seeds) < 0:
             raise ParameterError("seeds must be non-empty and >= 0")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ParameterError(f"seeds must not repeat, got {list(self.seeds)}")
         if self.T_start is not None and not 0 <= self.T_start < self.T:
             raise ParameterError(f"T_start={self.T_start} must be >= 0 and < T={self.T}")
         if not self.z_crit > 0:
@@ -96,22 +105,26 @@ class ExperimentConfig:
         return self.T // 2 if self.T_start is None else self.T_start
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["m_list"] = list(self.m_list)
-        doc["seeds"] = list(self.seeds)
-        doc["bulk_range"] = list(self.bulk_range)
-        doc["T_start"] = self.resolved_t_start
-        return doc
+        return {**asdict(self), "T_start": self.resolved_t_start}
+
+
+def _plain(value):
+    """value, with a numpy int or float scalar turned into its Python one."""
+    return value.item() if isinstance(value, (np.integer, np.floating)) else value
 
 
 def _is_int(value) -> bool:
-    """An int that fits numpy's int64, so no array shape or seed overflows."""
+    """A Python or numpy int that fits numpy's int64, so no array shape or
+    seed overflows."""
+    value = _plain(value)
     return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
 
 
 def _is_number(value) -> bool:
-    """An int or float within the float range: no bool, inf, nan or
-    oversized int (the comparison is exact, so that one cannot overflow)."""
+    """A Python or numpy int or float within the float range: no bool, inf,
+    nan or oversized int (the comparison is exact, so that one cannot
+    overflow)."""
+    value = _plain(value)
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
@@ -123,10 +136,15 @@ def _list_of(check, length=None):
     )
 
 
-_INTEGER = (_is_int, "an int64 integer")
-_NUMBER = (_is_number, "a finite number")
-_NUMBERS = (_list_of(_is_number), "a list of finite numbers")
-# (check, description) of the JSON value each config field accepts
+def _tuple_of(kind):
+    return lambda value: tuple(map(kind, value))
+
+
+# (check, description, normal form) of the value each config field accepts;
+# a report input reads only the check and the description
+_INTEGER = (_is_int, "an int64 integer", int)
+_NUMBER = (_is_number, "a finite number", float)
+_NUMBERS = (_list_of(_is_number), "a list of finite numbers", _tuple_of(float))
 _FIELD_TYPES = {
     "d": _INTEGER,
     "k": _INTEGER,
@@ -135,12 +153,14 @@ _FIELD_TYPES = {
     "T": _INTEGER,
     "sigma2": _NUMBER,
     "init_scale": _NUMBER,
-    "seeds": (_list_of(_is_int), "a list of int64 integers"),
+    "seeds": (_list_of(_is_int), "a list of int64 integers", _tuple_of(int)),
     "n_mc": _INTEGER,
     "record_every": _INTEGER,
-    "T_start": (lambda v: v is None or _is_int(v), "an int64 integer or null"),
-    "output_dir": (lambda v: isinstance(v, str), "a string"),
-    "bulk_range": (_list_of(_is_number, 2), "a list of two finite numbers"),
+    "T_start": (
+        lambda v: v is None or _is_int(v), "an int64 integer or null", lambda v: None if v is None else int(v)
+    ),
+    "output_dir": (lambda v: isinstance(v, str), "a string", str),
+    "bulk_range": (_list_of(_is_number, 2), "a list of two finite numbers", _tuple_of(float)),
     "top_spread": _NUMBER,
     "z_crit": _NUMBER,
 }
@@ -196,21 +216,15 @@ def _read_input(path, what: str):
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
-    """Defaults, then the JSON config file, then explicit overrides."""
+    """Defaults, then the JSON config file, then explicit overrides; an
+    override of None leaves the key as it is."""
     doc = {} if path is None else _read_json(path, "config")
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    _check_fields(doc, _FIELD_TYPES, "config")
-    for key in ("m_list", "seeds", "bulk_range"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
-    cfg = ExperimentConfig(**doc)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**doc)
 
 
 def _m_token(m: float) -> int:
@@ -328,7 +342,6 @@ def cmd_simulate(config: ExperimentConfig) -> tuple[Path, bool]:
     measured late phase. A diverged job writes no trajectory files, gets
     undef late-phase cells and one stderr line; the other jobs are kept.
     Returns the output directory and whether any job diverged."""
-    config.validate()
     stems = {}
     for m in config.m_list:
         other = stems.setdefault(_m_stem(m), m)
@@ -342,21 +355,13 @@ def cmd_simulate(config: ExperimentConfig) -> tuple[Path, bool]:
         if res["diverged"] is not None:
             continue
         stem = f"{_m_stem(m)}_seed{seed}"
-        _atomic_write(out / f"traj_{stem}.csv", lambda tmp, tr=traj: write_trajectory_csv(tmp, tr))
-        _atomic_write(
-            out / f"alignment_{stem}.svg",
-            lambda tmp, tr=traj, s=stem: svgplot.line_plot(
-                tmp, [(tr.times, tr.thetas, "")], title=f"alignment {s}",
-                xlabel="step", ylabel="alignment", xlog=True,
-            ),
-        )
-        _atomic_write(
-            out / f"loss_{stem}.svg",
-            lambda tmp, tr=traj, s=stem: svgplot.line_plot(
-                tmp, [(tr.times, tr.losses, "")], title=f"loss {s}",
-                xlabel="step", ylabel="loss", ylog=True,
-            ),
-        )
+        _atomic_write(out / f"traj_{stem}.csv", partial(write_trajectory_csv, traj=traj))
+        for name, values in (("alignment", traj.thetas), ("loss", traj.losses)):
+            plot = partial(
+                svgplot.line_plot, series=[(traj.times, values, "")], title=f"{name} {stem}",
+                xlabel="step", ylabel=name, xlog=name == "alignment", ylog=name == "loss",
+            )
+            _atomic_write(out / f"{name}_{stem}.svg", plot)
     _write_csv(
         out / "summary.csv",
         ["m", "seed", "t_star", "theta_inf", "late_mean", "late_std"],
@@ -374,7 +379,6 @@ def cmd_sweep_gap(config: ExperimentConfig) -> tuple[Path, bool]:
     reported log fit of mean vs m. A diverged job gets one stderr line; an m
     with no finished seed gets undef mean/std cells and is left out of the
     fit. Returns the output directory and whether any job diverged."""
-    config.validate()
     if len(config.m_list) < 2:
         raise ParameterError("sweep needs at least two m values")
     out = Path(config.output_dir)
@@ -471,7 +475,6 @@ def cmd_drift_test(
     """Sign tests of the one-step drift on states constructed at the requested
     alignments, at step sizes relative to the critical one. Returns the output
     directory and whether any verdict was contradicted."""
-    config.validate()
     if not theta_targets or not eta_factors:
         raise ParameterError("need at least one theta target and one eta factor")
     if not all(factor > 0 for factor in eta_factors):
@@ -508,7 +511,6 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
     the loss while the other decreases it. A state with an empty block or
     equal thresholds is skipped with one stderr line; when every state is
     skipped the command fails before drawing. Returns (out_dir, any_failure)."""
-    config.validate()
     if not (_is_int(n_states) and n_states >= 1):
         raise ParameterError(f"n_states must be an int64 integer >= 1, got {n_states!r}")
     out = Path(config.output_dir)

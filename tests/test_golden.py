@@ -37,7 +37,7 @@ PRESETS = {
     "drift": ["drift-test", *COMMON, "--m", "8", "--seed", "3", "--n-mc", "20001"],
     "projected": ["projected-test", *COMMON, "--m", "8", "--seed", "3", "--n-mc", "20001", "--n-states", "3"],
     # the benchmark's verdict configurations at one seed: only d >= 200 gives
-    # the theta rows their slack, and the `high` target is searched at d = 500
+    # the theta rows their slack, and the `high` target's root is taken at d = 500
     "drift_d500": ["drift-test", "--d", "500", "--k", "50", "--m", "20", "--seed", "1", "--n-mc", "16384"],
     "projected_d60": ["projected-test", "--d", "60", "--k", "6", "--m", "8", "--seed", "1", "--n-mc", "16384",
                       "--n-states", "10"],

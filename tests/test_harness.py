@@ -1,5 +1,6 @@
 import _pyio
 import argparse
+import dataclasses
 import json
 import os
 import warnings
@@ -127,6 +128,35 @@ class TestConfig:
         path.write_text("{broken")
         with pytest.raises(ParameterError, match=r":1:"):
             load_config(path)
+
+    # a config built in Python passes the same kind checks as one read from JSON
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", (1.5,)),
+        ("seeds", (True,)),
+        ("d", 24.0),
+        ("m_list", 8.0),
+    ])
+    def test_python_built_config_is_kind_checked(self, field, value):
+        with pytest.raises(ParameterError, match=f"config field '{field}' must be"):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_integer_seed_builds(self):
+        cfg = ExperimentConfig(seeds=(np.int64(3),))
+        assert cfg.seeds == (3,) and type(cfg.seeds[0]) is int
+
+    def test_fields_are_stored_in_one_normal_form(self):
+        cfg = ExperimentConfig(m_list=[8], eta=1, bulk_range=[1, 2], seeds=[5])
+        assert cfg == ExperimentConfig(m_list=(8.0,), eta=1.0, bulk_range=(1.0, 2.0), seeds=(5,))
+        assert type(cfg.m_list[0]) is float and type(cfg.eta) is float
+
+    def test_frozen(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.d = 24
+
+    def test_repeated_seed_refused(self):
+        with pytest.raises(ParameterError, match="seeds must not repeat"):
+            ExperimentConfig(seeds=(1, 2, 1))
 
 
 class TestAtomicWrite:
@@ -278,8 +308,8 @@ class TestDriftTestCommand:
         assert rows == expected
 
     def test_high_target_meets_its_definition(self):
-        # the search reads theta and theta_star off the base state's block
-        # energies; the full block_stats of the state it returns must agree
+        # the scale factor comes from the base state's block energies alone;
+        # the full block_stats of the state it returns must agree
         rng = np.random.default_rng(18)
         for _ in range(20):
             spec, noise, base = random_problem(rng)
@@ -404,6 +434,44 @@ class TestCli:
         assert doc["d"] == 64 and doc["k"] == 8
         assert doc["m_list"] == [5.0, 9.0]
         assert doc["seeds"] == [3]
+
+    @pytest.mark.parametrize("flags, doc", [
+        (["--d", "64", "--k", "8", "--m", "5", "--seed", "3"], None),
+        ([], {"d": 30, "k": 3, "m_list": [8, 20], "eta": 1, "sigma2": 2, "bulk_range": [1, 2], "T": 7}),
+    ], ids=["flags", "json"])
+    def test_print_config_is_a_fixed_point(self, flags, doc, tmp_path, capsys):
+        # print-config's output, fed back as --config, prints the same bytes
+        if doc is not None:
+            first = tmp_path / "first.json"
+            first.write_text(json.dumps(doc))
+            flags = ["--config", str(first)]
+        assert main(["print-config", *flags]) == 0
+        printed = capsys.readouterr().out
+        again = tmp_path / "again.json"
+        again.write_text(printed)
+        assert main(["print-config", "--config", str(again)]) == 0
+        assert capsys.readouterr().out == printed
+
+    def test_integer_m_in_a_config_file_writes_the_flag_bytes(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"m_list": [8], "eta": 0.02, "T": 200, "seeds": [42]}))
+        flags = ["--m", "8", "--eta", "0.02", "--steps", "200", "--seed", "42"]
+        written = {}
+        for name, given in (("file", ["--config", str(path)]), ("flags", flags)):
+            out = tmp_path / name
+            assert main(["simulate", "--d", "24", "--k", "4", *given, "--out", str(out)]) == 0
+            written[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(written["file"]) == 4
+        assert written["file"] == written["flags"]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-gap"])
+    def test_repeated_seed_is_usage_error(self, command, tmp_path, capsys):
+        # a repeated seed would run its jobs again, and count twice in a pooled mean
+        out = tmp_path / "runs"
+        argv = [command, "--d", "24", "--k", "4", "--eta", "0.02", "--steps", "200", "--m", "8", "--m", "20",
+                "--seed", "1", "--seed", "1", "--out", str(out)]
+        assert "seeds must not repeat, got [1, 1]" in self._usage_error(argv, capsys)
+        assert not out.exists()
 
     def test_simulate_cli(self, tmp_path):
         out = tmp_path / "runs"
