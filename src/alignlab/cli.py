@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument("--eta-factor", action="append", dest="eta_factors", type=float)
         if name == "projected-test":
-            p.add_argument("--n-states", dest="n_states", type=int, default=10)
+            p.add_argument("--n-states", dest="n_states", type=int)
 
     rep = sub.add_parser("report", help="closed-form report for explicit inputs")
     rep.add_argument("--spectrum", required=True, metavar="PATH")

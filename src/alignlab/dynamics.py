@@ -37,7 +37,6 @@ __all__ = [
     "TrajectoryRecord",
     "late_phase_statistic",
     "run_trajectory",
-    "write_trajectory_csv",
 ]
 
 # abort once any coordinate leaves this range; keeps failures loud instead of NaN
@@ -179,10 +178,3 @@ def run_trajectory(
         s_b=s_b,
     )
 
-
-def write_trajectory_csv(path, traj: TrajectoryRecord) -> None:
-    """Columns step,theta,loss, floats as repr, CRLF line ends (the bytes
-    csv.writer gives). Identical inputs produce identical bytes."""
-    rows = zip(traj.times.tolist(), traj.thetas.tolist(), traj.losses.tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write("step,theta,loss\r\n" + "".join(f"{t},{th!r},{lo!r}\r\n" for t, th, lo in rows))

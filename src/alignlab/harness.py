@@ -3,9 +3,11 @@ emitting commands behind the CLI.
 
 Determinism contract: every output file's bytes depend only on (config,
 seeds). Jobs fan out over `_pool.run_jobs`, the one job runner, whose thread
-pool ALIGNLAB_THREADS caps; results are assembled in job order, and files
-are written atomically (write-then-rename), so the pool size never changes
-the outputs.
+pool ALIGNLAB_THREADS caps; results are assembled in job order, so the pool
+size never changes the outputs. The renderers return text (`svgplot` its
+SVG, `csv.writer` its tables) and `_write` is the one place a file is
+written: UTF-8 bytes, whatever the locale, with no newline translation,
+written to a part file and renamed into place.
 
 `drift-test`'s `high` target, the state at theta = (theta_star + 1)/2, is
 the base state with its bulk block scaled by a factor found in closed form,
@@ -15,20 +17,20 @@ from one root of theta_star's auxiliary quadratic (`_state_above_theta_star`).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 import struct
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import svgplot, theory
 from ._pool import run_jobs
-from .dynamics import late_phase_statistic, run_trajectory, write_trajectory_csv
+from .dynamics import late_phase_statistic, run_trajectory
 from .errors import AlignlabError, ConstructionError, DivergenceError, ParameterError
 from .montecarlo import VERDICT_COLUMNS, drift_verdicts, projected_verdicts
 from .spectrum import NoiseProfile, Spectrum, build_spectrum, isotropic_noise
@@ -243,14 +245,15 @@ def _stream_int(seed: int, m: float, label: int, *extra: int) -> int:
     return int(_stream(seed, m, label, *extra).generate_state(1)[0])
 
 
-def _atomic_write(path: Path, writer) -> None:
-    """writer(tmp), then rename tmp to path. The directory is made here, at
-    the first file written into it, so a command that fails before it has
-    anything to write leaves no empty directory behind."""
+def _write(path: Path, text: str) -> None:
+    """Write text to path as UTF-8 bytes, with no newline translation, then
+    rename: the one place an output file is written. The directory is made
+    here, at the first file written into it, so a command that fails before
+    it has anything to write leaves no empty directory behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".part")
     try:
-        writer(tmp)
+        tmp.write_bytes(text.encode())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -268,19 +271,21 @@ def _cell(value) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    def writer(tmp):
-        with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([_cell(v) for v in row])
-
-    _atomic_write(path, writer)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *([_cell(v) for v in row] for row in rows)])
+    _write(path, buf.getvalue())
 
 
-def _write_verdicts(path: Path, rows) -> bool:
-    """Write a verdict table; returns whether any row failed."""
+def _write_verdicts(path: Path, rows, config: ExperimentConfig, command: str) -> bool:
+    """Write a verdict table; returns whether any row failed. A verdict
+    preset runs the first m and the first seed only; when the config gives
+    more, one stderr line says so, after the table, so that a failed run
+    still prints one line."""
     _write_csv(path, VERDICT_COLUMNS, [row.cells() for row in rows])
+    if len(config.m_list) > 1 or len(config.seeds) > 1:
+        given = f"{len(config.m_list)} m values and {len(config.seeds)} seeds"
+        print(f"{command}: ran m={config.m_list[0]:g} and seed {config.seeds[0]} only, the first of {given}",
+              file=sys.stderr)
     return any(row.failed for row in rows)
 
 
@@ -340,13 +345,15 @@ def cmd_simulate(config: ExperimentConfig) -> tuple[Path, bool]:
     """One constant-step trajectory per (m, seed): trajectory CSV, a loss/
     alignment SVG pair, and a summary CSV of two-phase predictions vs the
     measured late phase. A diverged job writes no trajectory files, gets
-    undef late-phase cells and one stderr line; the other jobs are kept.
-    Returns the output directory and whether any job diverged."""
+    undef late-phase cells and one stderr line; the other jobs are kept. An
+    m whose file stem an earlier m takes, the same m given twice too, is
+    refused before any job runs. Returns the output directory and whether
+    any job diverged."""
     stems = {}
     for m in config.m_list:
-        other = stems.setdefault(_m_stem(m), m)
-        if other != m:
-            raise ParameterError(f"m values {other!r} and {m!r} would share the output file stem {_m_stem(m)!r}")
+        if (stem := _m_stem(m)) in stems:
+            raise ParameterError(f"m values {stems[stem]!r} and {m!r} would share the output file stem {stem!r}")
+        stems[stem] = m
     out = Path(config.output_dir)
     results, diverged = _run_grid(config, "simulate")
 
@@ -355,13 +362,15 @@ def cmd_simulate(config: ExperimentConfig) -> tuple[Path, bool]:
         if res["diverged"] is not None:
             continue
         stem = f"{_m_stem(m)}_seed{seed}"
-        _atomic_write(out / f"traj_{stem}.csv", partial(write_trajectory_csv, traj=traj))
+        # floats as repr and CRLF line ends, the bytes csv.writer gives
+        rows = zip(traj.times.tolist(), traj.thetas.tolist(), traj.losses.tolist())
+        table = "step,theta,loss\r\n" + "".join(f"{t},{th!r},{lo!r}\r\n" for t, th, lo in rows)
+        _write(out / f"traj_{stem}.csv", table)
         for name, values in (("alignment", traj.thetas), ("loss", traj.losses)):
-            plot = partial(
-                svgplot.line_plot, series=[(traj.times, values, "")], title=f"{name} {stem}",
-                xlabel="step", ylabel=name, xlog=name == "alignment", ylog=name == "loss",
-            )
-            _atomic_write(out / f"{name}_{stem}.svg", plot)
+            _write(out / f"{name}_{stem}.svg", svgplot.line_plot(
+                [(traj.times, values, "")], title=f"{name} {stem}", xlabel="step", ylabel=name,
+                xlog=name == "alignment", ylog=name == "loss",
+            ))
     _write_csv(
         out / "summary.csv",
         ["m", "seed", "t_star", "theta_inf", "late_mean", "late_std"],
@@ -414,13 +423,9 @@ def cmd_sweep_gap(config: ExperimentConfig) -> tuple[Path, bool]:
     series = [(ms, means, "measured")]
     if all(r[3] is not None for r in rows):
         series.append(([r[0] for r in rows], [r[3] for r in rows], "predicted"))
-    _atomic_write(
-        out / "alignment_vs_m.svg",
-        lambda tmp: svgplot.line_plot(
-            tmp, series, title="late-phase alignment vs gap ratio",
-            xlabel="m", ylabel="alignment", xlog=True,
-        ),
-    )
+    _write(out / "alignment_vs_m.svg", svgplot.line_plot(
+        series, title="late-phase alignment vs gap ratio", xlabel="m", ylabel="alignment", xlog=True,
+    ))
     return out, diverged
 
 
@@ -502,7 +507,7 @@ def cmd_drift_test(
     rows = drift_verdicts(
         jobs, spec, noise, config.n_mc, _stream_int(seed, m, _STREAM_MC, 0), config.z_crit, theta_slack
     )
-    return out, _write_verdicts(out / "drift_verdicts.csv", rows)
+    return out, _write_verdicts(out / "drift_verdicts.csv", rows, config, "drift-test")
 
 
 def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Path, bool]:
@@ -539,7 +544,7 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
     rows = projected_verdicts(
         chosen, spec, noise, config.n_mc, _stream_int(seed, m, _STREAM_MC, 1000), config.z_crit
     )
-    return out, _write_verdicts(out / "projected_verdicts.csv", rows)
+    return out, _write_verdicts(out / "projected_verdicts.csv", rows, config, "projected-test")
 
 
 def cmd_report(spectrum_path, noise_path, state_path, eta: float) -> dict:

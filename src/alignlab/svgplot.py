@@ -1,5 +1,6 @@
-"""Dependency-free SVG line plots. CSVs are the data contract; these files are
-a convenience for eyeballing runs, so the renderer stays deliberately small."""
+"""Dependency-free SVG line plots, rendered as text; `harness._write` writes
+them. CSVs are the data contract; these files are a convenience for eyeballing
+runs, so the renderer stays deliberately small."""
 
 from __future__ import annotations
 
@@ -48,11 +49,12 @@ def _tick_label(t: float, log: bool) -> str:
     return _fmt(10.0**t) if t <= 308 else f"1e+{int(t)}"
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="", xlog=False, ylog=False) -> None:
-    """Write an SVG polyline plot.
+def line_plot(series, title="", xlabel="", ylabel="", xlog=False, ylog=False) -> str:
+    """The text of an SVG polyline plot, one element per line and ending in a
+    newline; it opens no file.
 
     `series` is a list of (x, y, label) with array-likes x and y. Points that
-    a log axis cannot show (<= 0) are dropped. Output bytes depend only on the
+    a log axis cannot show (<= 0) are dropped. The text depends only on the
     inputs.
     """
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
@@ -155,8 +157,5 @@ def line_plot(path, series, title="", xlabel="", ylabel="", xlog=False, ylog=Fal
                 f'<text x="{_MARGIN_L + 33}" y="{ly}" font-family="sans-serif" '
                 f'font-size="10">{label}</text>'
             )
-    parts.append("</svg>")
-    # no newline translation: the bytes are the same on every platform
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+    parts.append("</svg>\n")
+    return "\n".join(parts)

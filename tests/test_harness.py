@@ -1,8 +1,11 @@
 import _pyio
 import argparse
 import dataclasses
+import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -26,12 +29,12 @@ from alignlab.harness import (
     _STREAM_INIT,
     _STREAM_MC,
     ExperimentConfig,
-    _atomic_write,
     _cell,
     _problem_for,
     _state_above_theta_star,
     _stream,
     _stream_int,
+    _write,
     cmd_drift_test,
     cmd_projected_test,
     cmd_report,
@@ -160,30 +163,42 @@ class TestConfig:
 
 
 class TestAtomicWrite:
-    def test_failed_writer_leaves_no_part_file(self, tmp_path):
+    def test_failed_writer_leaves_no_part_file(self, tmp_path, monkeypatch):
         target = tmp_path / "table.csv"
         target.write_text("old\n")
 
-        def writer(tmp):
-            tmp.write_text("half a tab")
-            raise RuntimeError("writer failed")
+        def fail(src, dst):
+            raise OSError("rename failed")
 
-        with pytest.raises(RuntimeError, match="writer failed"):
-            _atomic_write(target, writer)
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            _write(target, "new\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
-        assert target.read_text() == "old\n"
+        assert target.read_bytes() == b"old\n"
+
+    def test_text_is_written_as_utf8(self, tmp_path):
+        target = tmp_path / "new" / "t.csv"
+        _write(target, "θ,η\r\n")
+        assert target.read_bytes() == "θ,η\r\n".encode("utf-8")
 
 
 class TestSvgBytes:
     def test_no_newline_translation(self, tmp_path, monkeypatch):
         # _pyio's text files read os.linesep, as io's do on a platform whose
-        # line separator it is
+        # line separator it is; pathlib opens its files through io.open
         monkeypatch.setattr(os, "linesep", "\r\n")
-        monkeypatch.setattr(svgplot, "open", _pyio.open, raising=False)
+        monkeypatch.setattr(io, "open", _pyio.open)
         path = tmp_path / "plot.svg"
-        svgplot.line_plot(path, [([1.0, 2.0, 3.0], [0.5, 0.2, 0.1], "a")], title="t", xlog=True)
+        _write(path, svgplot.line_plot([([1.0, 2.0, 3.0], [0.5, 0.2, 0.1], "a")], title="t", xlog=True))
         data = path.read_bytes()
         assert b"\n" in data and b"\r" not in data
+
+    def test_line_plot_returns_text_and_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text = svgplot.line_plot([([1.0, 2.0, 3.0], [0.5, 0.2, 0.1], "a")], title="t", ylog=True)
+        assert isinstance(text, str)
+        assert text.startswith("<svg ") and text.endswith("</svg>\n") and not text.endswith("\n\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulate:
@@ -201,6 +216,17 @@ class TestSimulate:
         assert traj_lines[0] == "step,theta,loss"
         assert traj_lines[1].startswith("0,")
         assert traj_lines[-1].startswith("300,")
+
+    def test_trajectory_csv_bytes(self, tmp_path):
+        # two equal runs write equal bytes: repr floats, CRLF line ends
+        data = [
+            (cmd_simulate(tiny_config(tmp_path / sub))[0] / "traj_m8_seed42.csv").read_bytes() for sub in ("a", "b")
+        ]
+        assert data[0] == data[1]
+        lines = data[0].split(b"\r\n")
+        assert lines[0] == b"step,theta,loss"
+        assert lines[-1] == b"" and len(lines) == 33
+        assert not set(b"\r\n") & set(data[0].replace(b"\r\n", b""))
 
     def test_no_nan_cells_and_undef_token(self, tmp_path):
         # eta too large for the assumption caps -> t_star is undefined
@@ -594,6 +620,49 @@ class TestCli:
         err = self._usage_error(argv, capsys)
         assert "Monte-Carlo sum of squares is not finite" in err
         assert not out.exists()
+
+    def test_repeated_m_is_usage_error(self, tmp_path, capsys):
+        # a repeated m would run its jobs again and write their files twice
+        out = tmp_path / "runs"
+        err = self._usage_error([*self.SIM_ARGS, "--m", "8", "--m", "20", "--m", "8", "--out", str(out)], capsys)
+        assert "m values 8.0 and 8.0 would share the output file stem 'm8'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["drift-test", "projected-test"])
+    def test_verdict_preset_names_the_problem_it_runs(self, command, tmp_path, capsys):
+        argv = [command, "--d", "24", "--k", "4", "--n-mc", "2000", "--m", "8", "--seed", "3"]
+        assert main([*argv, "--out", str(tmp_path / "one")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main([*argv, "--m", "20", "--seed", "4", "--seed", "5", "--out", str(tmp_path / "more")]) == 0
+        err = capsys.readouterr().err
+        assert err == f"{command}: ran m=8 and seed 3 only, the first of 2 m values and 3 seeds\n"
+        # the line changes no output byte
+        (name,) = [p.name for p in (tmp_path / "one").iterdir()]
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "more" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--eta", "0.02", "--steps", "200", "--m", "8"],
+        ["sweep-gap", "--eta", "0.02", "--steps", "200", "--m", "5", "--m", "20"],
+        ["drift-test", "--n-mc", "2000", "--m", "8"],
+        ["projected-test", "--n-mc", "2000", "--m", "8"],
+    ], ids=lambda argv: argv[0])
+    def test_preset_writes_its_bytes_whatever_the_locale_encoding(self, argv, tmp_path):
+        # every output file is written as UTF-8 bytes, so a run in which a
+        # locale-dependent text file raises writes what the in-process run writes
+        argv = [*argv, "--d", "24", "--k", "4", "--seed", "42", "--out"]
+        assert main([*argv, str(tmp_path / "in")]) == 0
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "alignlab.cli",
+             *argv, str(tmp_path / "cli")],
+            env=env, capture_output=True, encoding="utf-8", timeout=300,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        written = {
+            name: {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())} for name in ("in", "cli")
+        }
+        assert written["in"] and written["cli"] == written["in"]
 
     def test_colliding_m_stems_are_usage_error(self, tmp_path, capsys):
         out = tmp_path / "runs"
