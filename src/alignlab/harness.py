@@ -2,12 +2,16 @@
 emitting commands behind the CLI.
 
 Determinism contract: every output file's bytes depend only on (config,
-seeds). Jobs fan out over `_pool.run_jobs`, the one job runner, whose thread
-pool ALIGNLAB_THREADS caps; results are assembled in job order, so the pool
-size never changes the outputs. The renderers return text (`svgplot` its
-SVG, `csv.writer` its tables) and `_write` is the one place a file is
-written: UTF-8 bytes, whatever the locale, with no newline translation,
-written to a part file and renamed into place.
+seeds). The (m, seed) jobs of `simulate` and `sweep-gap` fan out over
+`_pool.run_jobs`, the one job runner, whose thread pool ALIGNLAB_THREADS caps,
+in groups of _GROUP_JOBS consecutive grid jobs: a group job builds its jobs'
+problems, steps their trajectories together in one `run_trajectories` call,
+and forms their plans and late-window statistics. Results are assembled in
+grid order, and a job's trajectory is the same bits in any group, so neither
+the pool size nor the group size changes the outputs. The renderers return
+text (`svgplot` its SVG, `csv.writer` its tables) and `_write` is the one
+place a file is written: UTF-8 bytes, whatever the locale, with no newline
+translation, written to a part file and renamed into place.
 
 `drift-test`'s `high` target, the state at theta = (theta_star + 1)/2, is
 the base state with its bulk block scaled by a factor found in closed form,
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import svgplot, theory
 from ._pool import run_jobs
-from .dynamics import late_phase_statistic, run_trajectory
+from .dynamics import late_phase_statistic, run_trajectories
 from .errors import AlignlabError, ConstructionError, DivergenceError, ParameterError
 from .montecarlo import VERDICT_COLUMNS, drift_verdicts, projected_verdicts
 from .spectrum import NoiseProfile, Spectrum, build_spectrum, isotropic_noise
@@ -51,6 +55,16 @@ DEFAULT_SEEDS = (42, 87, 568, 1101, 12138, 70425, 4008001)
 
 # stream labels for deriving independent generators from (seed, m)
 _STREAM_SPECTRUM, _STREAM_INIT, _STREAM_TRAJECTORY, _STREAM_MC = range(4)
+
+# grid jobs that one pool job steps together (the output bytes do not
+# depend on it). Four keeps both workers of a 2-vCPU host busy on the
+# benchmark's 8-job grid; groups of 8 left one idle there (BENCH_30.json).
+_GROUP_JOBS = 4
+
+# projected-test holds each state's statistics and verdict rows until its
+# table is written, about 4 KB and 0.12 ms per state at d = 24 (measured at
+# 20 000 and 40 000 states), so the limit caps a run near 0.4 GB
+_MAX_STATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -297,41 +311,50 @@ def _problem_for(config: ExperimentConfig, m: float, seed: int) -> tuple[Spectru
     return spec, isotropic_noise(config.d, config.sigma2)
 
 
-def _simulate_one(config: ExperimentConfig, m: float, seed: int) -> dict:
-    spec, noise = _problem_for(config, m, seed)
-    init = random_init(config.d, config.init_scale, seed=_stream(seed, m, _STREAM_INIT))
-    traj, diverged = None, None
-    try:
-        traj = run_trajectory(
-            spec, noise, init, config.eta, config.T, config.record_every,
-            seed=_stream(seed, m, _STREAM_TRAJECTORY),
-        )
-    except DivergenceError as exc:
-        diverged = exc
-    try:
-        plan = theory.csgd_plan(spec, noise, init, config.eta)
-        t_star, theta_inf = plan.t_star, plan.theta_inf
-    except AlignlabError:
-        t_star, theta_inf = None, None
-    late_mean, late_std = (None, None) if diverged else late_phase_statistic(traj, config.resolved_t_start)
-    return {
-        "m": m,
-        "seed": seed,
-        "traj": traj,
-        "diverged": diverged,
-        "t_star": t_star,
-        "theta_inf": theta_inf,
-        "late_mean": late_mean,
-        "late_std": late_std,
-    }
+def _simulate_group(config: ExperimentConfig, jobs) -> list[dict]:
+    """The result of each (m, seed) of `jobs`, in order: its problem, its
+    trajectory (the jobs step together in one `run_trajectories` call), its
+    two-phase plan and its late-window statistics. A diverged job keeps its
+    DivergenceError and the others run on; a recorded energy past the float
+    range fails the group."""
+    problems = []
+    for m, seed in jobs:
+        spec, noise = _problem_for(config, m, seed)
+        init = random_init(config.d, config.init_scale, seed=_stream(seed, m, _STREAM_INIT))
+        problems.append((spec, noise, init, _stream(seed, m, _STREAM_TRAJECTORY)))
+    trajs = run_trajectories(problems, config.eta, config.T, config.record_every)
+    results = []
+    for (m, seed), (spec, noise, init, _), traj in zip(jobs, problems, trajs):
+        if isinstance(traj, AlignlabError) and not isinstance(traj, DivergenceError):
+            raise traj
+        diverged = traj if isinstance(traj, DivergenceError) else None
+        try:
+            plan = theory.csgd_plan(spec, noise, init, config.eta)
+            t_star, theta_inf = plan.t_star, plan.theta_inf
+        except AlignlabError:
+            t_star, theta_inf = None, None
+        late_mean, late_std = (None, None) if diverged else late_phase_statistic(traj, config.resolved_t_start)
+        results.append({
+            "m": m,
+            "seed": seed,
+            "traj": None if diverged else traj,
+            "diverged": diverged,
+            "t_star": t_star,
+            "theta_inf": theta_inf,
+            "late_mean": late_mean,
+            "late_std": late_std,
+        })
+    return results
 
 
 def _run_grid(config: ExperimentConfig, command: str) -> tuple[list[dict], bool]:
-    """_simulate_one for every (m, seed), in grid order, spread over the job
-    pool; prints one stderr line per diverged job. Returns the results and
-    whether any job diverged."""
-    jobs = [(m, seed) for m in config.m_list for seed in config.seeds]
-    results = list(run_jobs(lambda job: _simulate_one(config, *job), jobs))
+    """The results of every (m, seed), in grid order. Groups of
+    _GROUP_JOBS consecutive grid jobs are the jobs of the pool; prints one
+    stderr line per diverged job. Returns the results and whether any job
+    diverged."""
+    grid = [(m, seed) for m in config.m_list for seed in config.seeds]
+    groups = [grid[i : i + _GROUP_JOBS] for i in range(0, len(grid), _GROUP_JOBS)]
+    results = [res for group in run_jobs(lambda jobs: _simulate_group(config, jobs), groups) for res in group]
     for res in results:
         if res["diverged"] is not None:
             print(
@@ -515,9 +538,12 @@ def cmd_projected_test(config: ExperimentConfig, n_states: int = 10) -> tuple[Pa
     thresholds and check that the block with the smaller threshold increases
     the loss while the other decreases it. A state with an empty block or
     equal thresholds is skipped with one stderr line; when every state is
-    skipped the command fails before drawing. Returns (out_dir, any_failure)."""
+    skipped the command fails before drawing. More than _MAX_STATES states
+    are refused before any is built. Returns (out_dir, any_failure)."""
     if not (_is_int(n_states) and n_states >= 1):
         raise ParameterError(f"n_states must be an int64 integer >= 1, got {n_states!r}")
+    if n_states > _MAX_STATES:
+        raise ParameterError(f"n_states={n_states} is past the limit of {_MAX_STATES} states")
     out = Path(config.output_dir)
     m, seed = config.m_list[0], config.seeds[0]
     spec, noise = _problem_for(config, m, seed)

@@ -19,7 +19,7 @@ from alignlab import (
     random_init,
     run_trajectory,
 )
-from alignlab.dynamics import _DIVERGENCE_LIMIT, _chunk_rows
+from alignlab.dynamics import _DIVERGENCE_LIMIT, _chunk_rows, run_trajectories
 
 from helpers import sample_noise, sgd_step
 
@@ -230,7 +230,7 @@ class TestChunkedKernel:
     def test_memory_stays_within_a_chunk(self, problem):
         # 20000 single steps at d = 500 would hold 80 MB of states; the run
         # keeps a chunk of them and the 20001 records (0.8 MB) and peaks near
-        # 1.7 MB
+        # 2.6 MB
         spec, noise, init = problem
         tracemalloc.start()
         try:
@@ -315,6 +315,142 @@ class TestChunkedKernel:
                 run_trajectory(spec, noise, state, 0.45, T, 10, seed=seed)
         assert err.value.step == ref.value.step == step
         assert str(err.value) == str(ref.value)
+
+
+FIELDS = ("times", "thetas", "losses", "s_d", "s_b")
+
+
+def assert_same_outcome(got, want):
+    """A grouped job's record or error equals its one-job run's, bit for bit."""
+    assert type(got) is type(want)
+    if isinstance(want, TrajectoryRecord):
+        for name in FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    else:
+        assert str(got) == str(want)
+        assert getattr(got, "step", None) == getattr(want, "step", None)
+
+
+def one_job(job, eta, T, record_every):
+    """The record of one job run alone, or the error it raises."""
+    spec, noise, init, seed = job
+    try:
+        return run_trajectory(spec, noise, init, eta, T, record_every, seed=seed)
+    except (DivergenceError, ParameterError) as exc:
+        return exc
+
+
+class TestGroupedKernel:
+    """run_trajectories steps a group of jobs together, jump j of every job in
+    one row of a chunk; each job's records, or its error, must equal those of
+    its one-job run_trajectory bit for bit, whatever the group."""
+
+    D = 200
+    ETA = 0.003
+
+    @pytest.fixture(scope="class")
+    def jobs(self):
+        rng = np.random.default_rng(21)
+        out = []
+        for i, m in enumerate((5.0, 20.0, 50.0, 200.0, 8.0)):
+            spec = build_spectrum(self.D, 20, m, (0.5, 1.0), 0.2, seed=30 + i)
+            noise = NoiseProfile(kappa2=np.exp(rng.normal(0.0, 1.0, self.D)))
+            out.append((spec, noise, random_init(self.D, 1.0, seed=40 + i), 50 + i))
+        return out
+
+    @pytest.fixture(scope="class")
+    def step_job(self, jobs):
+        # |a_1| = 1.02: this job cannot jump, but stays finite over T = 1003
+        spec, noise, init, _ = jobs[1]
+        lambdas = spec.lambdas * (2.02 / (self.ETA * spec.lambda_max))
+        return Spectrum(lambdas=lambdas, k=spec.k), noise, init, 99
+
+    # T = 3003 with record_every = 10: 301 jumps over several chunks, the last
+    # one ragged (3 steps); record_every = 1: every job steps one at a time
+    @pytest.mark.parametrize("record_every", [10, 1])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_group_equals_one_job_runs(self, jobs, size, record_every):
+        T = 3003
+        group = jobs[:size]
+        assert -(-T // record_every) > _chunk_rows(self.D, size)
+        got = run_trajectories(group, self.ETA, T, record_every)
+        for job, result in zip(group, got):
+            assert_same_outcome(result, one_job(job, self.ETA, T, record_every))
+
+    def test_jump_and_step_jobs_in_one_call(self, jobs, step_job):
+        group = [jobs[0], step_job, jobs[2], jobs[3]]
+        got = run_trajectories(group, self.ETA, 1003, 10)
+        assert list(got[1].times[:3]) == [0, 10, 20]
+        for job, result in zip(group, got):
+            assert_same_outcome(result, one_job(job, self.ETA, 1003, 10))
+
+    @pytest.mark.parametrize("record_every, T", [(10, 60_000), (1, 6_000)])
+    def test_diverged_job_fails_alone(self, record_every, T):
+        # job 1's huge dominant noise carries its state past the limit in the
+        # first chunk (at the jump to step 10 when jumping, at a step when
+        # stepping); the others run on through a second chunk
+        spec = Spectrum(lambdas=np.array([2.0, 1.0]), k=1)
+        calm = NoiseProfile(kappa2=np.array([1.0, 1.0]))
+        loud = NoiseProfile(kappa2=np.array([1e302, 1.0]))
+        state = State(c=np.array([1.0, 1.0]))
+        group = [(spec, calm, state, 3), (spec, loud, state, 4), (spec, calm, state, 5)]
+        assert _chunk_rows(2, 3) < T // record_every
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_trajectories(group, 0.45, T, record_every)
+        assert isinstance(got[1], DivergenceError) and got[1].step <= 10
+        assert isinstance(got[0], TrajectoryRecord) and isinstance(got[2], TrajectoryRecord)
+        for job, result in zip(group, got):
+            assert_same_outcome(result, one_job(job, 0.45, T, record_every))
+
+    def test_growing_job_diverges_alone_in_a_step_group(self, fixa):
+        # eta = 1.5 > 2/lambda_1 doubles job 0's dominant coordinate each
+        # step; job 1's modes contract at this eta
+        spec, noise, state = fixa
+        calm = Spectrum(lambdas=np.array([1.2, 1.0]), k=1)
+        group = [(spec, noise, state, 0), (calm, noise, state, 1)]
+        got = run_trajectories(group, 1.5, 3000, 1)
+        assert isinstance(got[0], DivergenceError) and 0 < got[0].step < 1000
+        for job, result in zip(group, got):
+            assert_same_outcome(result, one_job(job, 1.5, 3000, 1))
+
+    def test_records_past_the_float_range_fail_alone(self, fixa):
+        spec, noise, state = fixa
+        huge = Spectrum(lambdas=np.array([1e200, 1.0]), k=1)
+        group = [(spec, noise, state, 1), (huge, noise, state, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_trajectories(group, 1e-210, 50, 10)
+        assert isinstance(got[0], TrajectoryRecord)
+        assert isinstance(got[1], ParameterError) and "float range" in str(got[1])
+        for job, result in zip(group, got):
+            assert_same_outcome(result, one_job(job, 1e-210, 50, 10))
+
+    def test_jobs_must_share_d_and_k(self, fixa):
+        spec, noise, state = fixa
+        other = Spectrum(lambdas=np.array([2.0, 1.0]), k=1)
+        wide = Spectrum(lambdas=np.array([3.0, 2.0, 1.0]), k=1)
+        with pytest.raises(ParameterError, match="share d and k"):
+            run_trajectories(
+                [(spec, noise, state, 0), (wide, NoiseProfile(kappa2=np.ones(3)), State(c=np.ones(3)), 1)],
+                0.1, 10, 1,
+            )
+        assert len(run_trajectories([(spec, noise, state, 0), (other, noise, state, 1)], 0.1, 10, 1)) == 2
+
+    def test_memory_stays_within_a_group_chunk(self):
+        # 4 x 20000 single steps at d = 500 would hold 320 MB of states; the
+        # group keeps one chunk of them (0.5 MB, draws and states) and the
+        # 4 x 20001 records with their outputs, and peaks near 8.6 MB
+        spec = build_spectrum(500, 50, 20.0, (0.5, 1.0), 0.2, seed=11)
+        noise = NoiseProfile(kappa2=np.exp(np.random.default_rng(12).normal(0.0, 1.0, 500)))
+        group = [(spec, noise, random_init(500, 1.0, seed=13), seed) for seed in range(4)]
+        tracemalloc.start()
+        try:
+            run_trajectories(group, 0.003, 20_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestJumpCoefficients:

@@ -15,6 +15,7 @@ import pytest
 
 from alignlab import (
     ConstructionError,
+    harness,
     NoiseProfile,
     ParameterError,
     Spectrum,
@@ -248,6 +249,39 @@ class TestSimulate:
                 del os.environ["ALIGNLAB_THREADS"]
             files[sub] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert files["a"] == files["b"]
+
+
+class TestGroupedGrid:
+    """The pool runs groups of consecutive grid jobs. m = 90 at eta = 0.02
+    leaves seeds 1 and 3 with eta * lambda_1 just above 2 (they step, and
+    stay finite over 300 steps) and seed 2 just below (it jumps); m = 300
+    diverges. So 12 jobs fill three groups that mix jump, step and diverged
+    jobs, and the bytes must not depend on the group size or the thread
+    count."""
+
+    GRID = ["--d", "24", "--k", "4", "--eta", "0.02", "--steps", "300",
+            "--m", "5", "--m", "90", "--m", "300", "--m", "8", "--seed", "1", "--seed", "2", "--seed", "3"]
+
+    def test_grid_mixes_jump_and_step_jobs(self):
+        cfg = tiny_config(Path("unused"), m_list=(90.0,), seeds=(1, 2, 3))
+        jumps = [cfg.eta * _problem_for(cfg, 90.0, seed)[0].lambda_max < 2.0 for seed in cfg.seeds]
+        assert jumps == [False, True, False]
+        assert 12 > 2 * harness._GROUP_JOBS
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-gap"])
+    def test_bytes_equal_across_threads_and_group_sizes(self, command, tmp_path, monkeypatch, capsys):
+        files = {}
+        for threads, group in (("1", 1), ("1", harness._GROUP_JOBS), ("2", harness._GROUP_JOBS),
+                               ("3", harness._GROUP_JOBS), ("2", 5)):
+            monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+            monkeypatch.setattr(harness, "_GROUP_JOBS", group)
+            out = tmp_path / f"{threads}-{group}"
+            assert main([command, *self.GRID, "--out", str(out)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 3 and all("(m=300, seed=" in line for line in err)
+            files[threads, group] = (err, {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        first = files["1", 1]
+        assert all(got == first for got in files.values())
 
 
 class TestSweepGap:
@@ -569,6 +603,19 @@ class TestCli:
         argv = ["projected-test", "--d", "24", "--k", "4", "--m", "5", "--seed", "1",
                 "--n-states", str(10**20), "--out", str(out)]
         assert "n_states must be an int64 integer" in self._usage_error(argv, capsys)
+        assert not out.exists()
+
+    def test_n_states_past_the_limit_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # refused before any state is built or any directory made
+        def no_state(*args, **kwargs):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(harness, "random_init", no_state)
+        out = tmp_path / "projected"
+        argv = ["projected-test", "--d", "24", "--k", "4", "--m", "5", "--seed", "1",
+                "--n-states", str(harness._MAX_STATES + 1), "--out", str(out)]
+        err = self._usage_error(argv, capsys)
+        assert err == f"alignlab: error: n_states={harness._MAX_STATES + 1} is past the limit of {harness._MAX_STATES} states\n"
         assert not out.exists()
 
     def test_negative_t_start_is_usage_error(self, tmp_path, capsys):
