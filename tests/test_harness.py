@@ -262,8 +262,8 @@ class TestGroupedGrid:
     GRID = ["--d", "24", "--k", "4", "--eta", "0.02", "--steps", "300",
             "--m", "5", "--m", "90", "--m", "300", "--m", "8", "--seed", "1", "--seed", "2", "--seed", "3"]
 
-    def test_grid_mixes_jump_and_step_jobs(self):
-        cfg = tiny_config(Path("unused"), m_list=(90.0,), seeds=(1, 2, 3))
+    def test_grid_mixes_jump_and_step_jobs(self, tmp_path):
+        cfg = tiny_config(tmp_path, m_list=(90.0,), seeds=(1, 2, 3))
         jumps = [cfg.eta * _problem_for(cfg, 90.0, seed)[0].lambda_max < 2.0 for seed in cfg.seeds]
         assert jumps == [False, True, False]
         assert 12 > 2 * harness._GROUP_JOBS
