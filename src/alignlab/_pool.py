@@ -4,11 +4,12 @@ Experiment jobs (harness, each a group of grid jobs stepped together) and
 Monte-Carlo batches (montecarlo) both fan out here. A job gains from a second
 worker only where it spends its time in calls that release the GIL: the
 normal draws, and numpy loops over more than 500 values, such as a group's
-rows of trajectory states. Results stream back in job order, so callers that
-combine them in that order produce the same bytes for any pool size. At most 2 x workers jobs are
-submitted and not yet consumed, so the results held at once are O(workers)
-whatever the number of jobs: a Monte-Carlo batch returns two sums per
-statistic, so an estimate's memory is set by what its workers hold, for any n.
+rows of trajectory states. Results stream back in job order, so callers
+that combine them in that order produce the same bytes for any pool size. At
+most 2 x workers jobs are submitted and not yet consumed, so the results held
+at once are O(workers) whatever the number of jobs: a Monte-Carlo batch
+returns two sums per statistic, so an estimate's memory is set by what its
+workers hold, for any n.
 """
 
 from __future__ import annotations

@@ -55,8 +55,8 @@ _DIVERGENCE_LIMIT = 1e150
 
 # noise values drawn per chunk, for all the jobs of a group: 16 jumps of 4 jobs
 # at d = 500, or 64 jumps of one job. The state array has the same size, so
-# the two stay small; 16 000 and 24 000 ran the grouped simulate grid slower
-# (BENCH_30.json).
+# the two stay small. 16 000 and 24 000 ran the grouped simulate grid slower,
+# and 48 000 no faster within the spread (BENCH_30.json).
 _CHUNK_VALUES = 32_000
 
 
@@ -92,8 +92,6 @@ def late_phase_statistic(traj: TrajectoryRecord, T_start: int) -> tuple[float, f
         raise ParameterError(f"T_start={T_start} leaves an empty window (final step {traj.final_time})")
     window = traj.thetas[traj.times >= T_start]
     return float(np.mean(window)), float(np.std(window))
-
-
 
 
 def run_trajectory(

@@ -57,8 +57,8 @@ DEFAULT_SEEDS = (42, 87, 568, 1101, 12138, 70425, 4008001)
 _STREAM_SPECTRUM, _STREAM_INIT, _STREAM_TRAJECTORY, _STREAM_MC = range(4)
 
 # grid jobs that one pool job steps together (the output bytes do not
-# depend on it). Four keeps both workers of a 2-vCPU host busy on the
-# benchmark's 8-job grid; groups of 8 left one idle there (BENCH_30.json).
+# depend on it). Four ran the benchmark's 8-job grid fastest on a 2-vCPU
+# host; 2, 3 and 5 were slower, and 8 left one worker idle (BENCH_30.json).
 _GROUP_JOBS = 4
 
 # projected-test holds each state's statistics and verdict rows until its
