@@ -206,9 +206,14 @@ class TestChunkedKernel:
         noise = NoiseProfile(kappa2=np.exp(np.random.default_rng(12).normal(0.0, 1.0, self.D)))
         return spec, noise, random_init(self.D, 1.0, seed=13)
 
-    # 71 = 10 * 7 + 1 = 2 * (ROWS + 3) + 1: a jumping run that ends on a one-step jump
-    @pytest.mark.parametrize("T", [1, ROWS - 1, ROWS, ROWS + 1, 71, 4 * ROWS + 1])
-    @pytest.mark.parametrize("record_every", [1, 7, ROWS + 3])
+    # 71 = 10 * 7 + 1 = 2 * 35 + 1: a jumping run that ends on a one-step jump.
+    # ROWS - 1, ROWS, ROWS + 1 and 4 * ROWS + 1 sit on a chunk edge; 31, 32,
+    # 33, 129 and 35 (the edges of a 32-row chunk) now end inside a chunk
+    TS = sorted({1, 31, 32, 33, 71, 129, ROWS - 1, ROWS, ROWS + 1, 4 * ROWS + 1})
+    EVERY = sorted({1, 7, 35, ROWS + 3})
+
+    @pytest.mark.parametrize("T", TS)
+    @pytest.mark.parametrize("record_every", EVERY)
     def test_bit_equal_to_step_by_step(self, problem, T, record_every):
         spec, noise, init = problem
         traj = run_trajectory(spec, noise, init, 0.003, T, record_every, seed=9)
@@ -216,7 +221,7 @@ class TestChunkedKernel:
         for name, want in zip(("times", "thetas", "losses", "s_d", "s_b"), ref):
             assert np.array_equal(getattr(traj, name), want), name
 
-    @pytest.mark.parametrize("record_every", [7, ROWS + 3])
+    @pytest.mark.parametrize("record_every", EVERY[1:])
     def test_growing_mode_steps_one_at_a_time(self, problem, record_every):
         # |a_1| = 1.05: the run cannot jump, stays finite over 4 chunks, and
         # some chunks hold no record
