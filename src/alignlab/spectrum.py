@@ -162,7 +162,9 @@ def build_spectrum(
         raise ParameterError("top_spread must be >= 0")
     rng = np.random.default_rng(seed)
     bulk = np.sort(rng.uniform(lo, hi, size=d - k))[::-1]
-    lam_split = m * bulk[0]
+    lam_split = m * float(bulk[0])
+    if not np.isfinite(lam_split * (1 + top_spread)):
+        raise ParameterError(f"m={m:g} puts the dominant eigenvalues past the float range")
     top = np.sort(rng.uniform(lam_split, lam_split * (1 + top_spread), size=k - 1))[::-1]
     lambdas = np.concatenate([top, [lam_split], bulk])
     return Spectrum(lambdas=lambdas, k=k)

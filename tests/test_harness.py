@@ -271,8 +271,9 @@ class TestGroupedGrid:
     @pytest.mark.parametrize("command", ["simulate", "sweep-gap"])
     def test_bytes_equal_across_threads_and_group_sizes(self, command, tmp_path, monkeypatch, capsys):
         files = {}
+        # at 4 threads the 12 jobs run in groups of 3, one per worker
         for threads, group in (("1", 1), ("1", harness._GROUP_JOBS), ("2", harness._GROUP_JOBS),
-                               ("3", harness._GROUP_JOBS), ("2", 5)):
+                               ("3", harness._GROUP_JOBS), ("4", harness._GROUP_JOBS), ("2", 5)):
             monkeypatch.setenv("ALIGNLAB_THREADS", threads)
             monkeypatch.setattr(harness, "_GROUP_JOBS", group)
             out = tmp_path / f"{threads}-{group}"
@@ -282,6 +283,37 @@ class TestGroupedGrid:
             files[threads, group] = (err, {p.name: p.read_bytes() for p in sorted(out.iterdir())})
         first = files["1", 1]
         assert all(got == first for got in files.values())
+
+    @pytest.mark.parametrize("threads, n_jobs, size", [
+        ("1", 8, 4), ("2", 8, 4), ("2", 21, 4), ("3", 8, 3), ("8", 8, 1), ("4", 5, 2), ("4", 2, 1),
+    ])
+    def test_groups_leave_no_worker_idle(self, threads, n_jobs, size, monkeypatch):
+        monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+        assert harness._group_size(n_jobs) == size
+
+    def test_group_size_follows_the_cpu_count_by_default(self, monkeypatch):
+        monkeypatch.delenv("ALIGNLAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        assert harness._group_size(8) == 1 and harness._group_size(63) == 4
+
+    # m = 1e200 at eta = 1e-210 records energies past the float range, and
+    # m = 1.7e308 cannot be built; a group holding both raises the error of
+    # its first job in grid order, as groups of one job do
+    @pytest.mark.parametrize("m_list, message", [
+        (("1e200", "1.7e308"), "a recorded energy passes the float range"),
+        (("1.7e308", "1e200"), "m=1.7e+308 puts the dominant eigenvalues past the float range"),
+    ])
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_first_error_in_grid_order(self, m_list, message, group, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ALIGNLAB_THREADS", "1")
+        monkeypatch.setattr(harness, "_GROUP_JOBS", group)
+        ms = [flag for m in m_list for flag in ("--m", m)]
+        argv = ["simulate", "--d", "24", "--k", "4", *ms, "--eta", "1e-210", "--steps", "50", "--seed", "1",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"alignlab: error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepGap:

@@ -68,6 +68,13 @@ class TestBuildSpectrum:
         with pytest.raises(ParameterError):
             build_spectrum(seed=0, **kwargs)
 
+    @pytest.mark.parametrize("m, bulk_range, top_spread", [(1e308, (2.0, 2.0), 0.0), (1.6e308, (1.0, 1.0), 0.2)])
+    def test_eigenvalues_past_the_float_range(self, m, bulk_range, top_spread):
+        # lambda_k = m * max(bulk), or the top of its spread, overflows: a
+        # ParameterError, where numpy's uniform raised an OverflowError
+        with pytest.raises(ParameterError, match="past the float range"):
+            build_spectrum(24, 4, m, bulk_range, top_spread, seed=0)
+
     def test_spectrum_rejects_bad_arrays(self):
         with pytest.raises(ParameterError):
             Spectrum(lambdas=np.array([1.0, 2.0]), k=1)  # increasing
