@@ -10,11 +10,13 @@ inside the divergence limit, else it steps; a one-step jump is the SGD step,
 c <- a*c - (z*kappa)*eta, bit for bit. Projected updates are checked one step
 at a time by `projected-test`.
 
-There is one kernel, `run_trajectories`: it runs a group of jobs that share
+There is one kernel, `run_trajectories`: it runs a list of jobs that share
 d, k, eta, T and `record_every`, and `run_trajectory` is its one-job call.
-The jobs of a group that share a jump plan step together. The plan is formed
-once: jump j ends on step ends[j] = min((j + 1) R, T), and it is a record
-where due[j], that is where ends[j] is a multiple of `record_every` or is T.
+It splits the jobs by jump plan and cuts each plan's jobs into groups of
+`_group_size`; the groups are the jobs of `_pool.run_jobs`, the one job
+runner, and each group's jobs step together. The plan is formed once: jump
+j ends on step ends[j] = min((j + 1) R, T), and it is a record where
+due[j], that is where ends[j] is a multiple of `record_every` or is T.
 The record times are [0] + ends[due], a `DivergenceError` names ends[j], and
 a chunk reduces all its states when each of its jumps is a record and the due
 ones otherwise. Each job draws its noise from its own
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import run_jobs, worker_count
 from .errors import AlignlabError, DivergenceError, ParameterError
 from .spectrum import NoiseProfile, Spectrum
 from .state import State, _check_dims, _theta
@@ -60,8 +63,26 @@ _DIVERGENCE_LIMIT = 1e150
 _CHUNK_VALUES = 32_000
 
 
+# the most jobs of one jump plan that one pool job steps together (the output
+# bytes do not depend on it). On a 2-vCPU host at d = 500, groups of 2 to 5
+# ran the benchmark's 8-job grid at two threads within each other's spread, 4
+# with the lowest median, and groups of 1 and 8 were slower; at d = 2000
+# groups of 1, 2 and 4 were within each other's spread (BENCH_30.json). No
+# run has checked more than two threads. `_group_size` makes the groups
+# smaller where groups of four would leave a worker idle.
+_GROUP_JOBS = 4
+
+
 def _chunk_rows(d: int, jobs: int = 1) -> int:
     return max(1, _CHUNK_VALUES // (jobs * d))
+
+
+def _group_size(n_jobs: int) -> int:
+    """The jobs per group of a call of n_jobs: _GROUP_JOBS, or
+    ceil(n_jobs / workers) where that is smaller. A pool with more workers
+    than groups of _GROUP_JOBS would fill then runs one group per worker,
+    and no worker steps more jobs than with one job per pool job."""
+    return min(_GROUP_JOBS, -(-n_jobs // worker_count(n_jobs)))
 
 
 @dataclass(frozen=True)
@@ -76,9 +97,8 @@ class TrajectoryRecord:
     s_b: np.ndarray
 
     def __post_init__(self):
-        n = len(self.times)
-        if len(self.thetas) != n or len(self.losses) != n:
-            raise ParameterError("times/thetas/losses must have equal length")
+        if len({len(series) for series in (self.times, self.thetas, self.losses, self.s_d, self.s_b)}) > 1:
+            raise ParameterError("times/thetas/losses/s_d/s_b must have equal length")
 
     @property
     def final_time(self) -> int:
@@ -106,7 +126,8 @@ def run_trajectory(
     """Run T SGD steps with fresh i.i.d. noise, recording (t, theta, loss,
     s_D, s_B) at t = 0, every `record_every` steps, and t = T.
     Deterministic given `seed`; jumps between records as the module says.
-    The one-job call of `run_trajectories`.
+    The one-job call of `run_trajectories`: it runs in the calling thread,
+    and a bad ALIGNLAB_THREADS raises the pool's ParameterError.
     """
     (out,) = run_trajectories([(spec, noise, init, seed)], eta, T, record_every)
     if isinstance(out, AlignlabError):
@@ -114,16 +135,18 @@ def run_trajectory(
     return out
 
 
-# Overflow, in the set-up (lambda^2, a^2 at a huge lambda) or in the jumps, is
-# expected on diverging runs and is reported as DivergenceError, not as a
-# RuntimeWarning.
+# Overflow, in the set-up (eta * lambda, lambda^2, a^2 at a huge lambda) or in
+# the jumps, is expected on diverging runs and is reported as DivergenceError,
+# not as a RuntimeWarning. numpy's error state is per thread, so the group
+# that a pool worker runs sets its own.
 @np.errstate(over="ignore", invalid="ignore")
 def run_trajectories(jobs, eta: float, T: int, record_every: int) -> list:
     """`run_trajectory` for each (spec, noise, init, seed) of `jobs`, all of
     one d and k. Returns, in job order, each job's TrajectoryRecord or the
     DivergenceError or ParameterError that it raises when run alone; a job
     that fails leaves the others' records as they are. The jobs that share a
-    jump plan step together, one pass per chunk for all of them.
+    jump plan step together in groups of `_group_size`, one pool job per
+    group and one pass per chunk for all of its jobs.
     """
     if T < 1:
         raise ParameterError("T must be >= 1")
@@ -132,18 +155,20 @@ def run_trajectories(jobs, eta: float, T: int, record_every: int) -> list:
     for spec, noise, init, _ in jobs:
         _check_dims(init, spec, noise)
         if (spec.d, spec.k) != (jobs[0][0].d, jobs[0][0].k):
-            raise ParameterError("the jobs of a group must share d and k")
+            raise ParameterError("the jobs of one call must share d and k")
     if not eta > 0:
         raise ParameterError("eta must be > 0")
 
+    size = _group_size(len(jobs))
     # a job jumps R = min(record_every, T) steps at a time, or steps (R = 1)
     plans = [min(record_every, T) if _can_jump(spec, init, eta) else 1 for spec, _, init, _ in jobs]
-    out = [None] * len(jobs)
+    groups = []  # the indices of each group's jobs, which share a plan
     for R in set(plans):
-        group = [i for i, plan in enumerate(plans) if plan == R]
-        for i, result in zip(group, _run_group([jobs[i] for i in group], eta, T, record_every, R)):
-            out[i] = result
-    return out
+        same = [i for i, plan in enumerate(plans) if plan == R]
+        groups += [same[i : i + size] for i in range(0, len(same), size)]
+    runs = run_jobs(lambda group: _run_group([jobs[i] for i in group], eta, T, record_every, plans[group[0]]), groups)
+    done = {i: result for group, results in zip(groups, runs) for i, result in zip(group, results)}
+    return [done[i] for i in range(len(jobs))]
 
 
 def _can_jump(spec: Spectrum, init: State, eta: float) -> bool:
@@ -158,6 +183,7 @@ def _can_jump(spec: Spectrum, init: State, eta: float) -> bool:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_group(jobs, eta: float, T: int, record_every: int, R: int) -> list:
     """The records or errors of jobs that share the jump plan R, stepped
     together: jump j of every job is one (jobs, d) row of a chunk."""

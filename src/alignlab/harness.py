@@ -2,14 +2,12 @@
 emitting commands behind the CLI.
 
 Determinism contract: every output file's bytes depend only on (config,
-seeds). The (m, seed) jobs of `simulate` and `sweep-gap` fan out over
-`_pool.run_jobs`, the one job runner, whose thread pool ALIGNLAB_THREADS caps,
-in groups of at most _GROUP_JOBS consecutive grid jobs: a group job builds
-its jobs' problems, steps their trajectories together in one
-`run_trajectories` call, and forms their plans and late-window statistics.
-Results are assembled in grid order, and a job's trajectory is the same bits
-in any group, so neither the pool size nor the group size changes the
-outputs. The renderers return
+seeds). `_run_grid` builds the problems of the (m, seed) jobs of `simulate`
+and `sweep-gap` in grid order, runs all their trajectories in one
+`dynamics.run_trajectories` call, which groups them onto the job pool, and
+forms their plans and late-window statistics. Results are assembled in grid
+order, and a job's trajectory is the same bits in any group, so neither the
+pool size nor the group size changes the outputs. The renderers return
 text (`svgplot` its SVG, `csv.writer` its tables) and `_write` is the one
 place a file is written: UTF-8 bytes, whatever the locale, with no newline
 translation, written to a part file and renamed into place.
@@ -34,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot, theory
-from ._pool import run_jobs, worker_count
 from .dynamics import late_phase_statistic, run_trajectories
 from .errors import AlignlabError, ConstructionError, DivergenceError, ParameterError
 from .montecarlo import VERDICT_COLUMNS, drift_verdicts, projected_verdicts
@@ -56,15 +53,6 @@ DEFAULT_SEEDS = (42, 87, 568, 1101, 12138, 70425, 4008001)
 
 # stream labels for deriving independent generators from (seed, m)
 _STREAM_SPECTRUM, _STREAM_INIT, _STREAM_TRAJECTORY, _STREAM_MC = range(4)
-
-# the most grid jobs that one pool job steps together (the output bytes do
-# not depend on it). On a 2-vCPU host at d = 500, groups of 2 to 5 ran the
-# benchmark's 8-job grid at two threads within each other's spread, 4 with
-# the lowest median, and groups of 1 and 8 were slower; at d = 2000 groups
-# of 1, 2 and 4 were within each other's spread (BENCH_30.json). No run has
-# checked more than two threads. `_group_size` makes the groups smaller
-# where groups of four would leave a worker idle.
-_GROUP_JOBS = 4
 
 # projected-test holds each state's statistics and verdict rows until its
 # table is written, about 4 KB and 0.12 ms per state at d = 24 (measured at
@@ -316,16 +304,18 @@ def _problem_for(config: ExperimentConfig, m: float, seed: int) -> tuple[Spectru
     return spec, isotropic_noise(config.d, config.sigma2)
 
 
-def _simulate_group(config: ExperimentConfig, jobs) -> list[dict]:
-    """The result of each (m, seed) of `jobs`, in order: its problem, its
-    trajectory (the jobs step together in one `run_trajectories` call), its
-    two-phase plan and its late-window statistics. A diverged job keeps its
-    DivergenceError and the others run on. Any other error of a job, in
-    building its problem or in its records, fails the group with the error
-    of the first job that has one, as when the jobs run one at a time; the
-    jobs after a problem that cannot be built are not built."""
+def _run_grid(config: ExperimentConfig, command: str) -> tuple[list[dict], bool]:
+    """The result of every (m, seed), in grid order: its problem, its
+    trajectory (one `run_trajectories` call runs the grid), its two-phase
+    plan and its late-window statistics; prints one stderr line per diverged
+    job. A diverged job keeps its DivergenceError and the others run on. Any
+    other error of a job, in building its problem or in its records, fails
+    the grid with the error of the first job that has one; the jobs after a
+    problem that cannot be built are not built. Returns the results and
+    whether any job diverged."""
+    grid = [(m, seed) for m in config.m_list for seed in config.seeds]
     problems, unbuilt = [], None
-    for m, seed in jobs:
+    for m, seed in grid:
         try:
             spec, noise = _problem_for(config, m, seed)
             init = random_init(config.d, config.init_scale, seed=_stream(seed, m, _STREAM_INIT))
@@ -335,7 +325,7 @@ def _simulate_group(config: ExperimentConfig, jobs) -> list[dict]:
         problems.append((spec, noise, init, _stream(seed, m, _STREAM_TRAJECTORY)))
     trajs = run_trajectories(problems, config.eta, config.T, config.record_every)
     results = []
-    for (m, seed), (spec, noise, init, _), traj in zip(jobs, problems, trajs):
+    for (m, seed), (spec, noise, init, _), traj in zip(grid, problems, trajs):
         if isinstance(traj, AlignlabError) and not isinstance(traj, DivergenceError):
             raise traj
         diverged = traj if isinstance(traj, DivergenceError) else None
@@ -357,26 +347,6 @@ def _simulate_group(config: ExperimentConfig, jobs) -> list[dict]:
         })
     if unbuilt is not None:
         raise unbuilt
-    return results
-
-
-def _group_size(n_jobs: int) -> int:
-    """The jobs per group of a grid of n_jobs: _GROUP_JOBS, or
-    ceil(n_jobs / workers) where that is smaller. A pool with more workers
-    than groups of _GROUP_JOBS would fill then runs one group per worker,
-    and no worker steps more jobs than with one job per pool job."""
-    return min(_GROUP_JOBS, -(-n_jobs // worker_count(n_jobs)))
-
-
-def _run_grid(config: ExperimentConfig, command: str) -> tuple[list[dict], bool]:
-    """The results of every (m, seed), in grid order. Groups of
-    `_group_size` consecutive grid jobs are the jobs of the pool; prints one
-    stderr line per diverged job. Returns the results and whether any job
-    diverged."""
-    grid = [(m, seed) for m in config.m_list for seed in config.seeds]
-    size = _group_size(len(grid))
-    groups = [grid[i : i + size] for i in range(0, len(grid), size)]
-    results = [res for group in run_jobs(lambda jobs: _simulate_group(config, jobs), groups) for res in group]
     for res in results:
         if res["diverged"] is not None:
             print(

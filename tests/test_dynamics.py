@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -16,9 +17,11 @@ from alignlab import (
     expected_second_moment,
     late_phase_statistic,
     mode_law,
+    one_step_estimates,
     random_init,
     run_trajectory,
 )
+from alignlab import dynamics
 from alignlab.dynamics import _DIVERGENCE_LIMIT, _chunk_rows, run_trajectories
 
 from helpers import sample_noise, sgd_step
@@ -442,6 +445,62 @@ class TestGroupedKernel:
             )
         assert len(run_trajectories([(spec, noise, state, 0), (other, noise, state, 1)], 0.1, 10, 1)) == 2
 
+    # at eta = 0.5 and d = 2, interleaved: two jumping jobs, one that jumps
+    # past the limit (its dominant noise sd is 1e151), one that steps and
+    # stays finite (a_1 = -1.1), one that steps past the limit near step 850
+    # (a_1 = -1.5), and one that steps from a start outside the limit, which
+    # a_1 = 0 clears at once but whose first record passes the float range
+    MIXED = [
+        ((2.0, 1.0), (1.0, 1.0), (1.0, 1.0)),
+        ((4.2, 1.0), (1.0, 1.0), (1.0, 1.0)),
+        ((1.5, 1.0), (1e302, 1.0), (1.0, 1.0)),
+        ((5.0, 1.0), (1.0, 1.0), (1.0, 1.0)),
+        ((2.0, 1.0), (1.0, 1.0), (1e200, 1.0)),
+        ((1.5, 1.0), (2.0, 0.5), (-1.0, 3.0)),
+    ]
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("group", [1, 4])
+    def test_pool_and_group_size_leave_every_outcome_alone(self, threads, group, monkeypatch):
+        jobs = [
+            (Spectrum(lambdas=np.array(lam), k=1), NoiseProfile(kappa2=np.array(kappa2)), State(c=np.array(c)), seed)
+            for seed, (lam, kappa2, c) in enumerate(self.MIXED)
+        ]
+        monkeypatch.setenv("ALIGNLAB_THREADS", "1")
+        want = [one_job(job, 0.5, 1003, 10) for job in jobs]
+        assert [type(w).__name__ for w in want] == [
+            "TrajectoryRecord", "TrajectoryRecord", "DivergenceError", "DivergenceError", "ParameterError",
+            "TrajectoryRecord",
+        ]
+        assert want[2].step == 10 and 800 < want[3].step < 900 and "float range" in str(want[4])
+        monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+        monkeypatch.setattr(dynamics, "_GROUP_JOBS", group)
+        for result, expected in zip(run_trajectories(jobs, 0.5, 1003, 10), want, strict=True):
+            assert_same_outcome(result, expected)
+
+    def test_one_job_runs_in_the_calling_thread(self, fixa, monkeypatch):
+        monkeypatch.setenv("ALIGNLAB_THREADS", "4")
+        threads, run_group = [], dynamics._run_group
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return run_group(*args)
+
+        monkeypatch.setattr(dynamics, "_run_group", recording)
+        spec, noise, state = fixa
+        run_trajectory(spec, noise, state, 0.1, 100, 10, seed=1)
+        assert threads == [threading.get_ident()]
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_bad_thread_count_is_the_pools_error(self, threads, fixa, monkeypatch):
+        monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+        spec, noise, state = fixa
+        with pytest.raises(ParameterError, match="ALIGNLAB_THREADS") as pool_error:
+            one_step_estimates(state, spec, noise, [0.1], 1000, seed=1)
+        with pytest.raises(ParameterError, match="ALIGNLAB_THREADS") as err:
+            run_trajectory(spec, noise, state, 0.1, 100, 10, seed=1)
+        assert str(err.value) == str(pool_error.value)
+
     def test_memory_stays_within_a_group_chunk(self):
         # 4 x 20000 single steps at d = 500 would hold 320 MB of states; the
         # group keeps one chunk of them (0.5 MB, draws and states) and the
@@ -613,6 +672,13 @@ class TestTrajectoryStatistics:
         mean, std = late_phase_statistic(traj, 50)
         assert mean == pytest.approx(0.7, rel=1e-15)
         assert std <= 1e-15
+
+    @pytest.mark.parametrize("short", FIELDS)
+    def test_every_series_has_the_same_length(self, short):
+        series = {name: np.zeros(3) for name in FIELDS}
+        series[short] = np.zeros(2)
+        with pytest.raises(ParameterError, match="equal length"):
+            TrajectoryRecord(**series)
 
     def test_window_bounds(self):
         traj = TrajectoryRecord(

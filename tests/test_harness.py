@@ -15,6 +15,7 @@ import pytest
 
 from alignlab import (
     ConstructionError,
+    dynamics,
     harness,
     NoiseProfile,
     ParameterError,
@@ -238,26 +239,23 @@ class TestSimulate:
         assert "nan" not in body.lower()
         assert "undef" in body
 
-    def test_byte_identical_across_thread_counts(self, tmp_path):
+    def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
         files = {}
         for threads, sub in (("1", "a"), ("4", "b")):
             cfg = tiny_config(tmp_path / sub, m_list=(8.0, 12.0), seeds=(42, 87))
-            os.environ["ALIGNLAB_THREADS"] = threads
-            try:
-                out, _ = cmd_simulate(cfg)
-            finally:
-                del os.environ["ALIGNLAB_THREADS"]
+            monkeypatch.setenv("ALIGNLAB_THREADS", threads)
+            out, _ = cmd_simulate(cfg)
             files[sub] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert files["a"] == files["b"]
 
 
 class TestGroupedGrid:
-    """The pool runs groups of consecutive grid jobs. m = 90 at eta = 0.02
-    leaves seeds 1 and 3 with eta * lambda_1 just above 2 (they step, and
-    stay finite over 300 steps) and seed 2 just below (it jumps); m = 300
-    diverges. So 12 jobs fill three groups that mix jump, step and diverged
-    jobs, and the bytes must not depend on the group size or the thread
-    count."""
+    """The grid runs in one run_trajectories call, whose pool runs groups of
+    jobs of one jump plan. m = 90 at eta = 0.02 leaves seeds 1 and 3 with
+    eta * lambda_1 just above 2 (they step, and stay finite over 300 steps)
+    and seed 2 just below (it jumps); m = 300 diverges. So the 12 jobs fill
+    jump and step groups with diverged jobs among them, and the bytes must
+    not depend on the group size or the thread count."""
 
     GRID = ["--d", "24", "--k", "4", "--eta", "0.02", "--steps", "300",
             "--m", "5", "--m", "90", "--m", "300", "--m", "8", "--seed", "1", "--seed", "2", "--seed", "3"]
@@ -266,16 +264,16 @@ class TestGroupedGrid:
         cfg = tiny_config(tmp_path, m_list=(90.0,), seeds=(1, 2, 3))
         jumps = [cfg.eta * _problem_for(cfg, 90.0, seed)[0].lambda_max < 2.0 for seed in cfg.seeds]
         assert jumps == [False, True, False]
-        assert 12 > 2 * harness._GROUP_JOBS
+        assert 12 > 2 * dynamics._GROUP_JOBS
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-gap"])
     def test_bytes_equal_across_threads_and_group_sizes(self, command, tmp_path, monkeypatch, capsys):
         files = {}
-        # at 4 threads the 12 jobs run in groups of 3, one per worker
-        for threads, group in (("1", 1), ("1", harness._GROUP_JOBS), ("2", harness._GROUP_JOBS),
-                               ("3", harness._GROUP_JOBS), ("4", harness._GROUP_JOBS), ("2", 5)):
+        # at 4 threads the 12 jobs run in groups of at most 3 (7 jump jobs, 5 step jobs)
+        for threads, group in (("1", 1), ("1", dynamics._GROUP_JOBS), ("2", dynamics._GROUP_JOBS),
+                               ("3", dynamics._GROUP_JOBS), ("4", dynamics._GROUP_JOBS), ("2", 5)):
             monkeypatch.setenv("ALIGNLAB_THREADS", threads)
-            monkeypatch.setattr(harness, "_GROUP_JOBS", group)
+            monkeypatch.setattr(dynamics, "_GROUP_JOBS", group)
             out = tmp_path / f"{threads}-{group}"
             assert main([command, *self.GRID, "--out", str(out)]) == 1
             err = capsys.readouterr().err.splitlines()
@@ -289,12 +287,12 @@ class TestGroupedGrid:
     ])
     def test_groups_leave_no_worker_idle(self, threads, n_jobs, size, monkeypatch):
         monkeypatch.setenv("ALIGNLAB_THREADS", threads)
-        assert harness._group_size(n_jobs) == size
+        assert dynamics._group_size(n_jobs) == size
 
     def test_group_size_follows_the_cpu_count_by_default(self, monkeypatch):
         monkeypatch.delenv("ALIGNLAB_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
-        assert harness._group_size(8) == 1 and harness._group_size(63) == 4
+        assert dynamics._group_size(8) == 1 and dynamics._group_size(63) == 4
 
     # m = 1e200 at eta = 1e-210 records energies past the float range, and
     # m = 1.7e308 cannot be built; a group holding both raises the error of
@@ -306,7 +304,7 @@ class TestGroupedGrid:
     @pytest.mark.parametrize("group", [1, 2])
     def test_first_error_in_grid_order(self, m_list, message, group, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ALIGNLAB_THREADS", "1")
-        monkeypatch.setattr(harness, "_GROUP_JOBS", group)
+        monkeypatch.setattr(dynamics, "_GROUP_JOBS", group)
         ms = [flag for m in m_list for flag in ("--m", m)]
         argv = ["simulate", "--d", "24", "--k", "4", *ms, "--eta", "1e-210", "--steps", "50", "--seed", "1",
                 "--out", str(tmp_path / "out")]
@@ -842,9 +840,13 @@ class TestCli:
         assert (out / "alignment_vs_m_logfit.csv").read_text().splitlines()[1] == "undef,undef,undef"
         assert (out / "alignment_vs_m.svg").exists()
 
-    def test_overflowing_start_diverges_instead_of_failing_the_grid(self, tmp_path, capsys):
+    # at two threads each job runs on a pool worker, whose numpy error state
+    # starts from the defaults
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_start_diverges_instead_of_failing_the_grid(self, threads, tmp_path, monkeypatch, capsys):
         # c0^2 overflows: the plan has no t_star and each job diverges at its
         # first step, one stderr line each, and the summary is still written
+        monkeypatch.setenv("ALIGNLAB_THREADS", threads)
         out = tmp_path / "runs"
         code = main([*self.SIM_ARGS, "--steps", "100", "--init-scale", "1e200", "--m", "5", "--m", "8",
                      "--out", str(out)])
